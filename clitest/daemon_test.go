@@ -262,3 +262,69 @@ func TestMpcgsdServiceSmoke(t *testing.T) {
 	}
 	d2.drain(t)
 }
+
+// TestMpcgsdSigtermDuringStartup: a SIGTERM that lands while a restarted
+// daemon is still replaying its journal — before it listens — must drain
+// it like any other (exit 0, "drained cleanly"), not kill it with jobs
+// mid-quantum. Every journaled job must then resume on the next start and
+// run to completion.
+func TestMpcgsdSigtermDuringStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daemon smoke")
+	}
+	state := filepath.Join(t.TempDir(), "state")
+	d := startDaemon(t, state)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		trees := run(t, "mssim", "", "-seed", fmt.Sprint(81+2*i), "8", "1")
+		phy := run(t, "seqgen", trees, "-l", "120", "-seed", fmt.Sprint(82+2*i))
+		ids = append(ids, submitJob(t, d.base, fmt.Sprintf("early-%d", i), phy, uint64(91+i)))
+	}
+	d.drain(t)
+
+	// Restart and signal on the first replayed job: the journal holds four
+	// in-flight jobs, so the replay is still going.
+	r := &daemon{}
+	r.cmd = exec.Command(filepath.Join(binDir, "mpcgsd"),
+		"-addr", "127.0.0.1:0", "-state", state,
+		"-workers", "2", "-quantum", "16", "-checkpoint-every", "64")
+	stdout, err := r.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.cmd.Stderr = &stderrWriter{d: r}
+	if err := r.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.cmd.Process.Kill() })
+	deadline := time.AfterFunc(2*time.Minute, func() { _ = r.cmd.Process.Kill() })
+	defer deadline.Stop()
+	scanner := bufio.NewScanner(stdout)
+	signalled := false
+	for scanner.Scan() {
+		line := scanner.Text()
+		r.mu.Lock()
+		r.out.WriteString(line + "\n")
+		r.mu.Unlock()
+		if !signalled && strings.HasPrefix(line, "mpcgsd: resumed job") {
+			if err := r.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			signalled = true
+		}
+	}
+	if err := r.cmd.Wait(); err != nil || !signalled {
+		t.Fatalf("SIGTERM during start-up (sent: %v): exit %v\n%s", signalled, err, r.output())
+	}
+	if !strings.Contains(r.output(), "drained cleanly") {
+		t.Fatalf("no drain confirmation in output:\n%s", r.output())
+	}
+
+	d2 := startDaemon(t, state)
+	for _, id := range ids {
+		if view := waitJobDone(t, d2.base, id); !view.Resumed {
+			t.Errorf("job %s finished without resuming its checkpoint", id)
+		}
+	}
+	d2.drain(t)
+}

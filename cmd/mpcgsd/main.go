@@ -49,6 +49,13 @@ func main() {
 		logw = io.Discard
 	}
 
+	// The handler goes in before New replays the journal and restarts
+	// every job's drivers: a signal that lands during start-up waits in
+	// the channel and drains the daemon as soon as New returns, instead
+	// of killing it with jobs mid-quantum.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	srv, err := serve.New(serve.Options{
 		StateDir:        *state,
 		Workers:         *workers,
@@ -74,8 +81,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(logw, "mpcgsd: %v: draining (checkpointing in-flight jobs)\n", s)

@@ -73,7 +73,7 @@ func main() {
 		Samples:      4000,
 		Seed:         seed + 2,
 	}
-	for _, s := range []core.Sampler{
+	for _, s := range []core.StepSampler{
 		core.NewMH(eval),
 		core.NewGMH(eval, dev, dev.Workers()),
 	} {

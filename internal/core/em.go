@@ -67,7 +67,7 @@ type EMResult struct {
 // program flow of paper Fig. 11. Each iteration reuses the previous
 // iteration's final genealogy as its starting state, so later iterations
 // begin near the posterior and the burn-in cost is paid usefully.
-func RunEM(s Sampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EMResult, error) {
+func RunEM(s StepSampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EMResult, error) {
 	e, err := StartEM(s, init, cfg, dev)
 	if err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func RunEM(s Sampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EMRe
 // RunEM is exactly StartEM driven to completion, so standalone and
 // scheduled estimations share one code path.
 type EMRun struct {
-	sampler Sampler
+	sampler StepSampler
 	dev     *device.Device
 	cfg     EMConfig // defaults applied
 	cur     *gtree.Tree
@@ -103,7 +103,7 @@ type EMRun struct {
 
 // StartEM validates the configuration and returns a step-driven
 // estimation positioned before its first sampler transition.
-func StartEM(s Sampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EMRun, error) {
+func StartEM(s StepSampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EMRun, error) {
 	c := cfg.withDefaults()
 	if c.InitialTheta <= 0 {
 		return nil, fmt.Errorf("core: initial theta %v must be positive", c.InitialTheta)
@@ -121,24 +121,14 @@ func StartEM(s Sampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EM
 // Step advances the estimation by one sampler transition; when the
 // transition completes an iteration's sampling pass, the same Step also
 // maximizes θ and positions the run at the next iteration (or marks it
-// done). A sampler that does not implement StepSampler runs its whole
-// pass in a single coarse Step. Errors are fatal: the run is marked done
-// and the error is also returned by Result.
+// done). Errors are fatal: the run is marked done and the error is also
+// returned by Result.
 func (e *EMRun) Step() error {
 	if e.done {
 		return e.err
 	}
 	if e.active == nil {
-		ss, ok := e.sampler.(StepSampler)
-		if !ok {
-			// Coarse fallback: one whole sampling pass per Step.
-			run, err := e.sampler.Run(e.cur, e.chainConfig())
-			if err != nil {
-				return e.fail(err)
-			}
-			return e.finishIteration(run)
-		}
-		run, err := ss.Start(e.cur, e.chainConfig())
+		run, err := e.sampler.Start(e.cur, e.chainConfig())
 		if err != nil {
 			return e.fail(err)
 		}

@@ -380,11 +380,7 @@ func (e *EMRun) Restore(snap *EMSnapshot) error {
 	if snap.Active == nil {
 		return nil
 	}
-	ss, ok := e.sampler.(StepSampler)
-	if !ok {
-		return fmt.Errorf("core: snapshot has a mid-pass state but sampler %q is not step-driven", e.sampler.Name())
-	}
-	run, err := ss.Start(e.cur, e.chainConfig())
+	run, err := e.sampler.Start(e.cur, e.chainConfig())
 	if err != nil {
 		return fmt.Errorf("core: EM restore: %w", err)
 	}

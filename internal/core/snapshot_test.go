@@ -220,7 +220,7 @@ func TestEMKillResumeBitIdentical(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		s    Sampler
+		s    StepSampler
 	}{
 		{"mh", NewMH(eval)},
 		{"gmh", NewGMH(eval, dev, 3)},

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpcgs/internal/device"
-	"mpcgs/internal/gtree"
 )
 
 // Compile-time: the schedulable samplers expose the step-driven interface.
@@ -14,15 +13,6 @@ var (
 	_ StepSampler = (*Heated)(nil)
 	_ StepSampler = (*MultiChain)(nil)
 )
-
-// coarseOnly hides a sampler's step interface, standing in for a sampler
-// that only knows how to run a whole pass at once.
-type coarseOnly struct{ s Sampler }
-
-func (c coarseOnly) Name() string { return c.s.Name() }
-func (c coarseOnly) Run(init *gtree.Tree, cfg ChainConfig) (*Result, error) {
-	return c.s.Run(init, cfg)
-}
 
 // emResultsEqual requires two estimations to have identical trajectories:
 // same θ path, same recorded draws in the final sample set.
@@ -93,40 +83,6 @@ func TestInterleavedEMRunsMatchStandalone(t *testing.T) {
 	}
 	emResultsEqual(t, "job A (mh)", standaloneA, interA)
 	emResultsEqual(t, "job B (gmh)", standaloneB, interB)
-}
-
-// TestEMRunCoarseFallback covers samplers without a step interface:
-// each Step runs a whole sampling pass, and the result still matches
-// RunEM exactly.
-func TestEMRunCoarseFallback(t *testing.T) {
-	dev := device.Serial()
-	eval, init := engineFixture(t, 6, 60, 711, dev)
-	mc := coarseOnly{NewMultiChain(eval, dev, 2)}
-	cfg := EMConfig{InitialTheta: 1.0, Iterations: 2, Burnin: 20, Samples: 100, Seed: 712}
-
-	standalone, err := RunEM(mc, init, cfg, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := StartEM(mc, init, cfg, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	for !run.Done() {
-		if err := run.Step(); err != nil {
-			t.Fatal(err)
-		}
-		steps++
-	}
-	if steps != len(standalone.History) {
-		t.Errorf("coarse fallback took %d steps, want one per iteration (%d)", steps, len(standalone.History))
-	}
-	res, err := run.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	emResultsEqual(t, "multichain fallback", standalone, res)
 }
 
 // TestEMRunErrorIsSticky: a failed run stays failed — Step keeps

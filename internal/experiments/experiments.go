@@ -72,7 +72,7 @@ func buildEvaluator(aln *phylip.Alignment, dev *device.Device) (*felsen.Evaluato
 
 // estimate runs the full EM estimation with the given sampler and returns
 // the final θ.
-func estimate(s core.Sampler, aln *phylip.Alignment, theta0 float64, burnin, samples, emIters int, seed uint64, dev *device.Device) (float64, error) {
+func estimate(s core.StepSampler, aln *phylip.Alignment, theta0 float64, burnin, samples, emIters int, seed uint64, dev *device.Device) (float64, error) {
 	init, err := core.InitialTree(aln, theta0, seed)
 	if err != nil {
 		return 0, err

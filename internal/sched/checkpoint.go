@@ -95,10 +95,10 @@ func Fingerprint(j Job) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ckptWriter maintains the in-memory image of the batch checkpoint and
-// writes it to disk atomically. Entries are only mutated by the driver
-// that owns the corresponding job (or during single-threaded admission),
-// so the mutex only serializes the image against concurrent flushes.
+// ckptWriter maintains the in-memory image of a checkpoint — one slot
+// per job — and writes it to disk atomically. A slot is only mutated by
+// its job's admission or by the driver that owns the job, so the mutex
+// only serializes the image against concurrent flushes.
 type ckptWriter struct {
 	opts CheckpointOptions
 

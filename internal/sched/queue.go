@@ -13,15 +13,15 @@ import (
 	"mpcgs/internal/device"
 )
 
-// Queue is the dynamic counterpart of RunBatch: a long-lived scheduler
-// that admits jobs one at a time while earlier submissions are already
-// running, for a serving process that never knows its whole batch up
-// front. The same driver/quantum model applies — a fixed set of driver
-// goroutines pops the most urgent job, steps it for a bounded quantum of
-// sampler transitions, and requeues it — but the ready queue is a
-// priority heap ordered by (priority, tenant usage, submission order)
-// instead of FIFO, so late arrivals from a starved tenant preempt a busy
-// tenant's backlog at the next quantum boundary.
+// Queue is the scheduler: a long-lived set of driver goroutines that
+// admits jobs one at a time, also while earlier submissions are already
+// running, so a serving process need not know its whole batch up front
+// (RunBatch is a client that submits a known batch and waits). Each
+// driver pops the most urgent job, steps it for a bounded quantum of
+// sampler transitions, and requeues it. The ready queue is a priority
+// heap ordered by (priority, tenant usage, submission order), so late
+// arrivals from a starved tenant preempt a busy tenant's backlog at the
+// next quantum boundary.
 //
 // # Preemption
 //
@@ -33,15 +33,15 @@ import (
 //
 // # Determinism
 //
-// A job's trajectory is a pure function of its spec and seed, exactly as
-// in RunBatch: per-job PRNG streams live inside the job's EMRun and the
-// heap only decides stepping order. The queue-level equivalence tests
-// pin submitted jobs against RunStandalone bit-for-bit.
+// A job's trajectory is a pure function of its spec and seed: per-job
+// PRNG streams live inside the job's EMRun and the heap only decides
+// stepping order. The queue-level equivalence tests pin submitted jobs
+// against RunStandalone bit-for-bit.
 //
 // # Durability
 //
 // Each submission may carry its own CheckpointOptions (one directory per
-// job, unlike RunBatch's one-per-batch): the queue then snapshots the job
+// job; RunBatch's jobs share one): the queue then snapshots the job
 // every CheckpointOptions.Every transitions and on Drain, and a
 // later submission of the same spec with SubmitOptions.Resume continues
 // it bit-identically. Drain is the SIGTERM path: stop the drivers at
@@ -232,6 +232,7 @@ type qrunner struct {
 	sinceSnap int
 	snapEvery int
 	cw        *ckptWriter
+	slot      int // the job's entry in cw
 	ticket    *Ticket
 	busy      time.Duration
 }
@@ -304,6 +305,13 @@ func (q *Queue) Pending() int {
 // Submit returns, so a caller can acknowledge the submission knowing a
 // restart will find it.
 func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
+	return q.submit(job, opts, newCkptWriter(opts.Checkpoint, 1), 0)
+}
+
+// submit is Submit with the job's checkpoint entry at slot of cw: a
+// one-slot writer of its own for a Submit, the shared batch image for
+// RunBatch's jobs.
+func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*Ticket, error) {
 	q.mu.Lock()
 	switch q.state {
 	case qDraining:
@@ -318,147 +326,129 @@ func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
 	q.nextSeq++
 	q.mu.Unlock()
 
-	job = job.withDefaults(int(seq), q.pool.Workers())
-	admit := func() (*Ticket, error) {
-		if err := job.Validate(); err != nil {
-			return nil, fmt.Errorf("sched: job %q: %w", job.Name, err)
-		}
-		tenant := opts.Tenant
-		if tenant == "" {
-			tenant = job.Name
-		}
-		ticket := newTicket(job.Name, tenant, opts.Priority)
-
-		cw := newCkptWriter(opts.Checkpoint, 1)
-		var resume map[string]ckpt.BatchJob
-		fp := ""
-		if cw != nil || opts.Resume != nil {
-			fp = Fingerprint(job)
-			resume = resumeIndex(opts.Resume)
-		}
-		cw.initJob(0, job.Name, fp)
-
-		// fail settles the ticket without an error from Submit: admission
-		// succeeded, the job itself is what failed — a restarted daemon
-		// surfaces such failures on the job, not as a refusal to start.
-		fail := func(err error) (*Ticket, error) {
-			res := &Result{Name: job.Name, Err: err}
-			cw.setFailed(0, err, 0)
-			cw.flush()
-			q.finish(ticket, res)
-			return ticket, cw.err()
-		}
-
-		entry, resuming := resume[job.Name]
-		if resuming {
-			if entry.Fingerprint != fp {
-				cw.keep(0, entry)
-				res := &Result{Name: job.Name, Err: fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot", job.Name)}
-				cw.flush()
-				q.finish(ticket, res)
-				return ticket, cw.err()
-			}
-			switch entry.Status {
-			case ckpt.StatusDone:
-				cw.keep(0, entry)
-				cw.flush()
-				res := &Result{Name: job.Name}
-				if err := restoreDone(entry, res); err != nil {
-					res.Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
-				}
-				q.finish(ticket, res)
-				return ticket, cw.err()
-			case ckpt.StatusFailed:
-				cw.keep(0, entry)
-				cw.flush()
-				res := &Result{
-					Name:    job.Name,
-					Steps:   entry.Steps,
-					Resumed: true,
-					Err:     fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error),
-				}
-				q.finish(ticket, res)
-				return ticket, cw.err()
-			}
-			cw.keep(0, entry)
-		}
-
-		dev, err := q.tenantDevice(tenant)
-		if err != nil {
-			return fail(err)
-		}
-		trace := tracePath(opts.Checkpoint, job.Name)
-		if !resuming {
-			removeStaleSidecar(trace)
-		}
-		em, err := startJob(job, dev, trace)
-		if err != nil {
-			return fail(fmt.Errorf("sched: job %q: %w", job.Name, err))
-		}
-		r := &qrunner{
-			seq:       seq,
-			name:      job.Name,
-			tenant:    tenant,
-			priority:  opts.Priority,
-			em:        em,
-			snapEvery: opts.Checkpoint.every(),
-			cw:        cw,
-			ticket:    ticket,
-		}
-		if resuming {
-			snap, err := ckpt.DecodeEM(entry.EM)
-			if err == nil {
-				err = em.Restore(snap)
-			}
-			if err != nil {
-				return fail(fmt.Errorf("sched: job %q: restoring checkpoint: %w", job.Name, err))
-			}
-			r.steps = entry.Steps
-			ticket.update(TicketQueued, r.steps)
-		}
-		cw.flush()
-		if err := cw.err(); err != nil {
-			// Durability is the submission contract: a job whose admission
-			// record cannot be written must not be acknowledged.
-			res := &Result{Name: job.Name, Err: err}
-			q.finish(ticket, res)
-			return ticket, err
-		}
-
-		q.mu.Lock()
-		if q.state != qRunning {
-			// Drain raced the admission — and may already be past its
-			// collection pass, so parking the runner could strand it.
-			// Handle it here instead: snapshot (on a graceful drain) and
-			// report the ticket paused. The job never stepped beyond its
-			// resume point, so the snapshot is its admission state.
-			draining := q.state == qDraining
-			q.mu.Unlock()
-			if draining {
-				if err := q.snapshot(r); err != nil {
-					ticket.update(TicketPaused, r.steps)
-					return ticket, fmt.Errorf("sched: draining job %q: %w", r.name, err)
-				}
-			}
-			ticket.update(TicketPaused, r.steps)
-			return ticket, nil
-		}
-		r.usage = q.usage[tenant]
-		heap.Push(&q.ready, r)
-		q.cond.Signal()
-		q.mu.Unlock()
-		return ticket, nil
-	}
-
-	ticket, err := admit()
-	if ticket == nil {
-		// Validation failure: the reserved pending slot is released and
-		// nothing was admitted.
+	job, err := admit(job, int(seq), q.pool.Workers())
+	if err != nil {
+		// Nothing was admitted: release the reserved pending slot.
 		q.mu.Lock()
 		q.pending--
 		q.mu.Unlock()
+		return nil, err
 	}
-	return ticket, err
+	tenant := opts.Tenant
+	if tenant == "" {
+		tenant = job.Name
+	}
+	ticket := newTicket(job.Name, tenant, opts.Priority)
+
+	// settle ends an admission whose outcome is already known. Submit
+	// itself succeeded — the job is what failed or finished — so a
+	// restarted daemon surfaces such outcomes on the job, not as a
+	// refusal to start; only a checkpoint write error is returned.
+	settle := func(res *Result) (*Ticket, error) {
+		cw.flush()
+		q.finish(ticket, res)
+		return ticket, cw.err()
+	}
+	fail := func(err error) (*Ticket, error) {
+		cw.setFailed(slot, err, 0)
+		return settle(&Result{Name: job.Name, Err: err})
+	}
+
+	fp := ""
+	if cw != nil || opts.Resume != nil {
+		fp = Fingerprint(job)
+	}
+	entry, resuming := resumeIndex(opts.Resume)[job.Name]
+	if resuming {
+		// The prior entry is carried forward unchanged until the job
+		// records new state.
+		cw.keep(slot, entry)
+		switch {
+		case entry.Fingerprint != fp:
+			return settle(&Result{Name: job.Name, Err: fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot (proposal/chain counts default to the pool's worker count); resubmit without resuming or restore the original spec", job.Name)})
+		case entry.Status == ckpt.StatusDone:
+			res := &Result{Name: job.Name}
+			if err := restoreDone(entry, res); err != nil {
+				res.Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
+			}
+			return settle(res)
+		case entry.Status == ckpt.StatusFailed:
+			return settle(&Result{
+				Name:    job.Name,
+				Steps:   entry.Steps,
+				Resumed: true,
+				Err:     fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error),
+			})
+		}
+	} else {
+		cw.initJob(slot, job.Name, fp)
+	}
+
+	dev, err := q.tenantDevice(tenant)
+	if err != nil {
+		return fail(err)
+	}
+	trace := tracePath(opts.Checkpoint, job.Name)
+	if !resuming {
+		removeStaleSidecar(trace)
+	}
+	em, err := startJob(job, dev, trace)
+	if err != nil {
+		return fail(fmt.Errorf("sched: job %q: %w", job.Name, err))
+	}
+	r := &qrunner{
+		seq:       seq,
+		name:      job.Name,
+		tenant:    tenant,
+		priority:  opts.Priority,
+		em:        em,
+		snapEvery: opts.Checkpoint.every(),
+		cw:        cw,
+		slot:      slot,
+		ticket:    ticket,
+	}
+	if resuming {
+		snap, err := ckpt.DecodeEM(entry.EM)
+		if err == nil {
+			err = em.Restore(snap)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("sched: job %q: restoring checkpoint: %w", job.Name, err))
+		}
+		r.steps = entry.Steps
+		ticket.update(TicketQueued, r.steps)
+	}
+	cw.flush()
+	if err := cw.err(); err != nil {
+		// Durability is the submission contract: a job whose admission
+		// record cannot be written must not be acknowledged.
+		q.finish(ticket, &Result{Name: job.Name, Err: err})
+		return ticket, err
+	}
+
+	q.mu.Lock()
+	if q.state != qRunning {
+		// Drain raced the admission — and may already be past its
+		// collection pass, so parking the runner could strand it.
+		// Handle it here instead: snapshot (on a graceful drain) and
+		// report the ticket paused. The job never stepped beyond its
+		// resume point, so the snapshot is its admission state.
+		draining := q.state == qDraining
+		q.mu.Unlock()
+		if draining {
+			if err := q.snapshot(r); err != nil {
+				ticket.update(TicketPaused, r.steps)
+				return ticket, fmt.Errorf("sched: draining job %q: %w", r.name, err)
+			}
+		}
+		ticket.update(TicketPaused, r.steps)
+		return ticket, nil
+	}
+	r.usage = q.usage[tenant]
+	heap.Push(&q.ready, r)
+	q.cond.Signal()
+	q.mu.Unlock()
+	return ticket, nil
 }
 
 // tenantDevice returns the tenant's shared device view, creating it on
@@ -528,7 +518,7 @@ func (q *Queue) runQuantum(r *qrunner) {
 	switch {
 	case stepErr != nil:
 		if r.cw != nil {
-			r.cw.setFailed(0, stepErr, r.steps)
+			r.cw.setFailed(r.slot, stepErr, r.steps)
 			r.cw.flush()
 		}
 		q.settleRunner(r, stepErr)
@@ -558,20 +548,12 @@ func (q *Queue) runQuantum(r *qrunner) {
 // settleRunner finalizes a runner's ticket (and its checkpoint, when the
 // job carries one).
 func (q *Queue) settleRunner(r *qrunner, err error) {
-	res := &Result{Name: r.name, Steps: r.steps, Busy: r.busy}
-	if err != nil {
-		res.Err = err
-	} else if out, emErr := r.em.Result(); emErr != nil {
-		res.Err = emErr
-	} else {
-		res.Theta = out.Theta
-		res.History = out.History
-		res.LastSet = out.LastSet
-		res.LastRun = out.LastRun
-		res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
+	res := &Result{Name: r.name, Steps: r.steps, Busy: r.busy, Err: err}
+	if err == nil {
+		res.adopt(r.em)
 	}
 	if r.cw != nil && res.Err == nil {
-		r.cw.setDone(0, res)
+		r.cw.setDone(r.slot, res)
 		r.cw.flush()
 		if werr := r.cw.err(); werr != nil && res.Err == nil {
 			res.Err = werr
@@ -590,7 +572,7 @@ func (q *Queue) snapshot(r *qrunner) error {
 	if err != nil {
 		return err
 	}
-	r.cw.setPaused(0, ckpt.EncodeEM(snap), r.steps)
+	r.cw.setPaused(r.slot, ckpt.EncodeEM(snap), r.steps)
 	r.cw.flush()
 	r.sinceSnap = 0
 	return r.cw.err()

@@ -1,4 +1,4 @@
-// Package sched is the multi-tenant batch scheduler: it accepts many
+// Package sched is the multi-tenant job scheduler: it accepts many
 // independent estimation jobs — each with its own alignment, likelihood
 // model, sampler configuration and seed — and multiplexes their chains
 // over one shared device pool, instead of the one-pool-per-run model of a
@@ -8,12 +8,16 @@
 //
 // Every job is a step-driven EM estimation (core.EMRun): all of its
 // mutable state — chain engine, PRNG streams, recorder — is owned by the
-// run, and the scheduler advances it one sampler transition at a time. A
-// fixed set of driver goroutines pops jobs from a ready queue, steps each
-// for a bounded quantum of transitions, and requeues it, so jobs
-// time-slice fairly even when there are far more jobs than drivers.
-// Kernel launches from all jobs land on the one shared device.Pool,
-// whose round-robin chunk claiming keeps the workers fair across tenants.
+// run, and the scheduler advances it one sampler transition at a time.
+// There is one driver loop, Queue's: a fixed set of driver goroutines
+// pops the most urgent job, steps it for a bounded quantum of
+// transitions, and requeues it, so jobs time-slice fairly even when there
+// are far more jobs than drivers. RunBatch is a client of it — submit
+// every job, wait on the tickets — and every entry point (RunBatch,
+// Queue.Submit, RunStandalone) admits a job through the same defaults,
+// the same Validate and the same startJob. Kernel launches from all jobs
+// land on the one shared device.Pool, whose round-robin chunk claiming
+// keeps the workers fair across tenants.
 //
 // # Determinism
 //
@@ -37,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"mpcgs/internal/ckpt"
@@ -190,16 +193,6 @@ type Options struct {
 	Resume *ckpt.Batch
 }
 
-// runner is one admitted job being driven through its EMRun.
-type runner struct {
-	index     int
-	name      string
-	em        *core.EMRun
-	steps     int
-	sinceSnap int
-	busy      time.Duration
-}
-
 // RunBatch drives every job to completion over the shared pool and
 // returns one Result per job, in job order. Per-job failures are
 // recorded in the results; RunBatch itself returns an error only for
@@ -207,15 +200,16 @@ type runner struct {
 // record ctx's error too), a closed pool, or a checkpoint directory that
 // cannot be written.
 //
-// With Options.Checkpoint set, the batch's state is persisted into the
-// checkpoint directory: every job's snapshot is refreshed each
-// CheckpointOptions.Every transitions, finished jobs record their result,
-// and a batch-level stop (cancellation) snapshots every still-running job
-// before RunBatch returns — always at step boundaries, because snapshots
-// are taken only by the driver that owns the job, between its steps. With
-// Options.Resume set, jobs recorded as finished or failed are skipped and
-// paused jobs continue from their snapshot, bit-identical to never having
-// stopped.
+// The jobs run on a Queue of their own: each is submitted in order, as
+// its own tenant, and RunBatch waits on the tickets. With
+// Options.Checkpoint set, the batch's state is persisted into the one
+// checkpoint file of the directory, one entry per job: every job's
+// snapshot is refreshed each CheckpointOptions.Every transitions,
+// finished jobs record their result, and a cancellation drains the queue,
+// which snapshots every still-running job at a step boundary before
+// RunBatch returns. With Options.Resume set, jobs recorded as finished or
+// failed are skipped and paused jobs continue from their snapshot,
+// bit-identical to never having stopped.
 func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) ([]Result, error) {
 	if pool == nil {
 		pool = device.NewPool(0)
@@ -228,186 +222,56 @@ func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) 
 	if len(jobs) == 0 {
 		return results, nil
 	}
-	quantum := opts.Quantum
-	if quantum <= 0 {
-		quantum = 64
-	}
 	drivers := opts.Drivers
 	if drivers <= 0 {
 		drivers = pool.Workers()
 	}
-	if drivers > len(jobs) {
-		drivers = len(jobs)
-	}
-	cw := newCkptWriter(opts.Checkpoint, len(jobs))
-	snapEvery := opts.Checkpoint.every()
-	resume := resumeIndex(opts.Resume)
+	q := NewQueue(pool, QueueOptions{Drivers: min(drivers, len(jobs)), Quantum: opts.Quantum})
 
-	// Admission: build each job's evaluator and step-driven estimation on
-	// its own tenant view of the pool. Invalid jobs fail here, in their
-	// own Result, without holding the batch back. With a resume
-	// checkpoint, finished and failed jobs short-circuit to their recorded
-	// outcome and paused jobs restore their chain state.
-	ready := make(chan *runner, len(jobs))
-	live := 0
+	// Every flush writes the whole batch image, so resumed entries are
+	// carried into it before any job can step: an early snapshot must not
+	// drop the entries of jobs not yet submitted. The queue is fresh, so
+	// job i is its submission i and gets the same default name here as at
+	// admission.
+	cw := newCkptWriter(opts.Checkpoint, len(jobs))
+	resume := resumeIndex(opts.Resume)
 	for i, job := range jobs {
-		job = job.withDefaults(i, pool.Workers())
-		results[i].Name = job.Name
-		// Hashing every alignment is only worth it when the fingerprint
-		// is going somewhere: a checkpoint entry or a resume comparison.
-		fp := ""
-		if cw != nil || resume != nil {
-			fp = Fingerprint(job)
-		}
-		cw.initJob(i, job.Name, fp)
-		entry, resuming := resume[job.Name]
-		if resuming {
-			if entry.Fingerprint != fp {
-				cw.keep(i, entry)
-				results[i].Err = fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot (note that proposal/chain counts default to the pool's worker count); rerun without -resume or restore the original manifest", job.Name)
-				continue
-			}
-			switch entry.Status {
-			case ckpt.StatusDone:
-				cw.keep(i, entry)
-				if err := restoreDone(entry, &results[i]); err != nil {
-					results[i].Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
-				}
-				continue
-			case ckpt.StatusFailed:
-				cw.keep(i, entry)
-				results[i].Resumed = true
-				results[i].Steps = entry.Steps
-				results[i].Err = fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error)
-				continue
-			}
+		results[i].Name = job.withDefaults(i, pool.Workers()).Name
+		if entry, ok := resume[results[i].Name]; ok {
 			cw.keep(i, entry)
 		}
-		dev, err := pool.Tenant(job.Name)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		trace := tracePath(opts.Checkpoint, job.Name)
-		if !resuming {
-			removeStaleSidecar(trace)
-		}
-		em, err := startJob(job, dev, trace)
-		if err != nil {
-			results[i].Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
-			cw.setFailed(i, results[i].Err, 0)
-			continue
-		}
-		r := &runner{index: i, name: job.Name, em: em}
-		if resuming {
-			snap, err := ckpt.DecodeEM(entry.EM)
-			if err == nil {
-				err = em.Restore(snap)
-			}
-			if err != nil {
-				results[i].Err = fmt.Errorf("sched: job %q: restoring checkpoint: %w", job.Name, err)
-				continue
-			}
-			r.steps = entry.Steps
-		}
-		ready <- r
-		live++
 	}
-	cw.flush()
-	if live == 0 {
-		return results, firstError(batchErr(ctx, pool), cw.err())
+	sub := SubmitOptions{Checkpoint: opts.Checkpoint, Resume: opts.Resume}
+	tickets := make([]*Ticket, len(jobs))
+	for i, job := range jobs {
+		// A checkpoint write error also surfaces through cw.err below.
+		tickets[i], results[i].Err = q.submit(job, sub, cw, i)
 	}
 
-	// Drivers pop a job, step it for one quantum, requeue it; the last
-	// finished runner closes the queue. A batch-level stop (context
-	// cancelled, pool closed) marks every remaining runner instead of
-	// requeuing it.
-	var mu sync.Mutex // guards live and results
-	finish := func(r *runner, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		res := &results[r.index]
-		res.Steps = r.steps
-		res.Busy = r.busy
-		if err != nil {
-			res.Err = err
-		} else if out, emErr := r.em.Result(); emErr != nil {
-			res.Err = emErr
+	for _, t := range tickets {
+		if t != nil {
+			select {
+			case <-t.Done():
+			case <-ctx.Done():
+			}
+		}
+	}
+	// Drain stops the drivers; after a cancellation it also snapshots
+	// every job still running, at a step boundary.
+	stopErr := q.Drain()
+	for i, t := range tickets {
+		if t == nil {
+			continue
+		}
+		st, _ := t.State()
+		if st.Result != nil {
+			results[i] = *st.Result
 		} else {
-			res.Theta = out.Theta
-			res.History = out.History
-			res.LastSet = out.LastSet
-			res.LastRun = out.LastRun
-			res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
-		}
-		live--
-		if live == 0 {
-			close(ready)
+			results[i].Steps = st.Steps
+			results[i].Err = fmt.Errorf("sched: job %q interrupted: %w", t.Name(), ctx.Err())
 		}
 	}
-
-	// snapshot persists a still-running job's state; the calling driver
-	// owns the runner, so the EMRun is quiescent at a step boundary.
-	snapshot := func(r *runner) {
-		if cw == nil {
-			return
-		}
-		snap, err := r.em.Snapshot()
-		if err != nil {
-			return
-		}
-		cw.setPaused(r.index, ckpt.EncodeEM(snap), r.steps)
-		cw.flush()
-		r.sinceSnap = 0
-	}
-
-	var wg sync.WaitGroup
-	for d := 0; d < drivers; d++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range ready {
-				if err := batchErr(ctx, pool); err != nil {
-					// On-cancel checkpoint: park the job's state so a
-					// resume continues it instead of restarting it.
-					snapshot(r)
-					finish(r, fmt.Errorf("sched: job %q interrupted: %w", r.name, err))
-					continue
-				}
-				start := time.Now()
-				var stepErr error
-				for s := 0; s < quantum && !r.em.Done(); s++ {
-					if stepErr = r.em.Step(); stepErr != nil {
-						break
-					}
-					r.steps++
-					r.sinceSnap++
-				}
-				r.busy += time.Since(start)
-				switch {
-				case stepErr != nil:
-					finish(r, stepErr)
-					if cw != nil {
-						cw.setFailed(r.index, stepErr, r.steps)
-						cw.flush()
-					}
-				case r.em.Done():
-					finish(r, nil)
-					if cw != nil {
-						cw.setDone(r.index, &results[r.index])
-						cw.flush()
-					}
-				default:
-					if cw != nil && r.sinceSnap >= snapEvery {
-						snapshot(r)
-					}
-					ready <- r
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return results, firstError(batchErr(ctx, pool), cw.err())
+	return results, firstError(batchErr(ctx, pool), stopErr, cw.err())
 }
 
 // firstError returns the first non-nil error.
@@ -421,39 +285,55 @@ func firstError(errs ...error) error {
 }
 
 // RunStandalone estimates one job alone in the one-pool-per-run model:
-// its own device, spawned for the job and torn down after. It drives the
-// identical pipeline RunBatch admits jobs through (same defaults, same
+// its own device, spawned for the job and torn down after. It admits the
+// job exactly as the queue does (same defaults, same Validate, same
 // startJob), so it is both the batch mode's back-to-back baseline —
 // comparable compute-for-compute — and the reference the equivalence
-// tests pin batch traces against.
+// tests pin scheduled traces against. mpcgs.Run runs through it.
 func RunStandalone(job Job, workers int) (Result, error) {
 	dev := device.New(workers)
 	defer dev.Close()
-	job = job.withDefaults(0, dev.Workers())
+	job, err := admit(job, 0, dev.Workers())
 	res := Result{Name: job.Name}
+	if err != nil {
+		return res, err
+	}
 	em, err := startJob(job, dev, "")
 	if err != nil {
 		return res, fmt.Errorf("sched: job %q: %w", job.Name, err)
 	}
 	start := time.Now()
-	for !em.Done() {
-		if err := em.Step(); err != nil {
-			res.Busy = time.Since(start)
-			return res, err
-		}
+	for !em.Done() && em.Step() == nil {
 		res.Steps++
 	}
 	res.Busy = time.Since(start)
+	res.adopt(em)
+	return res, res.Err
+}
+
+// admit applies a job's defaults and validates the result: the one spec
+// gate every entry point passes, so batch, queue and standalone runs
+// reject exactly the same jobs.
+func admit(j Job, index, poolWorkers int) (Job, error) {
+	j = j.withDefaults(index, poolWorkers)
+	if err := j.Validate(); err != nil {
+		return j, fmt.Errorf("sched: job %q: %w", j.Name, err)
+	}
+	return j, nil
+}
+
+// adopt copies a finished estimation's outcome (or its error) into res.
+func (res *Result) adopt(em *core.EMRun) {
 	out, err := em.Result()
 	if err != nil {
-		return res, err
+		res.Err = err
+		return
 	}
 	res.Theta = out.Theta
 	res.History = out.History
 	res.LastSet = out.LastSet
 	res.LastRun = out.LastRun
 	res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
-	return res, nil
 }
 
 // batchErr reports the batch-level stop condition, if any.
@@ -496,19 +376,14 @@ func removeStaleSidecar(path string) {
 	}
 }
 
-// startJob assembles one job's estimation pipeline — model, evaluator,
-// starting genealogy, sampler — on the job's tenant device, mirroring
-// what a standalone run builds, and returns it positioned before its
-// first transition. A non-empty trace path puts the recorder in
-// bounded-memory spill mode with draws streamed to that sidecar file.
+// startJob assembles an admitted job's estimation pipeline — model,
+// evaluator, starting genealogy, sampler — on the job's device and
+// returns it positioned before its first transition. It is the only
+// place an estimation is built, whatever runs it. A non-empty trace path
+// puts the recorder in bounded-memory spill mode with draws streamed to
+// that sidecar file.
 func startJob(j Job, dev *device.Device, trace string) (*core.EMRun, error) {
-	if j.Alignment == nil {
-		return nil, fmt.Errorf("alignment is required")
-	}
-	if j.InitialTheta <= 0 {
-		return nil, fmt.Errorf("initial theta %v must be positive", j.InitialTheta)
-	}
-	model, err := buildModel(j.Model, j.Alignment)
+	model, err := subst.ByName(j.Model, j.Alignment.BaseFreqs())
 	if err != nil {
 		return nil, err
 	}
@@ -539,20 +414,7 @@ func startJob(j Job, dev *device.Device, trace string) (*core.EMRun, error) {
 	return core.StartEM(sampler, init, cfg, dev)
 }
 
-func buildModel(kind string, aln *phylip.Alignment) (subst.Model, error) {
-	switch kind {
-	case "f81":
-		return subst.NewF81(aln.BaseFreqs(), true)
-	case "jc69":
-		return subst.NewJC69(), nil
-	case "f84":
-		return subst.NewF84(aln.BaseFreqs(), 2.0, true)
-	default:
-		return nil, fmt.Errorf("unknown model %q", kind)
-	}
-}
-
-func buildSampler(j Job, eval *felsen.Evaluator, dev *device.Device) (core.Sampler, error) {
+func buildSampler(j Job, eval *felsen.Evaluator, dev *device.Device) (core.StepSampler, error) {
 	switch j.Sampler {
 	case "gmh":
 		return core.NewGMH(eval, dev, j.Proposals), nil

@@ -49,7 +49,7 @@ func (j Job) Validate() error {
 		return fmt.Errorf("EM iteration count %d must not be negative", j.EMIterations)
 	}
 	if j.MaxTemp != 0 && j.MaxTemp < 1 {
-		return fmt.Errorf("max temperature %v must be at least 1 (0 for the default)", j.MaxTemp)
+		return fmt.Errorf("MaxTemp %v must be at least 1 (0 for the default)", j.MaxTemp)
 	}
 	if j.SwapEvery < 0 {
 		return fmt.Errorf("swap interval %d must not be negative", j.SwapEvery)

@@ -108,6 +108,23 @@ func NewJC69() *F81 {
 	return m
 }
 
+// ByName builds the likelihood model an estimation names: "f81" (paper
+// Eq. 20), "jc69" or "f84" (kappa 2), normalized so branch lengths are
+// expected substitutions per site. freqs are the data's empirical base
+// frequencies; jc69 ignores them.
+func ByName(name string, freqs [4]float64) (Model, error) {
+	switch name {
+	case "f81":
+		return NewF81(freqs, true)
+	case "jc69":
+		return NewJC69(), nil
+	case "f84":
+		return NewF84(freqs, 2.0, true)
+	default:
+		return nil, fmt.Errorf("subst: unknown model %q", name)
+	}
+}
+
 // F84 is the Felsenstein 1984 model: substitution events are either
 // "general" (rate b, new base drawn from π) or "within-group" (rate a, new
 // base drawn from π restricted to the purine {A,G} or pyrimidine {C,T}

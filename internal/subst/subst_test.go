@@ -341,3 +341,21 @@ func TestSameGroup(t *testing.T) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{"f81": "F81", "jc69": "F81", "f84": "F84"} {
+		m, err := ByName(name, skewed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Name() != want {
+			t.Errorf("%s: built %s, want %s", name, m.Name(), want)
+		}
+	}
+	if m, _ := ByName("jc69", skewed); m.Freqs() != Uniform {
+		t.Errorf("jc69 freqs %v, want uniform", m.Freqs())
+	}
+	if _, err := ByName("F81", skewed); err == nil {
+		t.Error("model names are lower-case; F81 accepted")
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/phylip"
+	"mpcgs/internal/sched"
 	"mpcgs/internal/seqgen"
 	"mpcgs/internal/subst"
 )
@@ -174,30 +175,21 @@ type Config struct {
 	EstimateGrowth bool
 }
 
+// withDefaults fills the settings RunBayesian reads and the worker count
+// Run sizes its devices by; Run leaves the rest to the scheduler's job
+// defaults.
 func (c Config) withDefaults() Config {
-	if c.Sampler == "" {
-		c.Sampler = SamplerGMH
-	}
 	if c.Model == "" {
 		c.Model = ModelF81
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Proposals <= 0 {
-		c.Proposals = c.Workers
-	}
-	if c.Chains <= 0 {
-		c.Chains = c.Workers
-	}
 	if c.Burnin <= 0 {
 		c.Burnin = 1000
 	}
 	if c.Samples <= 0 {
 		c.Samples = 10000
-	}
-	if c.EMIterations <= 0 {
-		c.EMIterations = 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -293,59 +285,45 @@ func (r *Result) Curve(thetas []float64) []float64 {
 	return core.Curve(r.lastSet, thetas, dev)
 }
 
-// Run performs the full maximum likelihood estimation of θ.
+// Run performs the full maximum likelihood estimation of θ. It is the
+// scheduler's standalone run of the equivalent job, so a Config and the
+// same settings submitted as a batch or daemon job give bit-identical
+// estimates.
 func Run(cfg Config) (*Result, error) {
 	c := cfg.withDefaults()
 	if c.Alignment == nil {
 		return nil, fmt.Errorf("mpcgs: Config.Alignment is required")
 	}
-	if c.InitialTheta <= 0 {
-		return nil, fmt.Errorf("mpcgs: Config.InitialTheta must be positive, got %v", c.InitialTheta)
-	}
-	aln := c.Alignment.aln
-	if aln.NSeq() < 3 {
-		return nil, fmt.Errorf("mpcgs: need at least 3 sequences, got %d", aln.NSeq())
-	}
-
-	model, err := buildModel(c.Model, aln)
-	if err != nil {
-		return nil, err
-	}
-	dev := device.New(c.Workers)
-	defer dev.Close()
-	eval, err := felsen.New(model, aln, dev)
-	if err != nil {
-		return nil, err
-	}
-	sampler, err := buildSampler(c, eval, dev)
-	if err != nil {
-		return nil, err
-	}
-	init, err := core.InitialTree(aln, c.InitialTheta, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	emRes, err := core.RunEM(sampler, init, core.EMConfig{
+	out, err := sched.RunStandalone(sched.Job{
+		Alignment:    c.Alignment.aln,
 		InitialTheta: c.InitialTheta,
-		Iterations:   c.EMIterations,
+		Sampler:      string(c.Sampler),
+		Model:        string(c.Model),
+		Proposals:    c.Proposals,
+		Chains:       c.Chains,
+		MaxTemp:      c.MaxTemp,
+		SwapEvery:    c.SwapEvery,
+		AdaptLadder:  c.AdaptLadder,
+		SwapWindow:   c.SwapWindow,
 		Burnin:       c.Burnin,
 		Samples:      c.Samples,
+		EMIterations: c.EMIterations,
 		Seed:         c.Seed,
-	}, dev)
+	}, c.Workers)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Theta:       emRes.Theta,
-		FinalTree:   emRes.FinalState.String(),
-		Diagnostics: Diagnostics(core.Diagnose(emRes.LastSet)),
-		lastSet:     emRes.LastSet,
+		Theta:       out.Theta,
+		FinalTree:   out.LastRun.Final.String(),
+		Diagnostics: Diagnostics(core.Diagnose(out.LastSet)),
+		lastSet:     out.LastSet,
 		workers:     c.Workers,
 	}
-	for _, h := range emRes.History {
+	for _, h := range out.History {
 		res.History = append(res.History, EMIteration(h))
 	}
-	if run := emRes.LastRun; run != nil && len(run.PairSwapAttempts) > 0 {
+	if run := out.LastRun; len(run.PairSwapAttempts) > 0 {
 		res.SwapReport = &SwapReport{
 			Betas:       run.Betas,
 			Attempts:    run.EstPairSwapAttempts,
@@ -355,7 +333,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	if c.EstimateGrowth {
-		est, err := core.MaximizeThetaGrowth(emRes.LastSet, core.MLEConfig{}, dev)
+		dev := device.New(c.Workers)
+		defer dev.Close()
+		est, err := core.MaximizeThetaGrowth(out.LastSet, core.MLEConfig{}, dev)
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +381,7 @@ func RunBayesian(cfg Config) (*BayesResult, error) {
 	if aln.NSeq() < 3 {
 		return nil, fmt.Errorf("mpcgs: need at least 3 sequences, got %d", aln.NSeq())
 	}
-	model, err := buildModel(c.Model, aln)
+	model, err := subst.ByName(string(c.Model), aln.BaseFreqs())
 	if err != nil {
 		return nil, err
 	}
@@ -435,37 +415,4 @@ func RunBayesian(cfg Config) (*BayesResult, error) {
 		Thetas:          thetas,
 	}
 	return res, nil
-}
-
-func buildModel(kind ModelKind, aln *phylip.Alignment) (subst.Model, error) {
-	switch kind {
-	case ModelF81:
-		return subst.NewF81(aln.BaseFreqs(), true)
-	case ModelJC69:
-		return subst.NewJC69(), nil
-	case ModelF84:
-		return subst.NewF84(aln.BaseFreqs(), 2.0, true)
-	default:
-		return nil, fmt.Errorf("mpcgs: unknown model %q", kind)
-	}
-}
-
-func buildSampler(c Config, eval *felsen.Evaluator, dev *device.Device) (core.Sampler, error) {
-	switch c.Sampler {
-	case SamplerGMH:
-		return core.NewGMH(eval, dev, c.Proposals), nil
-	case SamplerMH:
-		return core.NewMH(eval), nil
-	case SamplerMultiChain:
-		return core.NewMultiChain(eval, dev, c.Chains), nil
-	case SamplerHeated:
-		h := core.NewHeated(eval, dev, c.Chains)
-		h.MaxTemp = c.MaxTemp
-		h.SwapEvery = c.SwapEvery
-		h.Adapt = c.AdaptLadder
-		h.SwapWindow = c.SwapWindow
-		return h, nil
-	default:
-		return nil, fmt.Errorf("mpcgs: unknown sampler %q", c.Sampler)
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mpcgs/internal/sched"
 )
 
 func TestSimulateAlignment(t *testing.T) {
@@ -65,10 +67,65 @@ func TestRunValidation(t *testing.T) {
 		"zero theta":    {Alignment: aln},
 		"bad sampler":   {Alignment: aln, InitialTheta: 1, Sampler: "bogus"},
 		"bad model":     {Alignment: aln, InitialTheta: 1, Model: "bogus"},
+		// Tempering knobs only mean something to the heated sampler.
+		"tempering knob on gmh": {Alignment: aln, InitialTheta: 1, Sampler: SamplerGMH, MaxTemp: 4},
 	}
 	for label, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", label)
+		}
+	}
+}
+
+// TestRunMatchesStandalone pins Run to the scheduler's standalone run of
+// the same job, for every sampler and model: θ, the full EM history, the
+// final genealogy and the last pass's draws must be bit-identical, so a
+// Config estimates exactly what the equivalent batch or daemon job does.
+func TestRunMatchesStandalone(t *testing.T) {
+	aln, err := SimulateAlignment(6, 60, 1.0, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sampler := range []SamplerKind{SamplerGMH, SamplerMH, SamplerHeated, SamplerMultiChain} {
+		for _, model := range []ModelKind{ModelF81, ModelJC69, ModelF84} {
+			label := string(sampler) + "/" + string(model)
+			got, err := Run(Config{
+				Alignment: aln, InitialTheta: 0.8, Sampler: sampler, Model: model,
+				Workers: 2, Proposals: 3, Chains: 2, Burnin: 20, Samples: 150, EMIterations: 2, Seed: 15,
+			})
+			if err != nil {
+				t.Fatalf("%s: Run: %v", label, err)
+			}
+			want, err := sched.RunStandalone(sched.Job{
+				Alignment: aln.aln, InitialTheta: 0.8, Sampler: string(sampler), Model: string(model),
+				Proposals: 3, Chains: 2, Burnin: 20, Samples: 150, EMIterations: 2, Seed: 15,
+			}, 2)
+			if err != nil {
+				t.Fatalf("%s: RunStandalone: %v", label, err)
+			}
+			if got.Theta != want.Theta {
+				t.Fatalf("%s: theta %v, standalone %v", label, got.Theta, want.Theta)
+			}
+			if len(got.History) != len(want.History) {
+				t.Fatalf("%s: %d EM iterations, standalone %d", label, len(got.History), len(want.History))
+			}
+			for i, h := range want.History {
+				if got.History[i] != EMIteration(h) {
+					t.Fatalf("%s: EM iteration %d: %+v, standalone %+v", label, i, got.History[i], h)
+				}
+			}
+			if tree := want.LastRun.Final.String(); got.FinalTree != tree {
+				t.Fatalf("%s: final tree %s, standalone %s", label, got.FinalTree, tree)
+			}
+			a, b := got.lastSet, want.LastSet
+			if a.Len() != b.Len() {
+				t.Fatalf("%s: %d draws, standalone %d", label, a.Len(), b.Len())
+			}
+			for i := range a.Stats {
+				if a.Stats[i] != b.Stats[i] || a.LogLik[i] != b.LogLik[i] {
+					t.Fatalf("%s: draw %d differs", label, i)
+				}
+			}
 		}
 	}
 }

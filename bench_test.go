@@ -50,25 +50,38 @@ func benchAlignment(b *testing.B, nSeq, seqLen int, theta float64) *phylip.Align
 
 func benchEvaluator(b *testing.B, aln *phylip.Alignment, dev *device.Device) *felsen.Evaluator {
 	b.Helper()
+	return benchBuild(b, felsen.New, aln, dev)
+}
+
+// benchReference is benchEvaluator in the LAMARC reference mode: full
+// likelihood recomputation per step.
+func benchReference(b *testing.B, aln *phylip.Alignment, dev *device.Device) *felsen.Evaluator {
+	b.Helper()
+	return benchBuild(b, felsen.NewReference, aln, dev)
+}
+
+func benchBuild(b *testing.B, build func(subst.Model, *phylip.Alignment, *device.Device) (*felsen.Evaluator, error),
+	aln *phylip.Alignment, dev *device.Device) *felsen.Evaluator {
+	b.Helper()
 	model, err := subst.NewF81(aln.BaseFreqs(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eval, err := felsen.New(model, aln, dev)
+	eval, err := build(model, aln, dev)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return eval
 }
 
-func benchRun(b *testing.B, s core.Sampler, aln *phylip.Alignment, burnin, samples int) time.Duration {
+func benchRun(b *testing.B, s core.StepSampler, aln *phylip.Alignment, burnin, samples int) time.Duration {
 	b.Helper()
 	init, err := core.InitialTree(aln, 1.0, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := s.Run(init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: 7}); err != nil {
+	if _, err := core.Run(s, init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: 7}); err != nil {
 		b.Fatal(err)
 	}
 	return time.Since(start)
@@ -81,10 +94,9 @@ func benchSpeedup(b *testing.B, nSeq, seqLen, burnin, samples int) {
 	aln := benchAlignment(b, nSeq, seqLen, 1.0)
 	dev := device.New(0)
 	defer dev.Close()
-	serial := benchEvaluator(b, aln, device.Serial())
+	serial := benchReference(b, aln, device.Serial())
 	parallel := benchEvaluator(b, aln, dev)
 	lamarc := core.NewMH(serial)
-	lamarc.SerialEval = true // the LAMARC reference: full recomputation per step
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		tSerial := benchRun(b, lamarc, aln, burnin, samples)
@@ -171,7 +183,7 @@ func BenchmarkFig5LikelihoodCurve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := core.NewGMH(eval, dev, dev.Workers()).Run(init, core.ChainConfig{
+		run, err := core.Run(core.NewGMH(eval, dev, dev.Workers()), init, core.ChainConfig{
 			Theta: 0.01, Burnin: 200, Samples: 2000, Seed: 7,
 		})
 		if err != nil {
@@ -194,7 +206,7 @@ func BenchmarkFig2BurninTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.NewMH(eval).Run(init, core.ChainConfig{
+		if _, err := core.Run(core.NewMH(eval), init, core.ChainConfig{
 			Theta: 1.0, Burnin: 0, Samples: 2000, Seed: 7,
 		}); err != nil {
 			b.Fatal(err)
@@ -213,10 +225,10 @@ func BenchmarkFig6Multichain(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			aln := benchAlignment(b, 12, 400, 1.0)
 			dev := device.New(p)
-			serial := benchEvaluator(b, aln, device.Serial())
+			// The historical LAMARC-chain measurement.
+			serial := benchReference(b, aln, device.Serial())
 			parallel := benchEvaluator(b, aln, dev)
 			mc := core.NewMultiChain(serial, dev, p)
-			mc.SerialEval = true // the historical LAMARC-chain measurement
 			var advantage float64
 			for i := 0; i < b.N; i++ {
 				tMC := benchRun(b, mc, aln, 1500, 1500)
@@ -242,7 +254,7 @@ func BenchmarkProposalKernel(b *testing.B) {
 	g := core.NewGMH(eval, dev, dev.Workers())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Run(init, core.ChainConfig{Theta: 1.0, Burnin: 0, Samples: dev.Workers(), Seed: 7}); err != nil {
+		if _, err := core.Run(g, init, core.ChainConfig{Theta: 1.0, Burnin: 0, Samples: dev.Workers(), Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func estimate(trueG float64, seed uint64) *core.GrowthEstimate {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := core.NewGMH(eval, dev, dev.Workers()).Run(init, core.ChainConfig{
+	run, err := core.Run(core.NewGMH(eval, dev, dev.Workers()), init, core.ChainConfig{
 		Theta: theta, Burnin: 1000, Samples: 10000, Seed: seed + 1,
 	})
 	if err != nil {

@@ -39,7 +39,9 @@ func main() {
 
 	for _, p := range []int{1, 2, 4, 8, 16} {
 		dev := device.New(p)
-		evalSerial, err := felsen.New(model, aln, device.Serial())
+		// The historical LAMARC-chain measurement: full recomputation
+		// per step.
+		evalSerial, err := felsen.NewReference(model, aln, device.Serial())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,22 +49,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run := func(s core.Sampler) time.Duration {
+		run := func(s core.StepSampler) time.Duration {
 			init, err := core.InitialTree(aln, 1.0, 13)
 			if err != nil {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			if _, err := s.Run(init, core.ChainConfig{
+			if _, err := core.Run(s, init, core.ChainConfig{
 				Theta: 1.0, Burnin: burnin, Samples: samples, Seed: 17,
 			}); err != nil {
 				log.Fatal(err)
 			}
 			return time.Since(start)
 		}
-		mc := core.NewMultiChain(evalSerial, dev, p)
-		mc.SerialEval = true // the historical LAMARC-chain measurement
-		tMC := run(mc)
+		tMC := run(core.NewMultiChain(evalSerial, dev, p))
 		tGMH := run(core.NewGMH(evalPar, dev, p))
 		model := (float64(burnin) + float64(samples)/float64(p)) / float64(burnin+samples)
 		fmt.Printf("%-4d %-16v %-16v %-24.3f\n", p, tMC.Round(time.Millisecond), tGMH.Round(time.Millisecond), model)

@@ -73,18 +73,21 @@ func main() {
 		Samples:      4000,
 		Seed:         seed + 2,
 	}
-	for _, s := range []core.StepSampler{
-		core.NewMH(eval),
-		core.NewGMH(eval, dev, dev.Workers()),
+	for _, s := range []struct {
+		name    string
+		sampler core.StepSampler
+	}{
+		{"mh", core.NewMH(eval)},
+		{"gmh", core.NewGMH(eval, dev, dev.Workers())},
 	} {
 		init, err := core.InitialTree(aln, emCfg.InitialTheta, seed+3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.RunEM(s, init, emCfg, dev)
+		res, err := core.RunEM(s.sampler, init, emCfg, dev)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-12s theta = %.4f (true %.2f)\n", s.Name()+":", res.Theta, trueTheta)
+		fmt.Printf("%-12s theta = %.4f (true %.2f)\n", s.name+":", res.Theta, trueTheta)
 	}
 }

@@ -26,24 +26,23 @@ func measure(nSeq, seqLen, burnin, samples int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := func(s core.Sampler) time.Duration {
+	run := func(s core.StepSampler) time.Duration {
 		init, err := core.InitialTree(aln, 1.0, 6)
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		if _, err := s.Run(init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: 8}); err != nil {
+		if _, err := core.Run(s, init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: 8}); err != nil {
 			log.Fatal(err)
 		}
 		return time.Since(start)
 	}
-	evalSerial, err := felsen.New(model, aln, device.Serial())
+	// The LAMARC reference: full recomputation per step.
+	evalSerial, err := felsen.NewReference(model, aln, device.Serial())
 	if err != nil {
 		log.Fatal(err)
 	}
-	lamarc := core.NewMH(evalSerial)
-	lamarc.SerialEval = true // the LAMARC reference: full recomputation per step
-	base := run(lamarc)
+	base := run(core.NewMH(evalSerial))
 	fmt.Printf("workload %d x %d bp: serial MH baseline %v\n", nSeq, seqLen, base.Round(time.Millisecond))
 	// Device workers are virtual GPU threads, not OS cores, so the sweep
 	// covers the paper's ladder regardless of the host's core count (a

@@ -3,7 +3,7 @@
 // mpcgsvet analyzers run on.
 //
 // The engine's headline guarantees — bit-identical kill/resume,
-// allocation-free delta-evaluated hot paths, and the SerialEval reference
+// allocation-free delta-evaluated hot paths, and the reference-evaluator
 // oracle — are behavioural invariants that example-based tests can only
 // spot-check. The analyzers in the subpackages enforce them mechanically
 // over the whole tree:
@@ -13,7 +13,7 @@
 //   - hotpath: functions annotated //mpcgs:hotpath contain no allocating
 //     constructs, following same-module callees one level deep
 //   - serialeval: felsen.LogLikelihoodSerial is only reachable from
-//     SerialEval oracle paths, benchmarks and tests
+//     reference-mode oracle paths, benchmarks and tests
 //   - exactfloat: floats cross the checkpoint wire only through the
 //     hex-float / base64 codec helpers
 //

@@ -6,8 +6,9 @@
 //   - the felsen package itself (the oracle's home),
 //   - _test.go files and Benchmark/Serial-named functions, and
 //   - sites guarded by a serial-mode condition (an enclosing if whose
-//     condition mentions a serial flag), which is how the engine's
-//     SerialEval oracle mode selects the full evaluation at runtime.
+//     condition mentions a serial flag), which is how the chain engine
+//     selects the full evaluation at runtime when it runs over a
+//     reference evaluator (felsen.NewReference).
 //
 // Everything else is a finding: hot code must go through the staged
 // delta evaluation (StageDelta / Commit / Discard).

@@ -191,7 +191,7 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 		{"heated", core.NewHeated(eval, dev, 2)},
 		{"multichain", core.NewMultiChain(eval, dev, 2)},
 	} {
-		want, err := tc.s.Run(init, cfg)
+		want, err := core.Run(tc.s, init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap, snapErr := run.(core.SnapshotStepper).Snapshot()
+		snap, snapErr := run.Snapshot()
 		if snapErr != nil {
 			t.Fatal(snapErr)
 		}
@@ -224,7 +224,7 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.(core.SnapshotStepper).Restore(decoded); err != nil {
+		if err := resumed.Restore(decoded); err != nil {
 			t.Fatal(err)
 		}
 		for !resumed.Done() {
@@ -277,7 +277,7 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 	h.MaxTemp = 32
 	h.SwapWindow = 8
 
-	want, err := h.Run(init, cfg)
+	want, err := core.Run(h, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap, snapErr := run.(core.SnapshotStepper).Snapshot()
+		snap, snapErr := run.Snapshot()
 		if snapErr != nil {
 			t.Fatal(snapErr)
 		}
@@ -333,7 +333,7 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.(core.SnapshotStepper).Restore(decoded); err != nil {
+		if err := resumed.Restore(decoded); err != nil {
 			t.Fatal(err)
 		}
 		for !resumed.Done() {

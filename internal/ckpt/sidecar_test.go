@@ -53,7 +53,7 @@ func TestTraceRefWireRoundTrip(t *testing.T) {
 
 	refCfg := cfg
 	refCfg.Trace = &core.TraceSpec{Path: filepath.Join(dir, "uninterrupted.trace")}
-	want, err := s.Run(init, refCfg)
+	want, err := core.Run(s, init, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTraceRefWireRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := run.(core.SnapshotStepper).Snapshot()
+	snap, err := run.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTraceRefWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(core.SnapshotStepper).Restore(decoded); err != nil {
+	if err := resumed.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {
@@ -150,7 +150,7 @@ func TestCheckpointSizeIndependentOfSamples(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap, err := run.(core.SnapshotStepper).Snapshot()
+		snap, err := run.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestDecodeStepRejectsTraceAndRef(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := run.(core.SnapshotStepper).Snapshot()
+	snap, err := run.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mpcgs/internal/coalprior"
-	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/rng"
@@ -17,10 +16,11 @@ import (
 //
 //   - Genealogy moves: the neighbourhood resimulation kernel at the
 //     current θ, accepted by the data-likelihood ratio (the conditional
-//     prior proposal cancels P(G|θ), Eq. 28). They run on the shared
-//     chain engine, so each move delta-evaluates only the resimulated
-//     neighbourhood against the chain's conditional-likelihood cache —
-//     exactly the long-chain regime where incremental evaluation pays.
+//     prior proposal cancels P(G|θ), Eq. 28). They are the steps of an MH
+//     run on the shared chain engine, so each move delta-evaluates only
+//     the resimulated neighbourhood against the chain's
+//     conditional-likelihood cache — exactly the long-chain regime where
+//     incremental evaluation pays.
 //   - θ moves: a multiplicative log-normal random walk. Under the
 //     log-uniform prior π(θ) ∝ 1/θ on [ThetaMin, ThetaMax] (LAMARC's
 //     default), the Hastings factor θ'/θ cancels the prior ratio exactly,
@@ -39,18 +39,11 @@ type Bayesian struct {
 	// ThetaEvery attempts a θ move after every k genealogy moves. Zero
 	// selects 1.
 	ThetaEvery int
-	// SerialEval re-evaluates every genealogy proposal from scratch, the
-	// pre-engine behaviour kept as the equivalence-test oracle.
-	SerialEval bool
 }
 
-// NewBayesian builds the joint (G, θ) sampler. It takes the device like
-// every other sampler constructor so callers build them uniformly, but
-// the joint chain itself is sequential (one state, two move types), so
-// the device is not retained — the evaluator carries its own; a parallel
-// variant would reuse the GMH machinery unchanged (the index chain is a
-// valid move on G given θ) and would bind to the device then.
-func NewBayesian(eval *felsen.Evaluator, _ *device.Device) *Bayesian {
+// NewBayesian builds the joint (G, θ) sampler. The joint chain is
+// sequential (one state, two move types), so it takes no device.
+func NewBayesian(eval *felsen.Evaluator) *Bayesian {
 	return &Bayesian{eval: eval}
 }
 
@@ -78,17 +71,9 @@ func (r *BayesResult) PosteriorMeanTheta() float64 {
 }
 
 // Run samples the joint posterior. cfg.Theta is the initial θ (it must
-// lie inside the prior support).
+// lie inside the prior support). The run ends when the genealogy chain's
+// recorder is full, which honours cfg.ESSTarget/RHatTarget.
 func (b *Bayesian) Run(init *gtree.Tree, cfg ChainConfig) (*BayesResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := b.eval.CheckTree(init); err != nil {
-		return nil, err
-	}
-	if init.NTips() < 3 {
-		return nil, fmt.Errorf("core: sampler needs at least 3 sequences, got %d", init.NTips())
-	}
 	tmin, tmax := b.ThetaMin, b.ThetaMax
 	if tmin <= 0 {
 		tmin = 1e-4
@@ -111,49 +96,45 @@ func (b *Bayesian) Run(init *gtree.Tree, cfg ChainConfig) (*BayesResult, error) 
 		every = 1
 	}
 
-	src := seedSource(cfg.Seed, 6)
-	st := newChainState(b.eval, init, b.SerialEval)
-	theta := cfg.Theta
-
-	rec, err := newRecorder(init.NTips(), cfg)
+	run, err := startMH(b.eval, init, cfg, 6)
 	if err != nil {
 		return nil, err
 	}
-	total := cfg.Burnin + cfg.Samples
-	res := &BayesResult{Samples: rec.set, Thetas: make([]float64, 0, total)}
-
-	for step_ := 0; step_ < total; step_++ {
-		// Genealogy move at the current theta.
-		accepted, err := st.step(theta, src)
-		if err != nil {
-			return nil, fmt.Errorf("core: proposal failed: %w", err)
+	nTips := init.NTips()
+	thetas := make([]float64, 0, cfg.Burnin+cfg.Samples)
+	var thetaAccepted, thetaMoves int
+	for !run.Done() {
+		// Genealogy move at the current θ, recorded. Recording before the
+		// θ move below is equivalent to recording after it: the θ move
+		// leaves the chain state alone and the recorder draws nothing.
+		if err := run.Step(); err != nil {
+			return nil, err
 		}
-		res.TreeMoves++
-		if accepted {
-			res.TreeAccepted++
-		}
-
-		// Theta move.
-		if step_%every == 0 {
-			res.ThetaMoves++
-			next := rng.LogNormalStep(src, theta, step)
+		// θ move, on the genealogy chain's stream.
+		if len(thetas)%every == 0 {
+			thetaMoves++
+			next := rng.LogNormalStep(run.src, run.theta, step)
 			if next >= tmin && next <= tmax {
-				logr := coalprior.LogPriorStat(rec.set.NTips, st.stat, next) -
-					coalprior.LogPriorStat(rec.set.NTips, st.stat, theta)
-				if logr >= 0 || src.Float64() < math.Exp(logr) {
-					theta = next
-					res.ThetaAccepted++
+				logr := coalprior.LogPriorStat(nTips, run.st.stat, next) -
+					coalprior.LogPriorStat(nTips, run.st.stat, run.theta)
+				if logr >= 0 || run.src.Float64() < math.Exp(logr) {
+					run.theta = next
+					thetaAccepted++
 				}
 			}
 		}
-
-		if err := rec.recordState(st); err != nil {
-			return nil, err
-		}
-		res.Thetas = append(res.Thetas, theta)
+		thetas = append(thetas, run.theta)
 	}
-	if err := rec.finalize(); err != nil {
+	res, err := run.Finish()
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &BayesResult{
+		Thetas:        thetas,
+		Samples:       res.Samples,
+		TreeAccepted:  res.Accepted,
+		TreeMoves:     res.Proposals,
+		ThetaAccepted: thetaAccepted,
+		ThetaMoves:    thetaMoves,
+	}, nil
 }

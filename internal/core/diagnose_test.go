@@ -30,7 +30,7 @@ func diagnoseRun(t *testing.T, burnin, samples int, seeds ...uint64) []*SampleSe
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewMH(eval).Run(init, ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: seed})
+		res, err := Run(NewMH(eval), init, ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

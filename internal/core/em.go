@@ -95,7 +95,7 @@ type EMRun struct {
 	cur     *gtree.Tree
 	theta   float64
 	it      int
-	active  Stepper // nil between iterations
+	active  SnapshotStepper // nil between iterations
 	res     *EMResult
 	done    bool
 	err     error

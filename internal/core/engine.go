@@ -38,10 +38,11 @@ import (
 // parallelism. Ladders and chain pools run one state per device stream.
 type chainState struct {
 	eval *felsen.Evaluator
-	// serial selects the LAMARC reference mode: every proposal is
-	// re-evaluated from scratch with LogLikelihoodSerial, exactly like the
-	// pre-engine samplers. It is the baseline of the paper's speedup
-	// measurements and the oracle of the engine's equivalence tests.
+	// serial is the evaluator's reference mode (felsen.NewReference):
+	// every proposal is re-evaluated from scratch with
+	// LogLikelihoodSerial and no delta cache is kept. It is the baseline
+	// of the paper's speedup measurements and the oracle of the engine's
+	// equivalence tests.
 	serial bool
 	// beta is the tempering exponent on the data likelihood: the chain
 	// targets P(D|G)^β·P(G|θ). 1 is the untempered posterior; MC³ ladder
@@ -69,17 +70,17 @@ type chainState struct {
 }
 
 // newChainState builds the engine state for one chain starting at init,
-// with its own delta cache (or none, in serial reference mode).
-func newChainState(eval *felsen.Evaluator, init *gtree.Tree, serial bool) *chainState {
+// with its own delta cache (or none, on a reference evaluator).
+func newChainState(eval *felsen.Evaluator, init *gtree.Tree) *chainState {
 	s := &chainState{
 		eval:    eval,
-		serial:  serial,
+		serial:  eval.Reference(),
 		beta:    1,
 		cur:     init.Clone(),
 		prop:    init.Clone(),
 		scratch: resim.NewScratch(),
 	}
-	if serial {
+	if s.serial {
 		s.logLik = eval.LogLikelihoodSerial(s.cur)
 	} else {
 		s.cache = eval.NewDeltaCache()
@@ -94,13 +95,13 @@ func newChainState(eval *felsen.Evaluator, init *gtree.Tree, serial bool) *chain
 // one evaluation of init and replicating its result — log-likelihood and,
 // in delta mode, the whole conditional cache — across the rungs instead
 // of re-evaluating the same tree p times.
-func newChainLadder(eval *felsen.Evaluator, init *gtree.Tree, serial bool, p int) []*chainState {
+func newChainLadder(eval *felsen.Evaluator, init *gtree.Tree, p int) []*chainState {
 	states := make([]*chainState, p)
-	states[0] = newChainState(eval, init, serial)
+	states[0] = newChainState(eval, init)
 	for i := 1; i < p; i++ {
 		s := &chainState{
 			eval:    eval,
-			serial:  serial,
+			serial:  states[0].serial,
 			beta:    1,
 			cur:     init.Clone(),
 			prop:    init.Clone(),
@@ -108,7 +109,7 @@ func newChainLadder(eval *felsen.Evaluator, init *gtree.Tree, serial bool, p int
 			logLik:  states[0].logLik,
 			stat:    states[0].stat,
 		}
-		if !serial {
+		if !s.serial {
 			s.cache = eval.NewDeltaCache()
 			s.cache.CopyFrom(states[0].cache)
 		}

@@ -7,6 +7,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/gtree"
+	"mpcgs/internal/phylip"
 	"mpcgs/internal/seqgen"
 	"mpcgs/internal/subst"
 )
@@ -14,6 +15,18 @@ import (
 // engineFixture builds a real-data evaluator and starting tree for the
 // delta-vs-serial equivalence tests.
 func engineFixture(t *testing.T, nSeq, seqLen int, seed uint64, dev *device.Device) (*felsen.Evaluator, *gtree.Tree) {
+	t.Helper()
+	return fixtureWith(t, felsen.New, nSeq, seqLen, seed, dev)
+}
+
+// referenceFixture is engineFixture over a reference evaluator: the same
+// data and starting tree, evaluated in the LAMARC reference mode.
+func referenceFixture(t *testing.T, nSeq, seqLen int, seed uint64, dev *device.Device) (*felsen.Evaluator, *gtree.Tree) {
+	t.Helper()
+	return fixtureWith(t, felsen.NewReference, nSeq, seqLen, seed, dev)
+}
+
+func fixtureWith(t *testing.T, build evaluatorBuilder, nSeq, seqLen int, seed uint64, dev *device.Device) (*felsen.Evaluator, *gtree.Tree) {
 	t.Helper()
 	aln, _, err := seqgen.SimulateData(nSeq, seqLen, 1.0, seed)
 	if err != nil {
@@ -23,7 +36,7 @@ func engineFixture(t *testing.T, nSeq, seqLen int, seed uint64, dev *device.Devi
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := felsen.New(model, aln, dev)
+	eval, err := build(model, aln, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +46,9 @@ func engineFixture(t *testing.T, nSeq, seqLen int, seed uint64, dev *device.Devi
 	}
 	return eval, init
 }
+
+// evaluatorBuilder is the signature of felsen.New and felsen.NewReference.
+type evaluatorBuilder func(subst.Model, *phylip.Alignment, *device.Device) (*felsen.Evaluator, error)
 
 // sameTraces requires two runs to have made the identical accept/reject
 // decisions (the Stats traces are bitwise equal only if every draw's
@@ -65,13 +81,12 @@ func sameTraces(t *testing.T, label string, a, b *SampleSet, tol float64) {
 func TestMHDeltaMatchesSerialPath(t *testing.T) {
 	eval, init := engineFixture(t, 7, 120, 601, device.Serial())
 	cfg := ChainConfig{Theta: 1.0, Burnin: 100, Samples: 500, Seed: 602}
-	delta, err := NewMH(eval).Run(init, cfg)
+	delta, err := Run(NewMH(eval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := NewMH(eval)
-	serial.SerialEval = true
-	ref, err := serial.Run(init, cfg)
+	refEval, _ := referenceFixture(t, 7, 120, 601, device.Serial())
+	ref, err := Run(NewMH(refEval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +106,16 @@ func TestHeatedDeltaMatchesSerialPath(t *testing.T) {
 	dev := device.New(4)
 	defer dev.Close()
 	eval, init := engineFixture(t, 7, 120, 611, dev)
+	refEval, _ := referenceFixture(t, 7, 120, 611, dev)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 100, Samples: 400, Seed: 612}
-	mk := func(serial bool) *Result {
-		h := NewHeated(eval, dev, 4)
-		h.SerialEval = serial
-		res, err := h.Run(init, cfg)
+	mk := func(eval *felsen.Evaluator) *Result {
+		res, err := Run(NewHeated(eval, dev, 4), init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	delta, ref := mk(false), mk(true)
+	delta, ref := mk(eval), mk(refEval)
 	if delta.Accepted != ref.Accepted {
 		t.Fatalf("cold-chain accepts differ: delta %d vs serial %d", delta.Accepted, ref.Accepted)
 	}
@@ -118,17 +132,16 @@ func TestHeatedDeltaMatchesSerialPath(t *testing.T) {
 // reference exactly.
 func TestBayesianDeltaMatchesSerialPath(t *testing.T) {
 	eval, init := engineFixture(t, 7, 120, 621, device.Serial())
+	refEval, _ := referenceFixture(t, 7, 120, 621, device.Serial())
 	cfg := ChainConfig{Theta: 1.0, Burnin: 100, Samples: 400, Seed: 622}
-	mk := func(serial bool) *BayesResult {
-		b := NewBayesian(eval, device.Serial())
-		b.SerialEval = serial
-		res, err := b.Run(init, cfg)
+	mk := func(eval *felsen.Evaluator) *BayesResult {
+		res, err := NewBayesian(eval).Run(init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	delta, ref := mk(false), mk(true)
+	delta, ref := mk(eval), mk(refEval)
 	if delta.TreeAccepted != ref.TreeAccepted || delta.ThetaAccepted != ref.ThetaAccepted {
 		t.Fatalf("move counts differ: tree %d vs %d, theta %d vs %d",
 			delta.TreeAccepted, ref.TreeAccepted, delta.ThetaAccepted, ref.ThetaAccepted)
@@ -147,17 +160,16 @@ func TestMultiChainDeltaMatchesSerialPath(t *testing.T) {
 	dev := device.New(4)
 	defer dev.Close()
 	eval, init := engineFixture(t, 6, 80, 631, dev)
+	refEval, _ := referenceFixture(t, 6, 80, 631, dev)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 50, Samples: 200, Seed: 632}
-	mk := func(serial bool) *Result {
-		mc := NewMultiChain(eval, dev, 4)
-		mc.SerialEval = serial
-		res, err := mc.Run(init, cfg)
+	mk := func(eval *felsen.Evaluator) *Result {
+		res, err := Run(NewMultiChain(eval, dev, 4), init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	delta, ref := mk(false), mk(true)
+	delta, ref := mk(eval), mk(refEval)
 	if delta.Accepted != ref.Accepted {
 		t.Fatalf("pooled accepts differ: delta %d vs serial %d", delta.Accepted, ref.Accepted)
 	}
@@ -170,7 +182,7 @@ func TestMultiChainDeltaMatchesSerialPath(t *testing.T) {
 // mutating one recorded draw silently rewrote others.
 func TestMHRecordingNoAliasing(t *testing.T) {
 	eval, init := engineFixture(t, 6, 80, 641, device.Serial())
-	res, err := NewMH(eval).Run(init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 300, Seed: 642})
+	res, err := Run(NewMH(eval), init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 300, Seed: 642})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +212,7 @@ func TestHeatedDeltaCachePerRungAfterSwaps(t *testing.T) {
 	defer dev.Close()
 	eval, init := engineFixture(t, 6, 60, 651, dev)
 	h := NewHeated(eval, dev, 3)
-	res, err := h.Run(init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 300, Seed: 652})
+	res, err := Run(h, init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 300, Seed: 652})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +241,13 @@ func BenchmarkHeatedStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"delta", false}, {"serial", true}} {
+		name  string
+		build evaluatorBuilder
+	}{{"delta", felsen.New}, {"serial", felsen.NewReference}} {
 		b.Run(mode.name, func(b *testing.B) {
 			dev := device.New(4)
 			defer dev.Close()
-			eval, err := felsen.New(model, aln, dev)
+			eval, err := mode.build(model, aln, dev)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -244,9 +256,8 @@ func BenchmarkHeatedStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			h := NewHeated(eval, dev, 4)
-			h.SerialEval = mode.serial
 			b.ResetTimer()
-			if _, err := h.Run(init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
+			if _, err := Run(h, init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -265,11 +276,11 @@ func BenchmarkMHStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"delta", false}, {"serial", true}} {
+		name  string
+		build evaluatorBuilder
+	}{{"delta", felsen.New}, {"serial", felsen.NewReference}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eval, err := felsen.New(model, aln, device.Serial())
+			eval, err := mode.build(model, aln, device.Serial())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,10 +289,9 @@ func BenchmarkMHStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			m := NewMH(eval)
-			m.SerialEval = mode.serial
 			b.ReportAllocs()
 			b.ResetTimer()
-			if _, err := m.Run(init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
+			if _, err := Run(m, init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -31,6 +31,13 @@ import (
 // a felsen.DeltaCache of the current state's conditionals — the in-device-
 // memory data reuse that lets the proposal kernel's work stay proportional
 // to the resimulated neighbourhood rather than the whole genealogy.
+//
+// Over a reference evaluator (felsen.NewReference) there is no cache:
+// each proposal thread evaluates its candidate from scratch with
+// LogLikelihood, which itself launches a per-site kernel on the
+// evaluator's device — the paper's nested dynamic parallelism (§4.4).
+// With N at or above the worker count the proposal-level parallelism
+// already saturates the device, so the delta path is the default.
 type GMH struct {
 	eval *felsen.Evaluator
 	dev  *device.Device
@@ -39,13 +46,6 @@ type GMH struct {
 	// SamplesPerSet is how many index draws each round yields; Calderhead
 	// uses N, and 0 selects that default.
 	SamplesPerSet int
-	// NestedSiteParallelism additionally parallelizes each proposal's
-	// likelihood over sites (the paper's dynamic parallelism, §4.4). With
-	// N at or above the worker count the proposal-level parallelism
-	// already saturates the device, so this defaults to off; it also
-	// forgoes the delta-evaluation cache, since the site kernel evaluates
-	// from scratch.
-	NestedSiteParallelism bool
 	// PerCandidate forces the pre-wave dispatch: each candidate's
 	// likelihood evaluated by its own device thread through
 	// LogLikelihoodDelta instead of the round's fused
@@ -59,14 +59,6 @@ type GMH struct {
 // executing on dev.
 func NewGMH(eval *felsen.Evaluator, dev *device.Device, proposals int) *GMH {
 	return &GMH{eval: eval, dev: dev, Proposals: proposals}
-}
-
-// Name implements Sampler.
-func (g *GMH) Name() string { return "gmh" }
-
-// Run implements Sampler.
-func (g *GMH) Run(init *gtree.Tree, cfg ChainConfig) (*Result, error) {
-	return runStepped(g, init, cfg)
 }
 
 // gmhRun is one started GMH chain: a Stepper whose Step is a full
@@ -92,7 +84,7 @@ type gmhRun struct {
 	cache *felsen.DeltaCache
 
 	// wave is the fused round evaluator (nil on the per-candidate and
-	// nested-site paths); waveTrees is its slot-indexed input, rebuilt
+	// reference paths); waveTrees is its slot-indexed input, rebuilt
 	// every round with nil for the current state and failed candidates.
 	wave      *felsen.Wave
 	waveTrees []*gtree.Tree
@@ -107,7 +99,7 @@ type gmhRun struct {
 }
 
 // Start implements StepSampler.
-func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
+func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -160,7 +152,7 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 		r.ages[i] = agesStore[i*nAges : i*nAges : (i+1)*nAges]
 	}
 
-	if g.NestedSiteParallelism {
+	if g.eval.Reference() {
 		r.logw[r.cur] = g.eval.LogLikelihood(r.set[r.cur])
 	} else {
 		r.cache = g.eval.NewDeltaCache()

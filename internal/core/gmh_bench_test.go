@@ -40,7 +40,7 @@ func BenchmarkGMHRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Run(init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 64, Seed: 7}); err != nil {
+		if _, err := Run(g, init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: 64, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 func TestGMHFailedProposalsZeroOnHealthyRun(t *testing.T) {
 	eval := flatEvaluator(t, 5, device.Serial())
 	init := startTree(t, names(5), 1.4, 201)
-	res, err := NewGMH(eval, device.Serial(), 4).Run(init, ChainConfig{Theta: 1.4, Burnin: 10, Samples: 100, Seed: 202})
+	res, err := Run(NewGMH(eval, device.Serial(), 4), init, ChainConfig{Theta: 1.4, Burnin: 10, Samples: 100, Seed: 202})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGMHFailedProposalsCountedUnderPathologicalTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewGMH(eval, device.Serial(), 4).Run(init, ChainConfig{Theta: 1e-9, Burnin: 0, Samples: 200, Seed: 213})
+	res, err := Run(NewGMH(eval, device.Serial(), 4), init, ChainConfig{Theta: 1e-9, Burnin: 0, Samples: 200, Seed: 213})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestMaximizeThetaGrowthDetectsGrowthFromSequences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := NewGMH(eval, dev, 8).Run(init, ChainConfig{
+		run, err := Run(NewGMH(eval, dev, 8), init, ChainConfig{
 			Theta: 1.0, Burnin: 1500, Samples: 15000, Seed: seed + 1,
 		})
 		if err != nil {

@@ -24,7 +24,8 @@ import (
 // cache per rung, so each within-chain step delta-evaluates only the
 // resimulated neighbourhood — the long-chain workload where incremental
 // evaluation compounds. Swaps exchange whole rung states (trees together
-// with their caches), so no cache ever needs rebasing after a swap.
+// with their caches), so no cache ever needs rebasing after a swap. Over
+// a reference evaluator every rung re-evaluates proposals from scratch.
 //
 // The β schedule is owned by a tempering.Ladder controller. By default it
 // is the fixed geometric ladder; with Adapt set, the controller retunes
@@ -59,23 +60,11 @@ type Heated struct {
 	// controller estimates swap rates over. Zero selects
 	// tempering.DefaultWindow; negative values are rejected at Start.
 	SwapWindow int
-	// SerialEval makes every rung re-evaluate proposals from scratch, the
-	// pre-engine behaviour kept as the equivalence-test oracle and for
-	// benchmarking the delta path's per-step advantage.
-	SerialEval bool
 }
 
 // NewHeated builds an MC³ sampler with the given ladder size.
 func NewHeated(eval *felsen.Evaluator, dev *device.Device, chains int) *Heated {
 	return &Heated{eval: eval, dev: dev, Chains: chains}
-}
-
-// Name implements Sampler.
-func (h *Heated) Name() string { return "heated" }
-
-// Run implements Sampler.
-func (h *Heated) Run(init *gtree.Tree, cfg ChainConfig) (*Result, error) {
-	return runStepped(h, init, cfg)
 }
 
 // heatedRun is one started MC³ ladder: a Stepper whose Step is one
@@ -107,7 +96,7 @@ type heatedRun struct {
 }
 
 // Start implements StepSampler.
-func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
+func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -173,7 +162,7 @@ func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	// One engine state per rung: tree pair, delta cache, resimulation
 	// scratch and tempering exponent, driven by the rung's own stream.
 	// The shared starting tree is evaluated once and replicated.
-	r.states = newChainLadder(h.eval, init, h.SerialEval, p)
+	r.states = newChainLadder(h.eval, init, p)
 	for i := range r.states {
 		r.states[i].beta = ladder.Beta(i)
 	}

@@ -25,7 +25,7 @@ func TestHeatedFlatDataSamplesPrior(t *testing.T) {
 	eval := flatEvaluator(t, 5, dev)
 	init := startTree(t, names(5), theta, 211)
 	h := NewHeated(eval, dev, 4)
-	res, err := h.Run(init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 212})
+	res, err := Run(h, init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 212})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestHeatedSingleChainMatchesPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ChainConfig{Theta: 1.0, Burnin: 2000, Samples: 20000, Seed: 223}
-	mh, err := NewMH(eval).Run(init, cfg)
+	mh, err := Run(NewMH(eval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heated, err := NewHeated(eval, dev, 4).Run(init, cfg)
+	heated, err := Run(NewHeated(eval, dev, 4), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHeatedDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewHeated(eval, dev, 3).Run(init, cfg)
+		res, err := Run(NewHeated(eval, dev, 3), init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestHeatedSwapsImproveColdChainMobility(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHeated(eval, dev, 4)
-	res, err := h.Run(init, ChainConfig{Theta: 1.0, Burnin: 500, Samples: 5000, Seed: 243})
+	res, err := Run(h, init, ChainConfig{Theta: 1.0, Burnin: 500, Samples: 5000, Seed: 243})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,27 +155,27 @@ func TestHeatedValidation(t *testing.T) {
 	eval := flatEvaluator(t, 4, device.Serial())
 	init := startTree(t, names(4), 1, 251)
 	good := ChainConfig{Theta: 1, Burnin: 1, Samples: 2}
-	if _, err := NewHeated(eval, device.Serial(), 0).Run(init, good); err == nil {
+	if _, err := Run(NewHeated(eval, device.Serial(), 0), init, good); err == nil {
 		t.Error("0 chains accepted")
 	}
 	for _, maxTemp := range []float64{0.5, -1, -8} {
 		h := NewHeated(eval, device.Serial(), 2)
 		h.MaxTemp = maxTemp
-		if _, err := h.Run(init, good); err == nil {
+		if _, err := Run(h, init, good); err == nil {
 			t.Errorf("MaxTemp %v accepted", maxTemp)
 		}
 	}
 	h := NewHeated(eval, device.Serial(), 2)
 	h.SwapEvery = -1
-	if _, err := h.Run(init, good); err == nil {
+	if _, err := Run(h, init, good); err == nil {
 		t.Error("negative SwapEvery accepted")
 	}
 	h = NewHeated(eval, device.Serial(), 2)
 	h.SwapWindow = -5
-	if _, err := h.Run(init, good); err == nil {
+	if _, err := Run(h, init, good); err == nil {
 		t.Error("negative SwapWindow accepted")
 	}
-	if _, err := NewHeated(eval, device.Serial(), 2).Run(init, ChainConfig{Theta: 0, Samples: 1}); err == nil {
+	if _, err := Run(NewHeated(eval, device.Serial(), 2), init, ChainConfig{Theta: 0, Samples: 1}); err == nil {
 		t.Error("bad chain config accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestHeatedSingleChainNoSwaps(t *testing.T) {
 	for _, adapt := range []bool{false, true} {
 		h := NewHeated(eval, device.Serial(), 1)
 		h.Adapt = adapt
-		res, err := h.Run(init, cfg)
+		res, err := Run(h, init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestHeatedMaxTemp1AllColdLadder(t *testing.T) {
 		h := NewHeated(eval, device.Serial(), 3)
 		h.MaxTemp = 1
 		h.Adapt = adapt
-		res, err := h.Run(init, ChainConfig{Theta: 1, Burnin: 30, Samples: 120, Seed: 273})
+		res, err := Run(h, init, ChainConfig{Theta: 1, Burnin: 30, Samples: 120, Seed: 273})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestHeatedSwapCounterBookkeepingSwapEvery(t *testing.T) {
 	burnin, samples, swapEvery := 20, 40, 3
 	h := NewHeated(eval, device.Serial(), 3)
 	h.SwapEvery = swapEvery
-	res, err := h.Run(init, ChainConfig{Theta: 1, Burnin: burnin, Samples: samples, Seed: 282})
+	res, err := Run(h, init, ChainConfig{Theta: 1, Burnin: burnin, Samples: samples, Seed: 282})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func heatedFixedOracle(eval *felsen.Evaluator, dev *device.Device, init *gtree.T
 		}
 		betas[i] = math.Pow(maxTemp, -float64(i)/float64(p-1))
 	}
-	states := newChainLadder(eval, init, false, p)
+	states := newChainLadder(eval, init, p)
 	for i := range states {
 		states[i].beta = betas[i]
 	}
@@ -381,7 +381,7 @@ func TestHeatedFixedLadderMatchesPreRefactorOracle(t *testing.T) {
 		if tc.swapEvery != 1 {
 			h.SwapEvery = tc.swapEvery
 		}
-		got, err := h.Run(init, cfg)
+		got, err := Run(h, init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	h.MaxTemp = 32
 	h.SwapWindow = 8 // small window so adaptation engages within burn-in
 
-	want, err := h.Run(init, cfg)
+	want, err := Run(h, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+		if err := resumed.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
 		for !resumed.Done() {
@@ -462,7 +462,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.(SnapshotStepper).Restore(&v1); err == nil {
+	if err := fresh.Restore(&v1); err == nil {
 		t.Error("adaptive run restored a snapshot without ladder state")
 	}
 	plain := NewHeated(eval, dev, 4)
@@ -471,7 +471,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plainRun.(SnapshotStepper).Restore(snap); err == nil {
+	if err := plainRun.Restore(snap); err == nil {
 		t.Error("non-adaptive run restored an adaptive ladder snapshot")
 	}
 }
@@ -485,7 +485,7 @@ func TestHeatedV1ResumeOmitsPairHistory(t *testing.T) {
 	eval, init := engineFixture(t, 5, 50, 297, dev)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 20, Samples: 80, Seed: 298}
 	h := NewHeated(eval, dev, 3)
-	want, err := h.Run(init, cfg)
+	want, err := Run(h, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestHeatedV1ResumeOmitsPairHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {

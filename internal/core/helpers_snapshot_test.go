@@ -4,9 +4,9 @@ import "testing"
 
 // mustSnapshot exports a stepper's snapshot, failing the test on the
 // (spill-mode-only) flush error path.
-func mustSnapshot(t *testing.T, run Stepper) *StepSnapshot {
+func mustSnapshot(t *testing.T, run SnapshotStepper) *StepSnapshot {
 	t.Helper()
-	snap, err := run.(SnapshotStepper).Snapshot()
+	snap, err := run.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}

@@ -18,27 +18,17 @@ import (
 // The step loop runs on the shared chain engine: proposals are
 // delta-evaluated against the chain's conditional-likelihood cache, so
 // per-step work is proportional to the resimulated neighbourhood rather
-// than the whole genealogy, and nothing is allocated per step.
+// than the whole genealogy, and nothing is allocated per step. Over a
+// reference evaluator (felsen.NewReference) every proposal instead pays a
+// full from-scratch likelihood evaluation, exactly what the reference
+// package does: the single-processor baseline of the paper's speedup
+// measurements (§6).
 type MH struct {
 	eval *felsen.Evaluator
-	// SerialEval selects the LAMARC reference mode: every proposal pays a
-	// full from-scratch likelihood evaluation, exactly what the reference
-	// package does. This is the single-processor baseline of the paper's
-	// speedup measurements (§6) and the oracle the delta path's
-	// equivalence tests compare against; leave it false for estimation.
-	SerialEval bool
 }
 
 // NewMH builds the baseline sampler over the given likelihood evaluator.
 func NewMH(eval *felsen.Evaluator) *MH { return &MH{eval: eval} }
-
-// Name implements Sampler.
-func (m *MH) Name() string { return "mh" }
-
-// Run implements Sampler.
-func (m *MH) Run(init *gtree.Tree, cfg ChainConfig) (*Result, error) {
-	return runStepped(m, init, cfg)
-}
 
 // mhRun is one started MH chain: a Stepper over single Metropolis steps.
 type mhRun struct {
@@ -52,11 +42,22 @@ type mhRun struct {
 }
 
 // Start implements StepSampler.
-func (m *MH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
+func (m *MH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
+	run, err := startMH(m.eval, init, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// startMH starts a single-chain Metropolis run whose proposal stream is
+// seeded under the given label: 1 for MH, 6 for the genealogy chain of
+// Bayesian.
+func startMH(eval *felsen.Evaluator, init *gtree.Tree, cfg ChainConfig, label uint64) (*mhRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := m.eval.CheckTree(init); err != nil {
+	if err := eval.CheckTree(init); err != nil {
 		return nil, err
 	}
 	if init.NTips() < 3 {
@@ -68,8 +69,8 @@ func (m *MH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	}
 	return &mhRun{
 		theta: cfg.Theta,
-		src:   seedSource(cfg.Seed, 1),
-		st:    newChainState(m.eval, init, m.SerialEval),
+		src:   seedSource(cfg.Seed, label),
+		st:    newChainState(eval, init),
 		rec:   rec,
 		res:   &Result{Samples: rec.set},
 		total: cfg.Burnin + cfg.Samples,

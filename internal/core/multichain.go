@@ -14,10 +14,16 @@ import (
 // Total work is P·B + S for S pooled samples, so by Amdahl's law the
 // speedup over a single chain saturates at (B+S)/B no matter how many
 // processors are added — the motivation for the GMH sampler. Each chain
-// is a delta-evaluated engine chain (with its own likelihood cache and
-// resimulation scratch) unless SerialEval restores the reference mode;
-// cheaper steps do not change the Amdahl argument, which is about burn-in
-// replication, not per-step cost.
+// is an engine chain with its own likelihood cache and resimulation
+// scratch (or none, over a reference evaluator — the historical
+// measurement the Fig. 6 timings are defined against); cheaper steps do
+// not change the Amdahl argument, which is about burn-in replication, not
+// per-step cost.
+//
+// Pooling: Burnin applies to every chain, and the Samples quota is split
+// evenly across chains (each draws ceil(S/P)). The pooled SampleSet holds
+// the chains' post-burn-in draws in chain order, truncated to S, with
+// Burnin 0: no burn-in draw is recorded in it.
 //
 // The sampler is step-driven like the others: one Step is a parallel
 // sweep in which every unfinished chain takes one Metropolis step on the
@@ -29,29 +35,11 @@ type MultiChain struct {
 	eval   *felsen.Evaluator
 	dev    *device.Device
 	Chains int
-	// SerialEval runs every chain in the LAMARC reference mode (full
-	// per-step likelihood recomputation) instead of the chain engine's
-	// delta evaluation — the historical measurement the Fig. 6 timings
-	// are defined against.
-	SerialEval bool
 }
 
 // NewMultiChain builds the P-independent-chains baseline on dev.
 func NewMultiChain(eval *felsen.Evaluator, dev *device.Device, chains int) *MultiChain {
 	return &MultiChain{eval: eval, dev: dev, Chains: chains}
-}
-
-// Name implements Sampler.
-func (m *MultiChain) Name() string { return "multichain" }
-
-// Run implements Sampler. Burnin applies to every chain; the Samples
-// quota is split evenly across chains (each chain draws ceil(S/P), and the
-// pooled set is truncated to S). The recorded SampleSet concatenates the
-// chains with a total burn-in of Chains x Burnin leading... since draws
-// are pooled per chain, the set instead marks Burnin as 0 and excludes
-// burn-in draws entirely, which is the standard pooling.
-func (m *MultiChain) Run(init *gtree.Tree, cfg ChainConfig) (*Result, error) {
-	return runStepped(m, init, cfg)
 }
 
 // mcRun is one started multichain ensemble: P independent MH runs driven
@@ -67,7 +55,7 @@ type mcRun struct {
 }
 
 // Start implements StepSampler.
-func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
+func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -91,8 +79,6 @@ func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 		errs:    make([]error, p),
 	}
 	for chain := 0; chain < p; chain++ {
-		sub := NewMH(m.eval)
-		sub.SerialEval = m.SerialEval
 		sc := ChainConfig{
 			Theta:   cfg.Theta,
 			Burnin:  cfg.Burnin,
@@ -106,11 +92,11 @@ func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 			t.Path = fmt.Sprintf("%s.c%d", cfg.Trace.Path, chain)
 			sc.Trace = &t
 		}
-		run, err := sub.Start(init, sc)
+		run, err := startMH(m.eval, init, sc, 1)
 		if err != nil {
 			return nil, fmt.Errorf("core: chain %d: %w", chain, err)
 		}
-		r.subs[chain] = run.(*mhRun)
+		r.subs[chain] = run
 	}
 	r.kernel = func(chain int) {
 		if sub := r.subs[chain]; !sub.Done() {

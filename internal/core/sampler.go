@@ -208,13 +208,6 @@ func PairRates(accepts, attempts []int64) []float64 {
 	return out
 }
 
-// PairSwapRates returns the per-adjacent-pair swap acceptance rates over
-// the whole run (NaN for a pair never attempted), or nil for non-ladder
-// samplers.
-func (r *Result) PairSwapRates() []float64 {
-	return PairRates(r.PairSwaps, r.PairSwapAttempts)
-}
-
 // EstPairSwapRates returns the estimation-phase (post-burn-in, frozen
 // ladder) per-adjacent-pair swap acceptance rates.
 func (r *Result) EstPairSwapRates() []float64 {
@@ -227,13 +220,6 @@ func (r *Result) AcceptanceRate() float64 {
 		return 0
 	}
 	return float64(r.Accepted) / float64(r.Proposals)
-}
-
-// Sampler is a genealogy sampler: it draws genealogies from the posterior
-// P(G|D,θ) starting at init, under the run configuration.
-type Sampler interface {
-	Name() string
-	Run(init *gtree.Tree, cfg ChainConfig) (*Result, error)
 }
 
 // seedSource derives an MT19937 from a 64-bit seed and a stream label via

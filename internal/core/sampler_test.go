@@ -79,7 +79,7 @@ func TestMHFlatDataSamplesPrior(t *testing.T) {
 	theta := 1.4
 	eval := flatEvaluator(t, 5, device.Serial())
 	init := startTree(t, names(5), theta, 11)
-	res, err := NewMH(eval).Run(init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 12})
+	res, err := Run(NewMH(eval), init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGMHFlatDataSamplesPrior(t *testing.T) {
 	eval := flatEvaluator(t, 5, dev)
 	init := startTree(t, names(5), theta, 13)
 	g := NewGMH(eval, dev, 8)
-	res, err := g.Run(init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 14})
+	res, err := Run(g, init, ChainConfig{Theta: theta, Burnin: 500, Samples: 30000, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMultiChainFlatDataSamplesPrior(t *testing.T) {
 	eval := flatEvaluator(t, 5, device.Serial())
 	init := startTree(t, names(5), theta, 15)
 	mc := NewMultiChain(eval, dev, 4)
-	res, err := mc.Run(init, ChainConfig{Theta: theta, Burnin: 500, Samples: 20000, Seed: 16})
+	res, err := Run(mc, init, ChainConfig{Theta: theta, Burnin: 500, Samples: 20000, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestMHDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ChainConfig{Theta: 1.0, Burnin: 50, Samples: 200, Seed: 23}
-	a, err := NewMH(eval).Run(init, cfg)
+	a, err := Run(NewMH(eval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMH(eval).Run(init, cfg)
+	b, err := Run(NewMH(eval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGMHDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewGMH(eval, dev, 6).Run(init, cfg)
+		res, err := Run(NewGMH(eval, dev, 6), init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestGMHAndMHAgreeOnPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ChainConfig{Theta: 1.0, Burnin: 2000, Samples: 25000, Seed: 43}
-	mh, err := NewMH(eval).Run(init, cfg)
+	mh, err := Run(NewMH(eval), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gmh, err := NewGMH(eval, dev, 8).Run(init, cfg)
+	gmh, err := Run(NewGMH(eval, dev, 8), init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +240,18 @@ func TestChainConfigValidation(t *testing.T) {
 		{Theta: 1, Burnin: 1, Samples: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := NewMH(eval).Run(init, cfg); err == nil {
+		if _, err := Run(NewMH(eval), init, cfg); err == nil {
 			t.Errorf("MH accepted bad config %d", i)
 		}
-		if _, err := NewGMH(eval, device.Serial(), 4).Run(init, cfg); err == nil {
+		if _, err := Run(NewGMH(eval, device.Serial(), 4), init, cfg); err == nil {
 			t.Errorf("GMH accepted bad config %d", i)
 		}
 	}
 	good := ChainConfig{Theta: 1, Burnin: 1, Samples: 2}
-	if _, err := NewGMH(eval, device.Serial(), 0).Run(init, good); err == nil {
+	if _, err := Run(NewGMH(eval, device.Serial(), 0), init, good); err == nil {
 		t.Error("GMH accepted 0 proposals")
 	}
-	if _, err := NewMultiChain(eval, device.Serial(), 0).Run(init, good); err == nil {
+	if _, err := Run(NewMultiChain(eval, device.Serial(), 0), init, good); err == nil {
 		t.Error("MultiChain accepted 0 chains")
 	}
 }
@@ -266,7 +266,7 @@ func TestTwoTipTreeRejected(t *testing.T) {
 	tr.Nodes[0].Parent = 2
 	tr.Nodes[1].Parent = 2
 	tr.Root = 2
-	if _, err := NewMH(eval).Run(tr, ChainConfig{Theta: 1, Samples: 1}); err == nil {
+	if _, err := Run(NewMH(eval), tr, ChainConfig{Theta: 1, Samples: 1}); err == nil {
 		t.Error("2-tip tree accepted: no resimulatable neighbourhood exists")
 	}
 }
@@ -274,7 +274,7 @@ func TestTwoTipTreeRejected(t *testing.T) {
 func TestSampleSetBookkeeping(t *testing.T) {
 	eval := flatEvaluator(t, 4, device.Serial())
 	init := startTree(t, names(4), 1, 61)
-	res, err := NewMH(eval).Run(init, ChainConfig{Theta: 1, Burnin: 10, Samples: 25, Seed: 62})
+	res, err := Run(NewMH(eval), init, ChainConfig{Theta: 1, Burnin: 10, Samples: 25, Seed: 62})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestGMHSamplesPerSetOverride(t *testing.T) {
 	init := startTree(t, names(4), 1, 71)
 	g := NewGMH(eval, device.Serial(), 5)
 	g.SamplesPerSet = 2
-	res, err := g.Run(init, ChainConfig{Theta: 1, Burnin: 0, Samples: 10, Seed: 72})
+	res, err := Run(g, init, ChainConfig{Theta: 1, Burnin: 0, Samples: 10, Seed: 72})
 	if err != nil {
 		t.Fatal(err)
 	}

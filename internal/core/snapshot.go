@@ -302,12 +302,11 @@ type StepSnapshot struct {
 }
 
 // SnapshotStepper is a Stepper whose between-steps state can be exported
-// and restored. All built-in step-driven samplers implement it. Restore
-// must be called on a freshly started stepper (same sampler, same
-// ChainConfig) before its first Step; Snapshot must be called between
-// steps — the scheduler guarantees both by construction. Snapshot can
-// fail only in spill mode, where it must make the sidecar durable
-// before referencing it.
+// and restored; StepSampler.Start returns one. Restore must be called on
+// a freshly started stepper (same sampler, same ChainConfig) before its
+// first Step; Snapshot must be called between steps — the scheduler
+// guarantees both by construction. Snapshot can fail only in spill mode,
+// where it must make the sidecar durable before referencing it.
 type SnapshotStepper interface {
 	Stepper
 	Snapshot() (*StepSnapshot, error)
@@ -340,11 +339,7 @@ func (e *EMRun) Snapshot() (*EMSnapshot, error) {
 		History: append([]EMIteration(nil), e.res.History...),
 	}
 	if e.active != nil {
-		ss, ok := e.active.(SnapshotStepper)
-		if !ok {
-			return nil, fmt.Errorf("core: sampler %q does not support snapshots", e.sampler.Name())
-		}
-		active, err := ss.Snapshot()
+		active, err := e.active.Snapshot()
 		if err != nil {
 			return nil, err
 		}
@@ -384,11 +379,7 @@ func (e *EMRun) Restore(snap *EMSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("core: EM restore: %w", err)
 	}
-	rs, ok := run.(SnapshotStepper)
-	if !ok {
-		return fmt.Errorf("core: sampler %q does not support snapshots", e.sampler.Name())
-	}
-	if err := rs.Restore(snap.Active); err != nil {
+	if err := run.Restore(snap.Active); err != nil {
 		return fmt.Errorf("core: EM restore: %w", err)
 	}
 	e.active = run

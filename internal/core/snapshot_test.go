@@ -80,7 +80,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	for _, tc := range samplers {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted reference run.
-			want, err := tc.s.Run(init, cfg)
+			want, err := Run(tc.s, init, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+				if err := resumed.Restore(snap); err != nil {
 					t.Fatal(err)
 				}
 				for !resumed.Done() {
@@ -126,11 +126,11 @@ func TestKillResumeBitIdentical(t *testing.T) {
 func TestKillResumeSerialEvalMode(t *testing.T) {
 	dev := device.Serial()
 	eval, init := engineFixture(t, 5, 50, 911, dev)
+	refEval, _ := referenceFixture(t, 5, 50, 911, dev)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 60, Seed: 912}
 
-	serial := NewMH(eval)
-	serial.SerialEval = true
-	want, err := serial.Run(init, cfg)
+	serial := NewMH(refEval)
+	want, err := Run(serial, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestKillResumeSerialEvalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := delta.(SnapshotStepper).Restore(snap); err == nil {
+	if err := delta.Restore(snap); err == nil {
 		t.Fatal("serial snapshot restored into a delta-mode run")
 	}
 
@@ -158,7 +158,7 @@ func TestKillResumeSerialEvalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {
@@ -189,11 +189,11 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	snap := mustSnapshot(t, gmh3)
 
 	gmh4, _ := NewGMH(eval, dev, 4).Start(init, cfg)
-	if err := gmh4.(SnapshotStepper).Restore(snap); err == nil {
+	if err := gmh4.Restore(snap); err == nil {
 		t.Fatal("gmh snapshot with 3 streams restored into a 4-proposal run")
 	}
 	mh, _ := NewMH(eval).Start(init, cfg)
-	if err := mh.(SnapshotStepper).Restore(snap); err == nil {
+	if err := mh.Restore(snap); err == nil {
 		t.Fatal("gmh snapshot restored into an mh run")
 	}
 	h2, _ := NewHeated(eval, dev, 2).Start(init, cfg)
@@ -203,7 +203,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h2.(SnapshotStepper).Restore(mustSnapshot(t, h3)); err == nil {
+	if err := h2.Restore(mustSnapshot(t, h3)); err == nil {
 		t.Fatal("3-rung heated snapshot restored into a 2-rung run")
 	}
 }

@@ -29,7 +29,7 @@ func TestSpillKillResumeTornTailBitIdentical(t *testing.T) {
 
 	refCfg := cfg
 	refCfg.Trace = &TraceSpec{Path: filepath.Join(dir, "uninterrupted.trace")}
-	want, err := s.Run(init, refCfg)
+	want, err := Run(s, init, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSpillKillResumeTornTailBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {
@@ -137,7 +137,7 @@ func TestInlineTraceMigratesToSpill(t *testing.T) {
 	s := NewGMH(eval, dev, 3)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 90, Seed: 812}
 
-	want, err := s.Run(init, cfg)
+	want, err := Run(s, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestInlineTraceMigratesToSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {

@@ -28,19 +28,18 @@ type Stepper interface {
 	Finish() (*Result, error)
 }
 
-// StepSampler is a Sampler whose run loop can be driven externally. Run
-// remains the convenience entry point (start, step to completion,
-// finish); Start exposes the pieces to a scheduler.
+// StepSampler is a genealogy sampler: it draws genealogies from the
+// posterior P(G|D,θ) starting at init, under the run configuration. Start
+// hands the run loop to the caller (a scheduler, the EM driver, or Run);
+// every started run can be snapshotted and restored.
 type StepSampler interface {
-	Sampler
-	Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error)
+	Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error)
 }
 
-// runStepped is Sampler.Run for step-driven samplers: drive a fresh run
-// to completion. Because both the standalone path and the batch scheduler
-// go through exactly this Start/Step/Finish sequence, a job's draws in
-// batch mode are bit-identical to its standalone run.
-func runStepped(s StepSampler, init *gtree.Tree, cfg ChainConfig) (*Result, error) {
+// Run drives a fresh run of s to completion. Because the standalone path
+// and the schedulers go through exactly this Start/Step/Finish sequence,
+// a job's draws when scheduled are bit-identical to its standalone run.
+func Run(s StepSampler, init *gtree.Tree, cfg ChainConfig) (*Result, error) {
 	run, err := s.Start(init, cfg)
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ func runGMH(t *testing.T, dev *device.Device, init *gtree.Tree, perCandidate boo
 	eval, _ := engineFixture(t, 8, 120, 911, dev)
 	g := NewGMH(eval, dev, 4)
 	g.PerCandidate = perCandidate
-	res, err := g.Run(init, waveEquivConfig)
+	res, err := Run(g, init, waveEquivConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 	eval, init := engineFixture(t, 8, 120, 911, dev)
 
 	g := NewGMH(eval, dev, 4)
-	want, err := g.Run(init, waveEquivConfig)
+	want, err := Run(g, init, waveEquivConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := NewGMH(eval, dev, 4)
 	oracle.PerCandidate = true
-	wantPC, err := oracle.Run(init, waveEquivConfig)
+	wantPC, err := Run(oracle, init, waveEquivConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+		if err := resumed.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
 		for !resumed.Done() {
@@ -127,7 +127,7 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.(SnapshotStepper).Restore(snap); err != nil {
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for !resumed.Done() {
@@ -140,4 +140,64 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsIdentical(t, "per-candidate snapshot resumed on the wave path", want, got)
+}
+
+// TestGMHReferenceMatchesWave pins GMH over a reference evaluator — no
+// delta cache, every candidate evaluated from scratch by its proposal
+// thread with a nested per-site kernel — to the default wave path: same
+// seed, same accept sequence and genealogies, log-likelihoods within the
+// reassociation tolerance of the delta≡serial suites. Kill/resume on the
+// reference run is bit-identical.
+func TestGMHReferenceMatchesWave(t *testing.T) {
+	dev := device.New(4)
+	defer dev.Close()
+	eval, init := engineFixture(t, 8, 120, 911, dev)
+	refEval, _ := referenceFixture(t, 8, 120, 911, dev)
+
+	wave, err := Run(NewGMH(eval, dev, 4), init, waveEquivConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGMH(refEval, dev, 4)
+	want, err := Run(g, init, waveEquivConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Accepted != wave.Accepted || want.Proposals != wave.Proposals ||
+		want.FailedProposals != wave.FailedProposals {
+		t.Fatalf("counters differ: reference %d/%d (%d failed) vs wave %d/%d (%d failed)",
+			want.Accepted, want.Proposals, want.FailedProposals,
+			wave.Accepted, wave.Proposals, wave.FailedProposals)
+	}
+	sameTraces(t, "gmh reference vs wave", want.Samples, wave.Samples, 1e-9)
+
+	for _, kill := range []int{0, 1, 17, 60} {
+		run, err := g.Start(init, waveEquivConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < kill && !run.Done(); i++ {
+			if err := run.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := mustSnapshot(t, run)
+		resumed, err := g.Start(init, waveEquivConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		for !resumed.Done() {
+			if err := resumed.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := resumed.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsIdentical(t, fmt.Sprintf("reference resumed at step %d", kill), want, got)
+	}
 }

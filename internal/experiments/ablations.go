@@ -61,7 +61,7 @@ func ProposalSetSize(c Common) ([]ProposalSizePoint, error) {
 		}
 		// Re-run for the quality metrics (timing kept separate from the
 		// metric pass so instrumentation does not skew it).
-		run, err := gmh.Run(init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: c.seed() + uint64(n)})
+		run, err := core.Run(gmh, init, core.ChainConfig{Theta: 1.0, Burnin: burnin, Samples: samples, Seed: c.seed() + uint64(n)})
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,15 @@ func NestedParallelism(c Common) ([]NestedParallelismPoint, error) {
 		return nil, err
 	}
 	dev := device.New(c.workers())
+	defer dev.Close()
 	eval, err := buildEvaluator(aln, dev)
+	if err != nil {
+		return nil, err
+	}
+	// Nested site parallelism is GMH over a reference evaluator: each
+	// proposal thread evaluates its candidate from scratch with a per-site
+	// kernel on the same device.
+	nestedEval, err := buildReference(aln, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +119,7 @@ func NestedParallelism(c Common) ([]NestedParallelismPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		nested := core.NewGMH(eval, dev, n)
-		nested.NestedSiteParallelism = true
-		tNested, err := timedRun(nested, aln, 1.0, burnin, samples, c.seed()+41)
+		tNested, err := timedRun(core.NewGMH(nestedEval, dev, n), aln, 1.0, burnin, samples, c.seed()+41)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +169,7 @@ func GrowthEstimation(c Common) ([]GrowthPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := core.NewGMH(eval, dev, dev.Workers()).Run(init, core.ChainConfig{
+		run, err := core.Run(core.NewGMH(eval, dev, dev.Workers()), init, core.ChainConfig{
 			Theta: 1.0, Burnin: burnin, Samples: samples, Seed: seed + 1,
 		})
 		if err != nil {

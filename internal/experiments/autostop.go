@@ -177,7 +177,7 @@ func CheckpointSizes(c Common, dir string) ([]CheckpointSizePoint, error) {
 				return 0, 0, err
 			}
 		}
-		snap, err := run.(core.SnapshotStepper).Snapshot()
+		snap, err := run.Snapshot()
 		if err != nil {
 			return 0, 0, err
 		}

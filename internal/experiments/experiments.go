@@ -70,6 +70,16 @@ func buildEvaluator(aln *phylip.Alignment, dev *device.Device) (*felsen.Evaluato
 	return felsen.New(model, aln, dev)
 }
 
+// buildReference is buildEvaluator in the LAMARC reference mode
+// (felsen.NewReference): every proposal is evaluated from scratch.
+func buildReference(aln *phylip.Alignment, dev *device.Device) (*felsen.Evaluator, error) {
+	model, err := subst.NewF81(aln.BaseFreqs(), true)
+	if err != nil {
+		return nil, err
+	}
+	return felsen.NewReference(model, aln, dev)
+}
+
 // estimate runs the full EM estimation with the given sampler and returns
 // the final θ.
 func estimate(s core.StepSampler, aln *phylip.Alignment, theta0 float64, burnin, samples, emIters int, seed uint64, dev *device.Device) (float64, error) {
@@ -168,13 +178,13 @@ type SpeedupPoint struct {
 }
 
 // timedRun executes one sampling pass and returns the wall time.
-func timedRun(s core.Sampler, aln *phylip.Alignment, theta float64, burnin, samples int, seed uint64) (float64, error) {
+func timedRun(s core.StepSampler, aln *phylip.Alignment, theta float64, burnin, samples int, seed uint64) (float64, error) {
 	init, err := core.InitialTree(aln, theta, seed)
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	_, err = s.Run(init, core.ChainConfig{Theta: theta, Burnin: burnin, Samples: samples, Seed: seed})
+	_, err = core.Run(s, init, core.ChainConfig{Theta: theta, Burnin: burnin, Samples: samples, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
@@ -185,7 +195,7 @@ func timedRun(s core.Sampler, aln *phylip.Alignment, theta float64, burnin, samp
 func speedupPoint(param int, aln *phylip.Alignment, burnin, samples int, c Common) (SpeedupPoint, error) {
 	dev := device.New(c.workers())
 	defer dev.Close()
-	evalSerial, err := buildEvaluator(aln, device.Serial())
+	evalSerial, err := buildReference(aln, device.Serial())
 	if err != nil {
 		return SpeedupPoint{}, err
 	}
@@ -197,9 +207,7 @@ func speedupPoint(param int, aln *phylip.Alignment, burnin, samples int, c Commo
 	// The serial baseline is the LAMARC reference: a full from-scratch
 	// likelihood per step, like the package the paper compares against.
 	// (The engine's delta-evaluated MH is the fast default elsewhere.)
-	lamarc := core.NewMH(evalSerial)
-	lamarc.SerialEval = true
-	tSerial, err := timedRun(lamarc, aln, theta, burnin, samples, c.seed()+3)
+	tSerial, err := timedRun(core.NewMH(evalSerial), aln, theta, burnin, samples, c.seed()+3)
 	if err != nil {
 		return SpeedupPoint{}, err
 	}
@@ -384,7 +392,7 @@ func LikelihoodCurve(c Common) (*CurveResult, error) {
 		return nil, err
 	}
 	gmh := core.NewGMH(eval, dev, dev.Workers())
-	run, err := gmh.Run(init, core.ChainConfig{Theta: theta0, Burnin: burnin, Samples: samples, Seed: c.seed() + 17})
+	run, err := core.Run(gmh, init, core.ChainConfig{Theta: theta0, Burnin: burnin, Samples: samples, Seed: c.seed() + 17})
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +437,7 @@ func BurninTrace(c Common) (*BurninResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := core.NewMH(eval).Run(init, core.ChainConfig{Theta: 1.0, Burnin: 0, Samples: draws, Seed: c.seed() + 23})
+	run, err := core.Run(core.NewMH(eval), init, core.ChainConfig{Theta: 1.0, Burnin: 0, Samples: draws, Seed: c.seed() + 23})
 	if err != nil {
 		return nil, err
 	}
@@ -474,13 +482,13 @@ func MultichainEfficiency(c Common) ([]MultichainPoint, error) {
 	point := func(p int) (MultichainPoint, error) {
 		dev := device.New(p)
 		defer dev.Close()
-		evalSerial, err := buildEvaluator(aln, device.Serial())
+		// The historical LAMARC-chain measurement: every chain evaluates
+		// each proposal from scratch.
+		evalSerial, err := buildReference(aln, device.Serial())
 		if err != nil {
 			return MultichainPoint{}, err
 		}
-		mc := core.NewMultiChain(evalSerial, dev, p)
-		mc.SerialEval = true // the historical LAMARC-chain measurement
-		tMC, err := timedRun(mc, aln, 1.0, burnin, samples, c.seed()+31)
+		tMC, err := timedRun(core.NewMultiChain(evalSerial, dev, p), aln, 1.0, burnin, samples, c.seed()+31)
 		if err != nil {
 			return MultichainPoint{}, err
 		}

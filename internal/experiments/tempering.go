@@ -76,7 +76,7 @@ func TemperingComparison(c Common) ([]TemperingPoint, error) {
 		h := core.NewHeated(eval, dev, chains)
 		h.MaxTemp = maxTemp
 		h.Adapt = mode.adapt
-		res, err := h.Run(init, cfg)
+		res, err := core.Run(h, init, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -64,6 +64,9 @@ type Evaluator struct {
 	// it is fixed at construction (DefaultBlockSize) unless overridden by
 	// SetBlockSize before any evaluation.
 	blockSize int
+
+	// reference marks the LAMARC reference evaluation mode (NewReference).
+	reference bool
 }
 
 type scratch struct {
@@ -83,6 +86,20 @@ type blockScratch struct {
 // New builds an evaluator for the alignment under the given substitution
 // model, executing parallel site kernels on dev.
 func New(model subst.Model, aln *phylip.Alignment, dev *device.Device) (*Evaluator, error) {
+	return newEvaluator(model, aln, dev, false)
+}
+
+// NewReference builds an evaluator in the LAMARC reference mode: samplers
+// built over it keep no delta cache and evaluate every proposal from
+// scratch, exactly what the reference package does. It is the baseline of
+// the paper's speedup measurements (§6) and the oracle the delta path's
+// equivalence tests compare against. The likelihoods it computes are the
+// same as New's; only how samplers use it differs.
+func NewReference(model subst.Model, aln *phylip.Alignment, dev *device.Device) (*Evaluator, error) {
+	return newEvaluator(model, aln, dev, true)
+}
+
+func newEvaluator(model subst.Model, aln *phylip.Alignment, dev *device.Device, reference bool) (*Evaluator, error) {
 	if err := aln.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,6 +116,7 @@ func New(model subst.Model, aln *phylip.Alignment, dev *device.Device) (*Evaluat
 		nSites:    aln.SeqLen(),
 		dev:       dev,
 		blockSize: DefaultBlockSize,
+		reference: reference,
 	}
 	nNodes := 2*len(aln.Seqs) - 1
 	e.pool.New = func() any {
@@ -206,6 +224,9 @@ func (e *Evaluator) SetBlockSize(n int) {
 	}
 	e.blockSize = n
 }
+
+// Reference reports whether the evaluator was built by NewReference.
+func (e *Evaluator) Reference() bool { return e.reference }
 
 // NSeqs returns the number of sequences.
 func (e *Evaluator) NSeqs() int { return len(e.seqs) }

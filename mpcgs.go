@@ -395,7 +395,7 @@ func RunBayesian(cfg Config) (*BayesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := core.NewBayesian(eval, dev).Run(init, core.ChainConfig{
+	run, err := core.NewBayesian(eval).Run(init, core.ChainConfig{
 		Theta:   c.InitialTheta,
 		Burnin:  c.Burnin,
 		Samples: c.Samples,

@@ -489,6 +489,7 @@ func TestMpcgsInspect(t *testing.T) {
 	h.SwapWindow = 8
 	em, err := core.StartEM(h, init, core.EMConfig{
 		InitialTheta: 1.0, Iterations: 2, Burnin: 40, Samples: 120, Seed: 57,
+		Trace: &core.TraceSpec{Path: filepath.Join(dir, "midflight.trace")},
 	}, dev)
 	if err != nil {
 		t.Fatal(err)
@@ -502,12 +503,16 @@ func TestMpcgsInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wire, err := ckpt.EncodeEM(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := &ckpt.Batch{Jobs: []ckpt.BatchJob{
 		{Name: "finished", Fingerprint: "fp1", Status: ckpt.StatusDone, Steps: 320,
 			Theta: "0x1.8p+00"},
 		{Name: "broken", Fingerprint: "fp2", Status: ckpt.StatusFailed, Error: "pathological theta"},
 		{Name: "midflight", Fingerprint: "fp3", Status: ckpt.StatusPaused, Steps: 75,
-			EM: ckpt.EncodeEM(snap)},
+			EM: wire},
 	}}
 	if err := ckpt.Save(dir, batch); err != nil {
 		t.Fatal(err)
@@ -519,6 +524,7 @@ func TestMpcgsInspect(t *testing.T) {
 		"finished", "done", "theta = 1.5",
 		"broken", "failed", "pathological theta",
 		"midflight", "paused", "sampler heated at transition 75",
+		"trace sidecar: ",
 		"ladder (adaptive, window 8",
 		"pair 0-1", "pair 1-2", "swap rate",
 	} {

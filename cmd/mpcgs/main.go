@@ -452,8 +452,8 @@ func printSwapReport(betas []float64, attempts, accepts []int64, adapted bool, a
 
 // inspect prints every job's status from a checkpoint directory without
 // resuming anything: name, state, progress, the estimate for finished
-// jobs, and — for paused heated runs that carry one — the temperature
-// ladder with its per-pair swap rates.
+// jobs, and — for paused heated runs — the temperature ladder with its
+// per-pair swap rates.
 func inspect(w io.Writer, dir string) error {
 	b, err := ckpt.Load(dir)
 	if err != nil {
@@ -477,9 +477,6 @@ func inspect(w io.Writer, dir string) error {
 				j.Name, j.EM.It+1, hexOrRaw(j.EM.Theta), j.Steps, len(j.EM.History))
 			if a := j.EM.Active; a != nil {
 				drawn := 0
-				if a.Trace != nil {
-					drawn = a.Trace.N
-				}
 				if a.TraceRef != nil {
 					drawn = a.TraceRef.Draws - a.TraceRef.PassDraws
 				}

@@ -472,12 +472,12 @@ func runAutostop(w io.Writer, c experiments.Common) error {
 		return err
 	}
 	fmt.Fprintln(w, "--- Checkpoint size vs samples recorded (the O(interval) claim) ---")
-	fmt.Fprintf(w, "%-10s %-16s %-16s %-14s\n", "samples", "inline ckpt (B)", "sidecar ckpt (B)", "sidecar (B)")
+	fmt.Fprintf(w, "%-10s %-16s %-14s\n", "samples", "sidecar ckpt (B)", "sidecar (B)")
 	for _, p := range sizes {
-		fmt.Fprintf(w, "%-10d %-16d %-16d %-14d\n", p.Samples, p.InlineBytes, p.SidecarBytes, p.TraceBytes)
+		fmt.Fprintf(w, "%-10d %-16d %-14d\n", p.Samples, p.SidecarBytes, p.TraceBytes)
 	}
-	fmt.Fprintln(w, "inline snapshots grow O(run); sidecar snapshots stay O(interval) — the")
-	fmt.Fprintln(w, "draws live in the sidecar file, the checkpoint keeps a durable offset.")
+	fmt.Fprintln(w, "the sidecar grows O(run); the checkpoint stays O(interval) — the draws")
+	fmt.Fprintln(w, "live in the sidecar file, the checkpoint keeps a durable offset.")
 	fmt.Fprintln(w)
 	return nil
 }

@@ -2,8 +2,8 @@
 // Kill/resume equivalence holds only if every float crosses the wire with
 // all 64 bits intact, which the ckpt package guarantees by funnelling
 // scalars through the hex-float codec (strconv.FormatFloat with the 'x'
-// verb) and bulk arrays through the base64 bit-pattern codec. In the ckpt
-// package the analyzer therefore flags
+// verb) and leaving bulk draws to the trace sidecar's bit-pattern frames.
+// In the ckpt package the analyzer therefore flags
 //
 //   - raw float fields (including slices, arrays, maps and pointers of
 //     floats) in marshaled structs — any struct with json tags — which
@@ -13,12 +13,12 @@
 //   - strconv.FormatFloat / AppendFloat with any verb other than the
 //     exact 'x' and 'b'.
 //
-// Wire structs carry floats as strings (hex floats) or base64 blobs; the
-// codec helpers are the only door.
+// Wire structs carry floats as hex-float strings; the codec helpers are
+// the only door.
 //
 // The trace sidecar (internal/trace) is the second wire layer with the
 // same contract: draws cross as raw IEEE-754 bit patterns
-// (math.Float64bits through the binary frame codec), and a v3 checkpoint
+// (math.Float64bits through the binary frame codec), and a checkpoint
 // references the sidecar through hex-float fields (ckpt.TraceRef). The
 // analyzer applies the identical rules there — a float that reached fmt
 // or a decimal strconv verb in the sidecar package would corrupt the
@@ -43,8 +43,8 @@ var TargetSuffixes = []string{"internal/ckpt", "internal/trace"}
 // Analyzer is the checkpoint float-exactness checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "exactfloat",
-	Doc: "floats cross the checkpoint wire only via the hex-float/base64 " +
-		"codec helpers; decimal formatting and raw float fields lose bits",
+	Doc: "floats cross the checkpoint wire only via the hex-float or " +
+		"bit-pattern codecs; decimal formatting and raw float fields lose bits",
 	Run: run,
 }
 
@@ -106,7 +106,7 @@ func checkWireStruct(pass *analysis.Pass, spec *ast.TypeSpec) {
 			continue
 		}
 		pass.Reportf(field.Pos(),
-			"raw float field in marshaled struct %s round-trips through decimal text: encode it as a hex-float string (hexFloat) or base64 bit patterns (floatsToB64)",
+			"raw float field in marshaled struct %s round-trips through decimal text: encode it as a hex-float string (hexFloat) or IEEE-754 bit patterns (math.Float64bits)",
 			spec.Name.Name)
 	}
 }
@@ -179,7 +179,7 @@ func checkFmtCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&(types.IsFloat|types.IsComplex) != 0 {
 			pass.Reportf(arg.Pos(),
-				"float formatted through fmt.%s renders in decimal and loses bits on the wire: use hexFloat for scalars or floatsToB64 for arrays",
+				"float formatted through fmt.%s renders in decimal and loses bits on the wire: use hexFloat for scalars or math.Float64bits for bulk draws",
 				fn.Name())
 		}
 	}

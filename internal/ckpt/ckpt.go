@@ -11,26 +11,35 @@
 // of one job; the file format does not distinguish the two.
 //
 // Only non-derivable state is stored: tree topology and exact node ages,
-// every PRNG state (the full 624-word Mersenne Twister vectors), the
-// recorded trace so far, counters, and the EM loop position. Everything
-// else — conditional-likelihood caches, sufficient statistics, age
-// buffers — is a pure function of that state and is rebuilt on restore.
+// every PRNG state (the full 624-word Mersenne Twister vectors), a
+// reference into the run's append-only trace sidecar, counters, and the
+// EM loop position. Everything else — conditional-likelihood caches,
+// sufficient statistics, age buffers, the draws themselves — is a pure
+// function of that state (and the sidecar) and is rebuilt on restore.
 //
 // # Wire format
 //
-// The file is a single JSON document, written atomically (temp file +
-// rename) so a crash mid-write never corrupts an existing checkpoint. It
-// leads with a format version; Load rejects versions this build does not
-// understand instead of guessing.
+// The file is a single JSON document, written atomically (temp file,
+// fsync, rename, directory fsync) so a crash mid-write never corrupts an
+// existing checkpoint and a completed write survives power loss. It
+// leads with a format version; Load accepts exactly FormatVersion and
+// rejects every other version before decoding anything else.
+//
+// There is one checkpoint format. Every sampler step carries a sidecar
+// trace_ref; a snapshot holding its draws in memory cannot be encoded,
+// so a run that does not spill its trace can never reach disk. Formats
+// 1 and 2, which carried the trace inline, are no longer read: loading
+// one fails with an error naming the file, the version found and the
+// version supported — resume it with a build that still reads it and
+// let the run finish, or start it afresh.
 //
 // Exactness is non-negotiable: resumed chains must draw identical floats.
 // Genealogies travel as a newick round-trip (human-readable topology, with
 // interior labels carrying the node arena indices the proposal kernel's
 // target-picking depends on) paired with exact hexadecimal float ages;
-// bulk float arrays (traces) travel as base64 of their IEEE-754 bit
-// patterns; scalar floats that feed computation (θ, β) travel as
-// hexadecimal float literals. JSON's shortest-decimal floats are kept only
-// for reporting-grade history fields.
+// scalar floats that feed computation (θ, β) travel as hexadecimal float
+// literals. JSON's shortest-decimal floats are kept only for
+// reporting-grade history fields.
 package ckpt
 
 import (
@@ -40,30 +49,22 @@ import (
 	"path/filepath"
 )
 
-// FormatVersion is the checkpoint format this build writes.
+// FormatVersion is the checkpoint format this build writes, and the
+// only one it loads.
 //
 // Version history:
 //
-//	1 — initial format (PR 4).
+//	1 — initial format: inline traces, no ladder state. No longer read.
 //	2 — heated snapshots carry the temperature-ladder controller state
 //	    (adapted β schedule, per-pair swap windows, adaptation clock),
-//	    which adaptive MC³ makes runtime state.
-//	3 — step snapshots of spilling runs carry a sidecar trace reference
-//	    (trace_ref: durable offset and draw counts into the append-only
-//	    trace file) instead of the inline trace, making checkpoint size
-//	    independent of how many draws the run has recorded.
-//
-// Load accepts MinFormatVersion through FormatVersion: a version-1 file
-// simply carries no ladder state, which is fine for non-adaptive runs
-// (their ladder is recomputed exactly on restore) and rejected — at
-// restore time, with a clear error — for adaptive ones. Version-1 and
-// version-2 files carry inline traces, which restore replays into
-// whatever recorder mode the resuming run is configured with.
+//	    which adaptive MC³ makes runtime state. Traces still inline. No
+//	    longer read.
+//	3 — step snapshots carry a sidecar trace reference (trace_ref:
+//	    durable offset and draw counts into the append-only trace file)
+//	    instead of the inline trace, making checkpoint size independent
+//	    of how many draws the run has recorded. Since versions 1 and 2
+//	    were removed, trace_ref is required on every sampler step.
 const FormatVersion = 3
-
-// MinFormatVersion is the oldest checkpoint format this build still
-// loads.
-const MinFormatVersion = 1
 
 // FileName is the checkpoint file inside a checkpoint directory.
 const FileName = "batch.json"
@@ -137,11 +138,10 @@ type Step struct {
 	Streams []RNGState `json:"streams,omitempty"`
 	Chains  []Chain    `json:"chains,omitempty"`
 	Ladder  *Ladder    `json:"ladder,omitempty"`
-	Trace   *Trace     `json:"trace,omitempty"`
-	// TraceRef replaces Trace for spilling runs (format version 3): the
-	// draws live in the append-only sidecar file and the snapshot
-	// carries only the durable offsets locating them. At most one of
-	// Trace and TraceRef is set.
+	// TraceRef locates the step's draws in the append-only sidecar
+	// file: the snapshot carries only the durable offsets. Every step
+	// but the multichain wrapper (whose per-chain subs carry their own)
+	// has one.
 	TraceRef *TraceRef `json:"trace_ref,omitempty"`
 
 	Accepted        int `json:"accepted,omitempty"`
@@ -161,10 +161,10 @@ type Chain struct {
 }
 
 // Ladder is the wire form of tempering.State: the temperature-ladder
-// controller's runtime state carried by heated snapshots since format
-// version 2. Betas and gaps are hexadecimal floats (the schedule must
-// round-trip exactly for bit-identical resumes); each pair's sliding
-// window travels as base64 of its 0/1 outcome bytes, oldest first.
+// controller's runtime state carried by every heated snapshot. Betas and
+// gaps are hexadecimal floats (the schedule must round-trip exactly for
+// bit-identical resumes); each pair's sliding window travels as base64 of
+// its 0/1 outcome bytes, oldest first.
 type Ladder struct {
 	Adapt       bool     `json:"adapt,omitempty"`
 	Window      int      `json:"window"`
@@ -198,16 +198,6 @@ type RNGState struct {
 	Index int    `json:"index"`
 }
 
-// Trace is a recorded trace in wire form: base64-encoded IEEE-754 bit
-// patterns, with the per-draw age rows flattened row-major.
-type Trace struct {
-	N      int    `json:"n"`
-	NAges  int    `json:"n_ages"`
-	Stats  string `json:"stats"`
-	Ages   string `json:"ages"`
-	LogLik string `json:"loglik"`
-}
-
 // TraceRef is the wire form of core.TraceRef: a reference into the
 // append-only trace sidecar instead of an inline copy of the draws.
 // Offsets are bytes, not draws; both always land on durable frame
@@ -230,41 +220,66 @@ type TraceRef struct {
 // Path returns the checkpoint file path inside dir.
 func Path(dir string) string { return filepath.Join(dir, FileName) }
 
-// Save writes the batch checkpoint into dir atomically: the document is
-// marshalled to a temp file in the same directory and renamed over the
-// previous checkpoint, so readers see either the old snapshot or the new
-// one, never a torn write.
+// Save writes the batch checkpoint into dir atomically and durably: see
+// writeAtomic. Readers see either the old snapshot or the new one, never
+// a torn write.
 func Save(dir string, b *Batch) error {
+	b.Version = FormatVersion
+	return writeAtomic(dir, ".batch-*.tmp", Path(dir), b)
+}
+
+// writeAtomic marshals v into a temp file inside dir (created if
+// missing), fsyncs it, renames it over path and fsyncs dir, so the new
+// contents are on disk before the call returns and a crash at any point
+// leaves either the previous file or the new one. On failure the temp
+// file is removed and path is untouched.
+func writeAtomic(dir, pattern, path string, v any) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	b.Version = FormatVersion
-	data, err := json.MarshalIndent(b, "", " ")
+	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".batch-*.tmp")
+	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(append(data, '\n'))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), Path(dir)); err != nil {
-		os.Remove(tmp.Name())
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
 }
 
-// Load reads the batch checkpoint from dir, rejecting unknown format
-// versions before decoding anything else.
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Load reads the batch checkpoint from dir. Any format version other
+// than FormatVersion is rejected before anything else is decoded.
 func Load(dir string) (*Batch, error) {
 	raw, err := os.ReadFile(Path(dir))
 	if err != nil {
@@ -276,9 +291,9 @@ func Load(dir string) (*Batch, error) {
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", Path(dir), err)
 	}
-	if probe.Version < MinFormatVersion || probe.Version > FormatVersion {
-		return nil, fmt.Errorf("ckpt: %s: format version %d not supported by this build (want %d..%d)",
-			Path(dir), probe.Version, MinFormatVersion, FormatVersion)
+	if probe.Version != FormatVersion {
+		return nil, fmt.Errorf("ckpt: %s: checkpoint format version %d is not supported; this build reads only version %d",
+			Path(dir), probe.Version, FormatVersion)
 	}
 	var b Batch
 	if err := json.Unmarshal(raw, &b); err != nil {

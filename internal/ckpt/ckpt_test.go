@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -128,40 +129,11 @@ func TestRNGRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTripExact covers the bulk float codec, including values
-// plain JSON numbers cannot carry.
-func TestTraceRoundTripExact(t *testing.T) {
-	trace := &core.TraceSnapshot{
-		Stats:  []float64{1.0 / 3.0, math.Pi, 0, math.MaxFloat64},
-		LogLik: []float64{-12.3456789, math.Inf(-1), -0.0, 5e-324},
-		Ages: [][]float64{
-			{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {0.7, 0.8},
-		},
-	}
-	got, err := DecodeTrace(EncodeTrace(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trace.Stats {
-		if math.Float64bits(got.Stats[i]) != math.Float64bits(trace.Stats[i]) ||
-			math.Float64bits(got.LogLik[i]) != math.Float64bits(trace.LogLik[i]) {
-			t.Fatalf("draw %d not bit-identical", i)
-		}
-		for k := range trace.Ages[i] {
-			if got.Ages[i][k] != trace.Ages[i][k] {
-				t.Fatalf("draw %d age %d differs", i, k)
-			}
-		}
-	}
-	if dec, err := DecodeTrace(nil); err != nil || dec != nil {
-		t.Fatalf("nil trace round-trip: %v, %v", dec, err)
-	}
-}
-
-// TestStepSnapshotWireRoundTrip runs a real sampler, snapshots it, pushes
-// the snapshot through JSON, and requires the resumed run to be
-// bit-identical — the end-to-end statement that the wire format loses
-// nothing a chain needs.
+// TestStepSnapshotWireRoundTrip runs each sampler with its trace spilled
+// to a sidecar, snapshots it, pushes the snapshot through JSON, and
+// requires the resumed run to be bit-identical — the end-to-end statement
+// that the wire format loses nothing a chain needs. Every sampler step
+// crosses the wire as a trace_ref, multichain's per-chain subs included.
 func TestStepSnapshotWireRoundTrip(t *testing.T) {
 	dev := device.Serial()
 	aln, _, err := seqgen.SimulateData(6, 60, 1.0, 77)
@@ -180,7 +152,7 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ChainConfig{Theta: 1.0, Burnin: 10, Samples: 80, Seed: 79}
+	dir := t.TempDir()
 
 	for _, tc := range []struct {
 		name string
@@ -191,7 +163,11 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 		{"heated", core.NewHeated(eval, dev, 2)},
 		{"multichain", core.NewMultiChain(eval, dev, 2)},
 	} {
-		want, err := core.Run(tc.s, init, cfg)
+		cfg := core.ChainConfig{Theta: 1.0, Burnin: 10, Samples: 80, Seed: 79,
+			Trace: &core.TraceSpec{Path: filepath.Join(dir, tc.name+".trace")}}
+		refCfg := cfg
+		refCfg.Trace = &core.TraceSpec{Path: filepath.Join(dir, tc.name+"-uninterrupted.trace")}
+		want, err := core.Run(tc.s, init, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,13 +184,29 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 		if snapErr != nil {
 			t.Fatal(snapErr)
 		}
-		data, err := json.Marshal(EncodeStep(snap))
+		enc, err := EncodeStep(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wire Step
 		if err := json.Unmarshal(data, &wire); err != nil {
 			t.Fatal(err)
+		}
+		if tc.name == "multichain" {
+			if wire.TraceRef != nil || len(wire.Subs) != 2 {
+				t.Fatalf("multichain wire shape: ref=%v subs=%d", wire.TraceRef != nil, len(wire.Subs))
+			}
+			for i, sub := range wire.Subs {
+				if sub.TraceRef == nil || !strings.HasSuffix(sub.TraceRef.Path, fmt.Sprintf(".trace.c%d", i)) {
+					t.Fatalf("multichain sub %d does not reference its own sidecar: %+v", i, sub.TraceRef)
+				}
+			}
+		} else if wire.TraceRef == nil {
+			t.Fatalf("%s: wire step carries no trace_ref", tc.name)
 		}
 		decoded, err := DecodeStep(&wire)
 		if err != nil {
@@ -248,8 +240,8 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLadderWireRoundTrip is the format-v2 statement: an
-// adaptive heated run's snapshot — whose ladder is mid-adaptation, with
+// TestAdaptiveLadderWireRoundTrip: an adaptive heated run's spilling
+// snapshot — whose ladder is mid-adaptation, with
 // partially filled windows and a moved β schedule — survives the JSON
 // wire bit-for-bit, so the resumed run finishes identical to the
 // uninterrupted one.
@@ -271,7 +263,9 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.ChainConfig{Theta: 1.0, Burnin: 50, Samples: 80, Seed: 89}
+	dir := t.TempDir()
+	cfg := core.ChainConfig{Theta: 1.0, Burnin: 50, Samples: 80, Seed: 89,
+		Trace: &core.TraceSpec{Path: filepath.Join(dir, "uninterrupted.trace")}}
 	h := core.NewHeated(eval, dev, 3)
 	h.Adapt = true
 	h.MaxTemp = 32
@@ -283,6 +277,7 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 	}
 	// Kill mid-burn-in (ladder still adapting) and post-burn-in (frozen).
 	for _, kill := range []int{30, 70} {
+		cfg.Trace = &core.TraceSpec{Path: filepath.Join(dir, fmt.Sprintf("kill%d.trace", kill))}
 		run, err := h.Start(init, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +294,11 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 		if snap.Ladder == nil {
 			t.Fatal("heated snapshot carries no ladder state")
 		}
-		data, err := json.Marshal(EncodeStep(snap))
+		enc, err := EncodeStep(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,6 +394,45 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteFailedRename: when the final rename fails (the target
+// path is a directory), both writers report the error, leave what was at
+// the target untouched and leave no temp file behind.
+func TestAtomicWriteFailedRename(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		save       func(dir string) error
+	}{
+		{"batch", FileName, func(dir string) error {
+			return Save(dir, &Batch{Jobs: []BatchJob{{Name: "a", Status: StatusDone}}})
+		}},
+		{"job record", JobRecordName, func(dir string) error {
+			return SaveJobRecord(dir, &JobRecord{ID: "x", Spec: JobSpec{Name: "x", Phylip: "1 1\na A\n", Theta: "0x1p+00"}})
+		}},
+	} {
+		dir := t.TempDir()
+		keep := filepath.Join(dir, tc.file, "previous")
+		if err := os.MkdirAll(filepath.Dir(keep), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(keep, []byte("previous contents"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.save(dir); err == nil {
+			t.Fatalf("%s: write over a directory succeeded", tc.name)
+		}
+		if data, err := os.ReadFile(keep); err != nil || string(data) != "previous contents" {
+			t.Fatalf("%s: previous target contents disturbed: %q, %v", tc.name, data, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != tc.file {
+			t.Fatalf("%s: temp file left behind: %v", tc.name, entries)
+		}
+	}
+}
+
 func TestLoadRejectsUnknownVersion(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(Path(dir), []byte(`{"version": 999, "jobs": []}`), 0o644); err != nil {
@@ -411,39 +449,33 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsVersion1 pins backward compatibility: a checkpoint
-// written by a format-v1 build (no ladder state anywhere) still loads,
-// so pre-adaptive-MC³ checkpoints of non-adaptive runs stay resumable.
-func TestLoadAcceptsVersion1(t *testing.T) {
-	dir := t.TempDir()
-	doc := `{
- "version": 1,
+// TestLoadRejectsOldVersions: format-1 and format-2 checkpoints (inline
+// traces) are no longer read. Load fails before decoding, naming the
+// file, the version found and the version supported — even for a
+// document that would otherwise decode cleanly.
+func TestLoadRejectsOldVersions(t *testing.T) {
+	for _, v := range []int{1, 2} {
+		dir := t.TempDir()
+		doc := fmt.Sprintf(`{
+ "version": %d,
  "jobs": [
   {"name": "old-done", "fingerprint": "fp1", "status": "done", "steps": 42, "theta": "0x1.8p+00"},
   {"name": "old-paused", "fingerprint": "fp2", "status": "paused", "steps": 7,
    "em": {"theta": "0x1p+00", "it": 0, "cur": {"newick": "(a:1,b:1)#2:0;", "ages": ["0x1p+00"], "tips": ["a","b"]}}}
  ]
-}`
-	if err := os.WriteFile(Path(dir), []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(dir)
-	if err != nil {
-		t.Fatalf("version-1 checkpoint rejected: %v", err)
-	}
-	if b.Version != 1 || len(b.Jobs) != 2 {
-		t.Fatalf("loaded %+v", b)
-	}
-	if b.Jobs[1].EM == nil || b.Jobs[1].EM.Active != nil {
-		t.Fatalf("paused v1 job decoded wrong: %+v", b.Jobs[1])
-	}
-	// A v1 EM state decodes into a core snapshot with no ladder.
-	em, err := DecodeEM(b.Jobs[1].EM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Active != nil {
-		t.Fatalf("v1 EM state grew an active pass: %+v", em)
+}`, v)
+		if err := os.WriteFile(Path(dir), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := Load(dir)
+		if err == nil {
+			t.Fatalf("version-%d checkpoint loaded: %+v", v, b)
+		}
+		for _, want := range []string{Path(dir), fmt.Sprintf("version %d", v), fmt.Sprintf("only version %d", FormatVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d error %q does not mention %q", v, err, want)
+			}
+		}
 	}
 }
 
@@ -455,15 +487,15 @@ func TestLoadRejectsMalformedJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(`{"version": 1, "jobs": [{"name": "", "status": "done"}]}`)
+	write(`{"version": 3, "jobs": [{"name": "", "status": "done"}]}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("nameless job accepted")
 	}
-	write(`{"version": 1, "jobs": [{"name": "x", "status": "parked"}]}`)
+	write(`{"version": 3, "jobs": [{"name": "x", "status": "parked"}]}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("unknown status accepted")
 	}
-	write(`{"version": 1, "jobs": [{"name": "x", "status": "paused"}]}`)
+	write(`{"version": 3, "jobs": [{"name": "x", "status": "paused"}]}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("paused job without EM state accepted")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -29,32 +28,6 @@ func parseHexFloat(s string) (float64, error) {
 		return 0, fmt.Errorf("ckpt: bad float %q: %w", s, err)
 	}
 	return f, nil
-}
-
-// floatsToB64 packs a float slice as base64 of its little-endian IEEE-754
-// bit patterns: exact for every value including ±Inf, and ~3x denser than
-// decimal text for bulk traces.
-func floatsToB64(xs []float64) string {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-func b64ToFloats(s string, want int) ([]float64, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: bad float array: %w", err)
-	}
-	if len(buf) != 8*want {
-		return nil, fmt.Errorf("ckpt: float array has %d bytes, want %d", len(buf), 8*want)
-	}
-	out := make([]float64, want)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
 }
 
 // EncodeRNG converts an exported generator state to wire form.
@@ -290,56 +263,6 @@ func DecodeLadder(w *Ladder) (*tempering.State, error) {
 	return s, nil
 }
 
-// EncodeTrace converts a recorded trace to wire form. The per-draw age
-// vectors all share one length; an empty trace encodes with NAges 0.
-func EncodeTrace(t *core.TraceSnapshot) *Trace {
-	if t == nil {
-		return nil
-	}
-	nAges := 0
-	if len(t.Ages) > 0 {
-		nAges = len(t.Ages[0])
-	}
-	flat := make([]float64, 0, len(t.Ages)*nAges)
-	for _, row := range t.Ages {
-		flat = append(flat, row...)
-	}
-	return &Trace{
-		N:      len(t.Stats),
-		NAges:  nAges,
-		Stats:  floatsToB64(t.Stats),
-		Ages:   floatsToB64(flat),
-		LogLik: floatsToB64(t.LogLik),
-	}
-}
-
-// DecodeTrace converts a wire trace back.
-func DecodeTrace(w *Trace) (*core.TraceSnapshot, error) {
-	if w == nil {
-		return nil, nil
-	}
-	if w.N < 0 || w.NAges < 0 {
-		return nil, fmt.Errorf("ckpt: trace with negative dimensions (%d draws, %d ages)", w.N, w.NAges)
-	}
-	stats, err := b64ToFloats(w.Stats, w.N)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: trace stats: %w", err)
-	}
-	lls, err := b64ToFloats(w.LogLik, w.N)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: trace log-likelihoods: %w", err)
-	}
-	flat, err := b64ToFloats(w.Ages, w.N*w.NAges)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: trace ages: %w", err)
-	}
-	t := &core.TraceSnapshot{Stats: stats, LogLik: lls, Ages: make([][]float64, w.N)}
-	for i := range t.Ages {
-		t.Ages[i] = flat[i*w.NAges : (i+1)*w.NAges : (i+1)*w.NAges]
-	}
-	return t, nil
-}
-
 // EncodeTraceRef converts a sidecar trace reference to wire form.
 func EncodeTraceRef(r *core.TraceRef) *TraceRef {
 	if r == nil {
@@ -397,17 +320,22 @@ func DecodeTraceRef(w *TraceRef) (*core.TraceRef, error) {
 	return r, nil
 }
 
-// EncodeStep converts a stepper snapshot to wire form.
-func EncodeStep(s *core.StepSnapshot) *Step {
+// EncodeStep converts a stepper snapshot to wire form. A snapshot that
+// holds its trace in memory is refused: the only checkpoint format keeps
+// the draws in the sidecar, so a run that does not spill cannot be
+// checkpointed.
+func EncodeStep(s *core.StepSnapshot) (*Step, error) {
 	if s == nil {
-		return nil
+		return nil, nil
+	}
+	if s.Trace != nil {
+		return nil, fmt.Errorf("ckpt: %q step snapshot holds its trace in memory; only runs that spill to a trace sidecar can be checkpointed", s.Sampler)
 	}
 	w := &Step{
 		Sampler:         s.Sampler,
 		Step:            s.Step,
 		Cur:             s.Cur,
 		Ladder:          EncodeLadder(s.Ladder),
-		Trace:           EncodeTrace(s.Trace),
 		TraceRef:        EncodeTraceRef(s.TraceRef),
 		Accepted:        s.Accepted,
 		Proposals:       s.Proposals,
@@ -425,16 +353,25 @@ func EncodeStep(s *core.StepSnapshot) *Step {
 	for _, c := range s.Chains {
 		w.Chains = append(w.Chains, EncodeChain(c))
 	}
-	for _, sub := range s.Subs {
-		w.Subs = append(w.Subs, EncodeStep(sub))
+	for i, sub := range s.Subs {
+		ws, err := EncodeStep(sub)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: sub-chain %d: %w", i, err)
+		}
+		w.Subs = append(w.Subs, ws)
 	}
-	return w
+	return w, nil
 }
 
-// DecodeStep converts a wire stepper snapshot back.
+// DecodeStep converts a wire stepper snapshot back. Every sampler step —
+// anything but the multichain wrapper, whose subs carry their own — must
+// reference its sidecar trace.
 func DecodeStep(w *Step) (*core.StepSnapshot, error) {
 	if w == nil {
 		return nil, nil
+	}
+	if w.Sampler != "multichain" && w.TraceRef == nil {
+		return nil, fmt.Errorf("ckpt: %q step snapshot has no trace_ref", w.Sampler)
 	}
 	s := &core.StepSnapshot{
 		Sampler: w.Sampler,
@@ -474,19 +411,11 @@ func DecodeStep(w *Step) (*core.StepSnapshot, error) {
 		return nil, err
 	}
 	s.Ladder = ladder
-	trace, err := DecodeTrace(w.Trace)
-	if err != nil {
-		return nil, err
-	}
-	s.Trace = trace
 	ref, err := DecodeTraceRef(w.TraceRef)
 	if err != nil {
 		return nil, err
 	}
 	s.TraceRef = ref
-	if s.Trace != nil && s.TraceRef != nil {
-		return nil, fmt.Errorf("ckpt: step snapshot carries both an inline trace and a sidecar reference")
-	}
 	for i, sub := range w.Subs {
 		dec, err := DecodeStep(sub)
 		if err != nil {
@@ -532,16 +461,21 @@ func DecodeHistory(ws []EMIteration) ([]core.EMIteration, error) {
 	return out, nil
 }
 
-// EncodeEM converts an EM snapshot to wire form.
-func EncodeEM(s *core.EMSnapshot) *EMState {
+// EncodeEM converts an EM snapshot to wire form; it fails exactly when
+// EncodeStep refuses the mid-flight pass.
+func EncodeEM(s *core.EMSnapshot) (*EMState, error) {
+	active, err := EncodeStep(s.Active)
+	if err != nil {
+		return nil, err
+	}
 	cur := EncodeTree(s.Cur)
 	return &EMState{
 		Theta:   hexFloat(s.Theta),
 		It:      s.It,
 		Cur:     &cur,
 		History: EncodeHistory(s.History),
-		Active:  EncodeStep(s.Active),
-	}
+		Active:  active,
+	}, nil
 }
 
 // DecodeEM converts a wire EM snapshot back.

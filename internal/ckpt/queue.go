@@ -81,36 +81,13 @@ func ParseHexFloat(s string) (float64, error) { return parseHexFloat(s) }
 // JobRecordPath returns the record path inside a job directory.
 func JobRecordPath(dir string) string { return filepath.Join(dir, JobRecordName) }
 
-// SaveJobRecord writes the record into the job directory atomically
-// (temp file + rename, like every ckpt write): a crash mid-write leaves
-// either no record or a whole one, never a torn acknowledgment.
+// SaveJobRecord writes the record into the job directory atomically and
+// durably (see writeAtomic): a crash mid-write leaves either no record or
+// a whole one, never a torn acknowledgment, and a record the daemon has
+// acknowledged survives power loss.
 func SaveJobRecord(dir string, rec *JobRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
 	rec.Version = JobRecordVersion
-	data, err := json.MarshalIndent(rec, "", " ")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".job-*.tmp")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), JobRecordPath(dir)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	return nil
+	return writeAtomic(dir, ".job-*.tmp", JobRecordPath(dir), rec)
 }
 
 // LoadJobRecord reads one record, rejecting unknown versions and records

@@ -3,7 +3,6 @@ package ckpt
 import (
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,7 +77,11 @@ func TestTraceRefWireRoundTrip(t *testing.T) {
 		t.Fatal("spilling snapshot still carries an inline trace")
 	}
 
-	data, err := json.Marshal(EncodeStep(snap))
+	enc, err := EncodeStep(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,11 @@ func TestCheckpointSizeIndependentOfSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(EncodeStep(snap))
+		enc, err := EncodeStep(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,9 +176,10 @@ func TestCheckpointSizeIndependentOfSamples(t *testing.T) {
 	}
 }
 
-// TestDecodeStepRejectsTraceAndRef: a snapshot claiming both an inline
-// trace and a sidecar reference is ambiguous and must not decode.
-func TestDecodeStepRejectsTraceAndRef(t *testing.T) {
+// TestEncodeStepRejectsInMemoryTrace: a run that records in memory
+// cannot reach disk — encoding its step or EM snapshot fails instead of
+// silently writing a checkpoint no build can load.
+func TestEncodeStepRejectsInMemoryTrace(t *testing.T) {
 	s, init := spillFixture(t, 531)
 	cfg := core.ChainConfig{Theta: 1.0, Burnin: 10, Samples: 60, Seed: 532}
 	run, err := s.Start(init, cfg)
@@ -187,14 +195,42 @@ func TestDecodeStepRejectsTraceAndRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := EncodeStep(snap)
-	if wire.Trace == nil {
-		t.Fatal("in-memory snapshot carries no inline trace")
+	if snap.Trace == nil {
+		t.Fatal("in-memory snapshot carries no trace")
 	}
-	wire.TraceRef = &TraceRef{Path: "x.trace", NAges: 5, Offset: 16, Draws: 1}
-	if _, err := DecodeStep(wire); err == nil ||
-		!strings.Contains(err.Error(), "both an inline trace and a sidecar reference") {
-		t.Fatalf("dual trace accepted: %v", err)
+	if w, err := EncodeStep(snap); err == nil || !strings.Contains(err.Error(), "in memory") {
+		t.Fatalf("in-memory step snapshot encoded: %+v, %v", w, err)
+	}
+	em := &core.EMSnapshot{Theta: 1, Cur: init, Active: snap}
+	if w, err := EncodeEM(em); err == nil {
+		t.Fatalf("EM snapshot with an in-memory pass encoded: %+v", w)
+	}
+	mc := &core.StepSnapshot{Sampler: "multichain", Subs: []*core.StepSnapshot{snap}}
+	if w, err := EncodeStep(mc); err == nil {
+		t.Fatalf("multichain snapshot with an in-memory sub encoded: %+v", w)
+	}
+}
+
+// TestDecodeStepRequiresTraceRef: every sampler step must reference its
+// sidecar; only the multichain wrapper, whose subs carry their own, may
+// omit one.
+func TestDecodeStepRequiresTraceRef(t *testing.T) {
+	ref := &TraceRef{Path: "x.trace", NAges: 5, Offset: 16, Draws: 0}
+	for _, sampler := range []string{"mh", "gmh", "heated"} {
+		if _, err := DecodeStep(&Step{Sampler: sampler}); err == nil || !strings.Contains(err.Error(), "trace_ref") {
+			t.Errorf("%s step without trace_ref decoded: %v", sampler, err)
+		}
+		if _, err := DecodeStep(&Step{Sampler: sampler, TraceRef: ref}); err != nil {
+			t.Errorf("%s step with trace_ref rejected: %v", sampler, err)
+		}
+	}
+	mc := &Step{Sampler: "multichain", Subs: []*Step{{Sampler: "mh", TraceRef: ref}, {Sampler: "mh"}}}
+	if _, err := DecodeStep(mc); err == nil || !strings.Contains(err.Error(), "sub-chain 1") {
+		t.Errorf("multichain sub without trace_ref decoded: %v", err)
+	}
+	mc.Subs[1].TraceRef = ref
+	if _, err := DecodeStep(mc); err != nil {
+		t.Errorf("multichain wrapper without its own trace_ref rejected: %v", err)
 	}
 }
 
@@ -223,38 +259,5 @@ func TestDecodeTraceRefValidation(t *testing.T) {
 		if _, err := DecodeTraceRef(&bad); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-}
-
-// TestLoadAcceptsVersion2 pins backward compatibility one version back:
-// a checkpoint written by a format-v2 build (ladder state, inline
-// traces, no sidecar references) still loads, so pre-sidecar
-// checkpoints stay resumable.
-func TestLoadAcceptsVersion2(t *testing.T) {
-	dir := t.TempDir()
-	doc := `{
- "version": 2,
- "jobs": [
-  {"name": "v2-done", "fingerprint": "fp1", "status": "done", "steps": 42, "theta": "0x1.8p+00"},
-  {"name": "v2-paused", "fingerprint": "fp2", "status": "paused", "steps": 7,
-   "em": {"theta": "0x1p+00", "it": 0, "cur": {"newick": "(a:1,b:1)#2:0;", "ages": ["0x1p+00"], "tips": ["a","b"]}}}
- ]
-}`
-	if err := os.WriteFile(Path(dir), []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(dir)
-	if err != nil {
-		t.Fatalf("version-2 checkpoint rejected: %v", err)
-	}
-	if b.Version != 2 || len(b.Jobs) != 2 {
-		t.Fatalf("loaded %+v", b)
-	}
-	em, err := DecodeEM(b.Jobs[1].EM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Active != nil {
-		t.Fatalf("v2 EM state grew an active pass: %+v", em)
 	}
 }

@@ -272,7 +272,7 @@ func newRecorder(nTips int, cfg ChainConfig) (*recorder, error) {
 		}
 		r.spill = w
 		r.passOff, r.passDraws = w.Durable()
-		r.diag = stats.NewOnlineDiag(cfg.Trace.Window, cfg.Trace.Subsample)
+		r.diag = stats.NewOnlineDiag(0, 0)
 		return r, nil
 	}
 	r.set.Stats = make([]float64, 0, total)

@@ -87,12 +87,6 @@ type heatedRun struct {
 	rec  *recorder
 	res  *Result
 	step int
-	// noPairHistory marks a run restored from a snapshot without ladder
-	// state (checkpoint format v1): the aggregate Swaps/SwapAttempts
-	// counters were restored but the per-pair breakdown was not recorded
-	// by the old format, so Finish omits the per-pair profile instead of
-	// reporting post-resume counts as if they covered the whole run.
-	noPairHistory bool
 }
 
 // Start implements StepSampler.
@@ -231,19 +225,17 @@ func (r *heatedRun) Finish() (*Result, error) {
 	r.res.Betas = r.ladder.Betas()
 	r.res.LadderAdapted = r.ladder.Adaptive()
 	r.res.LadderAdaptations = r.ladder.Adaptations()
-	if !r.noPairHistory {
-		r.res.PairSwapAttempts = r.ladder.PairAttempts()
-		r.res.PairSwaps = r.ladder.PairAccepts()
-		r.res.EstPairSwapAttempts = r.ladder.EstPairAttempts()
-		r.res.EstPairSwaps = r.ladder.EstPairAccepts()
-	}
+	r.res.PairSwapAttempts = r.ladder.PairAttempts()
+	r.res.PairSwaps = r.ladder.PairAccepts()
+	r.res.EstPairSwapAttempts = r.ladder.EstPairAttempts()
+	r.res.EstPairSwaps = r.ladder.EstPairAccepts()
 	return r.res, nil
 }
 
 // Snapshot implements SnapshotStepper: every rung's chain state in ladder
 // order, plus the swap generator, all rung streams, and the ladder
 // controller's runtime state (the adapted schedule, per-pair windows and
-// adaptation clock) — checkpoint format v2 carries the latter.
+// adaptation clock).
 func (r *heatedRun) Snapshot() (*StepSnapshot, error) {
 	chains := make([]ChainSnapshot, r.p)
 	for i, st := range r.states {
@@ -277,19 +269,11 @@ func (r *heatedRun) Restore(s *StepSnapshot) error {
 	if s.Step < 0 || s.Step > r.total {
 		return fmt.Errorf("core: heated snapshot at step %d, run has %d", s.Step, r.total)
 	}
-	if s.Ladder != nil {
-		if err := r.ladder.Restore(s.Ladder); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	} else if r.h.Adapt {
-		// A format-v1 snapshot carries no ladder state; the adapted
-		// schedule is runtime state, so an adaptive run cannot resume
-		// from it. Non-adaptive runs can: their ladder is recomputed
-		// exactly, and the β check below cross-validates it — but the
-		// per-pair swap history is gone, so Finish will omit it.
-		return fmt.Errorf("core: heated snapshot has no ladder state (format v1?); an adaptive run needs a v2 snapshot")
-	} else {
-		r.noPairHistory = true
+	if s.Ladder == nil {
+		return fmt.Errorf("core: heated snapshot has no ladder state")
+	}
+	if err := r.ladder.Restore(s.Ladder); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	for i := range s.Chains {
 		// Swaps keep β pinned to the ladder position, so a rung's

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mpcgs/internal/device"
@@ -448,21 +449,21 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 		resultsIdentical(t, fmt.Sprintf("adaptive kill=%d", kill), want, got)
 	}
 
-	// A snapshot without ladder state (format v1) must be rejected by an
-	// adaptive run, and a non-adaptive run must refuse an adaptive
-	// snapshot.
+	// A snapshot without ladder state must be rejected by an adaptive
+	// run and by a non-adaptive one alike, and a non-adaptive run must
+	// refuse an adaptive snapshot.
 	run, err := h.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := mustSnapshot(t, run)
-	v1 := *snap
-	v1.Ladder = nil
+	noLadder := *snap
+	noLadder.Ladder = nil
 	fresh, err := h.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Restore(&v1); err == nil {
+	if err := fresh.Restore(&noLadder); err == nil {
 		t.Error("adaptive run restored a snapshot without ladder state")
 	}
 	plain := NewHeated(eval, dev, 4)
@@ -474,58 +475,17 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	if err := plainRun.Restore(snap); err == nil {
 		t.Error("non-adaptive run restored an adaptive ladder snapshot")
 	}
-}
-
-func TestHeatedV1ResumeOmitsPairHistory(t *testing.T) {
-	// A non-adaptive run resumed from a format-v1 snapshot (no ladder
-	// state) still reproduces the trace bit-for-bit, but the per-pair
-	// swap breakdown was never recorded by that format: Finish must omit
-	// it rather than report post-resume counts as the whole run's.
-	dev := device.Serial()
-	eval, init := engineFixture(t, 5, 50, 297, dev)
-	cfg := ChainConfig{Theta: 1.0, Burnin: 20, Samples: 80, Seed: 298}
-	h := NewHeated(eval, dev, 3)
-	want, err := Run(h, init, cfg)
+	plainRun, err = plain.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := h.Start(init, cfg)
+	plainSnap := mustSnapshot(t, plainRun)
+	plainSnap.Ladder = nil
+	plainFresh, err := plain.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
-		if err := run.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := mustSnapshot(t, run)
-	snap.Ladder = nil // what a v1 file decodes to
-	resumed, err := h.Start(init, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	for !resumed.Done() {
-		if err := resumed.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := resumed.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTraces(t, "v1 resume", want.Samples, got.Samples, 0)
-	if got.Swaps != want.Swaps || got.SwapAttempts != want.SwapAttempts {
-		t.Errorf("aggregate swap counters differ: %d/%d vs %d/%d",
-			got.Swaps, got.SwapAttempts, want.Swaps, want.SwapAttempts)
-	}
-	if got.PairSwapAttempts != nil || got.PairSwaps != nil ||
-		got.EstPairSwapAttempts != nil || got.EstPairSwaps != nil {
-		t.Errorf("v1 resume reported a partial per-pair profile: %v", got.PairSwapAttempts)
-	}
-	if len(got.Betas) != 3 {
-		t.Errorf("v1 resume lost the ladder betas: %v", got.Betas)
+	if err := plainFresh.Restore(plainSnap); err == nil || !strings.Contains(err.Error(), "no ladder state") {
+		t.Errorf("non-adaptive run restored a snapshot without ladder state: %v", err)
 	}
 }

@@ -54,14 +54,6 @@ type TraceSpec struct {
 	// recovered (torn tail truncated) and appended to, which is how the
 	// passes of one EM estimation share a single sidecar.
 	Path string
-	// Window is the size of the recent-draws ring the online ESS is
-	// estimated from. Zero selects the stats package default (1024).
-	Window int
-	// Subsample thins the diagnostics window: only every k-th draw
-	// enters it, stretching the window over a longer stretch of chain.
-	// Zero or one means no thinning. Only diagnostics are thinned — the
-	// sidecar always receives every draw.
-	Subsample int
 }
 
 func (c *ChainConfig) validate() error {

@@ -6,7 +6,6 @@ import (
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/rng"
 	"mpcgs/internal/tempering"
-	"mpcgs/internal/trace"
 )
 
 // Chain/stepper/EM snapshots: the serializable state of a run at a
@@ -20,7 +19,8 @@ import (
 // full Rebase, and the total is always the full pattern sum at the root),
 // so a restore rebuilds the cache from the tree and lands on bit-identical
 // likelihoods. What must be carried exactly: tree topology and node ages,
-// every PRNG state, the recorded trace so far, and the run's counters.
+// every PRNG state, the recorded trace so far (or, for a spilling run, a
+// reference to its durable prefix in the sidecar), and the run's counters.
 //
 // The restore contract is bit-identical resumption: a run snapshotted at
 // an arbitrary step boundary and restored into a freshly started stepper
@@ -154,19 +154,17 @@ func (r *recorder) snapshot() (*TraceSnapshot, *TraceRef, error) {
 }
 
 // restore replays a snapshot's trace into a fresh recorder that must
-// hold exactly step draws afterwards. All four mode pairings work:
+// hold exactly step draws afterwards. The snapshot must come from a run
+// in the same recording mode:
 //
 //   - in-memory trace → in-memory recorder: the draws replay through
-//     record as before;
-//   - in-memory trace → spilling recorder: a v1/v2 checkpoint resumed
-//     under spilling — the draws replay through record, which seeds
-//     the sidecar (the migration path);
-//   - sidecar ref → spilling recorder: the sidecar is truncated back
-//     to the checkpointed durable offset (discarding anything written
-//     after the snapshot, including a recovered-but-newer tail) and
-//     the pass's draws replay through the online diagnostics;
-//   - sidecar ref → in-memory recorder: the draws are read back from
-//     the referenced sidecar path.
+//     record;
+//   - sidecar ref → spilling recorder: the sidecar is truncated back to
+//     the checkpointed durable offset (discarding anything written
+//     after the snapshot, including a recovered-but-newer tail) and the
+//     pass's draws replay through the online diagnostics.
+//
+// A mismatched pairing is an error, raised before any file is touched.
 func (r *recorder) restore(t *TraceSnapshot, ref *TraceRef, step int) error {
 	if r.n != 0 {
 		return fmt.Errorf("core: trace restore into a recorder that already has %d draws", r.n)
@@ -177,10 +175,14 @@ func (r *recorder) restore(t *TraceSnapshot, ref *TraceRef, step int) error {
 	switch {
 	case t != nil && ref != nil:
 		return fmt.Errorf("core: snapshot carries both a trace and a sidecar reference")
-	case t != nil:
+	case t != nil && r.spill == nil:
 		return r.restoreTrace(t, step)
-	case ref != nil:
+	case ref != nil && r.spill != nil:
 		return r.restoreRef(ref, step)
+	case t != nil:
+		return fmt.Errorf("core: in-memory trace snapshot restored into a run that spills to a trace sidecar")
+	case ref != nil:
+		return fmt.Errorf("core: sidecar trace snapshot restored into a run that records in memory")
 	default:
 		return fmt.Errorf("core: snapshot carries no trace")
 	}
@@ -212,29 +214,20 @@ func (r *recorder) restoreRef(ref *TraceRef, step int) error {
 	if got := ref.Draws - ref.PassDraws; got != step {
 		return fmt.Errorf("core: sidecar reference holds %d pass draws, snapshot step is %d", got, step)
 	}
-	if r.spill != nil {
-		// Rewind the sidecar to the checkpoint: draws recorded after
-		// the snapshot was taken are discarded, and the checkpoint's
-		// draw count is re-verified against the frames on disk.
-		if err := r.spill.TruncateTo(ref.Offset, ref.Draws); err != nil {
-			return fmt.Errorf("core: trace sidecar: %w", err)
-		}
-		r.passOff = ref.PassOffset
-		r.passDraws = ref.PassDraws
-		err := r.spill.Replay(ref.PassOffset, ref.Offset, func(stat float64, ages []float64, logLik float64) error {
-			r.observe(stat)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("core: trace sidecar: %w", err)
-		}
-	} else {
-		err := trace.Replay(ref.Path, ref.PassOffset, ref.Offset, func(stat float64, ages []float64, logLik float64) error {
-			return r.record(stat, ages, logLik)
-		})
-		if err != nil {
-			return fmt.Errorf("core: trace sidecar: %w", err)
-		}
+	// Rewind the sidecar to the checkpoint: draws recorded after the
+	// snapshot was taken are discarded, and the checkpoint's draw count
+	// is re-verified against the frames on disk.
+	if err := r.spill.TruncateTo(ref.Offset, ref.Draws); err != nil {
+		return fmt.Errorf("core: trace sidecar: %w", err)
+	}
+	r.passOff = ref.PassOffset
+	r.passDraws = ref.PassDraws
+	err := r.spill.Replay(ref.PassOffset, ref.Offset, func(stat float64, ages []float64, logLik float64) error {
+		r.observe(stat)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: trace sidecar: %w", err)
 	}
 	if r.n != step {
 		return fmt.Errorf("core: sidecar replay yielded %d draws, snapshot step is %d", r.n, step)
@@ -281,8 +274,7 @@ func (c Counters) applyTo(res *Result) {
 //   - "heated": Host (the swap generator), Streams (one per rung),
 //     Chains (every rung in ladder order), Ladder (the temperature-ladder
 //     controller's runtime state — the adapted β schedule, per-pair swap
-//     windows and adaptation clock; checkpoint format v2), Trace,
-//     Counters, Step.
+//     windows and adaptation clock; always set), Trace, Counters, Step.
 //   - "multichain": Subs (one "mh" snapshot per chain, in chain order).
 type StepSnapshot struct {
 	Sampler string
@@ -293,8 +285,8 @@ type StepSnapshot struct {
 	Chains  []ChainSnapshot
 	Ladder  *tempering.State
 	// Trace carries the draws of an in-memory run; TraceRef the sidecar
-	// reference of a spilling run (checkpoint format v3). Exactly one is
-	// set.
+	// reference of a spilling run. Exactly one is set, and only TraceRef
+	// can be checkpointed to disk.
 	Trace    *TraceSnapshot
 	TraceRef *TraceRef
 	Counters

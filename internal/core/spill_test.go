@@ -127,54 +127,64 @@ func replayAll(t *testing.T, path string) [][]byte {
 	return draws
 }
 
-// TestInlineTraceMigratesToSpill covers the v1/v2 upgrade path: a
-// snapshot from a build that kept traces in memory (inline TraceSnapshot,
-// no sidecar) restores into a spilling run, which writes the replayed
-// draws into a fresh sidecar and finishes bit-identical.
-func TestInlineTraceMigratesToSpill(t *testing.T) {
+// TestRestoreRejectsCrossModeTrace: a snapshot restores only into a run
+// of its own recording mode. A sidecar snapshot restored into an
+// in-memory run, and an in-memory snapshot restored into a spilling run,
+// are both refused — and the refused restore leaves the sidecar file
+// byte-for-byte as it was.
+func TestRestoreRejectsCrossModeTrace(t *testing.T) {
 	dev := device.Serial()
 	eval, init := engineFixture(t, 6, 60, 811, dev)
 	s := NewGMH(eval, dev, 3)
-	cfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 90, Seed: 812}
+	memCfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 90, Seed: 812}
+	side := filepath.Join(t.TempDir(), "job.trace")
+	spillCfg := memCfg
+	spillCfg.Trace = &TraceSpec{Path: side}
 
-	want, err := Run(s, init, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run, err := s.Start(init, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 11; i++ {
-		if err := run.Step(); err != nil {
+	snapAt := func(cfg ChainConfig) *StepSnapshot {
+		t.Helper()
+		run, err := s.Start(init, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 11; i++ {
+			if err := run.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return mustSnapshot(t, run)
 	}
-	snap := mustSnapshot(t, run)
-	if snap.Trace == nil || snap.TraceRef != nil {
-		t.Fatalf("in-memory snapshot shape wrong: trace=%v ref=%v", snap.Trace != nil, snap.TraceRef != nil)
+	spillSnap := snapAt(spillCfg)
+	memSnap := snapAt(memCfg)
+	if spillSnap.TraceRef == nil || memSnap.Trace == nil {
+		t.Fatalf("snapshot shapes wrong: ref=%v trace=%v", spillSnap.TraceRef != nil, memSnap.Trace != nil)
+	}
+	before, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	spillCfg := cfg
-	spillCfg.Trace = &TraceSpec{Path: filepath.Join(t.TempDir(), "migrated.trace")}
-	resumed, err := s.Start(init, spillCfg)
+	mem, err := s.Start(init, memCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatal(err)
+	if err := mem.Restore(spillSnap); err == nil {
+		t.Error("sidecar snapshot restored into an in-memory run")
 	}
-	for !resumed.Done() {
-		if err := resumed.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := resumed.Finish()
+	spill, err := s.Start(init, spillCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTraces(t, "inline-to-spill migration", res.Samples, want.Samples, 0)
+	if err := spill.Restore(memSnap); err == nil {
+		t.Error("in-memory snapshot restored into a spilling run")
+	}
+	after, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused restores changed the sidecar: %d bytes before, %d after", len(before), len(after))
+	}
 }
 
 // TestRecorderSpillBoundedMemory: in spill mode the recorder

@@ -134,19 +134,16 @@ func AutostopThroughput(c Common) ([]AutostopPoint, error) {
 }
 
 // CheckpointSizePoint is one row of the O(interval) table: the encoded
-// snapshot size of the same run at the same step, with the trace held
-// inline (the pre-v3 format, O(run)) versus offloaded to the sidecar
-// (format v3, O(interval)).
+// snapshot size of a spilling run at the end of its last step, next to
+// the size of the sidecar file its checkpoint points into.
 type CheckpointSizePoint struct {
 	Samples      int
-	InlineBytes  int   // snapshot with the trace serialized into it
 	SidecarBytes int   // snapshot carrying only the sidecar reference
 	TraceBytes   int64 // sidecar file size (where the draws actually live)
 }
 
 // CheckpointSizes measures snapshot size as a function of recorded draw
-// count for both recording modes. The inline column grows linearly; the
-// sidecar column must not grow at all.
+// count. The sidecar grows linearly; the snapshot must not grow at all.
 func CheckpointSizes(c Common, dir string) ([]CheckpointSizePoint, error) {
 	sampleCounts := []int{500, 2000, 8000}
 	if c.Scale == ScalePaper {
@@ -181,35 +178,30 @@ func CheckpointSizes(c Common, dir string) ([]CheckpointSizePoint, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		data, err := json.Marshal(ckpt.EncodeStep(snap))
+		wire, err := ckpt.EncodeStep(snap)
 		if err != nil {
 			return 0, 0, err
 		}
-		var traceBytes int64
-		if snap.TraceRef != nil {
-			traceBytes = snap.TraceRef.Offset
+		data, err := json.Marshal(wire)
+		if err != nil {
+			return 0, 0, err
 		}
 		if _, err := run.Finish(); err != nil {
 			return 0, 0, err
 		}
-		return len(data), traceBytes, nil
+		return len(data), snap.TraceRef.Offset, nil
 	}
 
 	var out []CheckpointSizePoint
 	for i, n := range sampleCounts {
-		cfg := core.ChainConfig{Theta: 1.0, Burnin: 50, Samples: n, Seed: c.seed() + 7}
-		inline, _, err := snapshotBytes(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint-size experiment, %d samples inline: %w", n, err)
-		}
-		cfg.Trace = &core.TraceSpec{Path: fmt.Sprintf("%s/ckptsize%d.trace", dir, i)}
+		cfg := core.ChainConfig{Theta: 1.0, Burnin: 50, Samples: n, Seed: c.seed() + 7,
+			Trace: &core.TraceSpec{Path: fmt.Sprintf("%s/ckptsize%d.trace", dir, i)}}
 		sidecar, traceBytes, err := snapshotBytes(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint-size experiment, %d samples sidecar: %w", n, err)
+			return nil, fmt.Errorf("checkpoint-size experiment, %d samples: %w", n, err)
 		}
 		out = append(out, CheckpointSizePoint{
 			Samples:      n,
-			InlineBytes:  inline,
 			SidecarBytes: sidecar,
 			TraceBytes:   traceBytes,
 		})

@@ -64,9 +64,9 @@ func Fingerprint(j Job) string {
 	writeInt(uint64(j.EMIterations))
 	writeInt(j.Seed)
 	writeInt(math.Float64bits(j.InitialTheta))
-	// Tempering knobs joined the spec after v1 checkpoints shipped. They
-	// are hashed only when any is set, so every pre-existing job spec
-	// keeps its v1 fingerprint and old checkpoints stay resumable.
+	// Tempering knobs joined the spec after the base fields. They are
+	// hashed only when any is set, so a job that leaves them unset keeps
+	// the fingerprint its existing checkpoints were written with.
 	if j.MaxTemp != 0 || j.SwapEvery != 0 || j.AdaptLadder || j.SwapWindow != 0 {
 		writeStr("tempering")
 		writeInt(math.Float64bits(j.MaxTemp))
@@ -78,8 +78,8 @@ func Fingerprint(j Job) string {
 		writeInt(adapt)
 		writeInt(uint64(j.SwapWindow))
 	}
-	// Convergence stop targets joined the spec after v1 checkpoints
-	// shipped; the same only-if-set rule keeps old fingerprints stable.
+	// Convergence stop targets joined later still; the same only-if-set
+	// rule keeps existing fingerprints stable.
 	if j.ESSTarget != 0 || j.RHatTarget != 0 {
 		writeStr("stoptargets")
 		writeInt(math.Float64bits(j.ESSTarget))

@@ -424,11 +424,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 			t.Errorf("fingerprint ignores %s", name)
 		}
 	}
-	// The tempering fields were added after format-v1 checkpoints
-	// shipped: a job that leaves them all at their defaults must keep
-	// its historical v1 fingerprint, so old checkpoints stay resumable.
+	// The tempering and stop-target fields are hashed only when set: a
+	// job that leaves them all at their defaults must keep its historical
+	// fingerprint, so checkpoints already on disk stay resumable.
 	if got := Fingerprint(base); got != "5adf21257e1372e0bffc0f042367178877ac67ab1c5cb200e0877dbd5d4f8f67" {
-		t.Errorf("default-knob fingerprint changed — v1 checkpoints of knob-free jobs no longer resume (got %s)", got)
+		t.Errorf("default-knob fingerprint changed — existing checkpoints of knob-free jobs no longer resume (got %s)", got)
 	}
 }
 

@@ -572,7 +572,11 @@ func (q *Queue) snapshot(r *qrunner) error {
 	if err != nil {
 		return err
 	}
-	r.cw.setPaused(r.slot, ckpt.EncodeEM(snap), r.steps)
+	wire, err := ckpt.EncodeEM(snap)
+	if err != nil {
+		return err
+	}
+	r.cw.setPaused(r.slot, wire, r.steps)
 	r.cw.flush()
 	r.sinceSnap = 0
 	return r.cw.err()

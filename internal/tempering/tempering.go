@@ -336,7 +336,7 @@ type WindowState struct {
 
 // State is the serializable runtime state of a ladder controller — the
 // part of an adapted ladder that is not derivable from anything else and
-// must join the heated snapshot (checkpoint format v2).
+// must join every heated snapshot.
 type State struct {
 	Adapt       bool
 	Window      int

@@ -362,7 +362,7 @@ func TestMpcgsCheckpointSigintResume(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	_ = cmd.Process.Signal(os.Interrupt) // may race with a fast finish; both are fine
 	err := cmd.Wait()
-	if _, statErr := os.Stat(filepath.Join(ckptDir, "batch.json")); statErr != nil {
+	if _, statErr := os.Stat(ckpt.Path(filepath.Join(ckptDir, "data"))); statErr != nil {
 		t.Fatalf("no checkpoint file after interrupt (run err: %v): %v", err, statErr)
 	}
 
@@ -418,6 +418,81 @@ func TestMpcgsBatchResumeSkipsFinished(t *testing.T) {
 	want, got := jobTheta(first), jobTheta(second)
 	if want == "" || got != want {
 		t.Fatalf("restored theta %q != original %q", got, want)
+	}
+}
+
+// TestMpcgsResumeRejectsOtherCheckpointDir: -resume keeps checkpointing
+// into the directory it resumes from, so pairing it with -checkpoint of
+// another directory is a usage error, refused before anything runs or
+// is written.
+func TestMpcgsResumeRejectsOtherCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	x, y := filepath.Join(dir, "x"), filepath.Join(dir, "y")
+	out := runExpectError(t, "mpcgs", "-resume", x, "-checkpoint", y, filepath.Join(dir, "absent.phy"), "1.0")
+	if !strings.Contains(out, "drop -checkpoint") {
+		t.Fatalf("-resume X -checkpoint Y error unclear:\n%s", out)
+	}
+	if _, err := os.Stat(y); !os.IsNotExist(err) {
+		t.Fatalf("refused invocation created the -checkpoint directory: %v", err)
+	}
+}
+
+// TestMpcgsRefusesV3BatchCheckpoint: a format-3 checkpoint directory —
+// one batch.json holding every job — is refused by both -resume and
+// -inspect, with an error naming the file and both versions, and the
+// refused resume starts nothing afresh.
+func TestMpcgsRefusesV3BatchCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	phy := run(t, "seqgen", run(t, "mssim", "", "-seed", "47", "5", "1"), "-l", "60", "-seed", "48")
+	if err := os.WriteFile(filepath.Join(dir, "a.phy"), []byte(phy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, "jobs.json")
+	manifest := `{"defaults": {"theta": 1.0, "burnin": 20, "samples": 100, "em_iterations": 1}, "jobs": [{"name": "a", "phylip": "a.phy"}]}`
+	if err := os.WriteFile(mpath, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := filepath.Join(dir, "ckpt")
+	v3 := `{
+ "version": 3,
+ "jobs": [
+  {
+   "name": "a",
+   "fingerprint": "3f0c",
+   "status": "done",
+   "steps": 120,
+   "theta": "0x1.2p+00",
+   "history": [{"theta_in": "0x1p+00", "theta_out": "0x1.2p+00", "acceptance_rate": "0x1p-01", "mean_loglik": "-0x1p+08"}]
+  }
+ ]
+}
+`
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt.Path(ckptDir), []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-workers", "2", "-batch", mpath, "-resume", ckptDir},
+		{"-inspect", ckptDir},
+	} {
+		out := runExpectError(t, "mpcgs", args...)
+		for _, want := range []string{ckpt.Path(ckptDir), "version 3", "only version 4"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("mpcgs %v: output does not mention %q:\n%s", args, want, out)
+			}
+		}
+	}
+	entries, err := os.ReadDir(ckptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("refused resume wrote into the checkpoint directory: %v", entries)
+	}
+	if data, err := os.ReadFile(ckpt.Path(ckptDir)); err != nil || string(data) != v3 {
+		t.Fatalf("refused resume changed the format-3 file: %v", err)
 	}
 }
 
@@ -487,9 +562,12 @@ func TestMpcgsInspect(t *testing.T) {
 	h.Adapt = true
 	h.MaxTemp = 16
 	h.SwapWindow = 8
+	if err := os.MkdirAll(filepath.Join(dir, "midflight"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	em, err := core.StartEM(h, init, core.EMConfig{
 		InitialTheta: 1.0, Iterations: 2, Burnin: 40, Samples: 120, Seed: 57,
-		Trace: &core.TraceSpec{Path: filepath.Join(dir, "midflight.trace")},
+		Trace: &core.TraceSpec{Path: filepath.Join(dir, "midflight", "midflight.trace")},
 	}, dev)
 	if err != nil {
 		t.Fatal(err)
@@ -507,20 +585,21 @@ func TestMpcgsInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := &ckpt.Batch{Jobs: []ckpt.BatchJob{
+	for _, j := range []*ckpt.JobState{
 		{Name: "finished", Fingerprint: "fp1", Status: ckpt.StatusDone, Steps: 320,
 			Theta: "0x1.8p+00"},
 		{Name: "broken", Fingerprint: "fp2", Status: ckpt.StatusFailed, Error: "pathological theta"},
 		{Name: "midflight", Fingerprint: "fp3", Status: ckpt.StatusPaused, Steps: 75,
 			EM: wire},
-	}}
-	if err := ckpt.Save(dir, batch); err != nil {
-		t.Fatal(err)
+	} {
+		if err := ckpt.Save(filepath.Join(dir, j.Name), j); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	out := run(t, "mpcgs", "", "-inspect", dir)
 	for _, want := range []string{
-		"format v3, 3 jobs",
+		"format v4, 3 jobs",
 		"finished", "done", "theta = 1.5",
 		"broken", "failed", "pathological theta",
 		"midflight", "paused", "sampler heated at transition 75",
@@ -531,6 +610,11 @@ func TestMpcgsInspect(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("-inspect output missing %q:\n%s", want, out)
 		}
+	}
+	// Pointed at one job's directory, inspect reports that job alone.
+	out = run(t, "mpcgs", "", "-inspect", filepath.Join(dir, "finished"))
+	if !strings.Contains(out, "format v4, 1 jobs") || !strings.Contains(out, "theta = 1.5") || strings.Contains(out, "midflight") {
+		t.Fatalf("-inspect of one job directory:\n%s", out)
 	}
 	// Inspect is read-only and refuses positional arguments.
 	if out := runExpectError(t, "mpcgs", "-inspect", dir, "extra.phy", "1.0"); !strings.Contains(out, "usage") {

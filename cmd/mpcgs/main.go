@@ -25,20 +25,21 @@
 //	mpcgs -batch jobs.json -checkpoint ckpt/
 //	mpcgs -batch jobs.json -resume ckpt/
 //
-// -checkpoint writes a versioned snapshot of every run into the directory
-// each N transitions and on SIGINT (the interrupt triggers one final
-// consistent snapshot before exit). -resume restarts from such a
-// directory: finished jobs are skipped, interrupted ones continue from
-// their snapshot with traces bit-identical to a run that was never
-// stopped. Resuming implies continued checkpointing into the same
-// directory.
+// -checkpoint writes a versioned snapshot of every run into its own
+// subdirectory of the directory (named by the job) each N transitions
+// and on SIGINT (the interrupt triggers one final consistent snapshot
+// before exit). -resume restarts from such a directory: finished jobs
+// are skipped, interrupted ones continue from their snapshot with traces
+// bit-identical to a run that was never stopped. Resuming implies
+// continued checkpointing into the same directory, so -resume takes no
+// -checkpoint of another directory.
 //
 //	mpcgs -inspect ckpt/
 //
-// prints every job's status from a checkpoint directory — progress,
-// estimates, trace-sidecar state (durable draws, online ESS/R-hat), and
-// the temperature ladder of paused heated runs — without resuming
-// anything.
+// prints every job's status from a checkpoint directory (or from one
+// job's subdirectory) — progress, estimates, trace-sidecar state
+// (durable draws, online ESS/R-hat), and the temperature ladder of
+// paused heated runs — without resuming anything.
 //
 // Convergence auto-stop ends each sampling pass early once the online
 // diagnostics reach declared targets, freeing workers for the rest of
@@ -60,9 +61,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -182,7 +185,10 @@ func main() {
 	}
 	// Resuming continues checkpointing into the same directory, so a
 	// second interruption is just another resume.
-	if *resumeDir != "" && *ckptDir == "" {
+	if *resumeDir != "" {
+		if *ckptDir != "" && filepath.Clean(*ckptDir) != filepath.Clean(*resumeDir) {
+			fatalf("-resume %s checkpoints into the directory it resumes from; drop -checkpoint %s", *resumeDir, *ckptDir)
+		}
 		*ckptDir = *resumeDir
 	}
 	if *batch != "" {
@@ -194,7 +200,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir, *quiet, false)
+		runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, false)
 		return
 	}
 	if flag.NArg() != 2 {
@@ -227,7 +233,7 @@ func main() {
 			fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s (checkpointing to %s)\n",
 				job.Alignment.NSeq(), job.Alignment.SeqLen(), *sampler, *model, *ckptDir)
 		}
-		runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir, *quiet, true)
+		runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, true)
 		return
 	}
 	aln, err := mpcgs.LoadAlignment(flag.Arg(0))
@@ -341,18 +347,12 @@ func jobNameFromPath(path string) string {
 // runBatch is the scheduler mode shared by -batch manifests and
 // checkpointable single runs: every job multiplexes over one shared
 // device pool, SIGINT cancels the batch cleanly (writing a final
-// consistent checkpoint when checkpointing is on), and -resume restores
+// consistent checkpoint when checkpointing is on), and resume restores
 // job state from a previous invocation's checkpoint directory.
-func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resumeDir string, quiet, single bool) {
+func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resume, quiet, single bool) {
 	opts := sched.Options{
 		Checkpoint: sched.CheckpointOptions{Dir: ckptDir, Every: ckptEvery},
-	}
-	if resumeDir != "" {
-		resume, err := ckpt.Load(resumeDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.Resume = resume
+		Resume:     resume,
 	}
 	pool := device.NewPool(workers)
 	defer pool.Close()
@@ -453,26 +453,45 @@ func printSwapReport(betas []float64, attempts, accepts []int64, adapted bool, a
 // inspect prints every job's status from a checkpoint directory without
 // resuming anything: name, state, progress, the estimate for finished
 // jobs, and — for paused heated runs — the temperature ladder with its
-// per-pair swap rates.
+// per-pair swap rates. dir is either one job's checkpoint directory or a
+// batch's, which holds one such directory per job.
 func inspect(w io.Writer, dir string) error {
-	b, err := ckpt.Load(dir)
-	if err != nil {
-		return err
+	jobDirs := []string{dir}
+	if _, err := os.Stat(ckpt.Path(dir)); errors.Is(err, fs.ErrNotExist) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		jobDirs = jobDirs[:0]
+		for _, e := range entries {
+			if e.IsDir() {
+				jobDirs = append(jobDirs, filepath.Join(dir, e.Name()))
+			}
+		}
 	}
-	fmt.Fprintf(w, "checkpoint %s (format v%d, %d jobs)\n", ckpt.Path(dir), b.Version, len(b.Jobs))
-	for _, j := range b.Jobs {
+	// Load every job before printing anything: a file this build cannot
+	// read fails the whole inspection.
+	jobs := make([]*ckpt.JobState, len(jobDirs))
+	for i, jobDir := range jobDirs {
+		j, err := ckpt.Load(jobDir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		jobs[i] = j
+	}
+	fmt.Fprintf(w, "checkpoint %s (format v%d, %d jobs)\n", dir, ckpt.FormatVersion, len(jobs))
+	for i, j := range jobs {
+		if j == nil {
+			fmt.Fprintf(w, "job %-16s fresh   no snapshot yet (a resume starts it afresh)\n", filepath.Base(jobDirs[i]))
+			continue
+		}
 		switch j.Status {
 		case ckpt.StatusDone:
-			theta := hexOrRaw(j.Theta)
 			fmt.Fprintf(w, "job %-16s done    theta = %-10s (%d EM iterations, %d steps)\n",
-				j.Name, theta, len(j.History), j.Steps)
+				j.Name, hexOrRaw(j.Theta), len(j.History), j.Steps)
 		case ckpt.StatusFailed:
 			fmt.Fprintf(w, "job %-16s failed  %s\n", j.Name, j.Error)
 		case ckpt.StatusPaused:
-			if j.EM == nil {
-				fmt.Fprintf(w, "job %-16s paused  (no EM state)\n", j.Name)
-				continue
-			}
 			fmt.Fprintf(w, "job %-16s paused  EM iteration %d, driving theta = %s, %d steps, %d EM rounds done\n",
 				j.Name, j.EM.It+1, hexOrRaw(j.EM.Theta), j.Steps, len(j.EM.History))
 			if a := j.EM.Active; a != nil {
@@ -483,7 +502,7 @@ func inspect(w io.Writer, dir string) error {
 				fmt.Fprintf(w, "  mid-pass: sampler %s at transition %d, %d draws recorded\n",
 					a.Sampler, a.Step, drawn)
 				if a.TraceRef != nil {
-					inspectSidecar(w, dir, j.Name, a.TraceRef)
+					inspectSidecar(w, jobDirs[i], j.Name, a.TraceRef)
 				}
 				if a.Ladder != nil {
 					inspectLadder(w, a.Ladder)
@@ -514,10 +533,10 @@ func inspectSidecar(w io.Writer, dir, name string, ref *ckpt.TraceRef) {
 	fmt.Fprintln(w)
 	// The checkpoint records the path the run was configured with; an
 	// inspect from another working directory falls back to the sidecar's
-	// canonical place inside the checkpoint directory itself.
+	// canonical place inside the job's checkpoint directory.
 	path := ref.Path
 	if _, err := os.Stat(path); path == "" || err != nil {
-		path = filepath.Join(dir, sched.CheckpointKey(name)+".trace")
+		path = sched.TracePath(dir, name)
 	}
 	info, err := sidecar.Stat(path)
 	if err != nil {

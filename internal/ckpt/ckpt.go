@@ -4,11 +4,12 @@
 //
 // # What a checkpoint is
 //
-// A checkpoint captures a batch of estimation jobs at between-steps
-// boundaries — the only points where a run's state is consistent — so a
-// killed process can resume and produce traces bit-identical to the
-// uninterrupted run. A single standalone estimation checkpoints as a batch
-// of one job; the file format does not distinguish the two.
+// A checkpoint captures one estimation job at a between-steps boundary —
+// the only point where a run's state is consistent — so a killed process
+// can resume it and produce traces bit-identical to the uninterrupted
+// run. Each job owns a checkpoint directory holding its state file and
+// its trace sidecar; a batch of jobs is a directory of such job
+// directories, one per job.
 //
 // Only non-derivable state is stored: tree topology and exact node ages,
 // every PRNG state (the full 624-word Mersenne Twister vectors), a
@@ -27,11 +28,11 @@
 //
 // There is one checkpoint format. Every sampler step carries a sidecar
 // trace_ref; a snapshot holding its draws in memory cannot be encoded,
-// so a run that does not spill its trace can never reach disk. Formats
-// 1 and 2, which carried the trace inline, are no longer read: loading
-// one fails with an error naming the file, the version found and the
-// version supported — resume it with a build that still reads it and
-// let the run finish, or start it afresh.
+// so a run that does not spill its trace can never reach disk. Older
+// formats are no longer read: loading one fails with an error naming
+// the file, the version found and the version supported — resume it
+// with a build that still reads it and let the run finish, or start it
+// afresh.
 //
 // Exactness is non-negotiable: resumed chains must draw identical floats.
 // Genealogies travel as a newick round-trip (human-readable topology, with
@@ -64,18 +65,18 @@ import (
 //	    instead of the inline trace, making checkpoint size independent
 //	    of how many draws the run has recorded. Since versions 1 and 2
 //	    were removed, trace_ref is required on every sampler step.
-const FormatVersion = 3
+//	    One file held every job of a batch. No longer read.
+//	4 — one file per job: the state file holds a single job's record
+//	    and sits in that job's own checkpoint directory, next to its
+//	    trace sidecar. The record's fields are those of a version-3
+//	    batch entry.
+const FormatVersion = 4
 
-// FileName is the checkpoint file inside a checkpoint directory.
+// FileName is the state file inside a job's checkpoint directory. It
+// keeps the name version 3 gave the whole-batch file, so a directory an
+// older build wrote is found and refused by Load's version check rather
+// than mistaken for an empty one and started afresh.
 const FileName = "batch.json"
-
-// Batch is the on-disk checkpoint of a whole batch: one entry per job,
-// each either finished (its result is carried so a resume can skip the
-// work and still report it) or paused (a resumable EM snapshot).
-type Batch struct {
-	Version int        `json:"version"`
-	Jobs    []BatchJob `json:"jobs"`
-}
 
 // Job status values.
 const (
@@ -90,9 +91,12 @@ const (
 	StatusFailed = "failed"
 )
 
-// BatchJob is one job's entry in a batch checkpoint.
-type BatchJob struct {
-	Name string `json:"name"`
+// JobState is the on-disk checkpoint of one job: finished (its result is
+// carried so a resume can skip the work and still report it), failed, or
+// paused (a resumable EM snapshot).
+type JobState struct {
+	Version int    `json:"version"`
+	Name    string `json:"name"`
 	// Fingerprint hashes the job's spec and alignment; restore refuses to
 	// apply a snapshot to a job whose manifest entry changed since it was
 	// taken.
@@ -217,15 +221,15 @@ type TraceRef struct {
 	Stopped    bool   `json:"stopped,omitempty"`
 }
 
-// Path returns the checkpoint file path inside dir.
+// Path returns the state file path inside a job's checkpoint directory.
 func Path(dir string) string { return filepath.Join(dir, FileName) }
 
-// Save writes the batch checkpoint into dir atomically and durably: see
+// Save writes the job's checkpoint into dir atomically and durably: see
 // writeAtomic. Readers see either the old snapshot or the new one, never
 // a torn write.
-func Save(dir string, b *Batch) error {
-	b.Version = FormatVersion
-	return writeAtomic(dir, ".batch-*.tmp", Path(dir), b)
+func Save(dir string, j *JobState) error {
+	j.Version = FormatVersion
+	return writeAtomic(dir, ".state-*.tmp", Path(dir), j)
 }
 
 // writeAtomic marshals v into a temp file inside dir (created if
@@ -278,9 +282,10 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Load reads the batch checkpoint from dir. Any format version other
-// than FormatVersion is rejected before anything else is decoded.
-func Load(dir string) (*Batch, error) {
+// Load reads the job checkpoint from dir. Any format version other than
+// FormatVersion is rejected before anything else is decoded. A missing
+// state file is reported as an error wrapping fs.ErrNotExist.
+func Load(dir string) (*JobState, error) {
 	raw, err := os.ReadFile(Path(dir))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -295,23 +300,21 @@ func Load(dir string) (*Batch, error) {
 		return nil, fmt.Errorf("ckpt: %s: checkpoint format version %d is not supported; this build reads only version %d",
 			Path(dir), probe.Version, FormatVersion)
 	}
-	var b Batch
-	if err := json.Unmarshal(raw, &b); err != nil {
+	var j JobState
+	if err := json.Unmarshal(raw, &j); err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", Path(dir), err)
 	}
-	for i, j := range b.Jobs {
-		if j.Name == "" {
-			return nil, fmt.Errorf("ckpt: %s: job %d has no name", Path(dir), i)
-		}
-		switch j.Status {
-		case StatusPaused:
-			if j.EM == nil {
-				return nil, fmt.Errorf("ckpt: %s: paused job %q has no EM state", Path(dir), j.Name)
-			}
-		case StatusDone, StatusFailed:
-		default:
-			return nil, fmt.Errorf("ckpt: %s: job %q has unknown status %q", Path(dir), j.Name, j.Status)
-		}
+	if j.Name == "" {
+		return nil, fmt.Errorf("ckpt: %s: job has no name", Path(dir))
 	}
-	return &b, nil
+	switch j.Status {
+	case StatusPaused:
+		if j.EM == nil {
+			return nil, fmt.Errorf("ckpt: %s: paused job %q has no EM state", Path(dir), j.Name)
+		}
+	case StatusDone, StatusFailed:
+	default:
+		return nil, fmt.Errorf("ckpt: %s: job %q has unknown status %q", Path(dir), j.Name, j.Status)
+	}
+	return &j, nil
 }

@@ -370,19 +370,22 @@ func TestAdaptiveLadderWireRoundTrip(t *testing.T) {
 // rejection.
 func TestSaveLoad(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	b := &Batch{Jobs: []BatchJob{
-		{Name: "a", Fingerprint: "f1", Status: StatusDone, Theta: hexFloat(1.5), Steps: 10},
-		{Name: "b", Fingerprint: "f2", Status: StatusFailed, Error: "boom"},
-	}}
-	if err := Save(dir, b); err != nil {
+	j := &JobState{Name: "a", Fingerprint: "f1", Status: StatusDone, Theta: hexFloat(1.5), Steps: 10}
+	if err := Save(dir, j); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != FormatVersion || len(got.Jobs) != 2 || got.Jobs[0].Name != "a" || got.Jobs[1].Error != "boom" {
+	if got.Version != FormatVersion || got.Name != "a" || got.Fingerprint != "f1" || got.Steps != 10 {
 		t.Fatalf("loaded %+v", got)
+	}
+	if err := Save(dir, &JobState{Name: "a", Fingerprint: "f1", Status: StatusFailed, Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Load(dir); err != nil || got.Status != StatusFailed || got.Error != "boom" {
+		t.Fatalf("reloaded %+v, %v", got, err)
 	}
 	// No leftover temp files after the atomic rename.
 	entries, err := os.ReadDir(dir)
@@ -402,8 +405,8 @@ func TestAtomicWriteFailedRename(t *testing.T) {
 		name, file string
 		save       func(dir string) error
 	}{
-		{"batch", FileName, func(dir string) error {
-			return Save(dir, &Batch{Jobs: []BatchJob{{Name: "a", Status: StatusDone}}})
+		{"job state", FileName, func(dir string) error {
+			return Save(dir, &JobState{Name: "a", Status: StatusDone})
 		}},
 		{"job record", JobRecordName, func(dir string) error {
 			return SaveJobRecord(dir, &JobRecord{ID: "x", Spec: JobSpec{Name: "x", Phylip: "1 1\na A\n", Theta: "0x1p+00"}})
@@ -450,11 +453,12 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 }
 
 // TestLoadRejectsOldVersions: format-1 and format-2 checkpoints (inline
-// traces) are no longer read. Load fails before decoding, naming the
-// file, the version found and the version supported — even for a
-// document that would otherwise decode cleanly.
+// traces) and format-3 ones (every job of a batch in one file) are no
+// longer read. Load fails before decoding, naming the file, the version
+// found and the version supported — even for a document that would
+// otherwise decode cleanly.
 func TestLoadRejectsOldVersions(t *testing.T) {
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		dir := t.TempDir()
 		doc := fmt.Sprintf(`{
  "version": %d,
@@ -487,15 +491,15 @@ func TestLoadRejectsMalformedJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(`{"version": 3, "jobs": [{"name": "", "status": "done"}]}`)
+	write(`{"version": 4, "name": "", "status": "done"}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("nameless job accepted")
 	}
-	write(`{"version": 3, "jobs": [{"name": "x", "status": "parked"}]}`)
+	write(`{"version": 4, "name": "x", "status": "parked"}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("unknown status accepted")
 	}
-	write(`{"version": 3, "jobs": [{"name": "x", "status": "paused"}]}`)
+	write(`{"version": 4, "name": "x", "status": "paused"}`)
 	if _, err := Load(dir); err == nil {
 		t.Error("paused job without EM state accepted")
 	}

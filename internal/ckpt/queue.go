@@ -11,10 +11,10 @@ import (
 // Job-queue manifest records: the durable admission log of the serving
 // daemon. The daemon writes one JobRecord per accepted submission —
 // before acknowledging it — into the job's own state directory, next to
-// the job's batch checkpoint:
+// the job's checkpoint directory:
 //
 //	<state>/jobs/<id>/job.json    the submission (this file)
-//	<state>/jobs/<id>/ckpt/       the job's chain checkpoint (Batch)
+//	<state>/jobs/<id>/ckpt/       the job's checkpoint (JobState + trace sidecar)
 //
 // A restarted daemon rescans the records in submission order and
 // resubmits every job, resuming from its checkpoint when one exists.

@@ -4,17 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
-	"sync"
 
 	"mpcgs/internal/ckpt"
 )
 
-// CheckpointOptions enables periodic batch checkpointing.
+// CheckpointOptions enables periodic checkpointing.
 type CheckpointOptions struct {
-	// Dir is the checkpoint directory; empty disables checkpointing.
+	// Dir is the checkpoint directory; empty disables checkpointing. A
+	// submitted job owns Dir; a batch gives each job the subdirectory
+	// named by its CheckpointKey.
 	Dir string
 	// Every is the per-job snapshot cadence in sampler transitions.
 	// Non-positive selects 1000. Snapshots are only ever taken by the
@@ -95,141 +100,80 @@ func Fingerprint(j Job) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ckptWriter maintains the in-memory image of a checkpoint — one slot
-// per job — and writes it to disk atomically. A slot is only mutated by
-// its job's admission or by the driver that owns the job, so the mutex
-// only serializes the image against concurrent flushes.
+// ckptWriter writes one job's checkpoint, each record replacing the
+// last. A nil writer (no checkpointing) records nothing. Only the
+// goroutine that owns the job calls it — the submitter during admission,
+// then the driver stepping it, then the drain — so it needs no lock.
 type ckptWriter struct {
-	opts CheckpointOptions
-
-	mu       sync.Mutex
-	batch    ckpt.Batch
-	firstErr error
+	dir, name, fingerprint string
+	// err is the first write failure. It sticks: a job whose checkpoints
+	// silently failed is not resumable, so its result must say so.
+	err error
 }
 
-func newCkptWriter(opts CheckpointOptions, nJobs int) *ckptWriter {
-	if !opts.enabled() {
+// save writes the job's next record — its status and what that status
+// carries — atomically, and returns the first write failure so far.
+func (w *ckptWriter) save(rec ckpt.JobState) error {
+	if w == nil {
 		return nil
 	}
-	return &ckptWriter{
-		opts:  opts,
-		batch: ckpt.Batch{Jobs: make([]ckpt.BatchJob, nJobs)},
+	rec.Name, rec.Fingerprint = w.name, w.fingerprint
+	if err := ckpt.Save(w.dir, &rec); err != nil && w.err == nil {
+		w.err = err
+	}
+	return w.err
+}
+
+// failedState is the record of a job that ended in err.
+func failedState(err error, steps int) ckpt.JobState {
+	return ckpt.JobState{Status: ckpt.StatusFailed, Steps: steps, Error: err.Error()}
+}
+
+// doneState is the record of a finished job; restoreDone reads it back.
+func doneState(res *Result) ckpt.JobState {
+	return ckpt.JobState{
+		Status:  ckpt.StatusDone,
+		Steps:   res.Steps,
+		Theta:   strconv.FormatFloat(res.Theta, 'x', -1, 64),
+		History: ckpt.EncodeHistory(res.History),
 	}
 }
 
-// initJob registers a job's identity. Until some real state lands (a
-// snapshot, a result, an error) the entry has no status and flush elides
-// it from the file; a resume starts such a job fresh.
-func (w *ckptWriter) initJob(index int, name, fingerprint string) {
-	if w == nil {
-		return
+// clearJobDir readies a job's checkpoint directory for a fresh start:
+// the directory exists and holds neither a state file nor trace
+// sidecars from a previous incarnation. A fresh start must not append
+// after stale draws (the file would grow without bound across restarts
+// and a changed tree size would poison the open), and a later resume
+// must not find a stale snapshot. Multichain runs fan out to per-chain
+// "<sidecar>.c<i>" files, so those go too.
+func clearJobDir(dir, name string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.batch.Jobs[index] = ckpt.BatchJob{Name: name, Fingerprint: fingerprint}
-}
-
-// keep carries a prior checkpoint entry forward unchanged (finished and
-// failed jobs, and paused jobs until their first new snapshot).
-func (w *ckptWriter) keep(index int, entry ckpt.BatchJob) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.batch.Jobs[index] = entry
-}
-
-// setPaused records a job's resumable snapshot.
-func (w *ckptWriter) setPaused(index int, em *ckpt.EMState, steps int) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	j := &w.batch.Jobs[index]
-	j.Status = ckpt.StatusPaused
-	j.Steps = steps
-	j.EM = em
-	j.Theta, j.History, j.Error = "", nil, ""
-}
-
-// setDone records a finished job's result.
-func (w *ckptWriter) setDone(index int, res *Result) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	j := &w.batch.Jobs[index]
-	j.Status = ckpt.StatusDone
-	j.Steps = res.Steps
-	j.Theta = strconv.FormatFloat(res.Theta, 'x', -1, 64)
-	j.History = ckpt.EncodeHistory(res.History)
-	j.EM, j.Error = nil, ""
-}
-
-// setFailed records a job's terminal error.
-func (w *ckptWriter) setFailed(index int, err error, steps int) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	j := &w.batch.Jobs[index]
-	j.Status = ckpt.StatusFailed
-	j.Steps = steps
-	j.Error = err.Error()
-	j.EM, j.Theta, j.History = nil, "", nil
-}
-
-// flush writes the current image to disk atomically. Jobs that have no
-// recorded state yet (admitted but never snapshotted) are elided: a
-// resume simply starts them fresh. The first write error is remembered
-// and surfaced by RunBatch, since a batch whose checkpoints silently
-// failed is not resumable.
-func (w *ckptWriter) flush() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := ckpt.Batch{Jobs: make([]ckpt.BatchJob, 0, len(w.batch.Jobs))}
-	for _, j := range w.batch.Jobs {
-		if j.Status == "" {
-			continue
+	sidecar := TracePath(dir, name)
+	stale, _ := filepath.Glob(sidecar + ".c*")
+	for _, path := range append([]string{ckpt.Path(dir), sidecar}, stale...) {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("sched: %w", err)
 		}
-		out.Jobs = append(out.Jobs, j)
 	}
-	if err := ckpt.Save(w.opts.Dir, &out); err != nil && w.firstErr == nil {
-		w.firstErr = err
-	}
+	return nil
 }
 
-// err returns the first checkpoint write failure, if any.
-func (w *ckptWriter) err() error {
-	if w == nil {
-		return nil
+// TracePath is a job's trace-sidecar file inside its checkpoint
+// directory dir: spilling is active exactly when checkpointing is,
+// because the sidecar is what makes the checkpoint O(interval). With no
+// checkpoint directory the recorder stays in memory and the path is
+// empty.
+func TracePath(dir, name string) string {
+	if dir == "" {
+		return ""
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.firstErr
+	return filepath.Join(dir, CheckpointKey(name)+".trace")
 }
 
-// resumeIndex maps a loaded checkpoint by job name.
-func resumeIndex(b *ckpt.Batch) map[string]ckpt.BatchJob {
-	if b == nil {
-		return nil
-	}
-	out := make(map[string]ckpt.BatchJob, len(b.Jobs))
-	for _, j := range b.Jobs {
-		out[j.Name] = j
-	}
-	return out
-}
-
-// restoreDone rebuilds a finished job's Result from its checkpoint entry.
-func restoreDone(entry ckpt.BatchJob, res *Result) error {
+// restoreDone rebuilds a finished job's Result from its checkpoint record.
+func restoreDone(entry *ckpt.JobState, res *Result) error {
 	theta, err := strconv.ParseFloat(entry.Theta, 64)
 	if err != nil {
 		return fmt.Errorf("sched: checkpoint theta %q: %w", entry.Theta, err)

@@ -50,13 +50,7 @@ func runToCompletionWithResume(t *testing.T, jobs []Job, dir string, delay time.
 			Drivers:    2,
 			Quantum:    quantum,
 			Checkpoint: CheckpointOptions{Dir: dir, Every: every},
-		}
-		if attempt > 0 {
-			resume, err := ckpt.Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Resume = resume
+			Resume:     attempt > 0,
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), delay)
 		pool := device.NewPool(2)
@@ -153,12 +147,8 @@ func TestBatchResumeSkipsFinishedJobs(t *testing.T) {
 
 	// Resume the finished batch: every job must come back from the file,
 	// with no sampling work done.
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool = device.NewPool(2)
-	got, err := RunBatch(context.Background(), pool, jobs, Options{Resume: resume})
+	got, err := RunBatch(context.Background(), pool, jobs, Options{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
 	pool.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -200,15 +190,11 @@ func TestBatchResumeRejectsChangedSpec(t *testing.T) {
 	}
 	pool.Close()
 
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	changed := job
 	changed.Seed++
 	pool = device.NewPool(2)
 	defer pool.Close()
-	got, err := RunBatch(context.Background(), pool, []Job{changed}, Options{Resume: resume})
+	got, err := RunBatch(context.Background(), pool, []Job{changed}, Options{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +220,9 @@ func TestBatchResumeRestoresFailedJobs(t *testing.T) {
 	if first[0].Err == nil {
 		t.Fatal("pathological job did not fail")
 	}
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool = device.NewPool(2)
 	defer pool.Close()
-	got, err := RunBatch(context.Background(), pool, []Job{bad}, Options{Resume: resume})
+	got, err := RunBatch(context.Background(), pool, []Job{bad}, Options{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,13 +414,14 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileHasVersionAndAllJobs: a checkpoint written by a
-// completed run records every job as done, and resuming with a mangled
-// version is refused upstream by ckpt.Load.
-func TestCheckpointFileHasVersionAndAllJobs(t *testing.T) {
+// TestCheckpointFilePerJob: a checkpointed batch gives every job its own
+// directory, named by its checkpoint key, holding one current-format
+// state file and the job's trace sidecar; the batch directory itself
+// holds no state file.
+func TestCheckpointFilePerJob(t *testing.T) {
 	jobs := []Job{
 		quickJob("v1", testAlignment(t, 5, 40, 681), "mh", 682),
-		quickJob("v2", testAlignment(t, 5, 40, 683), "mh", 684),
+		quickJob("Pop B", testAlignment(t, 5, 40, 683), "mh", 684),
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	pool := device.NewPool(2)
@@ -448,22 +431,139 @@ func TestCheckpointFileHasVersionAndAllJobs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ckpt.Load(dir)
-	if err != nil {
+	if _, err := os.Stat(ckpt.Path(dir)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("batch directory has a state file of its own: %v", err)
+	}
+	for _, job := range jobs {
+		jobDir := filepath.Join(dir, CheckpointKey(job.Name))
+		j, err := ckpt.Load(jobDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Version != ckpt.FormatVersion {
+			t.Errorf("job %q: version %d, want %d", job.Name, j.Version, ckpt.FormatVersion)
+		}
+		if j.Name != job.Name || j.Status != ckpt.StatusDone || j.Fingerprint == "" {
+			t.Errorf("job %q: record %q status %q fingerprint %q", job.Name, j.Name, j.Status, j.Fingerprint)
+		}
+		if _, err := os.Stat(TracePath(jobDir, job.Name)); err != nil {
+			t.Errorf("job %q: no trace sidecar: %v", job.Name, err)
+		}
+	}
+}
+
+// TestBatchRefusesCheckpointKeyCollisions: two jobs whose names resolve
+// to the same checkpoint key would share one checkpoint directory, so a
+// checkpointed batch holding them is refused before any job runs.
+// Without checkpointing there is nothing to share and both run.
+func TestBatchRefusesCheckpointKeyCollisions(t *testing.T) {
+	aln := testAlignment(t, 5, 40, 691)
+	for _, tc := range []struct{ a, b, wantErr string }{
+		{"pop A", "pop_a", "same checkpoint key"},
+		{"a", "a", "share the name"},
+	} {
+		jobs := []Job{quickJob(tc.a, aln, "mh", 692), quickJob(tc.b, aln, "mh", 693)}
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		results, err := RunBatch(context.Background(), nil, jobs, Options{Checkpoint: CheckpointOptions{Dir: dir}})
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%q + %q: err = %v, want %q", tc.a, tc.b, err, tc.wantErr)
+		}
+		for _, r := range results {
+			if r.Err == nil || r.Steps != 0 {
+				t.Errorf("%q + %q: job %q ran or carries no error: steps %d, err %v", tc.a, tc.b, r.Name, r.Steps, r.Err)
+			}
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%q + %q: refused batch touched its checkpoint directory: %v", tc.a, tc.b, err)
+		}
+		if results, err = RunBatch(context.Background(), nil, jobs, Options{}); err != nil || results[0].Err != nil || results[1].Err != nil {
+			t.Errorf("%q + %q without checkpointing: %v, %v, %v", tc.a, tc.b, err, results[0].Err, results[1].Err)
+		}
+	}
+}
+
+// TestCheckpointWriteFailureIsLoud is the fault-injection case of the
+// durability contract: when the checkpoint directory cannot be created
+// (its parent is a regular file), RunBatch returns the error and every
+// job carries it, and Queue.Submit returns it without a ticket.
+func TestCheckpointWriteFailureIsLoud(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(root, []byte("a file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if b.Version != ckpt.FormatVersion {
-		t.Errorf("version %d, want %d", b.Version, ckpt.FormatVersion)
+	jobs := []Job{
+		quickJob("w1", testAlignment(t, 5, 40, 695), "mh", 696),
+		quickJob("w2", testAlignment(t, 5, 40, 697), "mh", 698),
 	}
-	if len(b.Jobs) != 2 {
-		t.Fatalf("checkpoint has %d jobs, want 2", len(b.Jobs))
+	for _, resume := range []bool{false, true} {
+		results, err := RunBatch(context.Background(), nil, jobs, Options{
+			Checkpoint: CheckpointOptions{Dir: root},
+			Resume:     resume,
+		})
+		if err == nil {
+			t.Fatalf("resume=%v: batch over an unwritable checkpoint directory succeeded", resume)
+		}
+		for _, r := range results {
+			if r.Err == nil || r.Steps != 0 {
+				t.Errorf("resume=%v: job %q ran or carries no error: steps %d, err %v", resume, r.Name, r.Steps, r.Err)
+			}
+		}
 	}
-	for _, j := range b.Jobs {
-		if j.Status != ckpt.StatusDone {
-			t.Errorf("job %q status %q, want done", j.Name, j.Status)
+
+	q := NewQueue(device.NewPool(2), QueueOptions{})
+	defer q.Close()
+	for _, resume := range []bool{false, true} {
+		tk, err := q.Submit(jobs[0], SubmitOptions{
+			Checkpoint: CheckpointOptions{Dir: filepath.Join(root, "w1")},
+			Resume:     resume,
+		})
+		if err == nil || tk != nil {
+			t.Fatalf("resume=%v: Submit over an unwritable checkpoint directory: ticket %v, err %v", resume, tk, err)
 		}
-		if j.Fingerprint == "" {
-			t.Errorf("job %q has no fingerprint", j.Name)
+	}
+	if n := q.Pending(); n != 0 {
+		t.Errorf("refused submissions left %d pending", n)
+	}
+	if data, err := os.ReadFile(root); err != nil || string(data) != "a file" {
+		t.Errorf("the file in the directory's place was disturbed: %q, %v", data, err)
+	}
+}
+
+// TestResumeRefusesUnreadableCheckpoints: a resume never restarts a job
+// whose saved state it cannot read. A corrupt state file fails the
+// submission, and a batch directory holding a whole-batch state file of
+// format 3 is refused by name and version before any job runs.
+func TestResumeRefusesUnreadableCheckpoints(t *testing.T) {
+	job := quickJob("corrupt", testAlignment(t, 5, 40, 699), "mh", 700)
+	dir := t.TempDir()
+	if err := os.WriteFile(ckpt.Path(dir), []byte(`{"version": 4, "name"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(device.NewPool(2), QueueOptions{})
+	defer q.Close()
+	tk, err := q.Submit(job, SubmitOptions{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
+	if err == nil || tk != nil || !strings.Contains(err.Error(), ckpt.Path(dir)) {
+		t.Fatalf("corrupt state file: ticket %v, err %v", tk, err)
+	}
+
+	batchDir := t.TempDir()
+	v3 := `{"version": 3, "jobs": [{"name": "corrupt", "fingerprint": "fp", "status": "done", "steps": 9, "theta": "0x1p+00"}]}`
+	if err := os.WriteFile(ckpt.Path(batchDir), []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	results, err := RunBatch(context.Background(), nil, []Job{job}, Options{
+		Checkpoint: CheckpointOptions{Dir: batchDir},
+		Resume:     true,
+	})
+	for _, want := range []string{ckpt.Path(batchDir), "version 3", "only version 4"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("format-3 batch directory: err %v does not mention %q", err, want)
 		}
+	}
+	if results[0].Err == nil || results[0].Steps != 0 {
+		t.Errorf("job ran or carries no error: %+v", results[0])
+	}
+	if _, err := os.Stat(filepath.Join(batchDir, CheckpointKey(job.Name))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused resume started the job afresh: %v", err)
 	}
 }

@@ -195,9 +195,6 @@ func LoadManifest(path string) ([]Job, error) {
 	}
 	base := filepath.Dir(path)
 	jobs := make([]Job, 0, len(m.Jobs))
-	seen := make(map[string]int, len(m.Jobs))
-	seenKey := make(map[string]int, len(m.Jobs))
-	keyName := make(map[string]string, len(m.Jobs))
 	for i, entry := range m.Jobs {
 		entry = entry.merged(m.Defaults)
 		if entry.Phylip == "" {
@@ -218,23 +215,6 @@ func LoadManifest(path string) ([]Job, error) {
 		if name == "" {
 			name = strings.TrimSuffix(filepath.Base(entry.Phylip), filepath.Ext(entry.Phylip))
 		}
-		if prev, dup := seen[name]; dup {
-			return nil, fmt.Errorf("%s: jobs %d and %d share the name %q; job names must be unique (they key results and checkpoint state)",
-				path, prev, i, name)
-		}
-		seen[name] = i
-		// Distinct names can still resolve to the same durable-state
-		// directory once sanitized for the filesystem ("pop A" and
-		// "pop/a" both become "pop_a"): two jobs sharing a checkpoint
-		// directory would silently overwrite each other's resume state,
-		// so a key collision is as fatal as a duplicate name.
-		key := CheckpointKey(name)
-		if prev, dup := seenKey[key]; dup {
-			return nil, fmt.Errorf("%s: jobs %d (%q) and %d (%q) resolve to the same checkpoint key %q; rename one so their durable state cannot share a directory",
-				path, prev, keyName[key], i, name, key)
-		}
-		seenKey[key] = i
-		keyName[key] = name
 		job := Job{
 			Name:         name,
 			Alignment:    aln,
@@ -261,6 +241,9 @@ func LoadManifest(path string) ([]Job, error) {
 			job.Chains = *entry.Chains
 		}
 		jobs = append(jobs, job)
+	}
+	if err := checkKeys(jobs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return jobs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 	"sync"
 	"time"
@@ -41,7 +42,7 @@ import (
 // # Durability
 //
 // Each submission may carry its own CheckpointOptions (one directory per
-// job; RunBatch's jobs share one): the queue then snapshots the job
+// job, RunBatch's jobs included): the queue then snapshots the job
 // every CheckpointOptions.Every transitions and on Drain, and a
 // later submission of the same spec with SubmitOptions.Resume continues
 // it bit-identically. Drain is the SIGTERM path: stop the drivers at
@@ -104,11 +105,12 @@ type SubmitOptions struct {
 	Priority int
 	// Checkpoint persists this job's snapshots into its own directory.
 	Checkpoint CheckpointOptions
-	// Resume restores the job from a previously written checkpoint
-	// (one-job batch, as written by this queue). A finished entry
-	// settles the ticket immediately; a paused entry continues
-	// bit-identically; a fingerprint mismatch fails the ticket.
-	Resume *ckpt.Batch
+	// Resume restores the job from the state file in Checkpoint.Dir. A
+	// finished record settles the ticket immediately; a paused record
+	// continues bit-identically; a fingerprint mismatch fails the
+	// ticket. A missing state file starts the job fresh; a state file
+	// that cannot be read fails the submission.
+	Resume bool
 }
 
 // TicketStatus is the lifecycle state of a submitted job.
@@ -231,8 +233,7 @@ type qrunner struct {
 	steps     int
 	sinceSnap int
 	snapEvery int
-	cw        *ckptWriter
-	slot      int // the job's entry in cw
+	cw        *ckptWriter // nil without checkpointing
 	ticket    *Ticket
 	busy      time.Duration
 }
@@ -300,18 +301,15 @@ func (q *Queue) Pending() int {
 
 // Submit admits one job. The spec is validated synchronously (an invalid
 // spec returns an error with no ticket); everything after admission is
-// reported through the returned Ticket. With opts.Checkpoint set the
-// job's durable record is written (and its admission snapshotted) before
-// Submit returns, so a caller can acknowledge the submission knowing a
-// restart will find it.
+// reported through the returned Ticket. With opts.Checkpoint set, the
+// job's checkpoint directory is read (when resuming) or prepared for a
+// fresh start before Submit returns: a checkpoint that cannot be read or
+// written is refused here, with no ticket, so a caller that gets a
+// ticket knows a restart will find the job's state.
 func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
-	return q.submit(job, opts, newCkptWriter(opts.Checkpoint, 1), 0)
-}
-
-// submit is Submit with the job's checkpoint entry at slot of cw: a
-// one-slot writer of its own for a Submit, the shared batch image for
-// RunBatch's jobs.
-func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*Ticket, error) {
+	if opts.Resume && !opts.Checkpoint.enabled() {
+		return nil, errors.New("sched: resuming needs the checkpoint directory to resume from")
+	}
 	q.mu.Lock()
 	switch q.state {
 	case qDraining:
@@ -326,13 +324,36 @@ func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*
 	q.nextSeq++
 	q.mu.Unlock()
 
-	job, err := admit(job, int(seq), q.pool.Workers())
-	if err != nil {
-		// Nothing was admitted: release the reserved pending slot.
+	// refuse releases the reserved pending slot of a submission that
+	// gets no ticket.
+	refuse := func(err error) (*Ticket, error) {
 		q.mu.Lock()
 		q.pending--
 		q.mu.Unlock()
 		return nil, err
+	}
+	job, err := admit(job, int(seq), q.pool.Workers())
+	if err != nil {
+		return refuse(err)
+	}
+	dir := opts.Checkpoint.Dir
+	var prior *ckpt.JobState
+	if opts.Resume {
+		// A missing state file means the job never got as far as a
+		// snapshot: it starts fresh. Any other failure to read it is
+		// the caller's to see, never a silent restart.
+		prior, err = ckpt.Load(dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			prior, err = nil, nil
+		}
+		if err != nil {
+			return refuse(fmt.Errorf("sched: job %q: %w", job.Name, err))
+		}
+	}
+	if prior == nil && dir != "" {
+		if err := clearJobDir(dir, job.Name); err != nil {
+			return refuse(fmt.Errorf("sched: job %q: %w", job.Name, err))
+		}
 	}
 	tenant := opts.Tenant
 	if tenant == "" {
@@ -343,56 +364,47 @@ func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*
 	// settle ends an admission whose outcome is already known. Submit
 	// itself succeeded — the job is what failed or finished — so a
 	// restarted daemon surfaces such outcomes on the job, not as a
-	// refusal to start; only a checkpoint write error is returned.
+	// refusal to start.
 	settle := func(res *Result) (*Ticket, error) {
-		cw.flush()
 		q.finish(ticket, res)
-		return ticket, cw.err()
+		return ticket, nil
+	}
+	var cw *ckptWriter
+	if dir != "" {
+		cw = &ckptWriter{dir: dir, name: job.Name, fingerprint: Fingerprint(job)}
 	}
 	fail := func(err error) (*Ticket, error) {
-		cw.setFailed(slot, err, 0)
+		if werr := cw.save(failedState(err, 0)); werr != nil {
+			return refuse(werr)
+		}
 		return settle(&Result{Name: job.Name, Err: err})
 	}
 
-	fp := ""
-	if cw != nil || opts.Resume != nil {
-		fp = Fingerprint(job)
-	}
-	entry, resuming := resumeIndex(opts.Resume)[job.Name]
-	if resuming {
-		// The prior entry is carried forward unchanged until the job
-		// records new state.
-		cw.keep(slot, entry)
+	if prior != nil {
 		switch {
-		case entry.Fingerprint != fp:
+		case prior.Fingerprint != cw.fingerprint:
 			return settle(&Result{Name: job.Name, Err: fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot (proposal/chain counts default to the pool's worker count); resubmit without resuming or restore the original spec", job.Name)})
-		case entry.Status == ckpt.StatusDone:
+		case prior.Status == ckpt.StatusDone:
 			res := &Result{Name: job.Name}
-			if err := restoreDone(entry, res); err != nil {
+			if err := restoreDone(prior, res); err != nil {
 				res.Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
 			}
 			return settle(res)
-		case entry.Status == ckpt.StatusFailed:
+		case prior.Status == ckpt.StatusFailed:
 			return settle(&Result{
 				Name:    job.Name,
-				Steps:   entry.Steps,
+				Steps:   prior.Steps,
 				Resumed: true,
-				Err:     fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error),
+				Err:     fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, prior.Error),
 			})
 		}
-	} else {
-		cw.initJob(slot, job.Name, fp)
 	}
 
 	dev, err := q.tenantDevice(tenant)
 	if err != nil {
 		return fail(err)
 	}
-	trace := tracePath(opts.Checkpoint, job.Name)
-	if !resuming {
-		removeStaleSidecar(trace)
-	}
-	em, err := startJob(job, dev, trace)
+	em, err := startJob(job, dev, TracePath(dir, job.Name))
 	if err != nil {
 		return fail(fmt.Errorf("sched: job %q: %w", job.Name, err))
 	}
@@ -404,26 +416,18 @@ func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*
 		em:        em,
 		snapEvery: opts.Checkpoint.every(),
 		cw:        cw,
-		slot:      slot,
 		ticket:    ticket,
 	}
-	if resuming {
-		snap, err := ckpt.DecodeEM(entry.EM)
+	if prior != nil {
+		snap, err := ckpt.DecodeEM(prior.EM)
 		if err == nil {
 			err = em.Restore(snap)
 		}
 		if err != nil {
 			return fail(fmt.Errorf("sched: job %q: restoring checkpoint: %w", job.Name, err))
 		}
-		r.steps = entry.Steps
+		r.steps = prior.Steps
 		ticket.update(TicketQueued, r.steps)
-	}
-	cw.flush()
-	if err := cw.err(); err != nil {
-		// Durability is the submission contract: a job whose admission
-		// record cannot be written must not be acknowledged.
-		q.finish(ticket, &Result{Name: job.Name, Err: err})
-		return ticket, err
 	}
 
 	q.mu.Lock()
@@ -437,8 +441,7 @@ func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*
 		q.mu.Unlock()
 		if draining {
 			if err := q.snapshot(r); err != nil {
-				ticket.update(TicketPaused, r.steps)
-				return ticket, fmt.Errorf("sched: draining job %q: %w", r.name, err)
+				return refuse(fmt.Errorf("sched: draining job %q: %w", r.name, err))
 			}
 		}
 		ticket.update(TicketPaused, r.steps)
@@ -517,9 +520,8 @@ func (q *Queue) runQuantum(r *qrunner) {
 	r.busy += time.Since(start)
 	switch {
 	case stepErr != nil:
-		if r.cw != nil {
-			r.cw.setFailed(r.slot, stepErr, r.steps)
-			r.cw.flush()
+		if werr := r.cw.save(failedState(stepErr, r.steps)); werr != nil {
+			stepErr = errors.Join(stepErr, werr)
 		}
 		q.settleRunner(r, stepErr)
 	case r.em.Done():
@@ -552,12 +554,8 @@ func (q *Queue) settleRunner(r *qrunner, err error) {
 	if err == nil {
 		res.adopt(r.em)
 	}
-	if r.cw != nil && res.Err == nil {
-		r.cw.setDone(r.slot, res)
-		r.cw.flush()
-		if werr := r.cw.err(); werr != nil && res.Err == nil {
-			res.Err = werr
-		}
+	if res.Err == nil {
+		res.Err = r.cw.save(doneState(res))
 	}
 	q.finish(r.ticket, res)
 }
@@ -576,10 +574,8 @@ func (q *Queue) snapshot(r *qrunner) error {
 	if err != nil {
 		return err
 	}
-	r.cw.setPaused(r.slot, wire, r.steps)
-	r.cw.flush()
 	r.sinceSnap = 0
-	return r.cw.err()
+	return r.cw.save(ckpt.JobState{Status: ckpt.StatusPaused, Steps: r.steps, EM: wire})
 }
 
 // Drain shuts the queue down gracefully: new submissions are refused,

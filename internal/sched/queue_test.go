@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mpcgs/internal/ckpt"
 	"mpcgs/internal/device"
 	"mpcgs/internal/leakcheck"
 )
@@ -179,14 +178,10 @@ func TestQueueDrainResumeBitIdentical(t *testing.T) {
 		t.Fatalf("post-drain status %v, want paused", st.Status)
 	}
 
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q2 := NewQueue(device.NewPool(2), QueueOptions{Drivers: 1, Quantum: 16})
 	tk2, err := q2.Submit(job, SubmitOptions{
 		Checkpoint: CheckpointOptions{Dir: dir, Every: 64},
-		Resume:     resume,
+		Resume:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,15 +212,11 @@ func TestQueueResumeRejectsChangedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	changed := job
 	changed.Seed += 1000
 	q2 := NewQueue(device.NewPool(2), QueueOptions{})
 	defer q2.Close()
-	tk2, err := q2.Submit(changed, SubmitOptions{Resume: resume})
+	tk2, err := q2.Submit(changed, SubmitOptions{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +245,9 @@ func TestQueueResumeRestoresFinishedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resume, err := ckpt.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q2 := NewQueue(device.NewPool(2), QueueOptions{})
 	defer q2.Close()
-	tk2, err := q2.Submit(job, SubmitOptions{Resume: resume})
+	tk2, err := q2.Submit(job, SubmitOptions{Checkpoint: CheckpointOptions{Dir: dir}, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,31 +184,33 @@ type Options struct {
 	// Non-positive selects 64.
 	Quantum int
 	// Checkpoint enables periodic and on-cancellation checkpointing of
-	// the whole batch.
+	// every job, each into its own subdirectory of Checkpoint.Dir.
 	Checkpoint CheckpointOptions
-	// Resume is a previously saved checkpoint to restart from: finished
-	// and failed jobs are skipped (their recorded outcome is returned),
-	// paused jobs restore their chain state and continue, and jobs whose
-	// fingerprint no longer matches their checkpoint entry are rejected.
-	Resume *ckpt.Batch
+	// Resume restarts the batch from Checkpoint.Dir: finished and failed
+	// jobs are skipped (their recorded outcome is returned), paused jobs
+	// restore their chain state and continue, jobs with no state file
+	// start fresh, and jobs whose fingerprint no longer matches their
+	// checkpoint are rejected.
+	Resume bool
 }
 
 // RunBatch drives every job to completion over the shared pool and
 // returns one Result per job, in job order. Per-job failures are
 // recorded in the results; RunBatch itself returns an error only for
 // batch-level failures: a cancelled context (jobs not yet finished
-// record ctx's error too), a closed pool, or a checkpoint directory that
-// cannot be written.
+// record ctx's error too), a closed pool, or a checkpoint that cannot be
+// read or written (every job it stopped records it too).
 //
 // The jobs run on a Queue of their own: each is submitted in order, as
 // its own tenant, and RunBatch waits on the tickets. With
-// Options.Checkpoint set, the batch's state is persisted into the one
-// checkpoint file of the directory, one entry per job: every job's
-// snapshot is refreshed each CheckpointOptions.Every transitions,
-// finished jobs record their result, and a cancellation drains the queue,
-// which snapshots every still-running job at a step boundary before
-// RunBatch returns. With Options.Resume set, jobs recorded as finished or
-// failed are skipped and paused jobs continue from their snapshot,
+// Options.Checkpoint set, job i is checkpointed into
+// <Checkpoint.Dir>/<CheckpointKey(name_i)>/ exactly as a Queue
+// submission is: its snapshot is refreshed each CheckpointOptions.Every
+// transitions, a finished job records its result, and a cancellation
+// drains the queue, which snapshots every still-running job at a step
+// boundary before RunBatch returns. With Options.Resume set, each job
+// resumes from its own directory: jobs recorded as finished or failed
+// are skipped and paused jobs continue from their snapshot,
 // bit-identical to never having stopped.
 func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) ([]Result, error) {
 	if pool == nil {
@@ -222,30 +224,46 @@ func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) 
 	if len(jobs) == 0 {
 		return results, nil
 	}
+	// Admitting here names every job as its submission will (a job the
+	// gate refuses is reported and never submitted), so a submission
+	// error below can only be the job's checkpoint.
+	admitted := make([]Job, len(jobs))
+	for i, job := range jobs {
+		admitted[i], results[i].Err = admit(job, i, pool.Workers())
+		results[i].Name = admitted[i].Name
+	}
+	if opts.Checkpoint.enabled() {
+		err := checkKeys(admitted)
+		if err == nil && opts.Resume {
+			err = checkBatchRoot(opts.Checkpoint.Dir)
+		}
+		if err != nil {
+			for i := range results {
+				results[i].Err = err
+			}
+			return results, err
+		}
+	}
 	drivers := opts.Drivers
 	if drivers <= 0 {
 		drivers = pool.Workers()
 	}
 	q := NewQueue(pool, QueueOptions{Drivers: min(drivers, len(jobs)), Quantum: opts.Quantum})
 
-	// Every flush writes the whole batch image, so resumed entries are
-	// carried into it before any job can step: an early snapshot must not
-	// drop the entries of jobs not yet submitted. The queue is fresh, so
-	// job i is its submission i and gets the same default name here as at
-	// admission.
-	cw := newCkptWriter(opts.Checkpoint, len(jobs))
-	resume := resumeIndex(opts.Resume)
-	for i, job := range jobs {
-		results[i].Name = job.withDefaults(i, pool.Workers()).Name
-		if entry, ok := resume[results[i].Name]; ok {
-			cw.keep(i, entry)
-		}
-	}
-	sub := SubmitOptions{Checkpoint: opts.Checkpoint, Resume: opts.Resume}
 	tickets := make([]*Ticket, len(jobs))
-	for i, job := range jobs {
-		// A checkpoint write error also surfaces through cw.err below.
-		tickets[i], results[i].Err = q.submit(job, sub, cw, i)
+	var ckptErr error
+	for i, job := range admitted {
+		if results[i].Err != nil {
+			continue
+		}
+		sub := SubmitOptions{Resume: opts.Resume}
+		if opts.Checkpoint.enabled() {
+			sub.Checkpoint = CheckpointOptions{Dir: filepath.Join(opts.Checkpoint.Dir, CheckpointKey(job.Name)), Every: opts.Checkpoint.Every}
+		}
+		tickets[i], results[i].Err = q.Submit(job, sub)
+		if ckptErr == nil {
+			ckptErr = results[i].Err
+		}
 	}
 
 	for _, t := range tickets {
@@ -271,7 +289,23 @@ func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) 
 			results[i].Err = fmt.Errorf("sched: job %q interrupted: %w", t.Name(), ctx.Err())
 		}
 	}
-	return results, firstError(batchErr(ctx, pool), stopErr, cw.err())
+	return results, firstError(batchErr(ctx, pool), stopErr, ckptErr)
+}
+
+// checkBatchRoot refuses to resume a batch from a directory with a state
+// file of its own. A batch directory holds only job subdirectories, so
+// such a file is either a whole-batch checkpoint of an older format —
+// Load names it and both versions — or one job's directory given in
+// place of its batch's. Resuming past either would silently start every
+// job afresh.
+func checkBatchRoot(dir string) error {
+	if _, err := os.Stat(ckpt.Path(dir)); err != nil {
+		return nil
+	}
+	if _, err := ckpt.Load(dir); err != nil {
+		return err
+	}
+	return fmt.Errorf("sched: %s is one job's checkpoint; resume a batch from the directory holding its job subdirectories", ckpt.Path(dir))
 }
 
 // firstError returns the first non-nil error.
@@ -345,35 +379,6 @@ func batchErr(ctx context.Context, pool *device.Pool) error {
 		return device.ErrClosed
 	}
 	return nil
-}
-
-// tracePath derives a job's trace-sidecar file from its checkpoint
-// directory: spilling is active exactly when checkpointing is, because
-// the sidecar is what makes the checkpoint O(interval). Without a
-// checkpoint directory the recorder stays in memory and the path is
-// empty.
-func tracePath(opts CheckpointOptions, name string) string {
-	if !opts.enabled() {
-		return ""
-	}
-	return filepath.Join(opts.Dir, CheckpointKey(name)+".trace")
-}
-
-// removeStaleSidecar deletes the sidecar files a previous incarnation of
-// a job may have left behind. A fresh (non-resumed) start must not
-// append after stale draws: the file would grow without bound across
-// restarts and a changed tree size would poison the open. Multichain
-// runs fan out to per-chain "<path>.c<i>" files, so those go too.
-func removeStaleSidecar(path string) {
-	if path == "" {
-		return
-	}
-	os.Remove(path)
-	if matches, err := filepath.Glob(path + ".c*"); err == nil {
-		for _, m := range matches {
-			os.Remove(m)
-		}
-	}
 }
 
 // startJob assembles an admitted job's estimation pipeline — model,

@@ -86,14 +86,15 @@ func samplerOrDefault(s string) string {
 }
 
 // CheckpointKey maps a job name to the filesystem key that names its
-// durable per-job state: the state-directory entry of the estimation
+// durable per-job state: a batch job's checkpoint subdirectory, its
+// trace sidecar, and the state-directory entry of the estimation
 // daemon, where the job's spec record and checkpoint live. The mapping
 // folds case (checkpoint directories must not collide on
 // case-insensitive filesystems) and replaces every byte outside
 // [a-z0-9._-] with '_', so distinct names can resolve to the same key.
 // Admission must therefore reject key collisions, not just duplicate
-// names — two jobs sharing a checkpoint directory silently corrupt each
-// other's resume state.
+// names (checkKeys) — two jobs sharing a checkpoint directory silently
+// corrupt each other's resume state.
 func CheckpointKey(name string) string {
 	var sb strings.Builder
 	sb.Grow(len(name))
@@ -112,4 +113,27 @@ func CheckpointKey(name string) string {
 		return "job"
 	}
 	return key
+}
+
+// checkKeys refuses a set of jobs two of whose names resolve to the
+// same checkpoint key ("pop A" and "pop/a" both become "pop_a"): those
+// jobs would share a checkpoint directory and overwrite each other's
+// state. A duplicated name is the plainest such collision.
+func checkKeys(jobs []Job) error {
+	seen := make(map[string]int, len(jobs))
+	for i, job := range jobs {
+		key := CheckpointKey(job.Name)
+		prev, dup := seen[key]
+		switch {
+		case !dup:
+			seen[key] = i
+		case jobs[prev].Name == job.Name:
+			return fmt.Errorf("jobs %d and %d share the name %q; job names must be unique (they key results and checkpoint state)",
+				prev, i, job.Name)
+		default:
+			return fmt.Errorf("jobs %d (%q) and %d (%q) resolve to the same checkpoint key %q; rename one so their durable state cannot share a directory",
+				prev, jobs[prev].Name, i, job.Name, key)
+		}
+	}
+	return nil
 }

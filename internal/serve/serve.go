@@ -9,7 +9,7 @@
 // is acknowledged:
 //
 //	<state>/jobs/<id>/job.json    the submission record (ckpt.JobRecord)
-//	<state>/jobs/<id>/ckpt/       the job's chain checkpoint (ckpt.Batch)
+//	<state>/jobs/<id>/ckpt/       the job's checkpoint directory (state file + trace sidecar)
 //
 // On start the server rescans the job log in admission order and
 // resubmits every job: finished jobs settle instantly from their
@@ -28,7 +28,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,18 +146,14 @@ func New(opts Options) (*Server, error) {
 			s.teardown()
 			return nil, fmt.Errorf("serve: job %q: %w", rec.ID, err)
 		}
-		sub := sched.SubmitOptions{
+		// A job with no checkpoint yet starts fresh; one whose checkpoint
+		// cannot be read fails the submission, and with it New.
+		ticket, err := queue.Submit(job, sched.SubmitOptions{
 			Tenant:     rec.Tenant,
 			Priority:   rec.Priority,
 			Checkpoint: s.checkpointOptions(rec.ID),
-		}
-		if resume, err := ckpt.Load(s.ckptDir(rec.ID)); err == nil {
-			sub.Resume = resume
-		} else if !errors.Is(err, os.ErrNotExist) {
-			s.teardown()
-			return nil, fmt.Errorf("serve: job %q: loading checkpoint: %w", rec.ID, err)
-		}
-		ticket, err := queue.Submit(job, sub)
+			Resume:     true,
+		})
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("serve: job %q: resubmitting: %w", rec.ID, err)
@@ -179,11 +174,10 @@ func (s *Server) teardown() {
 	s.pool.Close()
 }
 
-func (s *Server) jobDir(id string) string  { return filepath.Join(s.opts.StateDir, "jobs", id) }
-func (s *Server) ckptDir(id string) string { return filepath.Join(s.jobDir(id), "ckpt") }
+func (s *Server) jobDir(id string) string { return filepath.Join(s.opts.StateDir, "jobs", id) }
 
 func (s *Server) checkpointOptions(id string) sched.CheckpointOptions {
-	return sched.CheckpointOptions{Dir: s.ckptDir(id), Every: s.opts.checkpointEvery()}
+	return sched.CheckpointOptions{Dir: filepath.Join(s.jobDir(id), "ckpt"), Every: s.opts.checkpointEvery()}
 }
 
 // jobID derives a submission's durable identity from its tenant and

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcgs/internal/ckpt"
 	"mpcgs/internal/leakcheck"
 	"mpcgs/internal/phylip"
 	"mpcgs/internal/seqgen"
@@ -463,5 +464,28 @@ func TestNewRejectsCorruptJobLog(t *testing.T) {
 	}
 	if _, err := New(Options{StateDir: dir}); err == nil {
 		t.Fatal("New accepted a corrupt job record")
+	}
+}
+
+// TestNewRejectsCorruptCheckpoint: a job whose checkpoint cannot be read
+// stops the daemon from starting instead of silently restarting the job
+// from scratch.
+func TestNewRejectsCorruptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{StateDir: dir})
+	phy := phylipText(t, 5, 40, 309)
+	if rr, view := doJSON(t, s, "POST", "/v1/jobs", submitBody(t, "keeper", phy, nil)); rr.Code != http.StatusAccepted {
+		t.Fatalf("%d %v", rr.Code, view)
+	}
+	waitStatus(t, s, "keeper")
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	state := ckpt.Path(filepath.Join(dir, "jobs", "keeper", "ckpt"))
+	if err := os.WriteFile(state, []byte(`{"version": 4, "name"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{StateDir: dir}); err == nil || !strings.Contains(err.Error(), state) {
+		t.Fatalf("New over a corrupt checkpoint: %v", err)
 	}
 }

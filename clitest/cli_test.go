@@ -179,6 +179,26 @@ func TestMpcgsRejectsBadInput(t *testing.T) {
 	}
 	runExpectError(t, "mpcgs", path, "1.0")
 	runExpectError(t, "mpcgs", path, "-2")
+
+	// Non-finite floats on valid data are refused by the spec gate with
+	// a message, never reach the sampler (where an infinite θ panics) and
+	// are never silently ignored (a NaN stop target used to be).
+	good := filepath.Join(dir, "good.phy")
+	if err := os.WriteFile(good, []byte("4 8\na ACGTACGT\nb ACGTACGA\nc ACGAACGT\nd TCGTACGT\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{good, "Inf"},
+		{good, "NaN"},
+		{"-checkpoint", filepath.Join(dir, "ck"), "-ess-target", "NaN", good, "1.0"},
+		{"-checkpoint", filepath.Join(dir, "ck"), "-rhat-target", "Inf", good, "1.0"},
+		{"-sampler", "heated", "-max-temp", "NaN", good, "1.0"},
+	} {
+		out := runExpectError(t, "mpcgs", args...)
+		if !strings.Contains(out, "must be finite") || strings.Contains(out, "panic") {
+			t.Errorf("mpcgs %v: want a must-be-finite refusal:\n%s", args, out)
+		}
+	}
 }
 
 func min(a, b int) int {
@@ -527,7 +547,7 @@ func TestMpcgsHeatedSwapReport(t *testing.T) {
 	}
 	// Nonsense tempering flags die with a clear error.
 	bad = runExpectError(t, "mpcgs", append([]string{"-sampler", "heated", "-max-temp", "0.5"}, path, "1.0")...)
-	if !strings.Contains(bad, "MaxTemp") {
+	if !strings.Contains(bad, "max_temp 0.5") {
 		t.Fatalf("bad -max-temp error unclear:\n%s", bad)
 	}
 }

@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,10 +20,6 @@ import (
 //
 // A restarted daemon rescans the records in submission order and
 // resubmits every job, resuming from its checkpoint when one exists.
-// Like every ckpt wire type, the record carries floats as exact hex
-// literals so a spec round-trips bit-identically — the spec is hashed
-// into the resume fingerprint, and a float that changed in transit would
-// strand the job's checkpoint.
 
 // JobRecordVersion is the on-disk format version of a JobRecord.
 const JobRecordVersion = 1
@@ -46,27 +44,85 @@ type JobRecord struct {
 	Spec      JobSpec `json:"spec"`
 }
 
-// JobSpec is the submitted estimation spec in wire form. It mirrors
-// sched.Job field for field; the alignment travels as the verbatim
-// PHYLIP text of the submission and floats as hex literals.
+// JobSpec is the one JSON form of an estimation job: a batch-manifest
+// entry, the body of a daemon submission and the spec of a journaled
+// record all decode into it, and sched.JobFromSpec is the only mapping
+// onto a scheduler job. Phylip is a file path in a manifest and verbatim
+// PHYLIP text in a submission. Floats are Hex, so a journaled spec
+// round-trips bit-identically — the spec is hashed into the resume
+// fingerprint, and a float that changed in transit would strand the
+// job's checkpoint. Proposals, Chains and AdaptLadder are pointers so
+// an omitted field stays distinguishable from an explicit zero or false.
 type JobSpec struct {
 	Name         string `json:"name"`
 	Phylip       string `json:"phylip"`
-	Theta        string `json:"theta"`
+	Theta        Hex    `json:"theta"`
 	Sampler      string `json:"sampler,omitempty"`
 	Model        string `json:"model,omitempty"`
-	Proposals    int    `json:"proposals,omitempty"`
-	Chains       int    `json:"chains,omitempty"`
+	Proposals    *int   `json:"proposals,omitempty"`
+	Chains       *int   `json:"chains,omitempty"`
 	Burnin       int    `json:"burnin,omitempty"`
 	Samples      int    `json:"samples,omitempty"`
 	EMIterations int    `json:"em_iterations,omitempty"`
 	Seed         uint64 `json:"seed,omitempty"`
-	MaxTemp      string `json:"max_temp,omitempty"`
+	MaxTemp      Hex    `json:"max_temp,omitempty"`
 	SwapEvery    int    `json:"swap_every,omitempty"`
-	AdaptLadder  bool   `json:"adapt_ladder,omitempty"`
+	AdaptLadder  *bool  `json:"adapt_ladder,omitempty"`
 	SwapWindow   int    `json:"swap_window,omitempty"`
-	ESSTarget    string `json:"ess_target,omitempty"`
-	RHatTarget   string `json:"rhat_target,omitempty"`
+	ESSTarget    Hex    `json:"ess_target,omitempty"`
+	RHatTarget   Hex    `json:"rhat_target,omitempty"`
+}
+
+// Hex is a spec float in wire form: its exact hexadecimal literal (see
+// HexFloat), with zero stored as "" so that an unset float is omitted.
+// It decodes from a JSON number as well as from a string in any
+// strconv spelling, and always stores the canonical literal, so a
+// client's 0.3 and "0x1.3333333333333p-02" journal identically.
+type Hex string
+
+// UnmarshalJSON reads a JSON number or string; null leaves h unchanged.
+func (h *Hex) UnmarshalJSON(b []byte) error {
+	s := string(b)
+	if s == "null" {
+		return nil
+	}
+	if b[0] == '"' {
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+	}
+	f, err := parseHexFloat(s)
+	if err != nil {
+		return err
+	}
+	*h = ""
+	if f != 0 {
+		*h = Hex(hexFloat(f))
+	}
+	return nil
+}
+
+// Float returns the value h holds ("" is zero).
+func (h Hex) Float() (float64, error) {
+	if h == "" {
+		return 0, nil
+	}
+	return parseHexFloat(string(h))
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v, refusing
+// unknown fields and anything but whitespace after the value: the
+// decode of every hand-written input (batch manifests, submissions).
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // HexFloat renders f as an exact hexadecimal float literal — the wire

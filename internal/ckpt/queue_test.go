@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ func testRecord(id string, seq int64) *JobRecord {
 		Spec: JobSpec{
 			Name:   id,
 			Phylip: "3 4\na AAAA\nb AAAC\nc AACC\n",
-			Theta:  HexFloat(0.01171875),
+			Theta:  Hex(HexFloat(0.01171875)),
 			Seed:   42,
 		},
 	}
@@ -26,7 +27,7 @@ func testRecord(id string, seq int64) *JobRecord {
 func TestJobRecordRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "jobs", "j1")
 	want := testRecord("j1", 7)
-	want.Spec.MaxTemp = HexFloat(8)
+	want.Spec.MaxTemp = Hex(HexFloat(8))
 	if err := SaveJobRecord(dir, want); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 	if got.Version != JobRecordVersion {
 		t.Errorf("version %d, want %d", got.Version, JobRecordVersion)
 	}
-	theta, err := ParseHexFloat(got.Spec.Theta)
+	theta, err := got.Spec.Theta.Float()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +58,60 @@ func TestHexFloatExactness(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(f) {
 			t.Errorf("HexFloat round trip changed %v to %v", f, got)
+		}
+	}
+}
+
+// TestHexDecodesNumbersAndStrings: a spec float decodes from a JSON
+// number or a string to the same canonical literal, zero is "", and
+// non-finite strings survive decoding (Validate refuses them later).
+func TestHexDecodesNumbersAndStrings(t *testing.T) {
+	for in, want := range map[string]Hex{
+		`0.3`:                     "0x1.3333333333333p-02",
+		`"0x1.3333333333333p-02"`: "0x1.3333333333333p-02",
+		`"0x1.33333333333330p-2"`: "0x1.3333333333333p-02",
+		`3e-1`:                    "0x1.3333333333333p-02",
+		`0`:                       "",
+		`-0`:                      "",
+		`"0x0p+00"`:               "",
+		`null`:                    "",
+		`"+Inf"`:                  "+Inf",
+		`"NaN"`:                   "NaN",
+		`12.5`:                    "0x1.9p+03",
+		`"0x1.0cccccccccccdp+00"`: "0x1.0cccccccccccdp+00",
+	} {
+		var h Hex
+		if err := json.Unmarshal([]byte(in), &h); err != nil {
+			t.Errorf("%s: %v", in, err)
+			continue
+		}
+		if h != want {
+			t.Errorf("%s decoded to %q, want %q", in, h, want)
+		}
+	}
+	for _, bad := range []string{`"many"`, `""`, `true`, `[1]`, `{}`, `1e999`, `"1e999"`} {
+		var h Hex
+		if err := json.Unmarshal([]byte(bad), &h); err == nil {
+			t.Errorf("%s: decoded to %q, want an error", bad, h)
+		}
+	}
+}
+
+func TestDecodeStrict(t *testing.T) {
+	var spec JobSpec
+	if err := DecodeStrict(strings.NewReader(`{"name": "x", "theta": 1} `+"\n"), &spec); err != nil {
+		t.Fatalf("well-formed value refused: %v", err)
+	}
+	for name, in := range map[string]string{
+		"unknown field":   `{"name": "x", "bogus": 1}`,
+		"second value":    `{"name": "x"} {"name": "y"}`,
+		"trailing object": `{"name": "x"}{"jobs": garbage`,
+		"trailing junk":   `{"name": "x"} junk`,
+		"truncated":       `{"name": "x"`,
+		"empty":           ``,
+	} {
+		if err := DecodeStrict(strings.NewReader(in), &spec); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -146,13 +146,13 @@ func Read(r io.Reader) (*Alignment, error) {
 		return nil, fmt.Errorf("phylip: reading sequences: %w", err)
 	}
 
-	names := make([]string, nseq)
-	data := make([]strings.Builder, nseq)
-
-	// First nseq non-empty lines carry the names.
+	// First nseq non-empty lines carry the names. Checked before
+	// allocating, so a header's counts cannot size memory on their own.
 	if len(lines) < nseq {
 		return nil, fmt.Errorf("phylip: header promises %d sequences but only %d data lines found", nseq, len(lines))
 	}
+	names := make([]string, nseq)
+	data := make([]strings.Builder, nseq)
 	for i := 0; i < nseq; i++ {
 		name, rest, err := splitNameLine(lines[i], seqlen)
 		if err != nil {

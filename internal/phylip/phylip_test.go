@@ -262,6 +262,7 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 		strings.Repeat("A", 100000),
 		"-1 -1\n",
 		"2 0\na \nb \n",
+		"4611686018427387904 4\na AAAA\n", // sequence count past any allocation
 	}
 	for i, in := range inputs {
 		func() {

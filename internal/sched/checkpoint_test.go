@@ -281,6 +281,9 @@ func TestLoadManifestRejectsDuplicatesAndBadCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	if err := os.WriteFile(filepath.Join(dir, "two.phy"), []byte("2 4\na AAAA\nb CCCC\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string]struct {
 		manifest string
@@ -329,7 +332,47 @@ func TestLoadManifestRejectsDuplicatesAndBadCounts(t *testing.T) {
 		},
 		"negative theta": {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": -1}]}`,
-			"must not be negative",
+			"theta -1 must be positive",
+		},
+		"infinite theta": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": "+Inf"}]}`,
+			"theta +Inf must be finite",
+		},
+		"NaN theta inherited from defaults": {
+			`{"defaults": {"theta": "NaN"}, "jobs": [{"name": "x", "phylip": "pop.phy"}]}`,
+			"theta NaN must be finite",
+		},
+		"NaN max_temp": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "heated", "max_temp": "NaN"}]}`,
+			"max_temp NaN must be finite",
+		},
+		"NaN ess_target": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "ess_target": "NaN"}]}`,
+			"ess_target NaN must be finite",
+		},
+		"infinite rhat_target": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "rhat_target": "+Inf"}]}`,
+			"rhat_target +Inf must be finite",
+		},
+		"missing theta": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy"}]}`,
+			"theta 0 must be positive",
+		},
+		"unknown sampler": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "nuts"}]}`,
+			"unknown sampler",
+		},
+		"unknown model": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "model": "gtr"}]}`,
+			"unknown model",
+		},
+		"two sequences": {
+			`{"jobs": [{"name": "x", "phylip": "two.phy", "theta": 1}]}`,
+			"need at least 3 sequences",
+		},
+		"adapt_ladder false on non-heated sampler": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "mh", "adapt_ladder": false}]}`,
+			"only meaningful for the heated sampler",
 		},
 		"negative em iterations": {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "em_iterations": -1}]}`,

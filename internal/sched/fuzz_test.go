@@ -12,9 +12,9 @@ import (
 // FuzzManifestLoad feeds arbitrary bytes to the batch-manifest loader: it
 // must reject garbage with an error, never panic, and every manifest it
 // does accept must satisfy the loader's own guarantees (jobs exist, are
-// named uniquely, and carry loaded alignments). A real alignment file
-// sits next to the manifest so structurally valid inputs exercise the
-// deep path, not just the JSON decoder.
+// named uniquely, carry loaded alignments and pass Validate). A real
+// alignment file sits next to the manifest so structurally valid inputs
+// exercise the deep path, not just the JSON decoder.
 func FuzzManifestLoad(f *testing.F) {
 	aln := testAlignment(f, 4, 24, 7001)
 	var phy strings.Builder
@@ -34,6 +34,10 @@ func FuzzManifestLoad(f *testing.F) {
 		`{"unknown":1,"jobs":[{"phylip":"a.phy"}]}`,
 		`{"jobs":[{"phylip":"a.phy","name":"x"},{"phylip":"a.phy","name":"x"}]}`,
 		`not json at all`,
+		`{"jobs":[{"phylip":"a.phy","theta":1}]}`,
+		`{"defaults":{"sampler":"heated","theta":"0x1.3333333333333p-02","max_temp":4,"adapt_ladder":true,"ess_target":50},"jobs":[{"phylip":"a.phy","chains":3},{"name":"m","phylip":"a.phy","sampler":"multichain"}]}`,
+		`{"jobs":[{"phylip":"a.phy","theta":"+Inf"}]}`,
+		`{"jobs":[{"phylip":"a.phy","theta":1}]} {"jobs": garbage`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -69,6 +73,9 @@ func FuzzManifestLoad(f *testing.F) {
 			names[j.Name] = true
 			if j.Alignment == nil || j.Alignment.NSeq() == 0 {
 				t.Fatalf("accepted job %q without a loaded alignment", j.Name)
+			}
+			if err := j.Validate(); err != nil {
+				t.Fatalf("accepted job %q that Validate refuses: %v", j.Name, err)
 			}
 		}
 	})

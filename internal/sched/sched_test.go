@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"mpcgs/internal/ckpt"
 	"mpcgs/internal/device"
 	"mpcgs/internal/phylip"
 	"mpcgs/internal/seqgen"
@@ -375,22 +377,65 @@ func TestLoadManifestTemperingKnobs(t *testing.T) {
 
 func TestLoadManifestErrors(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"empty.json":   `{"jobs": []}`,
-		"nofile.json":  `{"jobs": [{"name": "x", "theta": 1}]}`,
-		"unknown.json": `{"jobs": [{"phylip": "a.phy", "bogus": 1}]}`,
-		"badjson.json": `{"jobs": [`,
+	// A loadable alignment, so the trailing-data rows fail for their
+	// trailing data and nothing else.
+	f, err := os.Create(filepath.Join(dir, "a.phy"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, content := range cases {
+	if err := phylip.Write(f, testAlignment(t, 5, 40, 921)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	const valid = `{"jobs": [{"phylip": "a.phy", "theta": 1}]}`
+	if err := os.WriteFile(filepath.Join(dir, "valid.json"), []byte(valid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(filepath.Join(dir, "valid.json")); err != nil {
+		t.Fatalf("valid manifest refused: %v", err)
+	}
+	// wantErr is a substring the error must carry; "" accepts any error.
+	cases := map[string]struct{ content, wantErr string }{
+		"empty.json":    {`{"jobs": []}`, ""},
+		"nofile.json":   {`{"jobs": [{"name": "x", "theta": 1}]}`, ""},
+		"unknown.json":  {`{"jobs": [{"phylip": "a.phy", "bogus": 1}]}`, ""},
+		"badjson.json":  {`{"jobs": [`, ""},
+		"trailing.json": {valid + ` {"jobs": garbage`, "after the JSON value"},
+		"twice.json":    {valid + valid, "after the JSON value"},
+		"junk.json":     {valid + "\n# comment\n", "after the JSON value"},
+	}
+	for name, tc := range cases {
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadManifest(path); err == nil {
+		_, err := LoadManifest(path)
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc.wantErr)
 		}
 	}
 	if _, err := LoadManifest(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("missing manifest: expected error")
+	}
+}
+
+// TestJobFromSpec: omitted pointers and zero counts leave the Job zero
+// (for admission to default), and a float no JSON decode could have
+// produced is an error, not a zero. The field-by-field mapping is
+// pinned against journaled records in internal/serve.
+func TestJobFromSpec(t *testing.T) {
+	aln := testAlignment(t, 5, 40, 931)
+	zero := 0
+	got, err := JobFromSpec(ckpt.JobSpec{Name: "bare", Theta: "0x1p+00", Proposals: &zero}, aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Job{Name: "bare", Alignment: aln, InitialTheta: 1}); got != want {
+		t.Errorf("bare spec mapped to %+v, want %+v", got, want)
+	}
+	if _, err := JobFromSpec(ckpt.JobSpec{Name: "bad", Theta: "many"}, aln); err == nil {
+		t.Error("unparseable theta accepted")
 	}
 }

@@ -2,14 +2,15 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// Validate checks a fully-specified job for spec errors a run could only
-// surface later with a less useful failure. It mirrors the manifest
-// loader's admission checks for callers that build jobs directly — the
-// job queue and the HTTP service validate submissions here so a bad spec
-// is rejected synchronously (a 400, not a failed job).
+// Validate checks a job for spec errors a run could only surface later
+// with a less useful failure. It is the one spec gate: admission runs it
+// for every entry point, and JobFromSpec runs it for every JSON surface,
+// so a bad manifest entry fails at load and a bad submission is a 400,
+// not a failed job. Errors name fields by their spec (JSON) names.
 func (j Job) Validate() error {
 	if j.Alignment == nil {
 		return fmt.Errorf("alignment is required")
@@ -20,8 +21,16 @@ func (j Job) Validate() error {
 	if j.Alignment.NSeq() < 3 {
 		return fmt.Errorf("need at least 3 sequences, have %d", j.Alignment.NSeq())
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"theta", j.InitialTheta}, {"max_temp", j.MaxTemp}, {"ess_target", j.ESSTarget}, {"rhat_target", j.RHatTarget}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v must be finite", f.name, f.v)
+		}
+	}
 	if j.InitialTheta <= 0 {
-		return fmt.Errorf("initial theta %v must be positive", j.InitialTheta)
+		return fmt.Errorf("theta %v must be positive", j.InitialTheta)
 	}
 	switch j.Sampler {
 	case "", "gmh", "mh", "heated", "multichain":
@@ -49,13 +58,13 @@ func (j Job) Validate() error {
 		return fmt.Errorf("EM iteration count %d must not be negative", j.EMIterations)
 	}
 	if j.MaxTemp != 0 && j.MaxTemp < 1 {
-		return fmt.Errorf("MaxTemp %v must be at least 1 (0 for the default)", j.MaxTemp)
+		return fmt.Errorf("max_temp %v must be at least 1 (0 for the default)", j.MaxTemp)
 	}
 	if j.SwapEvery < 0 {
-		return fmt.Errorf("swap interval %d must not be negative", j.SwapEvery)
+		return fmt.Errorf("swap_every %d must not be negative", j.SwapEvery)
 	}
 	if j.SwapWindow < 0 {
-		return fmt.Errorf("swap window %d must not be negative", j.SwapWindow)
+		return fmt.Errorf("swap_window %d must not be negative", j.SwapWindow)
 	}
 	if j.Sampler != "heated" {
 		if j.MaxTemp != 0 || j.SwapEvery != 0 || j.AdaptLadder || j.SwapWindow != 0 {
@@ -63,10 +72,10 @@ func (j Job) Validate() error {
 		}
 	}
 	if j.ESSTarget < 0 {
-		return fmt.Errorf("ess target %v must not be negative", j.ESSTarget)
+		return fmt.Errorf("ess_target %v must not be negative", j.ESSTarget)
 	}
 	if j.RHatTarget != 0 && j.RHatTarget <= 1 {
-		return fmt.Errorf("rhat target %v must exceed 1 (0 to disable)", j.RHatTarget)
+		return fmt.Errorf("rhat_target %v must exceed 1 (0 to disable)", j.RHatTarget)
 	}
 	if j.Sampler == "multichain" && (j.ESSTarget > 0 || j.RHatTarget > 0) {
 		// Each multichain sub-chain owns an even share of the pooled

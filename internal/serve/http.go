@@ -6,45 +6,22 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
+	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/core"
-	"mpcgs/internal/phylip"
 	"mpcgs/internal/sched"
 )
 
 // maxSubmitBytes bounds one submission body (alignment included).
 const maxSubmitBytes = 16 << 20
 
+// maxIDBytes bounds a job id, which names the job's state directory: a
+// longer one is not a valid file name on common filesystems.
+const maxIDBytes = 255
+
 // retryAfterSeconds is the hint sent with a 429 shed.
 const retryAfterSeconds = 5
-
-// submitRequest is the POST /v1/jobs body: the sched.Job spec plus the
-// scheduling knobs of a submission. Floats arrive as ordinary JSON
-// numbers — the server converts them to exact hex form for the durable
-// record, so what the client sent is what the fingerprint covers.
-type submitRequest struct {
-	Name         string  `json:"name"`
-	Phylip       string  `json:"phylip"`
-	Theta        float64 `json:"theta"`
-	Sampler      string  `json:"sampler,omitempty"`
-	Model        string  `json:"model,omitempty"`
-	Proposals    int     `json:"proposals,omitempty"`
-	Chains       int     `json:"chains,omitempty"`
-	Burnin       int     `json:"burnin,omitempty"`
-	Samples      int     `json:"samples,omitempty"`
-	EMIterations int     `json:"em_iterations,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-	MaxTemp      float64 `json:"max_temp,omitempty"`
-	SwapEvery    int     `json:"swap_every,omitempty"`
-	AdaptLadder  bool    `json:"adapt_ladder,omitempty"`
-	SwapWindow   int     `json:"swap_window,omitempty"`
-	ESSTarget    float64 `json:"ess_target,omitempty"`
-	RHatTarget   float64 `json:"rhat_target,omitempty"`
-	Tenant       string  `json:"tenant,omitempty"`
-	Priority     int     `json:"priority,omitempty"`
-}
 
 // historyJSON is one EM iteration in wire form. The floats are rendered
 // as strings because an early iteration's mean log-likelihood can be
@@ -184,12 +161,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // durable record, enqueue, and only then acknowledge with 202. A
 // malformed submission can never 500 — every parse and validation
 // failure is reported as a 400 with the reason.
+//
+// The body is a job spec — the ckpt.JobSpec a batch-manifest entry is,
+// with the alignment inline as PHYLIP text — plus the submission's
+// scheduling knobs. The spec is journaled exactly as decoded.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	var req struct {
+		ckpt.JobSpec
+		Tenant   string `json:"tenant,omitempty"`
+		Priority int    `json:"priority,omitempty"`
+	}
+	if err := ckpt.DecodeStrict(http.MaxBytesReader(w, r.Body, maxSubmitBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
 		return
 	}
@@ -201,35 +183,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid submission: phylip alignment text is required")
 		return
 	}
-	aln, err := phylip.Read(strings.NewReader(req.Phylip))
+	job, err := specJob(req.JobSpec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid submission: alignment: %v", err)
-		return
-	}
-	job := sched.Job{
-		Name:         req.Name,
-		Alignment:    aln,
-		InitialTheta: req.Theta,
-		Sampler:      req.Sampler,
-		Model:        req.Model,
-		Proposals:    req.Proposals,
-		Chains:       req.Chains,
-		Burnin:       req.Burnin,
-		Samples:      req.Samples,
-		EMIterations: req.EMIterations,
-		Seed:         req.Seed,
-		MaxTemp:      req.MaxTemp,
-		SwapEvery:    req.SwapEvery,
-		AdaptLadder:  req.AdaptLadder,
-		SwapWindow:   req.SwapWindow,
-		ESSTarget:    req.ESSTarget,
-		RHatTarget:   req.RHatTarget,
-	}
-	if err := job.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
 		return
 	}
 	id := jobID(req.Tenant, req.Name)
+	if len(id) > maxIDBytes {
+		writeError(w, http.StatusBadRequest, "invalid submission: tenant and name make a %d-byte job id; the limit is %d", len(id), maxIDBytes)
+		return
+	}
 
 	// Reserve the identity under the lock so two racing submissions of
 	// the same job cannot both pass the duplicate check.
@@ -252,7 +215,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	rec := recordFromJob(id, seq, req.Tenant, req.Priority, req.Phylip, job)
+	rec := &ckpt.JobRecord{
+		ID:        id,
+		Seq:       seq,
+		Tenant:    req.Tenant,
+		Priority:  req.Priority,
+		Submitted: time.Now().UTC().Format(time.RFC3339),
+		Spec:      req.JobSpec,
+	}
 	entry := &jobEntry{rec: rec}
 	s.jobs[id] = entry
 	s.order = append(s.order, id)

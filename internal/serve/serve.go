@@ -35,7 +35,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/device"
@@ -141,7 +140,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.handler = s.routes()
 	for _, rec := range recs {
-		job, err := jobFromRecord(rec)
+		job, err := specJob(rec.Spec)
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("serve: job %q: %w", rec.ID, err)
@@ -218,88 +217,15 @@ func (s *Server) beginShutdown() {
 	s.drainOnce.Do(func() { close(s.drainCh) })
 }
 
-// jobFromRecord rebuilds the scheduler job a durable record describes.
-func jobFromRecord(rec *ckpt.JobRecord) (sched.Job, error) {
-	spec := rec.Spec
+// specJob parses a spec's inline PHYLIP text and maps the spec onto its
+// scheduler job: the one path from a submission or a journaled record
+// to a job.
+func specJob(spec ckpt.JobSpec) (sched.Job, error) {
 	aln, err := phylip.Read(strings.NewReader(spec.Phylip))
 	if err != nil {
 		return sched.Job{}, fmt.Errorf("alignment: %w", err)
 	}
-	theta, err := ckpt.ParseHexFloat(spec.Theta)
-	if err != nil {
-		return sched.Job{}, err
-	}
-	job := sched.Job{
-		Name:         spec.Name,
-		Alignment:    aln,
-		InitialTheta: theta,
-		Sampler:      spec.Sampler,
-		Model:        spec.Model,
-		Proposals:    spec.Proposals,
-		Chains:       spec.Chains,
-		Burnin:       spec.Burnin,
-		Samples:      spec.Samples,
-		EMIterations: spec.EMIterations,
-		Seed:         spec.Seed,
-		SwapEvery:    spec.SwapEvery,
-		AdaptLadder:  spec.AdaptLadder,
-		SwapWindow:   spec.SwapWindow,
-	}
-	if spec.MaxTemp != "" {
-		if job.MaxTemp, err = ckpt.ParseHexFloat(spec.MaxTemp); err != nil {
-			return sched.Job{}, err
-		}
-	}
-	if spec.ESSTarget != "" {
-		if job.ESSTarget, err = ckpt.ParseHexFloat(spec.ESSTarget); err != nil {
-			return sched.Job{}, err
-		}
-	}
-	if spec.RHatTarget != "" {
-		if job.RHatTarget, err = ckpt.ParseHexFloat(spec.RHatTarget); err != nil {
-			return sched.Job{}, err
-		}
-	}
-	return job, nil
-}
-
-// recordFromJob is jobFromRecord's inverse for a freshly validated
-// submission: the PHYLIP text is the client's verbatim payload, floats
-// are stored exactly.
-func recordFromJob(id string, seq int64, tenant string, priority int, phylipText string, job sched.Job) *ckpt.JobRecord {
-	spec := ckpt.JobSpec{
-		Name:         job.Name,
-		Phylip:       phylipText,
-		Theta:        ckpt.HexFloat(job.InitialTheta),
-		Sampler:      job.Sampler,
-		Model:        job.Model,
-		Proposals:    job.Proposals,
-		Chains:       job.Chains,
-		Burnin:       job.Burnin,
-		Samples:      job.Samples,
-		EMIterations: job.EMIterations,
-		Seed:         job.Seed,
-		SwapEvery:    job.SwapEvery,
-		AdaptLadder:  job.AdaptLadder,
-		SwapWindow:   job.SwapWindow,
-	}
-	if job.MaxTemp != 0 {
-		spec.MaxTemp = ckpt.HexFloat(job.MaxTemp)
-	}
-	if job.ESSTarget != 0 {
-		spec.ESSTarget = ckpt.HexFloat(job.ESSTarget)
-	}
-	if job.RHatTarget != 0 {
-		spec.RHatTarget = ckpt.HexFloat(job.RHatTarget)
-	}
-	return &ckpt.JobRecord{
-		ID:        id,
-		Seq:       seq,
-		Tenant:    tenant,
-		Priority:  priority,
-		Submitted: time.Now().UTC().Format(time.RFC3339),
-		Spec:      spec,
-	}
+	return sched.JobFromSpec(spec, aln)
 }
 
 var _ http.Handler = (*Server)(nil)

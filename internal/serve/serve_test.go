@@ -130,6 +130,14 @@ func TestSubmitMalformedNever500(t *testing.T) {
 		"tempering on gmh":  submitBody(t, "x", phy, map[string]any{"max_temp": 4}),
 		"max_temp below 1":  submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": 0.5}),
 		"string where int":  submitBody(t, "x", phy, map[string]any{"samples": "many"}),
+		"infinite theta":    submitBody(t, "x", phy, map[string]any{"theta": "+Inf"}),
+		"NaN theta":         submitBody(t, "x", phy, map[string]any{"theta": "NaN"}),
+		"NaN max_temp":      submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": "NaN"}),
+		"NaN ess_target":    submitBody(t, "x", phy, map[string]any{"ess_target": "NaN"}),
+		"garbage float":     submitBody(t, "x", phy, map[string]any{"theta": "one"}),
+		"trailing data":     append(submitBody(t, "x", phy, nil), []byte(` {"name": garbage`)...),
+		"second value":      append(submitBody(t, "x", phy, nil), submitBody(t, "y", phy, nil)...),
+		"name too long":     submitBody(t, strings.Repeat("n", 300), phy, nil),
 		"negative priority": nil, // placeholder replaced below
 	}
 	delete(cases, "negative priority") // priorities may be negative; not an error

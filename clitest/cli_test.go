@@ -193,6 +193,8 @@ func TestMpcgsRejectsBadInput(t *testing.T) {
 		{"-checkpoint", filepath.Join(dir, "ck"), "-ess-target", "NaN", good, "1.0"},
 		{"-checkpoint", filepath.Join(dir, "ck"), "-rhat-target", "Inf", good, "1.0"},
 		{"-sampler", "heated", "-max-temp", "NaN", good, "1.0"},
+		{"-bayesian", good, "NaN"},
+		{"-bayesian", good, "Inf"},
 	} {
 		out := runExpectError(t, "mpcgs", args...)
 		if !strings.Contains(out, "must be finite") || strings.Contains(out, "panic") {
@@ -542,13 +544,137 @@ func TestMpcgsHeatedSwapReport(t *testing.T) {
 	// Tempering flags on a non-heated sampler die with a clear error
 	// instead of being silently dropped.
 	bad := runExpectError(t, "mpcgs", "-sampler", "gmh", "-adapt-ladder", path, "1.0")
-	if !strings.Contains(bad, "only meaningful with -sampler heated") {
+	if !strings.Contains(bad, "only meaningful for the heated sampler") {
 		t.Fatalf("gmh -adapt-ladder error unclear:\n%s", bad)
 	}
 	// Nonsense tempering flags die with a clear error.
 	bad = runExpectError(t, "mpcgs", append([]string{"-sampler", "heated", "-max-temp", "0.5"}, path, "1.0")...)
 	if !strings.Contains(bad, "max_temp 0.5") {
 		t.Fatalf("bad -max-temp error unclear:\n%s", bad)
+	}
+}
+
+// writeData simulates an alignment through the mssim -> seqgen pipeline
+// and writes it to dir/data.phy.
+func writeData(t *testing.T, dir string, nsam, length, mssimSeed, seqgenSeed string) string {
+	t.Helper()
+	trees := run(t, "mssim", "", "-seed", mssimSeed, nsam, "1")
+	phy := run(t, "seqgen", trees, "-l", length, "-seed", seqgenSeed)
+	path := filepath.Join(dir, "data.phy")
+	if err := os.WriteFile(path, []byte(phy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestMpcgsBatchRefusesJobFlags: a batch takes every job setting from
+// its manifest, so each per-job flag set next to -batch is refused
+// before anything runs, with a pointer to the manifest field — or, for
+// the single-run options, to the mode they belong to — instead of being
+// silently ignored.
+func TestMpcgsBatchRefusesJobFlags(t *testing.T) {
+	dir := t.TempDir()
+	writeData(t, dir, "5", "60", "71", "72")
+	mpath := filepath.Join(dir, "jobs.json")
+	manifest := `{"defaults": {"theta": 1.0, "burnin": 20, "samples": 100, "em_iterations": 1}, "jobs": [{"name": "a", "phylip": "data.phy"}]}`
+	if err := os.WriteFile(mpath, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag []string
+		want string
+	}{
+		{[]string{"-sampler", "mh"}, "-sampler does not apply to -batch; set sampler per job in the manifest"},
+		{[]string{"-model", "jc69"}, "set model per job"},
+		{[]string{"-proposals", "4"}, "set proposals per job"},
+		{[]string{"-chains", "3"}, "set chains per job"},
+		{[]string{"-max-temp", "4"}, "set max_temp per job"},
+		{[]string{"-swap-every", "2"}, "set swap_every per job"},
+		{[]string{"-adapt-ladder"}, "set adapt_ladder per job"},
+		{[]string{"-swap-window", "8"}, "set swap_window per job"},
+		{[]string{"-ess-target", "50"}, "set ess_target per job"},
+		{[]string{"-rhat-target", "1.1"}, "set rhat_target per job"},
+		{[]string{"-burnin", "10"}, "set burnin per job"},
+		{[]string{"-samples", "50"}, "set samples per job"},
+		{[]string{"-em-iterations", "2"}, "set em_iterations per job"},
+		{[]string{"-seed", "5"}, "set seed per job"},
+		{[]string{"-growth"}, "-growth applies only to a single estimation"},
+		{[]string{"-curve"}, "-curve applies only to a single estimation"},
+		{[]string{"-bayesian"}, "-bayesian applies only to a single estimation"},
+	} {
+		args := append(append([]string{"-workers", "2"}, c.flag...), "-batch", mpath)
+		out := runExpectError(t, "mpcgs", args...)
+		if !strings.Contains(out, c.want) || strings.Contains(out, "theta =") {
+			t.Errorf("mpcgs %v: want a refusal mentioning %q:\n%s", args, c.want, out)
+		}
+	}
+}
+
+// TestMpcgsBayesianRefusesIgnoredFlags: the Bayesian chain reads only
+// -model, -burnin, -samples and -seed of the job flags and is not
+// checkpointable, so any other job flag next to -bayesian is refused
+// rather than dropped.
+func TestMpcgsBayesianRefusesIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	path := writeData(t, dir, "5", "60", "73", "74")
+	for _, flags := range [][]string{
+		{"-sampler", "mh"},
+		{"-max-temp", "4"},
+		{"-ess-target", "50"},
+		{"-growth"},
+		{"-checkpoint", filepath.Join(dir, "ck")},
+	} {
+		args := append(append([]string{"-bayesian", "-burnin", "20", "-samples", "100"}, flags...), path, "1.0")
+		out := runExpectError(t, "mpcgs", args...)
+		if !strings.Contains(out, flags[0]+" does not apply to -bayesian") {
+			t.Errorf("mpcgs %v: want a refusal naming %s:\n%s", args, flags[0], out)
+		}
+	}
+}
+
+// TestMpcgsESSTargetWithoutCheckpoint: every single run is a scheduled
+// job, so the auto-stop rule needs no -checkpoint: the run stops on its
+// target and estimates exactly what the checkpointed run does.
+func TestMpcgsESSTargetWithoutCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full estimation pipeline")
+	}
+	dir := t.TempDir()
+	path := writeData(t, dir, "8", "120", "61", "62")
+	args := []string{"-workers", "2", "-burnin", "100", "-samples", "4000", "-em-iterations", "1", "-seed", "9", "-ess-target", "50"}
+	plain := run(t, "mpcgs", "", append(args, path, "1.0")...)
+	if !strings.Contains(plain, "auto-stop: final pass ended early") {
+		t.Fatalf("-ess-target without -checkpoint did not auto-stop:\n%s", plain)
+	}
+	ck := run(t, "mpcgs", "", append(append([]string{"-checkpoint", filepath.Join(dir, "ck")}, args...), path, "1.0")...)
+	if got, want := extractTheta(t, plain), extractTheta(t, ck); got != want {
+		t.Fatalf("theta %s without -checkpoint, %s with it", got, want)
+	}
+}
+
+// TestMpcgsGrowthCurveCheckpoint: -growth and -curve read the final
+// pass's draws, which a checkpointed run reads back from its trace
+// sidecar, so they print the same lines with -checkpoint as without. A
+// resume of a job that had already finished has no draws left, and
+// refuses them with a clear error.
+func TestMpcgsGrowthCurveCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full estimation pipeline")
+	}
+	dir := t.TempDir()
+	path := writeData(t, dir, "8", "150", "17", "18")
+	args := []string{"-q", "-growth", "-curve", "-workers", "2", "-burnin", "100", "-samples", "800", "-em-iterations", "1", "-seed", "19"}
+	plain := run(t, "mpcgs", "", append(args, path, "1.0")...)
+	if !strings.Contains(plain, "growth: theta = ") || !strings.Contains(plain, "log L(theta)") {
+		t.Fatalf("no growth estimate or curve:\n%s", plain)
+	}
+	ckDir := filepath.Join(dir, "ck")
+	if ck := run(t, "mpcgs", "", append(append([]string{"-checkpoint", ckDir}, args...), path, "1.0")...); ck != plain {
+		t.Fatalf("-checkpoint changed the report:\n%s\nwithout -checkpoint:\n%s", ck, plain)
+	}
+	out := runExpectError(t, "mpcgs", append(append([]string{"-resume", ckDir}, args...), path, "1.0")...)
+	if !strings.Contains(out, "-growth and -curve need the final pass's draws") {
+		t.Fatalf("-resume of a finished job with -growth: unclear error:\n%s", out)
 	}
 }
 

@@ -10,14 +10,18 @@
 // be any positive number — the estimator is designed to be insensitive to
 // it.
 //
-// Batch mode estimates many independent datasets in one process over a
-// single shared device pool (the multi-tenant scheduler):
+// Every estimation is a job of the multi-tenant scheduler
+// (internal/sched): a single run is a batch of one job, named by its
+// data file, and batch mode estimates many independent datasets in one
+// process over a single shared device pool:
 //
 //	mpcgs -batch jobs.json
 //
 // where jobs.json is a manifest of per-job phylip files and settings
 // (see internal/sched.Manifest for the format). Each job's result is
-// identical to running it standalone with the same seed.
+// identical to running it alone with the same seed. A batch takes every
+// job setting from its manifest: the per-job flags (-sampler, -seed,
+// -growth, ...) are refused next to -batch.
 //
 // Checkpointing makes long estimations restartable in both modes:
 //
@@ -32,7 +36,9 @@
 // are skipped, interrupted ones continue from their snapshot with traces
 // bit-identical to a run that was never stopped. Resuming implies
 // continued checkpointing into the same directory, so -resume takes no
-// -checkpoint of another directory.
+// -checkpoint of another directory. -growth and -curve are computed from
+// the final pass's draws, so they refuse a resumed job that had already
+// finished.
 //
 //	mpcgs -inspect ckpt/
 //
@@ -45,7 +51,7 @@
 // diagnostics reach declared targets, freeing workers for the rest of
 // the batch:
 //
-//	mpcgs -checkpoint ckpt/ -ess-target 200 -rhat-target 1.05 seqs.phy 1.0
+//	mpcgs -ess-target 200 -rhat-target 1.05 seqs.phy 1.0
 //
 // (per-job ess_target/rhat_target fields do the same in batch manifests
 // and the mpcgsd job API).
@@ -57,6 +63,10 @@
 // attempts), then frozen so the recorded draws target fixed
 // distributions. A per-pair swap-rate report is printed after heated
 // runs.
+//
+// -bayesian samples the joint posterior of θ and the genealogy instead
+// (mpcgs.RunBayesian); it reads only -model, -burnin, -samples and -seed
+// of the job flags and is not checkpointable.
 package main
 
 import (
@@ -96,8 +106,8 @@ func main() {
 		swapEvery  = flag.Int("swap-every", 0, "within-chain steps between heated swap attempts (0 = 1)")
 		adapt      = flag.Bool("adapt-ladder", false, "adapt the heated temperature ladder toward uniform per-pair swap rates during burn-in, then freeze it")
 		swapWindow = flag.Int("swap-window", 0, "sliding-window size for per-pair swap-rate tracking (0 = 64)")
-		essTarget  = flag.Float64("ess-target", 0, "end each sampling pass once the online effective sample size reaches this target (0 = off; requires -checkpoint)")
-		rhatTarget = flag.Float64("rhat-target", 0, "additionally require the online split R-hat to fall to this target, must exceed 1 (0 = off; requires -checkpoint)")
+		essTarget  = flag.Float64("ess-target", 0, "end each sampling pass once the online effective sample size reaches this target (0 = off)")
+		rhatTarget = flag.Float64("rhat-target", 0, "additionally require the online split R-hat to fall to this target, must exceed 1 (0 = off)")
 		burnin     = flag.Int("burnin", 1000, "burn-in draws per EM iteration")
 		samples    = flag.Int("samples", 10000, "recorded draws per EM iteration")
 		emIters    = flag.Int("em-iterations", 10, "maximum EM iterations")
@@ -145,33 +155,22 @@ func main() {
 		defer trace.Stop()
 	}
 	defer writeMemProfile(*memProfile)
-	// The tempering flags only mean something on the heated sampler (and
-	// batch manifests carry their own per-job knobs): a flag that would
-	// be silently dropped is a spec bug, the same rule the manifest
-	// loader enforces.
-	if *maxTemp != 0 || *swapEvery != 0 || *adapt || *swapWindow != 0 {
-		if *batch != "" {
-			fatalf("-max-temp/-swap-every/-adapt-ladder/-swap-window do not apply to -batch; set max_temp/swap_every/adapt_ladder/swap_window per job in the manifest")
+	// A flag its mode would silently drop is a spec bug, the same rule
+	// the manifest loader enforces: a batch takes its job settings from
+	// the manifest, and the Bayesian chain reads only some of them.
+	flag.Visit(func(f *flag.Flag) {
+		field, perJob := jobFlags[f.Name]
+		switch {
+		case *batch != "" && perJob && field == "":
+			fatalf("-%s applies only to a single estimation, not to -batch", f.Name)
+		case *batch != "" && perJob:
+			fatalf("-%s does not apply to -batch; set %s per job in the manifest", f.Name, field)
+		case *bayesian && (perJob || f.Name == "checkpoint" || f.Name == "resume") && !bayesianFlags[f.Name]:
+			fatalf("-%s does not apply to -bayesian, which reads only -model, -burnin, -samples and -seed", f.Name)
 		}
-		if *sampler != "heated" {
-			fatalf("-max-temp/-swap-every/-adapt-ladder/-swap-window are only meaningful with -sampler heated (got %q)", *sampler)
-		}
-	}
-	if *chains != 0 {
-		if *batch != "" {
-			fatalf("-chains does not apply to -batch; set chains per job in the manifest")
-		}
-		if *sampler != "heated" && *sampler != "multichain" {
-			fatalf("-chains is only meaningful with -sampler heated or multichain (got %q)", *sampler)
-		}
-	}
-	if *essTarget != 0 || *rhatTarget != 0 {
-		if *batch != "" {
-			fatalf("-ess-target/-rhat-target do not apply to -batch; set ess_target/rhat_target per job in the manifest")
-		}
-		if *ckptDir == "" && *resumeDir == "" {
-			fatalf("-ess-target/-rhat-target require -checkpoint: the stop rule rides the checkpointable scheduler path (its streaming recorder keeps the online diagnostics)")
-		}
+	})
+	if *chains != 0 && *sampler != "heated" && *sampler != "multichain" {
+		fatalf("-chains is only meaningful with -sampler heated or multichain (got %q)", *sampler)
 	}
 	if *inspectDir != "" {
 		if flag.NArg() != 0 {
@@ -200,51 +199,27 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, false)
+		runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, nil)
 		return
 	}
 	if flag.NArg() != 2 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	path := flag.Arg(0)
 	theta0, err := strconv.ParseFloat(flag.Arg(1), 64)
-	if err != nil || theta0 <= 0 {
+	if err != nil {
 		fatalf("initial theta %q must be a positive number", flag.Arg(1))
 	}
-	if *ckptDir != "" {
-		// Checkpointable single runs go through the same machinery as a
-		// batch of one job, so the snapshot format, resume semantics and
-		// bit-identical-trace guarantee are shared.
-		if *bayesian || *growth || *curve {
-			fatalf("-checkpoint/-resume do not support -bayesian, -growth or -curve")
-		}
-		job, err := singleJob(flag.Arg(0), theta0, *sampler, *model, *proposals, *burnin, *samples, *emIters, *seed)
+	if *bayesian {
+		aln, err := mpcgs.LoadAlignment(path)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		job.Chains = *chains
-		job.MaxTemp = *maxTemp
-		job.SwapEvery = *swapEvery
-		job.AdaptLadder = *adapt
-		job.SwapWindow = *swapWindow
-		job.ESSTarget = *essTarget
-		job.RHatTarget = *rhatTarget
 		if !*quiet {
-			fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s (checkpointing to %s)\n",
-				job.Alignment.NSeq(), job.Alignment.SeqLen(), *sampler, *model, *ckptDir)
+			fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s\n",
+				aln.NSeq(), aln.SeqLen(), *sampler, *model)
 		}
-		runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, true)
-		return
-	}
-	aln, err := mpcgs.LoadAlignment(flag.Arg(0))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if !*quiet {
-		fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s\n",
-			aln.NSeq(), aln.SeqLen(), *sampler, *model)
-	}
-	if *bayesian {
 		res, err := mpcgs.RunBayesian(mpcgs.Config{
 			Alignment:    aln,
 			InitialTheta: theta0,
@@ -261,102 +236,101 @@ func main() {
 			res.PosteriorMean, res.PosteriorMedian, res.CredibleLow, res.CredibleHigh)
 		return
 	}
-	res, err := mpcgs.Run(mpcgs.Config{
-		Alignment:      aln,
-		InitialTheta:   theta0,
-		Sampler:        mpcgs.SamplerKind(*sampler),
-		Model:          mpcgs.ModelKind(*model),
-		Workers:        *workers,
-		Proposals:      *proposals,
-		Chains:         *chains,
-		MaxTemp:        *maxTemp,
-		SwapEvery:      *swapEvery,
-		AdaptLadder:    *adapt,
-		SwapWindow:     *swapWindow,
-		Burnin:         *burnin,
-		Samples:        *samples,
-		EMIterations:   *emIters,
-		Seed:           *seed,
-		EstimateGrowth: *growth,
-	})
+	aln, err := phylip.Load(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if !*quiet {
-		for i, h := range res.History {
-			fmt.Printf("  EM %2d: theta %.6g -> %.6g  (acceptance %.3f, mean logL %.2f)\n",
-				i+1, h.ThetaIn, h.ThetaOut, h.AcceptanceRate, h.MeanLogLik)
-		}
-		d := res.Diagnostics
-		fmt.Printf("  diagnostics: ESS %.0f, Geweke z %.2f, suggested burn-in %d (sufficient: %v)\n",
-			d.ESS, d.GewekeZ, d.SuggestedBurnin, d.BurninSufficient)
-		if res.SwapReport != nil {
-			s := res.SwapReport
-			printSwapReport(s.Betas, s.Attempts, s.Accepts, s.Adapted, s.Adaptations)
-		}
-	}
-	fmt.Printf("theta = %.6g\n", res.Theta)
-	if res.Growth != nil {
-		fmt.Printf("growth: theta = %.6g, g = %.6g\n", res.Growth.Theta, res.Growth.Growth)
-	}
-	if *curve {
-		var grid []float64
-		for x := res.Theta / 20; x <= res.Theta*20; x *= 1.25 {
-			grid = append(grid, x)
-		}
-		vals := res.Curve(grid)
-		fmt.Println("\n  theta        log L(theta)")
-		for i, x := range grid {
-			fmt.Printf("  %-12.5g %.4f\n", x, vals[i])
-		}
-	}
-}
-
-// singleJob builds the batch-of-one job a checkpointable single run
-// becomes. The job name derives from the data file (like a manifest entry
-// without a name), so a resume of the same invocation finds its state.
-func singleJob(path string, theta0 float64, sampler, model string, proposals, burnin, samples, emIters int, seed uint64) (sched.Job, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return sched.Job{}, err
-	}
-	defer f.Close()
-	aln, err := phylip.Read(f)
-	if err != nil {
-		return sched.Job{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return sched.Job{
-		Name:         jobNameFromPath(path),
+	// A single estimation is a batch of one job, named by its data file
+	// (like a manifest entry without a name) so that a resume of the same
+	// invocation finds its checkpoint.
+	job := sched.Job{
+		Name:         strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)),
 		Alignment:    aln,
 		InitialTheta: theta0,
-		Sampler:      sampler,
-		Model:        model,
-		Proposals:    proposals,
-		Burnin:       burnin,
-		Samples:      samples,
-		EMIterations: emIters,
-		Seed:         seed,
-	}, nil
+		Sampler:      *sampler,
+		Model:        *model,
+		Proposals:    *proposals,
+		Chains:       *chains,
+		MaxTemp:      *maxTemp,
+		SwapEvery:    *swapEvery,
+		AdaptLadder:  *adapt,
+		SwapWindow:   *swapWindow,
+		Burnin:       *burnin,
+		Samples:      *samples,
+		EMIterations: *emIters,
+		Seed:         *seed,
+		ESSTarget:    *essTarget,
+		RHatTarget:   *rhatTarget,
+	}
+	if !*quiet {
+		note := ""
+		if *ckptDir != "" {
+			note = fmt.Sprintf(" (checkpointing to %s)", *ckptDir)
+		}
+		fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s%s\n",
+			aln.NSeq(), aln.SeqLen(), *sampler, *model, note)
+	}
+	runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, func(r sched.Result) {
+		if (*growth || *curve) && r.LastSet == nil {
+			fatalf("-growth and -curve need the final pass's draws, and a job that had already finished when it was resumed no longer has them; rerun it without -resume")
+		}
+		printEstimate(r, *quiet)
+		if !*growth && !*curve {
+			return
+		}
+		dev := device.New(*workers)
+		defer dev.Close()
+		if *growth {
+			est, err := core.MaximizeThetaGrowth(r.LastSet, core.MLEConfig{}, dev)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			fmt.Printf("growth: theta = %.6g, g = %.6g\n", est.Theta, est.Growth)
+		}
+		if *curve {
+			var grid []float64
+			for x := r.Theta / 20; x <= r.Theta*20; x *= 1.25 {
+				grid = append(grid, x)
+			}
+			vals := core.Curve(r.LastSet, grid, dev)
+			fmt.Println("\n  theta        log L(theta)")
+			for i, x := range grid {
+				fmt.Printf("  %-12.5g %.4f\n", x, vals[i])
+			}
+		}
+	})
 }
 
-func jobNameFromPath(path string) string {
-	base := filepath.Base(path)
-	return strings.TrimSuffix(base, filepath.Ext(base))
+// jobFlags maps every per-job flag to the batch-manifest field that
+// carries the same setting; the single-run options with no manifest
+// form map to "".
+var jobFlags = map[string]string{
+	"sampler": "sampler", "model": "model", "proposals": "proposals", "chains": "chains",
+	"max-temp": "max_temp", "swap-every": "swap_every", "adapt-ladder": "adapt_ladder", "swap-window": "swap_window",
+	"ess-target": "ess_target", "rhat-target": "rhat_target",
+	"burnin": "burnin", "samples": "samples", "em-iterations": "em_iterations", "seed": "seed",
+	"growth": "", "curve": "", "bayesian": "",
 }
 
-// runBatch is the scheduler mode shared by -batch manifests and
-// checkpointable single runs: every job multiplexes over one shared
-// device pool, SIGINT cancels the batch cleanly (writing a final
-// consistent checkpoint when checkpointing is on), and resume restores
-// job state from a previous invocation's checkpoint directory.
-func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resume, quiet, single bool) {
+// bayesianFlags are the job flags the Bayesian joint-posterior chain
+// reads.
+var bayesianFlags = map[string]bool{"bayesian": true, "model": true, "burnin": true, "samples": true, "seed": true}
+
+// runBatch is the scheduler mode every estimation runs in: every job
+// multiplexes over one shared device pool, SIGINT cancels the batch
+// cleanly (writing a final consistent checkpoint when checkpointing is
+// on), and resume restores job state from a previous invocation's
+// checkpoint directory. A single estimation passes the printer of its
+// report as single; a manifest's batch (single nil) prints one line per
+// job between a header and a throughput summary.
+func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resume, quiet bool, single func(sched.Result)) {
 	opts := sched.Options{
 		Checkpoint: sched.CheckpointOptions{Dir: ckptDir, Every: ckptEvery},
 		Resume:     resume,
 	}
 	pool := device.NewPool(workers)
 	defer pool.Close()
-	if !quiet && !single {
+	if !quiet && single == nil {
 		fmt.Printf("mpcgs: batch of %d jobs over %d shared workers\n", len(jobs), pool.Workers())
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -372,51 +346,59 @@ func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resu
 	}
 	failed := 0
 	for _, r := range results {
-		if r.Err != nil {
+		switch {
+		case r.Err != nil:
 			failed++
 			fmt.Printf("job %-16s FAILED: %v\n", r.Name, r.Err)
-			continue
-		}
-		if single {
-			if !quiet {
-				for i, h := range r.History {
-					fmt.Printf("  EM %2d: theta %.6g -> %.6g  (acceptance %.3f, mean logL %.2f)\n",
-						i+1, h.ThetaIn, h.ThetaOut, h.AcceptanceRate, h.MeanLogLik)
-				}
+		case single != nil:
+			single(r)
+		default:
+			note := ""
+			if r.Resumed {
+				note = " [restored from checkpoint]"
 			}
-			if !quiet && r.LastSet != nil {
-				d := core.Diagnose(r.LastSet)
-				fmt.Printf("  diagnostics: ESS %.0f, Geweke z %.2f, suggested burn-in %d (sufficient: %v)\n",
-					d.ESS, d.GewekeZ, d.SuggestedBurnin, d.BurninSufficient)
+			if r.Converged {
+				note += " [converged early]"
 			}
-			if !quiet && r.LastRun != nil && len(r.LastRun.PairSwapAttempts) > 0 {
-				printSwapReport(r.LastRun.Betas, r.LastRun.EstPairSwapAttempts, r.LastRun.EstPairSwaps,
-					r.LastRun.LadderAdapted, r.LastRun.LadderAdaptations)
-			}
-			if !quiet && r.LastRun != nil && r.LastRun.StoppedEarly {
-				fmt.Printf("  auto-stop: final pass ended early at online ESS %.1f, R-hat %.3f\n",
-					r.LastRun.StopESS, r.LastRun.StopRHat)
-			}
-			fmt.Printf("theta = %.6g\n", r.Theta)
-			continue
+			fmt.Printf("job %-16s theta = %-10.6g (%d EM iterations, %d steps)%s\n",
+				r.Name, r.Theta, len(r.History), r.Steps, note)
 		}
-		note := ""
-		if r.Resumed {
-			note = " [restored from checkpoint]"
-		}
-		if r.Converged {
-			note += " [converged early]"
-		}
-		fmt.Printf("job %-16s theta = %-10.6g (%d EM iterations, %d steps)%s\n",
-			r.Name, r.Theta, len(r.History), r.Steps, note)
 	}
-	if !quiet && !single {
+	if !quiet && single == nil {
 		fmt.Printf("batch: %d ok, %d failed in %.2fs (%.2f jobs/s)\n",
 			len(results)-failed, failed, wall.Seconds(), float64(len(results))/wall.Seconds())
 	}
 	if err != nil || failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// printEstimate prints a single estimation's report: the EM trajectory,
+// the final pass's convergence diagnostics, the heated sampler's swap
+// report and any auto-stop (all but the estimate are dropped by quiet),
+// then the estimate. A job restored finished from its checkpoint has no
+// final pass to diagnose.
+func printEstimate(r sched.Result, quiet bool) {
+	if !quiet {
+		for i, h := range r.History {
+			fmt.Printf("  EM %2d: theta %.6g -> %.6g  (acceptance %.3f, mean logL %.2f)\n",
+				i+1, h.ThetaIn, h.ThetaOut, h.AcceptanceRate, h.MeanLogLik)
+		}
+		if r.LastSet != nil {
+			d := core.Diagnose(r.LastSet)
+			fmt.Printf("  diagnostics: ESS %.0f, Geweke z %.2f, suggested burn-in %d (sufficient: %v)\n",
+				d.ESS, d.GewekeZ, d.SuggestedBurnin, d.BurninSufficient)
+		}
+		if run := r.LastRun; run != nil {
+			if len(run.PairSwapAttempts) > 0 {
+				printSwapReport(run.Betas, run.EstPairSwapAttempts, run.EstPairSwaps, run.LadderAdapted, run.LadderAdaptations)
+			}
+			if run.StoppedEarly {
+				fmt.Printf("  auto-stop: final pass ended early at online ESS %.1f, R-hat %.3f\n", run.StopESS, run.StopRHat)
+			}
+		}
+	}
+	fmt.Printf("theta = %.6g\n", r.Theta)
 }
 
 // printSwapReport renders the heated sampler's per-pair swap-rate

@@ -1,9 +1,10 @@
-// Package serialeval fences the reference oracle: LogLikelihoodSerial is
-// the O(n·s) full-tree Felsenstein evaluation the delta engine is checked
-// against, and calling it anywhere else silently destroys the speedup the
-// delta path exists to provide. The analyzer allows calls only from
+// Package serialeval fences the reference evaluation: LogLikelihoodSerial
+// is the O(n·s) full-tree Felsenstein evaluation the delta engine is
+// checked against, and calling it anywhere else silently destroys the
+// speedup the delta path exists to provide. The analyzer allows calls
+// only from reference-evaluator paths:
 //
-//   - the felsen package itself (the oracle's home),
+//   - the felsen package itself (the evaluation's home),
 //   - _test.go files and Benchmark/Serial-named functions, and
 //   - sites guarded by a serial-mode condition (an enclosing if whose
 //     condition mentions a serial flag), which is how the chain engine
@@ -25,10 +26,10 @@ import (
 // OracleName is the fenced method.
 const OracleName = "LogLikelihoodSerial"
 
-// Analyzer is the serial-oracle fence.
+// Analyzer is the reference-evaluation fence.
 var Analyzer = &analysis.Analyzer{
 	Name: "serialeval",
-	Doc: "LogLikelihoodSerial is only callable from SerialEval oracle paths, " +
+	Doc: "LogLikelihoodSerial is only callable from reference-evaluator paths, " +
 		"benchmarks and tests; everything else must use the delta evaluation",
 	Run: run,
 }
@@ -72,14 +73,14 @@ func checkFile(pass *analysis.Pass, file *ast.File) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"%s outside a SerialEval oracle path: the full-tree evaluation is O(n·s) per call; use the staged delta evaluation, or guard the call with the chain's serial flag",
+			"%s outside a reference-evaluator path: the full-tree evaluation is O(n·s) per call; use the staged delta evaluation, or guard the call with the chain's serial flag",
 			OracleName)
 		return true
 	})
 }
 
-// allowed reports whether the call site (top of stack) sits in an oracle
-// context: a Serial/Benchmark function, or under an if guarded by a
+// allowed reports whether the call site (top of stack) sits on a
+// reference-evaluator path: a Serial/Benchmark function, or under an if guarded by a
 // serial-mode flag.
 func allowed(stack []ast.Node) bool {
 	for _, n := range stack {

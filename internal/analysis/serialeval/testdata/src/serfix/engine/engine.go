@@ -11,7 +11,7 @@ type chain struct {
 }
 
 func (c *chain) step(t *felsen.Tree) {
-	c.logLik = c.eval.LogLikelihoodSerial(t) // want `LogLikelihoodSerial outside a SerialEval oracle path`
+	c.logLik = c.eval.LogLikelihoodSerial(t) // want `LogLikelihoodSerial outside a reference-evaluator path`
 }
 
 func (c *chain) stepGuarded(t *felsen.Tree) {
@@ -41,5 +41,5 @@ func BenchmarkOracle(c *chain, t *felsen.Tree) float64 {
 }
 
 func (c *chain) unguardedHelper(t *felsen.Tree) float64 {
-	return c.eval.LogLikelihoodSerial(t) // want `LogLikelihoodSerial outside a SerialEval oracle path`
+	return c.eval.LogLikelihoodSerial(t) // want `LogLikelihoodSerial outside a reference-evaluator path`
 }

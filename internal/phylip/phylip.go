@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -100,6 +101,21 @@ func (a *Alignment) DistanceMatrix() [][]float64 {
 		}
 	}
 	return d
+}
+
+// Load reads a PHYLIP alignment from a file; a parse error names the
+// file.
+func Load(path string) (*Alignment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	aln, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return aln, nil
 }
 
 // Read parses a PHYLIP alignment, accepting both sequential (each

@@ -184,7 +184,7 @@ func LoadManifest(path string) ([]Job, error) {
 		if !filepath.IsAbs(seqPath) {
 			seqPath = filepath.Join(base, seqPath)
 		}
-		aln, err := loadAlignment(seqPath)
+		aln, err := phylip.Load(seqPath)
 		if err != nil {
 			return nil, fmt.Errorf("%s: job %d (%q): %w", path, i, entry.Name, err)
 		}
@@ -202,17 +202,4 @@ func LoadManifest(path string) ([]Job, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return jobs, nil
-}
-
-func loadAlignment(path string) (*phylip.Alignment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	aln, err := phylip.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return aln, nil
 }

@@ -15,7 +15,9 @@
 // are far more jobs than drivers. RunBatch is a client of it — submit
 // every job, wait on the tickets — and every entry point (RunBatch,
 // Queue.Submit, RunStandalone) admits a job through the same defaults,
-// the same Validate and the same startJob. Kernel launches from all jobs
+// the same Validate and the same startJob. Prepare passes a job through
+// the same gate for chain drivers the scheduler does not step (the
+// Bayesian joint-posterior chain). Kernel launches from all jobs
 // land on the one shared device.Pool, whose round-robin chunk claiming
 // keeps the workers fair across tenants.
 //
@@ -47,6 +49,7 @@ import (
 	"mpcgs/internal/core"
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
+	"mpcgs/internal/gtree"
 	"mpcgs/internal/phylip"
 	"mpcgs/internal/subst"
 )
@@ -381,6 +384,39 @@ func batchErr(ctx context.Context, pool *device.Pool) error {
 	return nil
 }
 
+// Prepare admits a job through the gate every scheduled run passes —
+// the same defaults, the same Validate — and builds its likelihood
+// evaluator and starting genealogy on dev, exactly as startJob does
+// before it adds a sampler. It serves chain drivers the scheduler does
+// not step, such as the joint-posterior chain of mpcgs.RunBayesian; the
+// returned job carries the defaults that were applied.
+func Prepare(j Job, dev *device.Device) (Job, *felsen.Evaluator, *gtree.Tree, error) {
+	j, err := admit(j, 0, dev.Workers())
+	if err != nil {
+		return j, nil, nil, err
+	}
+	eval, init, err := buildChain(j, dev)
+	return j, eval, init, err
+}
+
+// buildChain builds an admitted job's model, evaluator and starting
+// genealogy on dev: the part of an estimation every chain driver shares.
+func buildChain(j Job, dev *device.Device) (*felsen.Evaluator, *gtree.Tree, error) {
+	model, err := subst.ByName(j.Model, j.Alignment.BaseFreqs())
+	if err != nil {
+		return nil, nil, err
+	}
+	eval, err := felsen.New(model, j.Alignment, dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	init, err := core.InitialTree(j.Alignment, j.InitialTheta, j.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eval, init, nil
+}
+
 // startJob assembles an admitted job's estimation pipeline — model,
 // evaluator, starting genealogy, sampler — on the job's device and
 // returns it positioned before its first transition. It is the only
@@ -388,19 +424,11 @@ func batchErr(ctx context.Context, pool *device.Pool) error {
 // puts the recorder in bounded-memory spill mode with draws streamed to
 // that sidecar file.
 func startJob(j Job, dev *device.Device, trace string) (*core.EMRun, error) {
-	model, err := subst.ByName(j.Model, j.Alignment.BaseFreqs())
-	if err != nil {
-		return nil, err
-	}
-	eval, err := felsen.New(model, j.Alignment, dev)
+	eval, init, err := buildChain(j, dev)
 	if err != nil {
 		return nil, err
 	}
 	sampler, err := buildSampler(j, eval, dev)
-	if err != nil {
-		return nil, err
-	}
-	init, err := core.InitialTree(j.Alignment, j.InitialTheta, j.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -24,19 +24,14 @@
 package mpcgs
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"sort"
 
 	"mpcgs/internal/core"
 	"mpcgs/internal/device"
-	"mpcgs/internal/felsen"
 	"mpcgs/internal/phylip"
 	"mpcgs/internal/sched"
 	"mpcgs/internal/seqgen"
-	"mpcgs/internal/subst"
 )
 
 // Alignment is a set of equal-length nucleotide sequences, the data D of
@@ -61,6 +56,15 @@ func (a *Alignment) Sequence(i int) string { return a.aln.Seqs[i].String() }
 // WritePhylip renders the alignment in PHYLIP format.
 func (a *Alignment) WritePhylip(w io.Writer) error { return phylip.Write(w, a.aln) }
 
+// parsed returns the parsed alignment, nil for a nil Alignment (which
+// the job gate then refuses).
+func (a *Alignment) parsed() *phylip.Alignment {
+	if a == nil {
+		return nil
+	}
+	return a.aln
+}
+
 // ReadAlignment parses a PHYLIP alignment (sequential or interleaved).
 func ReadAlignment(r io.Reader) (*Alignment, error) {
 	aln, err := phylip.Read(r)
@@ -72,16 +76,11 @@ func ReadAlignment(r io.Reader) (*Alignment, error) {
 
 // LoadAlignment reads a PHYLIP alignment from a file.
 func LoadAlignment(path string) (*Alignment, error) {
-	f, err := os.Open(path)
+	aln, err := phylip.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	a, err := ReadAlignment(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
+	return &Alignment{aln: aln}, nil
 }
 
 // SimulateAlignment generates sequence data with a known true θ by the
@@ -173,28 +172,6 @@ type Config struct {
 	// likelihood L(θ, g) over the final sample set, reporting an
 	// exponential growth rate alongside θ (the paper's §7 extension).
 	EstimateGrowth bool
-}
-
-// withDefaults fills the settings RunBayesian reads and the worker count
-// Run sizes its devices by; Run leaves the rest to the scheduler's job
-// defaults.
-func (c Config) withDefaults() Config {
-	if c.Model == "" {
-		c.Model = ModelF81
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Burnin <= 0 {
-		c.Burnin = 1000
-	}
-	if c.Samples <= 0 {
-		c.Samples = 10000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // EMIteration reports one round of the outer loop.
@@ -290,26 +267,22 @@ func (r *Result) Curve(thetas []float64) []float64 {
 // same settings submitted as a batch or daemon job give bit-identical
 // estimates.
 func Run(cfg Config) (*Result, error) {
-	c := cfg.withDefaults()
-	if c.Alignment == nil {
-		return nil, fmt.Errorf("mpcgs: Config.Alignment is required")
-	}
 	out, err := sched.RunStandalone(sched.Job{
-		Alignment:    c.Alignment.aln,
-		InitialTheta: c.InitialTheta,
-		Sampler:      string(c.Sampler),
-		Model:        string(c.Model),
-		Proposals:    c.Proposals,
-		Chains:       c.Chains,
-		MaxTemp:      c.MaxTemp,
-		SwapEvery:    c.SwapEvery,
-		AdaptLadder:  c.AdaptLadder,
-		SwapWindow:   c.SwapWindow,
-		Burnin:       c.Burnin,
-		Samples:      c.Samples,
-		EMIterations: c.EMIterations,
-		Seed:         c.Seed,
-	}, c.Workers)
+		Alignment:    cfg.Alignment.parsed(),
+		InitialTheta: cfg.InitialTheta,
+		Sampler:      string(cfg.Sampler),
+		Model:        string(cfg.Model),
+		Proposals:    cfg.Proposals,
+		Chains:       cfg.Chains,
+		MaxTemp:      cfg.MaxTemp,
+		SwapEvery:    cfg.SwapEvery,
+		AdaptLadder:  cfg.AdaptLadder,
+		SwapWindow:   cfg.SwapWindow,
+		Burnin:       cfg.Burnin,
+		Samples:      cfg.Samples,
+		EMIterations: cfg.EMIterations,
+		Seed:         cfg.Seed,
+	}, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +291,7 @@ func Run(cfg Config) (*Result, error) {
 		FinalTree:   out.LastRun.Final.String(),
 		Diagnostics: Diagnostics(core.Diagnose(out.LastSet)),
 		lastSet:     out.LastSet,
-		workers:     c.Workers,
+		workers:     cfg.Workers,
 	}
 	for _, h := range out.History {
 		res.History = append(res.History, EMIteration(h))
@@ -332,8 +305,8 @@ func Run(cfg Config) (*Result, error) {
 			Adaptations: run.LadderAdaptations,
 		}
 	}
-	if c.EstimateGrowth {
-		dev := device.New(c.Workers)
+	if cfg.EstimateGrowth {
+		dev := device.New(cfg.Workers)
 		defer dev.Close()
 		est, err := core.MaximizeThetaGrowth(out.LastSet, core.MLEConfig{}, dev)
 		if err != nil {
@@ -367,39 +340,30 @@ type BayesResult struct {
 
 // RunBayesian samples the joint posterior P(G, θ|D) under a log-uniform
 // prior on θ — the Bayesian estimation mode of LAMARC 2.0 — and returns
-// posterior summaries instead of a point estimate. Config.InitialTheta
-// seeds the chain; Sampler/Proposals/EMIterations are ignored.
+// posterior summaries instead of a point estimate. It reads Alignment,
+// InitialTheta (which seeds the chain), Model, Workers, Burnin, Samples
+// and Seed, and admits them as a scheduler job would be admitted, with
+// the same defaults and the same validation; the other settings are
+// ignored.
 func RunBayesian(cfg Config) (*BayesResult, error) {
-	c := cfg.withDefaults()
-	if c.Alignment == nil {
-		return nil, fmt.Errorf("mpcgs: Config.Alignment is required")
-	}
-	if c.InitialTheta <= 0 {
-		return nil, fmt.Errorf("mpcgs: Config.InitialTheta must be positive, got %v", c.InitialTheta)
-	}
-	aln := c.Alignment.aln
-	if aln.NSeq() < 3 {
-		return nil, fmt.Errorf("mpcgs: need at least 3 sequences, got %d", aln.NSeq())
-	}
-	model, err := subst.ByName(string(c.Model), aln.BaseFreqs())
-	if err != nil {
-		return nil, err
-	}
-	dev := device.New(c.Workers)
+	dev := device.New(cfg.Workers)
 	defer dev.Close()
-	eval, err := felsen.New(model, aln, dev)
-	if err != nil {
-		return nil, err
-	}
-	init, err := core.InitialTree(aln, c.InitialTheta, c.Seed)
+	job, eval, init, err := sched.Prepare(sched.Job{
+		Alignment:    cfg.Alignment.parsed(),
+		InitialTheta: cfg.InitialTheta,
+		Model:        string(cfg.Model),
+		Burnin:       cfg.Burnin,
+		Samples:      cfg.Samples,
+		Seed:         cfg.Seed,
+	}, dev)
 	if err != nil {
 		return nil, err
 	}
 	run, err := core.NewBayesian(eval).Run(init, core.ChainConfig{
-		Theta:   c.InitialTheta,
-		Burnin:  c.Burnin,
-		Samples: c.Samples,
-		Seed:    c.Seed,
+		Theta:   job.InitialTheta,
+		Burnin:  job.Burnin,
+		Samples: job.Samples,
+		Seed:    job.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -322,4 +322,24 @@ func TestRunBayesianValidation(t *testing.T) {
 	if _, err := RunBayesian(Config{Alignment: aln}); err == nil {
 		t.Error("zero theta accepted")
 	}
+	// RunBayesian admits its settings through the scheduler's job gate:
+	// a non-finite θ is refused by name, never handed to the chain.
+	for label, cfg := range map[string]Config{
+		"NaN theta":     {Alignment: aln, InitialTheta: math.NaN()},
+		"Inf theta":     {Alignment: aln, InitialTheta: math.Inf(1)},
+		"unknown model": {Alignment: aln, InitialTheta: 1, Model: "bogus"},
+	} {
+		_, err := RunBayesian(cfg)
+		if err == nil {
+			t.Errorf("%s: accepted", label)
+			continue
+		}
+		want := "must be finite"
+		if label == "unknown model" {
+			want = `unknown model "bogus"`
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not mention %q", label, err, want)
+		}
+	}
 }

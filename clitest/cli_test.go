@@ -201,6 +201,20 @@ func TestMpcgsRejectsBadInput(t *testing.T) {
 			t.Errorf("mpcgs %v: want a must-be-finite refusal:\n%s", args, out)
 		}
 	}
+
+	// A finite θ so small that the resimulation's rates overflow used to
+	// panic the scheduler (rng.UniformPair with n < 2); the spec gate
+	// refuses it, subnormals included.
+	for _, args := range [][]string{
+		{"-burnin", "20", "-samples", "50", "-em-iterations", "1", good, "1e-308"},
+		{good, "5e-324"},
+		{"-bayesian", good, "1e-308"},
+	} {
+		out := runExpectError(t, "mpcgs", args...)
+		if !strings.Contains(out, "below the smallest supported value") || strings.Contains(out, "panic") {
+			t.Errorf("mpcgs %v: want a smallest-theta refusal:\n%s", args, out)
+		}
+	}
 }
 
 func min(a, b int) int {

@@ -19,11 +19,13 @@ import (
 	"mpcgs/internal/subst"
 )
 
-// blockSizesFor returns the block widths the issue pins: one pattern per
-// block (maximal partitioning), a cache-line of float64s, the default,
-// and wider than the whole pattern axis (degenerates to one block).
+// blockSizesFor returns the block widths the equivalence tests sweep:
+// one pattern per block (maximal partitioning), a cache-line of
+// float64s, 13 (block starts at every offset mod 4, and a 1-pattern tail
+// after the vector kernels' 4-pattern groups), the default, and wider
+// than the whole pattern axis (degenerates to one block).
 func blockSizesFor(nPatterns int) []int {
-	return []int{1, 8, DefaultBlockSize, nPatterns + 100}
+	return []int{1, 8, 13, DefaultBlockSize, nPatterns + 100}
 }
 
 // blockFixture builds an alignment large enough that Rebase exceeds the

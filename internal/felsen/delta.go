@@ -511,14 +511,10 @@ func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 // the same rows, so any number of one evaluation's blocks may run
 // concurrently on the pool. The node loop is branchless on lane sources:
 // every row — tip table, staged scratch or cache — was resolved into
-// ds.rows by bindRows, so the kernel only slices and streams. The inner
-// loop is a single fused pass per node — both children's dot products,
-// the running maximum, the rare rescale, and the scale lane — over
-// equal-length lane slices indexed by one induction variable, which is
-// what lets the compiler eliminate every bounds check
-// (-d=ssa/check_bce) and keep the loads and stores dense. The
-// per-pattern arithmetic and its operation order are identical to
-// siteLogLikelihoodIter.
+// ds.rows by bindRows, so the kernel only slices and streams. Each node
+// is one evalNode pass (kernels.go): both children's dot products, the
+// running maximum, the rare rescale, and the scale lane, with the
+// per-pattern arithmetic and operation order of siteLogLikelihoodIter.
 //
 //mpcgs:hotpath
 func (ds *deltaScratch) runBlock(b int) {
@@ -529,77 +525,10 @@ func (ds *deltaScratch) runBlock(b int) {
 	if hi > nPat {
 		hi = nPat
 	}
+	n := hi - lo
 	for k := range ds.rows {
 		rr := &ds.rows[k]
-		lc, lsf := rr.lc, rr.ls
-		rc, rsf := rr.rc, rr.rs
-		oc, osf := rr.oc, rr.os
-		m0, m1 := rr.m0, rr.m1
-		a00, a01, a02, a03 := m0[0][0], m0[0][1], m0[0][2], m0[0][3]
-		a10, a11, a12, a13 := m0[1][0], m0[1][1], m0[1][2], m0[1][3]
-		a20, a21, a22, a23 := m0[2][0], m0[2][1], m0[2][2], m0[2][3]
-		a30, a31, a32, a33 := m0[3][0], m0[3][1], m0[3][2], m0[3][3]
-		b00, b01, b02, b03 := m1[0][0], m1[0][1], m1[0][2], m1[0][3]
-		b10, b11, b12, b13 := m1[1][0], m1[1][1], m1[1][2], m1[1][3]
-		b20, b21, b22, b23 := m1[2][0], m1[2][1], m1[2][2], m1[2][3]
-		b30, b31, b32, b33 := m1[3][0], m1[3][1], m1[3][2], m1[3][3]
-		o0 := oc[lo:hi]
-		o1 := oc[nPat+lo : nPat+hi]
-		o2 := oc[2*nPat+lo : 2*nPat+hi]
-		o3 := oc[3*nPat+lo : 3*nPat+hi]
-		l0 := lc[lo:hi]
-		l1 := lc[nPat+lo : nPat+hi]
-		l2 := lc[2*nPat+lo : 2*nPat+hi]
-		l3 := lc[3*nPat+lo : 3*nPat+hi]
-		r0 := rc[lo:hi]
-		r1 := rc[nPat+lo : nPat+hi]
-		r2 := rc[2*nPat+lo : 2*nPat+hi]
-		r3 := rc[3*nPat+lo : 3*nPat+hi]
-		ls := lsf[lo:hi]
-		rs := rsf[lo:hi]
-		os := osf[lo:hi]
-		// Pin every lane to the loop slice's length so the compiler can
-		// prove i in range for all of them (bounds-check elimination).
-		n := len(o0)
-		o1, o2, o3 = o1[:n], o2[:n], o3[:n]
-		l0, l1, l2, l3 = l0[:n], l1[:n], l2[:n], l3[:n]
-		r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
-		ls, rs, os = ls[:n], rs[:n], os[:n]
-		for i := range o0 {
-			u0, u1, u2, u3 := l0[i], l1[i], l2[i], l3[i]
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-			w0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * (b00*v0 + b01*v1 + b02*v2 + b03*v3)
-			w1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * (b10*v0 + b11*v1 + b12*v2 + b13*v3)
-			w2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * (b20*v0 + b21*v1 + b22*v2 + b23*v3)
-			w3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * (b30*v0 + b31*v1 + b32*v2 + b33*v3)
-			maxv := 0.0
-			if w0 > maxv {
-				maxv = w0
-			}
-			if w1 > maxv {
-				maxv = w1
-			}
-			if w2 > maxv {
-				maxv = w2
-			}
-			if w3 > maxv {
-				maxv = w3
-			}
-			sc := ls[i] + rs[i]
-			if maxv < rescaleThreshold && maxv > 0 {
-				inv := 1 / maxv
-				w0 *= inv
-				w1 *= inv
-				w2 *= inv
-				w3 *= inv
-				sc += math.Log(maxv)
-			}
-			o0[i] = w0
-			o1[i] = w1
-			o2[i] = w2
-			o3[i] = w3
-			os[i] = sc
-		}
+		evalNode(rowAt(rr.lc, rr.ls, nPat, lo), rowAt(rr.rc, rr.rs, nPat, lo), rowAt(rr.oc, rr.os, nPat, lo), rr.m0, rr.m1, n)
 	}
 	// Root contraction with the prior frequencies (Eq. 21), per pattern.
 	// The root is always dirty here: diffDirty marks every changed node's
@@ -612,7 +541,7 @@ func (ds *deltaScratch) runBlock(b int) {
 	p3 := rc[3*nPat+lo : 3*nPat+hi]
 	ps := rsf[lo:hi]
 	pc := e.patCount[lo:hi]
-	n := len(p0)
+	p0 = p0[:n]
 	p1, p2, p3, ps, pc = p1[:n], p2[:n], p3[:n], ps[:n], pc[:n]
 	sum := 0.0
 	for i := range p0 {

@@ -52,6 +52,10 @@ func closeRel(a, b float64) bool {
 }
 
 func TestRebaseMatchesSerial(t *testing.T) {
+	ForEachKernel(t, testRebaseMatchesSerial)
+}
+
+func testRebaseMatchesSerial(t *testing.T) {
 	eval, tree, _ := deltaFixture(t, 8, 120, 301)
 	c := eval.NewDeltaCache()
 	got := eval.Rebase(c, tree)
@@ -62,6 +66,10 @@ func TestRebaseMatchesSerial(t *testing.T) {
 }
 
 func TestDeltaMatchesSerialOverResimulations(t *testing.T) {
+	ForEachKernel(t, testDeltaMatchesSerialOverResimulations)
+}
+
+func testDeltaMatchesSerialOverResimulations(t *testing.T) {
 	// Across a long chain of neighbourhood resimulations, every delta
 	// evaluation must agree with a from-scratch serial one to roundoff,
 	// and with a from-scratch pattern evaluation bit-for-bit — the delta

@@ -146,11 +146,13 @@ func newEvaluator(model subst.Model, aln *phylip.Alignment, dev *device.Device, 
 	}
 	e.wavePool.New = func() any {
 		// Sized at Get time so a SetBlockSize before the first evaluation
-		// is honored; one working row (four state lanes plus the scale
-		// lane) per concurrent wave cell.
+		// is honored; a working row and a target row (four state lanes
+		// plus the scale lane each) per concurrent wave cell.
 		return &waveScratch{
-			cond:  make([]float64, nStates*e.blockSize),
-			scale: make([]float64, e.blockSize),
+			cond:   make([]float64, nStates*e.blockSize),
+			scale:  make([]float64, e.blockSize),
+			tcond:  make([]float64, nStates*e.blockSize),
+			tscale: make([]float64, e.blockSize),
 		}
 	}
 	e.compressPatterns()

@@ -91,12 +91,16 @@ type waveProp struct {
 	cvc, cvs []float64
 }
 
-// waveScratch is the per-cell working row of the wave kernel: one node's
-// conditional lanes for one pattern block, overwritten in place as the
-// cell walks target → parent → root path.
+// waveScratch is the per-cell working memory of the wave kernel: the
+// working row — one node's conditional lanes for one pattern block,
+// overwritten in place as the cell walks parent → root path — and the
+// target row, which the vector path stores between the target and parent
+// passes (the scalar path carries it in registers).
 type waveScratch struct {
-	cond  []float64 // nStates lanes of blockSize patterns each
-	scale []float64 // blockSize
+	cond   []float64 // nStates lanes of blockSize patterns each
+	scale  []float64 // blockSize
+	tcond  []float64 // the target row, laid out like cond
+	tscale []float64
 }
 
 // Wave evaluates GMH proposal sets against one DeltaCache as fused
@@ -265,31 +269,10 @@ func (w *Wave) runLiftBlock(b int) {
 		hi = nPat
 	}
 	for k := range w.path {
-		m := &w.cleanMats[k]
-		b00, b01, b02, b03 := m[0][0], m[0][1], m[0][2], m[0][3]
-		b10, b11, b12, b13 := m[1][0], m[1][1], m[1][2], m[1][3]
-		b20, b21, b22, b23 := m[2][0], m[2][1], m[2][2], m[2][3]
-		b30, b31, b32, b33 := m[3][0], m[3][1], m[3][2], m[3][3]
-		vc := w.cleanCond[k]
-		v0 := vc[lo:hi]
-		v1 := vc[nPat+lo : nPat+hi]
-		v2 := vc[2*nPat+lo : 2*nPat+hi]
-		v3 := vc[3*nPat+lo : 3*nPat+hi]
 		base := k * nStates * nPat
-		o0 := w.outer[base+lo : base+hi]
-		o1 := w.outer[base+nPat+lo : base+nPat+hi]
-		o2 := w.outer[base+2*nPat+lo : base+2*nPat+hi]
-		o3 := w.outer[base+3*nPat+lo : base+3*nPat+hi]
-		n := len(o0)
-		o1, o2, o3 = o1[:n], o2[:n], o3[:n]
-		v0, v1, v2, v3 = v0[:n], v1[:n], v2[:n], v3[:n]
-		for i := range o0 {
-			x0, x1, x2, x3 := v0[i], v1[i], v2[i], v3[i]
-			o0[i] = b00*x0 + b01*x1 + b02*x2 + b03*x3
-			o1[i] = b10*x0 + b11*x1 + b12*x2 + b13*x3
-			o2[i] = b20*x0 + b21*x1 + b22*x2 + b23*x3
-			o3[i] = b30*x0 + b31*x1 + b32*x2 + b33*x3
-		}
+		clean := rowView{cond: w.cleanCond[k][lo:], stride: nPat}
+		outer := rowView{cond: w.outer[base+lo:], stride: nPat}
+		evalLift(clean, outer, &w.cleanMats[k], hi-lo)
 	}
 }
 
@@ -395,25 +378,16 @@ func (w *Wave) runCell(cell int) {
 	n := hi - lo
 	ws := e.wavePool.Get().(*waveScratch)
 	// The working row: the current node's lanes for this block,
-	// overwritten in place as the walk climbs (each iteration loads all
-	// four states before storing).
-	s0 := ws.cond[0*bs : 0*bs+n]
-	s1 := ws.cond[1*bs : 1*bs+n]
-	s2 := ws.cond[2*bs : 2*bs+n]
-	s3 := ws.cond[3*bs : 3*bs+n]
-	ss := ws.scale[:n]
+	// overwritten in place as the walk climbs.
+	sv := rowView{ws.cond, ws.scale, bs}
 
-	// Fused target-and-parent pass: the target row (both children clean)
-	// is carried per pattern in registers straight into the parent's dot
-	// products, so the neighbourhood costs one loop and only the parent
-	// row is ever stored. Each node's arithmetic is runBlock's, with the
-	// same matrix↔child pairing; the two dot factors and the two scale
-	// summands commute bit-exactly, so evaluating the φ side first is the
-	// per-candidate kernel's result regardless of Child-array order.
-	tl := laneSlice(pr.tlc, pr.tls, nPat, lo, hi)
-	tr := laneSlice(pr.trc, pr.trs, nPat, lo, hi)
-	cv := laneSlice(pr.cvc, pr.cvs, nPat, lo, hi)
-	waveNeighbourhood(pr, tl, tr, cv, laneView{s0, s1, s2, s3, ss})
+	// Neighbourhood: the target row (both children clean), then the
+	// parent row from the target and the parent's clean child, into the
+	// working row.
+	tl := rowAt(pr.tlc, pr.tls, nPat, lo)
+	tr := rowAt(pr.trc, pr.trs, nPat, lo)
+	cv := rowAt(pr.cvc, pr.cvs, nPat, lo)
+	evalNeighbourhood(pr, tl, tr, cv, rowView{ws.tcond, ws.tscale, bs}, sv, n)
 
 	// Root path: one dirty-side dot per node against the shared outer
 	// lane, then the same max/rescale/scale sequence as runBlock.
@@ -422,57 +396,18 @@ func (w *Wave) runCell(cell int) {
 		if k > 0 {
 			m = &w.chainMats[k]
 		}
-		a00, a01, a02, a03 := m[0][0], m[0][1], m[0][2], m[0][3]
-		a10, a11, a12, a13 := m[1][0], m[1][1], m[1][2], m[1][3]
-		a20, a21, a22, a23 := m[2][0], m[2][1], m[2][2], m[2][3]
-		a30, a31, a32, a33 := m[3][0], m[3][1], m[3][2], m[3][3]
 		base := k * nStates * nPat
-		o0 := w.outer[base+lo : base+hi]
-		o1 := w.outer[base+nPat+lo : base+nPat+hi]
-		o2 := w.outer[base+2*nPat+lo : base+2*nPat+hi]
-		o3 := w.outer[base+3*nPat+lo : base+3*nPat+hi]
-		cs := w.cleanScale[k][lo:hi]
-		o0 = o0[:n]
-		o1, o2, o3, cs = o1[:n], o2[:n], o3[:n], cs[:n]
-		for i := range s0 {
-			u0, u1, u2, u3 := s0[i], s1[i], s2[i], s3[i]
-			w0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * o0[i]
-			w1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * o1[i]
-			w2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * o2[i]
-			w3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * o3[i]
-			maxv := 0.0
-			if w0 > maxv {
-				maxv = w0
-			}
-			if w1 > maxv {
-				maxv = w1
-			}
-			if w2 > maxv {
-				maxv = w2
-			}
-			if w3 > maxv {
-				maxv = w3
-			}
-			sc := ss[i] + cs[i]
-			if maxv < rescaleThreshold && maxv > 0 {
-				inv := 1 / maxv
-				w0 *= inv
-				w1 *= inv
-				w2 *= inv
-				w3 *= inv
-				sc += math.Log(maxv)
-			}
-			s0[i] = w0
-			s1[i] = w1
-			s2[i] = w2
-			s3[i] = w3
-			ss[i] = sc
-		}
+		evalWalk(sv, rowAt(w.outer[base:], w.cleanScale[k], nPat, lo), m, n)
 	}
 
 	// Root contraction with the prior frequencies, per pattern — the
 	// working row now holds the root (the parent itself in the root case).
 	f0, f1, f2, f3 := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
+	s0 := ws.cond[0*bs : 0*bs+n]
+	s1 := ws.cond[1*bs : 1*bs+n]
+	s2 := ws.cond[2*bs : 2*bs+n]
+	s3 := ws.cond[3*bs : 3*bs+n]
+	ss := ws.scale[:n]
 	pc := e.patCount[lo:hi]
 	pc = pc[:n]
 	sum := 0.0
@@ -488,36 +423,38 @@ func (w *Wave) runCell(cell int) {
 	e.wavePool.Put(ws)
 }
 
-// laneView is one conditional row's per-state lanes plus its scale lane,
-// already sliced to a cell's pattern range.
-type laneView struct {
-	l0, l1, l2, l3, ls []float64
-}
-
-// laneSlice views a pre-resolved row's lanes over [lo, hi).
-func laneSlice(cond, scale []float64, nPat, lo, hi int) laneView {
-	return laneView{
-		cond[lo:hi],
-		cond[nPat+lo : nPat+hi],
-		cond[2*nPat+lo : 2*nPat+hi],
-		cond[3*nPat+lo : 3*nPat+hi],
-		scale[lo:hi],
-	}
-}
-
-// waveNeighbourhood fuses the resimulated neighbourhood's two node
-// evaluations over a cell's pattern range: the target row — computed from
-// its children l and r (the candidate's Child-array order) — is carried
-// per pattern in registers straight into the parent's dot products
-// against the parent's clean-child row c, and only the parent row is
-// stored, into o. Each node's arithmetic is exactly runBlock's inner
-// loop (children dots, running maximum, rescale test, scale add); at the
-// parent, the φ-side factor is evaluated first regardless of Child-array
-// order, which is bit-identical because the two dot factors and the two
-// scale summands commute.
+// evalNeighbourhood evaluates the resimulated neighbourhood's two nodes
+// over patterns [0, n): the target row from its children l and r (the
+// candidate's Child-array order), then the parent row from the target
+// and the parent's clean-child row c, into o. Each node's arithmetic is
+// runBlock's, with the same matrix↔child pairing; the two dot factors
+// and the two scale summands commute bit-exactly, so evaluating the φ
+// side first is the per-candidate kernel's result regardless of
+// Child-array order. The vector path runs two evalNode passes through
+// the target row t (a float64 store is exact); the scalar path fuses
+// them and leaves t untouched.
 //
 //mpcgs:hotpath
-func waveNeighbourhood(pr *waveProp, l, r, c, o laneView) {
+func evalNeighbourhood(pr *waveProp, l, r, c, t, o rowView, n int) {
+	if useAVX2 {
+		evalNode(l, r, t, &pr.tm0, &pr.tm1, n)
+		evalNode(t, c, o, &pr.pmPhi, &pr.pmClean, n)
+		return
+	}
+	waveNeighbourhood(pr, l, r, c, o, n)
+}
+
+// waveNeighbourhood is the scalar path's fused neighbourhood over
+// patterns [0, n): the target row — computed from its children l and r
+// (the candidate's Child-array order) — is carried per pattern in
+// registers straight into the parent's dot products against the
+// parent's clean-child row c, and only the parent row is stored, into o.
+// Each node's arithmetic is exactly evalNode's (children dots, running
+// maximum, rescale test, scale add), with the φ-side factor first at the
+// parent.
+//
+//mpcgs:hotpath
+func waveNeighbourhood(pr *waveProp, l, r, c, o rowView, n int) {
 	a00, a01, a02, a03 := pr.tm0[0][0], pr.tm0[0][1], pr.tm0[0][2], pr.tm0[0][3]
 	a10, a11, a12, a13 := pr.tm0[1][0], pr.tm0[1][1], pr.tm0[1][2], pr.tm0[1][3]
 	a20, a21, a22, a23 := pr.tm0[2][0], pr.tm0[2][1], pr.tm0[2][2], pr.tm0[2][3]
@@ -534,12 +471,10 @@ func waveNeighbourhood(pr *waveProp, l, r, c, o laneView) {
 	q10, q11, q12, q13 := pr.pmClean[1][0], pr.pmClean[1][1], pr.pmClean[1][2], pr.pmClean[1][3]
 	q20, q21, q22, q23 := pr.pmClean[2][0], pr.pmClean[2][1], pr.pmClean[2][2], pr.pmClean[2][3]
 	q30, q31, q32, q33 := pr.pmClean[3][0], pr.pmClean[3][1], pr.pmClean[3][2], pr.pmClean[3][3]
-	o0 := o.l0
-	n := len(o0)
-	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
-	l0, l1, l2, l3, ls := l.l0[:n], l.l1[:n], l.l2[:n], l.l3[:n], l.ls[:n]
-	r0, r1, r2, r3, rs := r.l0[:n], r.l1[:n], r.l2[:n], r.l3[:n], r.ls[:n]
-	c0, c1, c2, c3, cs := c.l0[:n], c.l1[:n], c.l2[:n], c.l3[:n], c.ls[:n]
+	o0, o1, o2, o3, os := o.cond[:n], o.cond[o.stride:][:n], o.cond[2*o.stride:][:n], o.cond[3*o.stride:][:n], o.scale[:n]
+	l0, l1, l2, l3, ls := l.cond[:n], l.cond[l.stride:][:n], l.cond[2*l.stride:][:n], l.cond[3*l.stride:][:n], l.scale[:n]
+	r0, r1, r2, r3, rs := r.cond[:n], r.cond[r.stride:][:n], r.cond[2*r.stride:][:n], r.cond[3*r.stride:][:n], r.scale[:n]
+	c0, c1, c2, c3, cs := c.cond[:n], c.cond[c.stride:][:n], c.cond[2*c.stride:][:n], c.cond[3*c.stride:][:n], c.scale[:n]
 	for i := range o0 {
 		u0, u1, u2, u3 := l0[i], l1[i], l2[i], l3[i]
 		v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]

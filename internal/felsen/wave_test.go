@@ -125,11 +125,11 @@ func testWaveMatchesPerCandidate(t *testing.T, phiPick func(*gtree.Tree) int) {
 }
 
 func TestWaveMatchesPerCandidateBits(t *testing.T) {
-	testWaveMatchesPerCandidate(t, anyTarget)
+	ForEachKernel(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, anyTarget) })
 }
 
 func TestWaveMatchesPerCandidateBitsRootCase(t *testing.T) {
-	testWaveMatchesPerCandidate(t, rootAdjacentTarget)
+	ForEachKernel(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, rootAdjacentTarget) })
 }
 
 func TestWaveSkipsNilSlots(t *testing.T) {

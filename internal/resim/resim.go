@@ -131,6 +131,12 @@ func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source,
 	if theta <= 0 {
 		return fmt.Errorf("resim: theta %v must be positive", theta)
 	}
+	// The region's largest rate is λ_3 = 3·(2+2·k_in)/θ with k_in below
+	// the tip count; once it overflows, every transition probability is
+	// NaN or infinite and no draw exists.
+	if maxRate := float64(maxActive*(maxActive-1+2*t.NTips())) / theta; math.IsInf(maxRate, 0) {
+		return fmt.Errorf("resim: theta %v too small: coalescent rates overflow", theta)
+	}
 	if target < 0 || target >= t.NNodes() {
 		return fmt.Errorf("resim: target %d out of range", target)
 	}
@@ -414,7 +420,9 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 			weights[b] = w
 			total += w
 		}
-		if total <= 0 {
+		// !(total > 0) also catches NaN: rates near the float64 limit can
+		// make a transition probability 0·Inf.
+		if !(total > 0) || math.IsInf(total, 0) {
 			return fmt.Errorf("resim: no feasible continuation in interval %d (theta %v too extreme for region)", j, r.theta)
 		}
 		b := -1
@@ -436,6 +444,9 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 					break
 				}
 			}
+		}
+		if b < 0 {
+			return fmt.Errorf("resim: no feasible exit state in interval %d (theta %v too extreme for region)", j, r.theta)
 		}
 
 		// Place the events inside the interval and apply them in age order.

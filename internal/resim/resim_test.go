@@ -2,6 +2,7 @@ package resim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mpcgs/internal/gtree"
@@ -381,6 +382,39 @@ func TestResimulateSlotConvention(t *testing.T) {
 		}
 		if tr.Nodes[parent].Parent != ancestor {
 			t.Fatalf("trial %d: parent slot's parent = %d, want %d", trial, tr.Nodes[parent].Parent, ancestor)
+		}
+	}
+}
+
+// TestResimulateTinyTheta is the regression test for a panic: at θ =
+// 1e-308 the coalescent rates overflowed to +Inf, the interval weights
+// became NaN, no exit state was chosen and the forward walk merged a
+// single lineage (rng.UniformPair with n < 2). Every θ down to the
+// smallest subnormal must now give an error or a valid tree, and θ
+// whose rates overflow must be refused up front.
+func TestResimulateTinyTheta(t *testing.T) {
+	src := rng.NewMT19937(408)
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	for _, theta := range []float64{1e-150, 1e-200, 1e-305, 1e-308, 5e-324} {
+		for _, scale := range []float64{1, theta} {
+			tr, err := gtree.RandomCoalescent(names, scale, src)
+			if err != nil {
+				if scale == 1 {
+					t.Fatal(err)
+				}
+				continue // ages this small underflow: no such tree exists
+			}
+			for trial := 0; trial < 50; trial++ {
+				err := Resimulate(tr, PickTarget(tr, src), theta, src)
+				if err == nil {
+					if err := tr.Validate(); err != nil {
+						t.Fatalf("theta=%v tree scale %v trial %d: %v", theta, scale, trial, err)
+					}
+				}
+				if theta <= 1e-308 && (err == nil || !strings.Contains(err.Error(), "coalescent rates overflow")) {
+					t.Fatalf("theta=%v: got %v, want the rate-overflow refusal", theta, err)
+				}
+			}
 		}
 	}
 }

@@ -334,6 +334,10 @@ func TestLoadManifestRejectsDuplicatesAndBadCounts(t *testing.T) {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": -1}]}`,
 			"theta -1 must be positive",
 		},
+		"subnormal theta": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 5e-324}]}`,
+			"theta 5e-324 is below the smallest supported value 1e-150",
+		},
 		"infinite theta": {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": "+Inf"}]}`,
 			"theta +Inf must be finite",

@@ -6,6 +6,13 @@ import (
 	"strings"
 )
 
+// minTheta is the smallest driving θ a job may start from. The
+// resimulation's interval probabilities multiply two coalescent rates of
+// order 1/θ, which overflow float64 below about 2.6e-154; from there on
+// its draws are numerically infeasible and every proposal fails. A θ
+// this small is in any case no per-site mutation rate.
+const minTheta = 1e-150
+
 // Validate checks a job for spec errors a run could only surface later
 // with a less useful failure. It is the one spec gate: admission runs it
 // for every entry point, and JobFromSpec runs it for every JSON surface,
@@ -31,6 +38,9 @@ func (j Job) Validate() error {
 	}
 	if j.InitialTheta <= 0 {
 		return fmt.Errorf("theta %v must be positive", j.InitialTheta)
+	}
+	if j.InitialTheta < minTheta {
+		return fmt.Errorf("theta %v is below the smallest supported value %v", j.InitialTheta, minTheta)
 	}
 	switch j.Sampler {
 	case "", "gmh", "mh", "heated", "multichain":

@@ -61,10 +61,7 @@ package felsen
 // their weights stay exactly comparable.
 
 import (
-	"math"
-
 	"mpcgs/internal/gtree"
-	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
 )
 
@@ -530,27 +527,8 @@ func (ds *deltaScratch) runBlock(b int) {
 		rr := &ds.rows[k]
 		evalNode(rowAt(rr.lc, rr.ls, nPat, lo), rowAt(rr.rc, rr.rs, nPat, lo), rowAt(rr.oc, rr.os, nPat, lo), rr.m0, rr.m1, n)
 	}
-	// Root contraction with the prior frequencies (Eq. 21), per pattern.
-	// The root is always dirty here: diffDirty marks every changed node's
-	// full ancestor path.
-	rc, rsf := ds.rootCond, ds.rootScale
-	f0, f1, f2, f3 := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
-	p0 := rc[lo:hi]
-	p1 := rc[nPat+lo : nPat+hi]
-	p2 := rc[2*nPat+lo : 2*nPat+hi]
-	p3 := rc[3*nPat+lo : 3*nPat+hi]
-	ps := rsf[lo:hi]
-	pc := e.patCount[lo:hi]
-	p0 = p0[:n]
-	p1, p2, p3, ps, pc = p1[:n], p2[:n], p3[:n], ps[:n], pc[:n]
-	sum := 0.0
-	for i := range p0 {
-		siteL := f0*p0[i] + f1*p1[i] + f2*p2[i] + f3*p3[i]
-		if siteL <= 0 {
-			sum += logspace.NegInf
-			continue
-		}
-		sum += pc[i] * (math.Log(siteL) + ps[i])
-	}
-	ds.sums[b] = sum
+	// Root contraction with the prior frequencies (Eq. 21). The root is
+	// always dirty here: diffDirty marks every changed node's full
+	// ancestor path.
+	ds.sums[b] = evalRoot(rowAt(ds.rootCond, ds.rootScale, nPat, lo), e.patCount[lo:hi], &e.freqs, n)
 }

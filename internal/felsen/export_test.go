@@ -20,7 +20,9 @@ func SetUseAVX2(tb testing.TB, on bool) {
 }
 
 // ForEachKernel runs f once with the scalar kernels and once with the
-// AVX2 kernels, as subtests "scalar" and "avx2".
+// AVX2 kernels, as subtests "scalar" and "avx2". The switch covers every
+// kernel in kernels.go: node, walk, lift, neighbourhood and the root
+// contraction with its vector log.
 func ForEachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for _, on := range []bool{false, true} {

@@ -12,11 +12,14 @@ package felsen
 // bit-identical to the scalar loops below. A 4-pattern group in which
 // any lane needs rescaling, and the n%4 tail, run through the scalar
 // loop, which is the single fallback: the vector code never rescales.
-// Elsewhere the scalar loops run alone.
+// The root contraction's vector kernel also takes the per-pattern log
+// four lanes at a time, by the instruction sequence math.Log runs on
+// amd64 (see evalRoot). Elsewhere the scalar loops run alone.
 
 import (
 	"math"
 
+	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
 )
 
@@ -237,4 +240,59 @@ func liftScalar(v, o rowView, m *subst.Matrix, lo, hi int) {
 		o2[i] = b20*x0 + b21*x1 + b22*x2 + b23*x3
 		o3[i] = b30*x0 + b31*x1 + b32*x2 + b33*x3
 	}
+}
+
+// evalRoot returns the root contraction over patterns [0, n) of the root
+// row v: Σ pc[i]·(log(f·v(i)) + scale(i)), summed in pattern order, with
+// a pattern whose likelihood f·v(i) is not positive adding −Inf (Eq. 21).
+//
+// The vector kernel mirrors math.Log's amd64 assembly (archLog in
+// $GOROOT/src/math/log_amd64.s), the function math.Log runs on that
+// architecture, op for op in each lane, so every term carries the bits
+// the scalar loop computes; it then adds the four terms to the sum one
+// at a time, in pattern order. A group goes to the scalar loop unless
+// every lane's likelihood is a normal finite float64: archLog's special
+// cases (zero, negative, +Inf, NaN) and the subnormals, which archLog
+// does not normalise, stay with math.Log itself.
+//
+//mpcgs:hotpath
+func evalRoot(v rowView, pc []float64, f *[4]float64, n int) float64 {
+	sum := 0.0
+	i := 0
+	for useAVX2 && n-i >= 4 {
+		var done int
+		sum, done = rootVec(v, pc, f, sum, i, n)
+		i += done
+		if n-i < 4 {
+			break
+		}
+		sum = rootScalar(v, pc, f, sum, i, i+4)
+		i += 4
+	}
+	return rootScalar(v, pc, f, sum, i, n)
+}
+
+// rootScalar is evalRoot's loop over patterns [lo, hi), adding each
+// pattern's term to sum.
+//
+//mpcgs:hotpath
+func rootScalar(v rowView, pc []float64, f *[4]float64, sum float64, lo, hi int) float64 {
+	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
+	s0 := v.cond[lo:hi]
+	s1 := v.cond[v.stride+lo : v.stride+hi]
+	s2 := v.cond[2*v.stride+lo : 2*v.stride+hi]
+	s3 := v.cond[3*v.stride+lo : 3*v.stride+hi]
+	ss := v.scale[lo:hi]
+	pc = pc[lo:hi]
+	n := len(s0)
+	s1, s2, s3, ss, pc = s1[:n], s2[:n], s3[:n], ss[:n], pc[:n]
+	for i := range s0 {
+		siteL := f0*s0[i] + f1*s1[i] + f2*s2[i] + f3*s3[i]
+		if siteL <= 0 {
+			sum += logspace.NegInf
+			continue
+		}
+		sum += pc[i] * (math.Log(siteL) + ss[i])
+	}
+	return sum
 }

@@ -44,6 +44,15 @@ func walkKernelAVX2(s *float64, sstride int, ss *float64, c *float64, cstride in
 //go:noescape
 func liftKernelAVX2(v *float64, vstride int, o *float64, ostride int, m *subst.Matrix, groups int)
 
+// rootKernelAVX2 adds the root-contraction terms of `groups` whole
+// 4-pattern groups to sum and returns the new sum. It stops before the
+// first group in which any lane's likelihood is not a normal finite
+// float64, leaving that group's terms out, and returns the number of
+// patterns it finished.
+//
+//go:noescape
+func rootKernelAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, sum float64, groups int) (out float64, done int)
+
 // span bounds-checks the lanes the assembly reads or writes for patterns
 // [i, n) of v, n > i: the first pattern of state lane 0, the last of
 // state lane 3 and, with scale, both ends of the scale lane. The kernels
@@ -91,4 +100,16 @@ func liftVec(v, o rowView, m *subst.Matrix, n int) int {
 	o.span(0, n, false)
 	liftKernelAVX2(&v.cond[0], v.stride, &o.cond[0], o.stride, m, n/4)
 	return n - n%4
+}
+
+// rootVec runs evalRoot's whole 4-pattern groups from pattern i on,
+// adding their terms to sum, and returns the new sum and how many
+// patterns it finished.
+func rootVec(v rowView, pc []float64, f *[4]float64, sum float64, i, n int) (float64, int) {
+	if n-i < 4 {
+		return sum, 0
+	}
+	v.span(i, n, true)
+	_ = pc[n-1]
+	return rootKernelAVX2(&v.cond[i], v.stride, &v.scale[i], &pc[i], f, sum, (n-i)/4)
 }

@@ -223,6 +223,148 @@ liftDone:
 	VZEROUPPER
 	RET
 
+// The root contraction's constants, each in every lane. The log's are
+// archLog's ($GOROOT/src/math/log_amd64.s), written as their bits.
+#define CONST4(name, bits) \
+	DATA name<>+0(SB)/8, $bits; \
+	DATA name<>+8(SB)/8, $bits; \
+	DATA name<>+16(SB)/8, $bits; \
+	DATA name<>+24(SB)/8, $bits; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+
+CONST4(minNormal, 0x0010000000000000) // 2^-1022
+CONST4(maxFloat, 0x7fefffffffffffff)  // math.MaxFloat64
+CONST4(fracMask, 0x000fffffffffffff)
+CONST4(half, 0x3fe0000000000000)
+CONST4(one, 0x3ff0000000000000)
+CONST4(two, 0x4000000000000000)
+CONST4(twoP52, 0x4330000000000000)    // 2^52
+CONST4(expBias, 0x43300000000003fe)   // 2^52 + 1022
+CONST4(hSqrt2, 0x3fe6a09e667f3bcd)    // √2/2
+CONST4(ln2Hi, 0x3fe62e42fee00000)
+CONST4(ln2Lo, 0x3dea39ef35793c76)
+CONST4(logL1, 0x3fe5555555555593)
+CONST4(logL2, 0x3fd999999997fa04)
+CONST4(logL3, 0x3fd2492494229359)
+CONST4(logL4, 0x3fcc71c51d8e78af)
+CONST4(logL5, 0x3fc7466496cb03de)
+CONST4(logL6, 0x3fc39a09d078c69f)
+CONST4(logL7, 0x3fc2f112df3e5244)
+
+// func rootKernelAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, sum float64, groups int) (out float64, done int)
+//
+// Per group: siteL = f0*s0 + f1*s1 + f2*s2 + f3*s3 as in rootScalar;
+// bail unless every lane lies in [2^-1022, MaxFloat64] (two ordered
+// compares, so 0, -0, negatives, subnormals, +Inf and NaN all bail);
+// log(siteL) by archLog's instruction sequence, lane-wise; then
+// term = pc*(log+ss), whose four lanes are added to sum one by one with
+// scalar VADDSD in pattern order. The frequencies stay in Y12..Y15 and
+// the sum in the low lane of X9.
+TEXT ·rootKernelAVX2(SB), NOSPLIT, $0-72
+	MOVQ f+32(FP), AX
+	VBROADCASTSD 0(AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 24(AX), Y15
+	MOVQ  s+0(FP), SI
+	MOVQ  stride+8(FP), R8
+	SHLQ  $3, R8
+	MOVQ  ss+16(FP), R9
+	MOVQ  pc+24(FP), R10
+	MOVSD sum+40(FP), X9
+	MOVQ  groups+48(FP), DX
+	XORQ  CX, CX
+
+rootLoop:
+	CMPQ CX, DX
+	JGE  rootDone
+	// siteL, left to right
+	VMULPD (SI), Y12, Y0
+	VMULPD (SI)(R8*1), Y13, Y1
+	VADDPD Y1, Y0, Y0
+	VMULPD (SI)(R8*2), Y14, Y1
+	VADDPD Y1, Y0, Y0
+	LEAQ   (SI)(R8*2), BX
+	VMULPD (BX)(R8*1), Y15, Y1
+	VADDPD Y1, Y0, Y0
+	// bail unless 2^-1022 <= siteL <= MaxFloat64 in every lane
+	VCMPPD    $0x1d, minNormal<>(SB), Y0, Y1 // GE_OQ
+	VCMPPD    $0x12, maxFloat<>(SB), Y0, Y2  // LE_OQ
+	VANDPD    Y2, Y1, Y1
+	VMOVMSKPD Y1, AX
+	CMPL      AX, $15
+	JNE       rootDone
+
+	// f1, ki := math.Frexp(x); k := float64(ki): archLog's AND/OR, and
+	// k = e - 1022 for e = bits>>52, exact through the bits of 2^52 + e
+	VANDPD fracMask<>(SB), Y0, Y1
+	VORPD  half<>(SB), Y1, Y1 // Y1 = f1
+	VPSRLQ $52, Y0, Y2
+	VPOR   twoP52<>(SB), Y2, Y2
+	VSUBPD expBias<>(SB), Y2, Y2 // Y2 = k
+	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }: CMPSD's predicate 5 (NLT)
+	VMOVUPD hSqrt2<>(SB), Y3
+	VCMPPD  $5, Y1, Y3, Y3
+	VANDPD  one<>(SB), Y3, Y3 // 0 or 1
+	VSUBPD  Y3, Y2, Y2
+	VADDPD  one<>(SB), Y3, Y3 // 1 or 2
+	VMULPD  Y3, Y1, Y1
+	// f := f1 - 1; s := f / (2 + f); s2 := s * s; s4 := s2 * s2
+	VSUBPD one<>(SB), Y1, Y1 // Y1 = f
+	VADDPD two<>(SB), Y1, Y3
+	VDIVPD Y3, Y1, Y3        // Y3 = s
+	VMULPD Y3, Y3, Y4        // Y4 = s2
+	VMULPD Y4, Y4, Y5        // Y5 = s4
+	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
+	VMULPD logL7<>(SB), Y5, Y6
+	VADDPD logL5<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL3<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL1<>(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4 // Y4 = t1
+	// t2 := s4 * (L2 + s4*(L4+s4*L6))
+	VMULPD logL6<>(SB), Y5, Y6
+	VADDPD logL4<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logL2<>(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5 // Y5 = t2
+	// R := t1 + t2; hfsq := 0.5 * f * f
+	VADDPD Y5, Y4, Y4 // Y4 = R
+	VMULPD half<>(SB), Y1, Y7
+	VMULPD Y1, Y7, Y7 // Y7 = hfsq
+	// k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD Y7, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VMULPD ln2Lo<>(SB), Y2, Y4
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y7, Y7
+	VSUBPD Y1, Y7, Y7
+	VMULPD ln2Hi<>(SB), Y2, Y2
+	VSUBPD Y7, Y2, Y2 // Y2 = log(siteL)
+	// term = pc * (log + ss); sum += term lane by lane
+	VADDPD       (R9), Y2, Y2
+	VMULPD       (R10), Y2, Y2
+	VADDSD       X2, X9, X9
+	VUNPCKHPD    X2, X2, X3
+	VADDSD       X3, X9, X9
+	VEXTRACTF128 $1, Y2, X2
+	VADDSD       X2, X9, X9
+	VUNPCKHPD    X2, X2, X3
+	VADDSD       X3, X9, X9
+	ADDQ         $32, SI
+	ADDQ         $32, R9
+	ADDQ         $32, R10
+	INCQ         CX
+	JMP          rootLoop
+
+rootDone:
+	VZEROUPPER
+	MOVSD X9, out+56(FP)
+	SHLQ  $2, CX
+	MOVQ  CX, done+64(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

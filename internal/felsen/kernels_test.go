@@ -320,3 +320,170 @@ func TestAVX2RescaleDecision(t *testing.T) {
 		}
 	}
 }
+
+// rootEdges are the likelihoods placed in bail-out and boundary lanes of
+// the root contraction: archLog's special cases and both ends of the
+// vector kernel's range [2^-1022, MaxFloat64]. The first six and the
+// last two must bail out to the scalar loop; 2^-1022 and MaxFloat64 must
+// not.
+var rootEdges = []float64{0, math.Copysign(0, -1), -0.75, 5e-324, math.Float64frombits(0x000fffffffffffff),
+	0x1p-1022, math.MaxFloat64, math.Inf(1), math.NaN()}
+
+// rootInRange reports whether the vector kernel takes a group whose
+// lane likelihood is x.
+func rootInRange(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
+
+// TestAVX2RootKernelBits compares evalRoot with the AVX2 kernels on and
+// off, bit for bit, over every length mod 4, view offset and lane
+// stride (wider than n, as a wave cell's block rows and the delta
+// path's nPatterns rows are), with edge likelihoods in the first,
+// middle and last group. With frequency 1 on state 0 and the other
+// states ±0, an edge lane's likelihood is exactly the edge value. It
+// also checks that the vector kernel alone stops exactly at the first
+// group it must not take, and compares every pattern's term alone.
+func TestAVX2RootKernelBits(t *testing.T) {
+	SetUseAVX2(t, true)
+	freqSets := []*[4]float64{{0.1, 0.2, 0.3, 0.4}, {1, 0.25, 0.375, 0.125}}
+	g := &kernelGen{src: rng.NewMT19937(16)}
+	for _, n := range kernelLengths {
+		groups := n / 4
+		places := [][]int{nil}
+		if groups > 0 {
+			at := func(grp int) int { return 4*grp + grp%4 }
+			places = append(places, []int{at(0)}, []int{at(groups / 2)}, []int{at(groups - 1)}, []int{at(0), at(groups / 2), at(groups - 1)})
+		}
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				for _, edges := range places {
+					for _, edge := range rootEdges {
+						if edges == nil && edge != 0 {
+							continue // the case without edge lanes runs once
+						}
+						for fi, f := range freqSets {
+							g.special = special
+							name := fmt.Sprintf("n=%d/off=%d/special=%v/edges=%v@%v/f=%d", n, off, special, edge, edges, fi)
+							r := g.row(n, off)
+							for i := range r.scale {
+								r.scale[i] = -40 * g.src.Float64()
+							}
+							for _, p := range edges {
+								r.view.cond[p] = edge
+								for x := 1; x < nStates; x++ {
+									r.view.cond[x*r.view.stride+p] = math.Copysign(0, edge)
+								}
+							}
+							pc := make([]float64, off+n)
+							for i := range pc {
+								pc[i] = float64(1 + g.src.Uint32()%5)
+							}
+							pc = pc[off:]
+							checkRoot(t, name, r.view, pc, f, n)
+						}
+					}
+				}
+			}
+		}
+	}
+	// One pattern at a time: with zero scales and a single nonzero count,
+	// the sum is exactly that pattern's log likelihood, so a one-ulp
+	// difference in one lane's contraction or log cannot round away in
+	// the sum, as it can beside a scale of order −20.
+	g.special = false
+	const n = 1024
+	r := g.row(n, 1)
+	clear(r.scale)
+	one := make([]float64, n)
+	for p := range one {
+		one[p] = 1
+		checkRoot(t, fmt.Sprintf("pattern %d alone", p), r.view, one, freqSets[0], n)
+		one[p] = 0
+	}
+}
+
+// checkRoot runs one TestAVX2RootKernelBits case.
+func checkRoot(t *testing.T, name string, v rowView, pc []float64, f *[4]float64, n int) {
+	t.Helper()
+	useAVX2 = false
+	want := evalRoot(v, pc, f, n)
+	useAVX2 = true
+	got := evalRoot(v, pc, f, n)
+	if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
+		t.Fatalf("%s: scalar %v (%#x), vector %v (%#x)", name, want, math.Float64bits(want), got, math.Float64bits(got))
+	}
+	stop := n - n%4
+	for p := 0; p < n-n%4; p++ {
+		siteL := f[0]*v.cond[p] + f[1]*v.cond[v.stride+p] + f[2]*v.cond[2*v.stride+p] + f[3]*v.cond[3*v.stride+p]
+		if !rootInRange(siteL) {
+			stop = p - p%4
+			break
+		}
+	}
+	if _, done := rootVec(v, pc, f, 0, 0, n); done != stop {
+		t.Fatalf("%s: vector kernel finished %d patterns, want %d", name, done, stop)
+	}
+}
+
+// TestAVX2LogMatchesMathLog checks the vector kernel's log against
+// math.Log, bit for bit, over random normal bit patterns, [0.5, 2), the
+// ulps around √2/2 in every binade (1000 either side in every 8th, 16
+// in the rest), and every power of two with its neighbours. At a
+// mantissa of exactly √2/2 archLog's reduction halves f1's exponent and
+// math/log.go's pure-Go rule does not; the two differ at √2/2·2^32. Each value sits in
+// one lane of a group whose other lanes are 1 (log 1 = +0), with
+// frequency 1 on state 0, zero scales and unit counts, so the kernel's
+// sum is the lane's log exactly. The lane rotates through all four.
+func TestAVX2LogMatchesMathLog(t *testing.T) {
+	SetUseAVX2(t, true)
+	var cond, scale [4 * nStates]float64
+	pc := []float64{1, 1, 1, 1}
+	f := &[4]float64{1, 0, 0, 0}
+	v := rowView{cond[:], scale[:], 4}
+	checked := 0
+	check := func(x float64) {
+		lane := checked % 4
+		for j := 0; j < 4; j++ {
+			cond[j] = 1
+		}
+		cond[lane] = x
+		got, done := rootVec(v, pc, f, 0, 0, 4)
+		if done != 4 {
+			t.Fatalf("log(%v = %#x): vector kernel bailed out", x, math.Float64bits(x))
+		}
+		if want := math.Log(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("log(%v = %#x) in lane %d: math.Log %v (%#x), vector %v (%#x)",
+				x, math.Float64bits(x), lane, want, math.Float64bits(want), got, math.Float64bits(got))
+		}
+		checked++
+	}
+	src := rng.NewMT19937(17)
+	bits := func() uint64 { return uint64(src.Uint32())<<32 | uint64(src.Uint32()) }
+	for i := 0; i < 1_500_000; i++ {
+		exp := 1 + bits()%2046
+		check(math.Float64frombits(exp<<52 | bits()&(1<<52-1)))
+	}
+	for i := 0; i < 1_000_000; i++ {
+		check(0.5 + 1.5*src.Float64())
+	}
+	for e := -1021; e <= 1024; e++ {
+		mid := math.Ldexp(math.Sqrt2/2, e)
+		w := int64(16)
+		if e%8 == 0 {
+			w = 1000
+		}
+		for d := -w; d <= w; d++ {
+			check(math.Float64frombits(uint64(int64(math.Float64bits(mid)) + d)))
+		}
+	}
+	for e := -1022; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		check(p)
+		check(math.Nextafter(p, math.Inf(1)))
+		if e > -1022 {
+			check(math.Nextafter(p, 0))
+		}
+	}
+	check(math.MaxFloat64)
+	if checked < 3_000_000 {
+		t.Fatalf("checked %d values, want at least 3e6", checked)
+	}
+}

@@ -62,7 +62,6 @@ import (
 	"math"
 
 	"mpcgs/internal/gtree"
-	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
 )
 
@@ -400,26 +399,9 @@ func (w *Wave) runCell(cell int) {
 		evalWalk(sv, rowAt(w.outer[base:], w.cleanScale[k], nPat, lo), m, n)
 	}
 
-	// Root contraction with the prior frequencies, per pattern — the
-	// working row now holds the root (the parent itself in the root case).
-	f0, f1, f2, f3 := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
-	s0 := ws.cond[0*bs : 0*bs+n]
-	s1 := ws.cond[1*bs : 1*bs+n]
-	s2 := ws.cond[2*bs : 2*bs+n]
-	s3 := ws.cond[3*bs : 3*bs+n]
-	ss := ws.scale[:n]
-	pc := e.patCount[lo:hi]
-	pc = pc[:n]
-	sum := 0.0
-	for i := range s0 {
-		siteL := f0*s0[i] + f1*s1[i] + f2*s2[i] + f3*s3[i]
-		if siteL <= 0 {
-			sum += logspace.NegInf
-			continue
-		}
-		sum += pc[i] * (math.Log(siteL) + ss[i])
-	}
-	w.sums[cell] = sum
+	// Root contraction with the prior frequencies — the working row now
+	// holds the root (the parent itself in the root case).
+	w.sums[cell] = evalRoot(sv, e.patCount[lo:hi], &e.freqs, n)
 	e.wavePool.Put(ws)
 }
 

@@ -398,6 +398,22 @@ func TestLoadManifestRejectsDuplicatesAndBadCounts(t *testing.T) {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "heated", "swap_window": -8}]}`,
 			"swap_window -8",
 		},
+		"proposals over the cap": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "proposals": 1025}]}`,
+			"proposal count 1025 exceeds the cap of 1024",
+		},
+		"heated chains over the cap": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "heated", "chains": 129}]}`,
+			"chain count 129 exceeds the cap of 128",
+		},
+		"multichain chains over the cap": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "multichain", "chains": 1000000000}]}`,
+			"chain count 1000000000 exceeds the cap of 128",
+		},
+		"swap_window over the cap": {
+			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "heated", "swap_window": 4097}]}`,
+			"swap_window 4097 exceeds the cap of 4096",
+		},
 		"tempering knob on non-heated sampler": {
 			`{"jobs": [{"name": "x", "phylip": "pop.phy", "theta": 1, "sampler": "gmh", "adapt_ladder": true}]}`,
 			"only meaningful for the heated sampler",
@@ -612,5 +628,43 @@ func TestResumeRefusesUnreadableCheckpoints(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(batchDir, CheckpointKey(job.Name))); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("refused resume started the job afresh: %v", err)
+	}
+}
+
+// TestValidateResourceCaps pins the allocation caps: a value at a cap is
+// admitted, one past it is refused, and a cap applies only to the
+// samplers that allocate by its knob, so a GMH job on a pool wider than
+// maxChains still runs.
+func TestValidateResourceCaps(t *testing.T) {
+	aln := testAlignment(t, 5, 40, 662)
+	base := Job{Alignment: aln, InitialTheta: 1}
+	with := func(f func(*Job)) Job {
+		j := base
+		f(&j)
+		return j
+	}
+	admitted := map[string]Job{
+		"gmh at proposal cap":            with(func(j *Job) { j.Proposals = maxProposals }),
+		"heated at chain and window cap": with(func(j *Job) { j.Sampler, j.Chains, j.SwapWindow = "heated", maxChains, maxSwapWindow }),
+		"multichain at chain cap":        with(func(j *Job) { j.Sampler, j.Chains = "multichain", maxChains }),
+		"gmh with a wide pool's chains":  with(func(j *Job) { j.Chains = 4 * maxChains }),
+		"mh with a wide pool's counts":   with(func(j *Job) { j.Sampler, j.Proposals, j.Chains = "mh", 4*maxProposals, 4*maxChains }),
+	}
+	for name, j := range admitted {
+		if err := j.Validate(); err != nil {
+			t.Errorf("%s: refused: %v", name, err)
+		}
+	}
+	refused := map[string]Job{
+		"gmh past proposal cap":   with(func(j *Job) { j.Proposals = maxProposals + 1 }),
+		"heated past chain cap":   with(func(j *Job) { j.Sampler, j.Chains = "heated", maxChains+1 }),
+		"multichain past cap":     with(func(j *Job) { j.Sampler, j.Chains = "multichain", maxChains+1 }),
+		"heated past window cap":  with(func(j *Job) { j.Sampler, j.SwapWindow = "heated", maxSwapWindow+1 }),
+		"pool default past a cap": with(func(j *Job) {}).withDefaults(0, maxProposals+1),
+	}
+	for name, j := range refused {
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Errorf("%s: got %v, want a cap refusal", name, err)
+		}
 	}
 }

@@ -13,6 +13,27 @@ import (
 // this small is in any case no per-site mutation rate.
 const minTheta = 1e-150
 
+// Caps on the knobs a job's set-up allocates by, so that one spec (one
+// POST to the daemon) cannot exhaust the process. Each cap applies to
+// the samplers that allocate by its knob; a pool-size default larger
+// than a cap is refused like an explicit value, so jobs on a pool that
+// large must set the knob.
+//   - maxProposals bounds GMH's proposal-set size N: each proposal has
+//     its own tree, resimulation scratch, age row and wave-grid
+//     partials. It admits the proposal-count sweep's largest N, 128,
+//     eight times over.
+//   - maxChains bounds the heated and multichain chain counts: each
+//     chain holds its own delta cache, one conditional row per interior
+//     node over every site pattern.
+//   - maxSwapWindow bounds the heated ladder's per-pair swap window, a
+//     byte per entry for each adjacent pair, carried in every snapshot.
+//     The default window is 64.
+const (
+	maxProposals  = 1024
+	maxChains     = 128
+	maxSwapWindow = 4096
+)
+
 // Validate checks a job for spec errors a run could only surface later
 // with a less useful failure. It is the one spec gate: admission runs it
 // for every entry point, and JobFromSpec runs it for every JSON surface,
@@ -58,6 +79,16 @@ func (j Job) Validate() error {
 	if j.Chains < 0 {
 		return fmt.Errorf("chain count %d must not be negative", j.Chains)
 	}
+	switch j.Sampler {
+	case "", "gmh":
+		if j.Proposals > maxProposals {
+			return fmt.Errorf("proposal count %d exceeds the cap of %d", j.Proposals, maxProposals)
+		}
+	case "heated", "multichain":
+		if j.Chains > maxChains {
+			return fmt.Errorf("chain count %d exceeds the cap of %d", j.Chains, maxChains)
+		}
+	}
 	if j.Burnin < 0 {
 		return fmt.Errorf("burn-in %d must not be negative", j.Burnin)
 	}
@@ -75,6 +106,9 @@ func (j Job) Validate() error {
 	}
 	if j.SwapWindow < 0 {
 		return fmt.Errorf("swap_window %d must not be negative", j.SwapWindow)
+	}
+	if j.SwapWindow > maxSwapWindow {
+		return fmt.Errorf("swap_window %d exceeds the cap of %d", j.SwapWindow, maxSwapWindow)
 	}
 	if j.Sampler != "heated" {
 		if j.MaxTemp != 0 || j.SwapEvery != 0 || j.AdaptLadder || j.SwapWindow != 0 {

@@ -31,6 +31,9 @@ func FuzzSubmit(f *testing.F) {
 		submitBody(f, "inf", phy, map[string]any{"theta": "+Inf"}),
 		submitBody(f, "nan", phy, map[string]any{"sampler": "heated", "max_temp": "NaN"}),
 		submitBody(f, "knob", phy, map[string]any{"adapt_ladder": false, "max_temp": 0}),
+		submitBody(f, "big", phy, map[string]any{"proposals": 1025}),
+		submitBody(f, "wide", phy, map[string]any{"sampler": "multichain", "chains": 1 << 40}),
+		submitBody(f, "window", phy, map[string]any{"sampler": "heated", "chains": 4, "swap_window": 4097}),
 		append(submitBody(f, "trail", phy, nil), []byte(` {"name": garbage`)...),
 		submitBody(f, "two", "2 4\na AAAA\nb CCCC\n", nil),
 		[]byte(`{"name": "x", "phylip": "3 2\na AC\nb AG\nc AT\n", "theta": 1}`),

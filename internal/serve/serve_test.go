@@ -114,31 +114,34 @@ func TestSubmitMalformedNever500(t *testing.T) {
 	s := newTestServer(t, Options{})
 	phy := phylipText(t, 5, 40, 301)
 	cases := map[string][]byte{
-		"empty body":        nil,
-		"truncated json":    []byte(`{"name": "x"`),
-		"not json":          []byte("name=x"),
-		"unknown field":     submitBody(t, "x", phy, map[string]any{"bogus": 1}),
-		"missing name":      submitBody(t, "", phy, nil),
-		"missing phylip":    submitBody(t, "x", "", nil),
-		"garbage phylip":    submitBody(t, "x", "not a phylip file", nil),
-		"two sequences":     submitBody(t, "x", "2 4\na AAAA\nb CCCC\n", nil),
-		"zero theta":        submitBody(t, "x", phy, map[string]any{"theta": 0}),
-		"negative theta":    submitBody(t, "x", phy, map[string]any{"theta": -2}),
-		"unknown sampler":   submitBody(t, "x", phy, map[string]any{"sampler": "nuts"}),
-		"unknown model":     submitBody(t, "x", phy, map[string]any{"model": "gtr"}),
-		"negative burnin":   submitBody(t, "x", phy, map[string]any{"burnin": -1}),
-		"tempering on gmh":  submitBody(t, "x", phy, map[string]any{"max_temp": 4}),
-		"max_temp below 1":  submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": 0.5}),
-		"string where int":  submitBody(t, "x", phy, map[string]any{"samples": "many"}),
-		"infinite theta":    submitBody(t, "x", phy, map[string]any{"theta": "+Inf"}),
-		"NaN theta":         submitBody(t, "x", phy, map[string]any{"theta": "NaN"}),
-		"NaN max_temp":      submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": "NaN"}),
-		"NaN ess_target":    submitBody(t, "x", phy, map[string]any{"ess_target": "NaN"}),
-		"garbage float":     submitBody(t, "x", phy, map[string]any{"theta": "one"}),
-		"trailing data":     append(submitBody(t, "x", phy, nil), []byte(` {"name": garbage`)...),
-		"second value":      append(submitBody(t, "x", phy, nil), submitBody(t, "y", phy, nil)...),
-		"name too long":     submitBody(t, strings.Repeat("n", 300), phy, nil),
-		"negative priority": nil, // placeholder replaced below
+		"empty body":         nil,
+		"truncated json":     []byte(`{"name": "x"`),
+		"not json":           []byte("name=x"),
+		"unknown field":      submitBody(t, "x", phy, map[string]any{"bogus": 1}),
+		"missing name":       submitBody(t, "", phy, nil),
+		"missing phylip":     submitBody(t, "x", "", nil),
+		"garbage phylip":     submitBody(t, "x", "not a phylip file", nil),
+		"two sequences":      submitBody(t, "x", "2 4\na AAAA\nb CCCC\n", nil),
+		"zero theta":         submitBody(t, "x", phy, map[string]any{"theta": 0}),
+		"negative theta":     submitBody(t, "x", phy, map[string]any{"theta": -2}),
+		"unknown sampler":    submitBody(t, "x", phy, map[string]any{"sampler": "nuts"}),
+		"unknown model":      submitBody(t, "x", phy, map[string]any{"model": "gtr"}),
+		"negative burnin":    submitBody(t, "x", phy, map[string]any{"burnin": -1}),
+		"tempering on gmh":   submitBody(t, "x", phy, map[string]any{"max_temp": 4}),
+		"max_temp below 1":   submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": 0.5}),
+		"string where int":   submitBody(t, "x", phy, map[string]any{"samples": "many"}),
+		"proposals over cap": submitBody(t, "x", phy, map[string]any{"proposals": 1 << 40}),
+		"chains over cap":    submitBody(t, "x", phy, map[string]any{"sampler": "heated", "chains": 129}),
+		"window over cap":    submitBody(t, "x", phy, map[string]any{"sampler": "heated", "swap_window": 1 << 30}),
+		"infinite theta":     submitBody(t, "x", phy, map[string]any{"theta": "+Inf"}),
+		"NaN theta":          submitBody(t, "x", phy, map[string]any{"theta": "NaN"}),
+		"NaN max_temp":       submitBody(t, "x", phy, map[string]any{"sampler": "heated", "max_temp": "NaN"}),
+		"NaN ess_target":     submitBody(t, "x", phy, map[string]any{"ess_target": "NaN"}),
+		"garbage float":      submitBody(t, "x", phy, map[string]any{"theta": "one"}),
+		"trailing data":      append(submitBody(t, "x", phy, nil), []byte(` {"name": garbage`)...),
+		"second value":       append(submitBody(t, "x", phy, nil), submitBody(t, "y", phy, nil)...),
+		"name too long":      submitBody(t, strings.Repeat("n", 300), phy, nil),
+		"negative priority":  nil, // placeholder replaced below
 	}
 	delete(cases, "negative priority") // priorities may be negative; not an error
 	for name, body := range cases {

@@ -14,6 +14,7 @@ import (
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/core"
 	"mpcgs/internal/device"
+	"mpcgs/internal/experiments"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/seqgen"
 	"mpcgs/internal/subst"
@@ -342,12 +343,39 @@ func TestPaperbenchGuardRefusesVacuousRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	// The burnin experiment measures no speedup points, so guarding it
-	// must fail loudly rather than pass a check of nothing.
+	// The burnin experiment measures no speedup points, so comparing it
+	// against the committed snapshots must fail loudly rather than pass
+	// a check of nothing.
 	out := runExpectError(t, "paperbench",
-		"-experiment", "burnin", "-scale", "quick", "-guard", "../EXPERIMENTS.md")
+		"-experiment", "burnin", "-scale", "quick", "-compare", "..")
 	if !strings.Contains(out, "no measured point") {
-		t.Fatalf("vacuous guard run did not explain itself:\n%s", out)
+		t.Fatalf("vacuous compare run did not explain itself:\n%s", out)
+	}
+}
+
+// TestPaperbenchCompareIgnoresOwnSnapshot writes the run's snapshot into
+// the directory it compares against. The baseline there has every seqlen
+// speedup inflated tenfold, so the run must fail: the fresh BENCH_99.json
+// must not become the "latest" snapshot and pass the run against itself.
+func TestPaperbenchCompareIgnoresOwnSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness")
+	}
+	dir := t.TempDir()
+	snap, err := experiments.ParseSnapshot(filepath.Join("..", "BENCH_10.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Speedups["seqlen"] {
+		snap.Speedups["seqlen"][i].Speedup *= 10
+	}
+	if err := snap.Write(filepath.Join(dir, "BENCH_10.json")); err != nil {
+		t.Fatal(err)
+	}
+	out := runExpectError(t, "paperbench", "-experiment", "seqlen", "-scale", "quick",
+		"-json", filepath.Join(dir, "BENCH_99.json"), "-compare", dir)
+	if !strings.Contains(out, "regressed past 70% of BENCH_10.json") {
+		t.Fatalf("run was not compared against the committed snapshot:\n%s", out)
 	}
 }
 

@@ -21,9 +21,15 @@
 //
 // With -json FILE the measured speedup points are also written as a
 // machine-readable snapshot — the BENCH_<pr>.json trajectory committed
-// at the repository root. -cpuprofile/-memprofile write stock pprof
-// profiles of the run; -trace writes a runtime/trace for inspecting
-// scheduler behaviour around the device launches.
+// at the repository root. -compare DIR checks them against the latest
+// BENCH_*.json in DIR and fails on any point below 70% of it; this is
+// the speedup gate CI runs:
+//
+//	paperbench -experiment samples,sequences,seqlen,gmhround -scale quick -compare .
+//
+// -cpuprofile/-memprofile write stock pprof profiles of the run; -trace
+// writes a runtime/trace for inspecting scheduler behaviour around the
+// device launches.
 package main
 
 import (
@@ -44,8 +50,12 @@ import (
 )
 
 // measuredSpeedups collects the speedup points of the §6 sweeps as they
-// run, so the -guard check can compare them against committed baselines.
+// run, so -compare can check them against the committed snapshots.
 var measuredSpeedups = map[string][]experiments.SpeedupPoint{}
+
+// compareFactor is -compare's floor as a fraction of the latest
+// snapshot's speedup; it absorbs runner noise.
+const compareFactor = 0.7
 
 func main() {
 	var (
@@ -55,15 +65,25 @@ func main() {
 		seed        = flag.Uint64("seed", 0, "PRNG seed (0 = default)")
 		mdPath      = flag.String("md", "", "also write the run's output to this Markdown file as a generated section")
 		jsonPath    = flag.String("json", "", "write the run's measured speedup/time points to this file as machine-readable JSON (the BENCH_*.json trajectory)")
-		guardPath   = flag.String("guard", "", "compare measured §6 speedups against the baselines in this generated Markdown file (typically EXPERIMENTS.md) and exit non-zero below the floor")
-		guardFactor = flag.Float64("guard-factor", 0.7, "speedup floor as a fraction of the committed baseline (absorbs runner noise)")
 		comparePath = flag.String("compare", "", "directory of committed BENCH_*.json snapshots (typically the repo root): print the per-experiment speedup trajectory and exit non-zero if this run regressed against the latest snapshot")
-		compareFact = flag.Float64("compare-factor", 0.7, "trajectory floor as a fraction of the latest snapshot's speedup (absorbs runner noise)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 		tracePath   = flag.String("trace", "", "write a runtime/trace of the run to this file (inspect with go tool trace)")
 	)
 	flag.Parse()
+	// Load the committed trajectory before anything runs or is written:
+	// -json may write its snapshot into the -compare directory, and the
+	// fresh run must never become its own baseline.
+	var snaps []*experiments.BenchSnapshot
+	if *comparePath != "" {
+		var err error
+		if snaps, err = experiments.LoadSnapshots(*comparePath); err != nil {
+			fatalf("bench-trajectory: %v", err)
+		}
+		if len(snaps) == 0 {
+			fatalf("bench-trajectory: no BENCH_*.json snapshots in %s", *comparePath)
+		}
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -158,11 +178,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", *jsonPath)
 	}
-	if *guardPath != "" {
-		runGuard(*guardPath, *guardFactor)
-	}
-	if *comparePath != "" {
-		runCompare(*comparePath, *compareFact)
+	if snaps != nil {
+		runCompare(snaps)
 	}
 }
 
@@ -194,23 +211,15 @@ func writeJSON(path string, names []string, c experiments.Common) error {
 	return snap.Write(path)
 }
 
-// runCompare is the CI bench-trajectory gate: print the per-experiment
-// speedup trajectory across every committed BENCH_*.json, then compare
-// this run's fresh measurements against the latest snapshot and exit
+// runCompare is the CI speedup gate: print the per-experiment speedup
+// trajectory across the committed BENCH_*.json snapshots, then compare
+// this run's fresh measurements against the latest one and exit
 // non-zero on a regression past the floor. A run that measured nothing
-// comparable also fails — a trajectory check that checked zero points
-// checked nothing.
-func runCompare(dir string, factor float64) {
-	snaps, err := experiments.LoadSnapshots(dir)
-	if err != nil {
-		fatalf("bench-trajectory: %v", err)
-	}
-	if len(snaps) == 0 {
-		fatalf("bench-trajectory: no BENCH_*.json snapshots in %s", dir)
-	}
+// comparable also fails — a check of zero points checked nothing.
+func runCompare(snaps []*experiments.BenchSnapshot) {
 	experiments.FormatTrajectory(os.Stdout, snaps)
 	latest := snaps[len(snaps)-1]
-	checked, violations := experiments.CompareSnapshot(measuredSpeedups, latest, factor)
+	checked, violations := experiments.CompareSnapshot(measuredSpeedups, latest, compareFactor)
 	if checked == 0 {
 		fatalf("bench-trajectory: no measured point matched %s (run an experiment the snapshot covers, e.g. seqlen)", latest.File)
 	}
@@ -218,10 +227,10 @@ func runCompare(dir string, factor float64) {
 		fmt.Fprintf(os.Stderr, "bench-trajectory: FAIL %s\n", v)
 	}
 	if len(violations) > 0 {
-		fatalf("bench-trajectory: %d of %d points regressed past %.0f%% of %s", len(violations), checked, factor*100, latest.File)
+		fatalf("bench-trajectory: %d of %d points regressed past %.0f%% of %s", len(violations), checked, compareFactor*100, latest.File)
 	}
 	fmt.Printf("bench-trajectory: OK, %d points within %.0f%% of %s across %d snapshots\n",
-		checked, factor*100, latest.File, len(snaps))
+		checked, compareFactor*100, latest.File, len(snaps))
 }
 
 // writeMemProfile writes a heap profile at process exit (after a GC, so
@@ -239,34 +248,6 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fatalf("-memprofile: %v", err)
 	}
-}
-
-// runGuard is the CI speedup-guard: it compares this run's measured §6
-// speedup points against the baselines committed in a generated
-// EXPERIMENTS.md and exits non-zero if any point fell below
-// baseline × factor. A run that measured nothing comparable also fails —
-// a guard that checks zero points guards nothing.
-func runGuard(path string, factor float64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("speedup-guard: %v", err)
-	}
-	defer f.Close()
-	base, err := experiments.ParseBaselines(f)
-	if err != nil {
-		fatalf("speedup-guard: %s: %v", path, err)
-	}
-	checked, violations := experiments.CheckSpeedupFloor(measuredSpeedups, base, factor)
-	if checked == 0 {
-		fatalf("speedup-guard: no measured point matched a baseline in %s (run the samples/sequences/seqlen experiments)", path)
-	}
-	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "speedup-guard: FAIL %s\n", v)
-	}
-	if len(violations) > 0 {
-		fatalf("speedup-guard: %d of %d points below the %.0f%% floor", len(violations), checked, factor*100)
-	}
-	fmt.Printf("speedup-guard: OK, %d points at or above %.0f%% of their %s baselines\n", checked, factor*100, path)
 }
 
 // writeMarkdown renders the captured run as a generated Markdown document:
@@ -382,9 +363,6 @@ func runSeqLenFull(w io.Writer, c experiments.Common) error {
 		return err
 	}
 	measuredSpeedups["seqlen-full"] = pts
-	// The title must not contain "speedup vs sequence length": guard
-	// sections match by substring, and this table's baselines are keyed
-	// apart from the quick-scale seqlen sweep.
 	printSpeedup(w, "Figure 16 trajectory: sequence-length sweep at paper scale",
 		"bp", pts, []float64{3.69, 5.67, 7.86, 10.22, 12.63, 23.28})
 	return nil
@@ -396,9 +374,6 @@ func runGMHRound(w io.Writer, c experiments.Common) error {
 		return err
 	}
 	measuredSpeedups["gmhround"] = pts
-	// The guard keys this section by "wave rounds vs per-candidate
-	// dispatch"; like seqlen-full, the title must avoid the other guard
-	// sections' substrings.
 	printSpeedup(w, "GMH round dispatch: fused wave rounds vs per-candidate dispatch",
 		"bp", pts, nil)
 	fmt.Fprintln(w, "here \"serial\" is the per-candidate GMH dispatch (one delta evaluation")

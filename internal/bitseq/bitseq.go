@@ -121,13 +121,6 @@ func (s *Seq) Known(i int) bool {
 	return s.unknown[i/64]&(1<<(uint(i)%64)) == 0
 }
 
-// Word exposes the raw packed word holding positions [32k, 32k+32), the
-// unit a warp reads from constant memory.
-func (s *Seq) Word(k int) uint64 { return s.words[k] }
-
-// NumWords returns the number of packed words.
-func (s *Seq) NumWords() int { return len(s.words) }
-
 // String renders the sequence with '?' at missing-data positions.
 func (s *Seq) String() string {
 	buf := make([]byte, s.n)

@@ -196,14 +196,14 @@ func TestWordLayout(t *testing.T) {
 	s.Set(0, T)  // bits 0-1 of word 0
 	s.Set(31, G) // bits 62-63 of word 0
 	s.Set(32, C) // bits 0-1 of word 1
-	if w := s.Word(0); w != (3 | uint64(2)<<62) {
+	if w := s.words[0]; w != (3 | uint64(2)<<62) {
 		t.Errorf("word 0 = %#x", w)
 	}
-	if w := s.Word(1); w != 1 {
+	if w := s.words[1]; w != 1 {
 		t.Errorf("word 1 = %#x, want 1", w)
 	}
-	if s.NumWords() != 2 {
-		t.Errorf("NumWords = %d, want 2", s.NumWords())
+	if len(s.words) != 2 {
+		t.Errorf("%d words, want 2", len(s.words))
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // by resimulating that same neighbourhood of the current state — each
 // proposal on its own device thread with its own PRNG stream, computing
 // its own data likelihood exactly as the paper's proposal kernel does
-// (§5.2.1) — and then draws SamplesPerSet states from the stationary
+// (§5.2.1) — and then draws N states from the stationary
 // distribution of the index chain, whose weights reduce to the data
 // likelihoods P(D|G̃_i) (Eq. 29-31). The last draw seeds the next proposal
 // round. Burn-in uses the same parallel machinery: there is no serial
@@ -43,9 +43,6 @@ type GMH struct {
 	dev  *device.Device
 	// Proposals is N, the number of new candidates per round.
 	Proposals int
-	// SamplesPerSet is how many index draws each round yields; Calderhead
-	// uses N, and 0 selects that default.
-	SamplesPerSet int
 	// PerCandidate forces the pre-wave dispatch: each candidate's
 	// likelihood evaluated by its own device thread through
 	// LogLikelihoodDelta instead of the round's fused
@@ -61,15 +58,14 @@ func NewGMH(eval *felsen.Evaluator, dev *device.Device, proposals int) *GMH {
 	return &GMH{eval: eval, dev: dev, Proposals: proposals}
 }
 
-// gmhRun is one started GMH chain: a Stepper whose Step is a full
+// gmhRun is one started GMH chain: a SnapshotStepper whose Step is a full
 // proposal round (parallel candidate generation plus the index-chain
 // draws), the natural scheduling unit of the multiple-proposal sampler.
 type gmhRun struct {
-	g      *GMH
-	theta  float64
-	n      int
-	perSet int
-	total  int
+	g     *GMH
+	theta float64
+	n     int
+	total int
 
 	host      *rng.MT19937
 	streams   *rng.StreamSet
@@ -113,16 +109,11 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 	if n < 1 {
 		return nil, fmt.Errorf("core: GMH needs at least 1 proposal per round, got %d", n)
 	}
-	perSet := g.SamplesPerSet
-	if perSet <= 0 {
-		perSet = n
-	}
 
 	r := &gmhRun{
 		g:       g,
 		theta:   cfg.Theta,
 		n:       n,
-		perSet:  perSet,
 		total:   cfg.Burnin + cfg.Samples,
 		host:    seedSource(cfg.Seed, 2),
 		streams: rng.NewStreamSet(n, cfg.Seed^0x9e3779b97f4a7c15),
@@ -218,7 +209,7 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 	return r, nil
 }
 
-// Step implements Stepper: one full proposal round.
+// Step implements SnapshotStepper: one full proposal round.
 //
 //mpcgs:hotpath
 func (r *gmhRun) Step() error {
@@ -256,9 +247,9 @@ func (r *gmhRun) Step() error {
 	}
 
 	// Sampling stage: draw from the index chain's stationary
-	// distribution, w_i ∝ P(D|G̃_i) (Eq. 31), perSet times.
+	// distribution, w_i ∝ P(D|G̃_i) (Eq. 31), N times as Calderhead does.
 	last := r.cur
-	for k := 0; k < r.perSet && !r.rec.full(); k++ {
+	for k := 0; k < r.n && !r.rec.full(); k++ {
 		idx := rng.LogCategorical(r.host, r.logw)
 		if idx != last {
 			r.res.Accepted++
@@ -280,10 +271,10 @@ func (r *gmhRun) Step() error {
 	return nil
 }
 
-// Done implements Stepper.
+// Done implements SnapshotStepper.
 func (r *gmhRun) Done() bool { return r.rec.full() }
 
-// Finish implements Stepper.
+// Finish implements SnapshotStepper.
 func (r *gmhRun) Finish() (*Result, error) {
 	if err := r.rec.finalize(); err != nil {
 		return nil, err

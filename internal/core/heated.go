@@ -67,7 +67,7 @@ func NewHeated(eval *felsen.Evaluator, dev *device.Device, chains int) *Heated {
 	return &Heated{eval: eval, dev: dev, Chains: chains}
 }
 
-// heatedRun is one started MC³ ladder: a Stepper whose Step is one
+// heatedRun is one started MC³ ladder: a SnapshotStepper whose Step is one
 // parallel sweep of tempered within-chain moves plus a swap attempt.
 type heatedRun struct {
 	h         *Heated
@@ -174,7 +174,7 @@ func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, erro
 	return r, nil
 }
 
-// Step implements Stepper: one ladder sweep plus a swap attempt.
+// Step implements SnapshotStepper: one ladder sweep plus a swap attempt.
 func (r *heatedRun) Step() error {
 	r.h.dev.Launch(r.p, r.kernel)
 	r.res.Proposals += r.p
@@ -212,10 +212,10 @@ func (r *heatedRun) Step() error {
 	return nil
 }
 
-// Done implements Stepper.
+// Done implements SnapshotStepper.
 func (r *heatedRun) Done() bool { return r.rec.full() }
 
-// Finish implements Stepper.
+// Finish implements SnapshotStepper.
 func (r *heatedRun) Finish() (*Result, error) {
 	if err := r.rec.finalize(); err != nil {
 		return nil, err

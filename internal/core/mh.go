@@ -30,7 +30,7 @@ type MH struct {
 // NewMH builds the baseline sampler over the given likelihood evaluator.
 func NewMH(eval *felsen.Evaluator) *MH { return &MH{eval: eval} }
 
-// mhRun is one started MH chain: a Stepper over single Metropolis steps.
+// mhRun is one started MH chain: a SnapshotStepper over single Metropolis steps.
 type mhRun struct {
 	theta float64
 	src   *rng.MT19937
@@ -77,7 +77,7 @@ func startMH(eval *felsen.Evaluator, init *gtree.Tree, cfg ChainConfig, label ui
 	}, nil
 }
 
-// Step implements Stepper: one Metropolis transition, recorded.
+// Step implements SnapshotStepper: one Metropolis transition, recorded.
 func (r *mhRun) Step() error {
 	accepted, err := r.st.step(r.theta, r.src)
 	if err != nil {
@@ -91,10 +91,10 @@ func (r *mhRun) Step() error {
 	return r.rec.recordState(r.st)
 }
 
-// Done implements Stepper.
+// Done implements SnapshotStepper.
 func (r *mhRun) Done() bool { return r.rec.full() }
 
-// Finish implements Stepper.
+// Finish implements SnapshotStepper.
 func (r *mhRun) Finish() (*Result, error) {
 	if err := r.rec.finalize(); err != nil {
 		return nil, err

@@ -106,7 +106,7 @@ func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, 
 	return r, nil
 }
 
-// Step implements Stepper: one parallel sweep, each unfinished chain
+// Step implements SnapshotStepper: one parallel sweep, each unfinished chain
 // advancing by one Metropolis step.
 func (r *mcRun) Step() error {
 	r.m.dev.Launch(len(r.subs), r.kernel)
@@ -118,7 +118,7 @@ func (r *mcRun) Step() error {
 	return nil
 }
 
-// Done implements Stepper.
+// Done implements SnapshotStepper.
 func (r *mcRun) Done() bool {
 	for _, sub := range r.subs {
 		if !sub.Done() {
@@ -128,7 +128,7 @@ func (r *mcRun) Done() bool {
 	return true
 }
 
-// Finish implements Stepper: pool the chains' post-burn-in draws, exactly
+// Finish implements SnapshotStepper: pool the chains' post-burn-in draws, exactly
 // the reduction the run-to-completion layout performed.
 func (r *mcRun) Finish() (*Result, error) {
 	out := &SampleSet{

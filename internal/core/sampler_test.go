@@ -292,21 +292,6 @@ func TestSampleSetBookkeeping(t *testing.T) {
 	}
 }
 
-func TestGMHSamplesPerSetOverride(t *testing.T) {
-	eval := flatEvaluator(t, 4, device.Serial())
-	init := startTree(t, names(4), 1, 71)
-	g := NewGMH(eval, device.Serial(), 5)
-	g.SamplesPerSet = 2
-	res, err := Run(g, init, ChainConfig{Theta: 1, Burnin: 0, Samples: 10, Seed: 72})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 samples at 2 per round = 5 rounds of 5 proposals each.
-	if res.Proposals != 25 {
-		t.Errorf("Proposals = %d, want 25", res.Proposals)
-	}
-}
-
 func TestEMRecoversTheta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline test")

@@ -293,14 +293,35 @@ type StepSnapshot struct {
 	Subs []*StepSnapshot
 }
 
-// SnapshotStepper is a Stepper whose between-steps state can be exported
-// and restored; StepSampler.Start returns one. Restore must be called on
-// a freshly started stepper (same sampler, same ChainConfig) before its
-// first Step; Snapshot must be called between steps — the scheduler
-// guarantees both by construction. Snapshot can fail only in spill mode,
-// where it must make the sidecar durable before referencing it.
+// SnapshotStepper is a sampling run that has been started but is driven
+// from outside: each Step advances the chain by one transition (one
+// Metropolis step, one GMH proposal round, one tempered-ladder sweep),
+// Done reports whether every configured draw has been recorded, and
+// Finish finalizes the Result. StepSampler.Start returns one.
+//
+// Steppers exist so a run loop is not owned by the sampler: a batch
+// scheduler can hold many concurrent runs and interleave their steps over
+// one shared device pool, time-slicing tenants at transition granularity.
+// A stepper is not safe for concurrent use; it is the scheduling unit,
+// and all of its state (PRNG streams, chain engine state, recorder) is
+// owned by the run, so two runs never share mutable state and a run's
+// draws are identical however its steps are interleaved with other runs'.
+//
+// Its between-steps state can be exported and restored. Restore must be
+// called on a freshly started stepper (same sampler, same ChainConfig)
+// before its first Step; Snapshot must be called between steps — the
+// scheduler guarantees both by construction. Snapshot can fail only in
+// spill mode, where it must make the sidecar durable before referencing
+// it.
 type SnapshotStepper interface {
-	Stepper
+	// Step performs one transition and records its draw(s). An error is
+	// fatal to the run.
+	Step() error
+	// Done reports whether the configured number of draws is recorded.
+	Done() bool
+	// Finish returns the completed run's result. It must be called once,
+	// after Done becomes true.
+	Finish() (*Result, error)
 	Snapshot() (*StepSnapshot, error)
 	Restore(*StepSnapshot) error
 }

@@ -126,6 +126,35 @@ func TestCompareSnapshot(t *testing.T) {
 	if checked != 0 || len(violations) != 0 {
 		t.Fatalf("vacuous: checked=%d violations=%v", checked, violations)
 	}
+
+	// Committed data: the four sweeps CI re-measures, checked against
+	// BENCH_10.json itself, cover 17 points and pass; each point planted
+	// at 0.69× its committed speedup (a 31% slowdown) fails alone.
+	bench10, err := ParseSnapshot(filepath.Join("..", "..", "BENCH_10.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps := func() map[string][]SpeedupPoint {
+		m := map[string][]SpeedupPoint{}
+		for _, exp := range []string{"samples", "sequences", "seqlen", "gmhround"} {
+			m[exp] = append([]SpeedupPoint(nil), bench10.Speedups[exp]...)
+		}
+		return m
+	}
+	checked, violations = CompareSnapshot(sweeps(), bench10, 0.7)
+	if checked != 17 || len(violations) != 0 {
+		t.Fatalf("BENCH_10 against itself: checked=%d violations=%v, want 17 and none", checked, violations)
+	}
+	for exp, pts := range sweeps() {
+		for i, p := range pts {
+			m := sweeps()
+			m[exp][i].Speedup = p.Speedup * 0.69
+			_, violations = CompareSnapshot(m, bench10, 0.7)
+			if len(violations) != 1 || violations[0].Experiment != exp || violations[0].Param != p.Param {
+				t.Errorf("%s@%d planted at 0.69×: violations %v, want exactly that point", exp, p.Param, violations)
+			}
+		}
+	}
 }
 
 func TestFormatTrajectory(t *testing.T) {

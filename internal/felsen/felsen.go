@@ -206,9 +206,6 @@ func (e *Evaluator) compressPatterns() {
 	}
 }
 
-// NSites returns the number of base-pair positions.
-func (e *Evaluator) NSites() int { return e.nSites }
-
 // NPatterns returns the number of distinct site patterns the alignment
 // compresses to: the length of every conditional lane in the delta path.
 func (e *Evaluator) NPatterns() int { return e.nPatterns }
@@ -229,9 +226,6 @@ func (e *Evaluator) SetBlockSize(n int) {
 
 // Reference reports whether the evaluator was built by NewReference.
 func (e *Evaluator) Reference() bool { return e.reference }
-
-// NSeqs returns the number of sequences.
-func (e *Evaluator) NSeqs() int { return len(e.seqs) }
 
 // Model returns the substitution model in use.
 func (e *Evaluator) Model() subst.Model { return e.model }

@@ -206,7 +206,7 @@ func TestSiteLogLikelihoodsSumToTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustEval(t, subst.NewJC69(), aln, device.New(4))
-	dst := make([]float64, e.NSites())
+	dst := make([]float64, aln.SeqLen())
 	e.SiteLogLikelihoods(tr, dst)
 	sum := 0.0
 	for _, v := range dst {

@@ -90,39 +90,3 @@ func Mean(xs []float64) float64 {
 	}
 	return Sum(xs) - math.Log(float64(len(xs)))
 }
-
-// Normalize rewrites xs in place so that logsumexp(xs) == 0, i.e. the
-// exponentials form a probability distribution, and returns the shift
-// (the original log-normalizer). If every element is NegInf the slice is
-// left unchanged and the shift is NegInf.
-func Normalize(xs []float64) float64 {
-	z := Sum(xs)
-	if IsZero(z) {
-		return NegInf
-	}
-	for i := range xs {
-		xs[i] -= z
-	}
-	return z
-}
-
-// Probs converts log-weights into normalized linear-space probabilities,
-// writing into dst (which must have the same length) and returning it.
-// If dst is nil a new slice is allocated. A slice of all-NegInf weights
-// yields all zeros.
-func Probs(dst, logw []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(logw))
-	}
-	z := Sum(logw)
-	if IsZero(z) {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i, w := range logw {
-		dst[i] = math.Exp(w - z)
-	}
-	return dst
-}

@@ -158,82 +158,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{math.Log(1), math.Log(3)}
-	shift := Normalize(xs)
-	if !near(shift, math.Log(4), tol) {
-		t.Errorf("shift = %v, want log 4", shift)
-	}
-	if got := Sum(xs); !near(got, 0, tol) {
-		t.Errorf("normalized Sum = %v, want 0", got)
-	}
-	if !near(math.Exp(xs[0]), 0.25, tol) || !near(math.Exp(xs[1]), 0.75, tol) {
-		t.Errorf("normalized probs = %v %v, want 0.25 0.75", math.Exp(xs[0]), math.Exp(xs[1]))
-	}
-}
-
-func TestNormalizeAllZero(t *testing.T) {
-	xs := []float64{NegInf, NegInf}
-	if shift := Normalize(xs); !IsZero(shift) {
-		t.Errorf("shift = %v, want -Inf", shift)
-	}
-}
-
-func TestProbs(t *testing.T) {
-	logw := []float64{math.Log(1), math.Log(1), math.Log(2)}
-	p := Probs(nil, logw)
-	want := []float64{0.25, 0.25, 0.5}
-	for i := range want {
-		if !near(p[i], want[i], tol) {
-			t.Errorf("Probs[%d] = %v, want %v", i, p[i], want[i])
-		}
-	}
-}
-
-func TestProbsSumToOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		logw := make([]float64, len(raw))
-		anyFinite := false
-		for i, v := range raw {
-			logw[i] = math.Mod(v, 600)
-			anyFinite = true
-		}
-		if !anyFinite {
-			return true
-		}
-		p := Probs(nil, logw)
-		var s float64
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				return false
-			}
-			s += v
-		}
-		return near(s, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProbsExtremeWeights(t *testing.T) {
-	// One weight dominates by hundreds of orders of magnitude.
-	logw := []float64{-5000, -4000, -4000.0001}
-	p := Probs(nil, logw)
-	if p[0] != 0 {
-		t.Errorf("p[0] = %v, want exactly 0 after underflow", p[0])
-	}
-	if !near(p[1]+p[2], 1, 1e-12) {
-		t.Errorf("p1+p2 = %v, want 1", p[1]+p[2])
-	}
-	if p[1] <= p[2] {
-		t.Errorf("want p[1] > p[2], got %v <= %v", p[1], p[2])
-	}
-}
-
 func TestMax(t *testing.T) {
 	if got := Max([]float64{-3, -1, -2}); got != -1 {
 		t.Errorf("Max = %v, want -1", got)

@@ -52,26 +52,13 @@ import (
 // dangling children minus completed merges.
 const maxActive = 3
 
-// Targets returns the node indices eligible as resimulation targets: every
-// non-root interior node. The count is always NTips-2, independent of
-// topology, which keeps the auxiliary variable φ's distribution uniform
-// over a set of fixed size (§4.3).
-func Targets(t *gtree.Tree) []int {
-	out := make([]int, 0, t.NInterior()-1)
-	for k := 0; k < t.NInterior(); k++ {
-		i := t.InteriorIndex(k)
-		if i != t.Root {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // PickTarget samples the auxiliary variable φ: a uniform choice among the
-// non-root interior nodes. It panics for trees with fewer than 3 tips,
-// which have no resimulatable neighbourhood. It draws exactly as if
-// indexing into Targets but without materializing the slice: the sampler
-// calls it once per round and the hot path stays allocation-free.
+// non-root interior nodes. Their count is always NTips-2, independent of
+// topology, which keeps φ's distribution uniform over a set of fixed size
+// (§4.3). It panics for trees with fewer than 3 tips, which have no
+// resimulatable neighbourhood. It walks the interior nodes instead of
+// materializing the eligible set: the sampler calls it once per round and
+// the hot path stays allocation-free.
 func PickTarget(t *gtree.Tree, src rng.Source) int {
 	n := t.NInterior() - 1
 	if n <= 0 {

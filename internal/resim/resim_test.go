@@ -34,19 +34,6 @@ func ladderTree(t *testing.T) *gtree.Tree {
 	return tr
 }
 
-func TestTargets(t *testing.T) {
-	tr := ladderTree(t)
-	got := Targets(tr)
-	if len(got) != 2 {
-		t.Fatalf("Targets = %v, want 2 non-root interior nodes", got)
-	}
-	for _, i := range got {
-		if tr.IsTip(i) || i == tr.Root {
-			t.Errorf("target %d is tip or root", i)
-		}
-	}
-}
-
 func TestResimulateErrors(t *testing.T) {
 	tr := ladderTree(t)
 	src := rng.NewMT19937(400)

@@ -6,8 +6,6 @@
 // categorical).
 package rng
 
-import "math"
-
 // Source is the minimal generator interface used throughout the sampler.
 // Implementations need not be safe for concurrent use; parallel kernels
 // take one Source per thread from a StreamSet.
@@ -162,11 +160,3 @@ func (s *StreamSet) Len() int { return len(s.streams) }
 // Stream returns the generator for thread i. The same i always yields the
 // same generator, so a kernel thread owns its stream for the launch.
 func (s *StreamSet) Stream(i int) *MT19937 { return s.streams[i] }
-
-// Jitter provides a tiny deterministic perturbation in (0, eps) used to
-// break exact age ties when constructing initial trees. It consumes one
-// variate from src.
-func Jitter(src Source, eps float64) float64 {
-	u := src.Float64()
-	return eps * (u + math.SmallestNonzeroFloat64)
-}

@@ -296,16 +296,6 @@ func TestUniformPair(t *testing.T) {
 	}
 }
 
-func TestJitterPositiveSmall(t *testing.T) {
-	m := NewMT19937(61)
-	for i := 0; i < 1000; i++ {
-		j := Jitter(m, 1e-9)
-		if j <= 0 || j > 1e-9*1.001 {
-			t.Fatalf("Jitter = %v out of (0, 1e-9]", j)
-		}
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	m := NewMT19937(67)
 	const n = 300000

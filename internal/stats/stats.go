@@ -42,11 +42,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Pearson returns the Pearson correlation coefficient between two
 // equal-length series, the accuracy measure of paper §6.1.
 func Pearson(xs, ys []float64) float64 {

@@ -25,14 +25,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestStdErr(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	want := StdDev(xs) / 2
-	if got := StdErr(xs); math.Abs(got-want) > 1e-12 {
-		t.Errorf("StdErr = %v, want %v", got, want)
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

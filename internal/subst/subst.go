@@ -80,9 +80,6 @@ func (m *F81) Name() string { return "F81" }
 // Freqs implements Model.
 func (m *F81) Freqs() [4]float64 { return m.freqs }
 
-// EventRate exposes the internal event rate u (for tests).
-func (m *F81) EventRate() float64 { return m.u }
-
 // TransitionInto implements Model with paper Eq. 20:
 // P_XY(t) = e^{-ut} δ_XY + (1-e^{-ut}) π_Y.
 func (m *F81) TransitionInto(t float64, p *Matrix) {

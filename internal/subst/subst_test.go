@@ -164,8 +164,8 @@ func TestF81MatchesPaperEq20(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.EventRate() != 1 {
-		t.Fatalf("unnormalized u = %v, want 1", m.EventRate())
+	if m.u != 1 {
+		t.Fatalf("unnormalized u = %v, want 1", m.u)
 	}
 	var p Matrix
 	tm := 0.42

@@ -1,58 +1,65 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
 )
 
-// FuzzFrameDecode drives the frame decoder with arbitrary bytes. The
-// contract is decode-or-error: any input either yields draws plus a
-// consumed length inside the buffer, or an error — never a panic, and
-// never an out-of-range consumed count. Valid frames built from the
-// fuzzer's own parameters must round-trip exactly.
+// FuzzFrameDecode drives the production read path: a valid header for
+// nAges followed by arbitrary frame bytes goes through scan, and the
+// durable prefix scan reports goes through replay. A header that scan
+// refuses ends the case; otherwise replay of the durable prefix must
+// not error, must yield exactly Info.Draws draws, and re-encoding those
+// draws must reproduce the durable frames' payload bytes bit for bit
+// (the payload is raw IEEE-754 images).
 func FuzzFrameDecode(f *testing.F) {
 	// A well-formed single-draw frame for nAges=2 seeds the corpus.
 	payload := appendDraw(nil, 1.5, []float64{0.25, 0.75}, -3.0)
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = append(frame, payload...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	f.Add(2, frame)
+	f.Add(2, append(append([]byte{}, frame...), frame...))
 	f.Add(2, frame[:len(frame)-3]) // torn tail
 	f.Add(1, []byte{})
 	f.Add(3, []byte{0xff, 0xff, 0xff, 0xff, 0x00})
-	f.Add(0, frame)
+	f.Add(0, frame) // header refused
 
-	f.Fuzz(func(t *testing.T, nAges int, b []byte) {
-		draws, n, err := DecodeFrame(nAges, b)
+	f.Fuzz(func(t *testing.T, nAges int, frames []byte) {
+		if nAges > 64 {
+			return // a valid header, but huge draws only slow the fuzzer
+		}
+		b := append(EncodeHeader(nAges), frames...)
+		info, err := scan(bytesReaderAt(b), int64(len(b)))
 		if err != nil {
-			if draws != nil {
-				t.Fatal("error with non-nil draws")
-			}
 			return
 		}
-		if n <= 0 || n > len(b) {
-			t.Fatalf("consumed %d of %d bytes", n, len(b))
-		}
-		if len(draws) == 0 {
-			t.Fatal("successful decode with zero draws")
-		}
-		// Re-encode what was decoded: it must reproduce the consumed
-		// bytes bit for bit (the payload is raw IEEE-754 images).
 		var enc []byte
-		for _, d := range draws {
-			if len(d.Ages) != nAges {
-				t.Fatalf("draw has %d ages, want %d", len(d.Ages), nAges)
-			}
-			enc = appendDraw(enc, d.Stat, d.Ages, d.LogLik)
+		draws := 0
+		err = replay(bytesReaderAt(b), info.NAges, HeaderSize, info.DurableBytes,
+			func(stat float64, ages []float64, logLik float64) error {
+				if len(ages) != nAges {
+					t.Fatalf("draw has %d ages, want %d", len(ages), nAges)
+				}
+				draws++
+				enc = appendDraw(enc, stat, ages, logLik)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("replay of durable prefix [%d, %d): %v", HeaderSize, info.DurableBytes, err)
 		}
-		if len(enc) != n-8 {
-			t.Fatalf("re-encoded %d bytes, consumed %d", len(enc), n)
+		if draws != info.Draws {
+			t.Fatalf("replayed %d draws, scan counted %d", draws, info.Draws)
 		}
-		for i, by := range enc {
-			if b[4+i] != by {
-				t.Fatalf("re-encode differs at payload byte %d", i)
-			}
+		var want []byte
+		for pos := int64(HeaderSize); pos < info.DurableBytes; {
+			n := int64(binary.LittleEndian.Uint32(b[pos:]))
+			want = append(want, b[pos+4:pos+4+n]...)
+			pos += 4 + n + 4
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("re-encoded draws (%d bytes) differ from the durable payloads (%d bytes)", len(enc), len(want))
 		}
 	})
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -85,8 +84,8 @@ func scan(r io.ReaderAt, size int64) (Info, error) {
 		if _, err := r.ReadAt(lenBuf[:], pos); err != nil {
 			return Info{}, fmt.Errorf("trace: frame header at %d: %w", pos, err)
 		}
-		payloadLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if payloadLen == 0 || payloadLen > maxFrameLen || payloadLen%drawSize != 0 {
+		payloadLen, err := frameLen(lenBuf[:], drawSize)
+		if err != nil {
 			break // corrupt tail
 		}
 		end := pos + 4 + payloadLen + 4
@@ -100,7 +99,7 @@ func scan(r io.ReaderAt, size int64) (Info, error) {
 		if _, err := r.ReadAt(lenBuf[:], pos+4+payloadLen); err != nil {
 			return Info{}, fmt.Errorf("trace: frame checksum at %d: %w", pos, err)
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(lenBuf[:]) {
+		if checkSum(payload, lenBuf[:]) != nil {
 			break // torn: partial payload write
 		}
 		info.Frames++
@@ -133,7 +132,10 @@ func countDraws(f *os.File, limit int64) (int, error) {
 		if _, err := f.ReadAt(lenBuf[:], pos); err != nil {
 			return 0, fmt.Errorf("trace: frame header at %d: %w", pos, err)
 		}
-		payloadLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+		payloadLen, err := frameLen(lenBuf[:], drawSize)
+		if err != nil {
+			return 0, fmt.Errorf("%w at %d", err, pos)
+		}
 		draws += int(payloadLen / drawSize)
 		pos += 4 + payloadLen + 4
 	}

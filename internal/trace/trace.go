@@ -49,14 +49,6 @@ const (
 // nAges internal-node ages.
 func DrawSize(nAges int) int { return 8 * (2 + nAges) }
 
-// Draw is one recorded MCMC sample: the summary statistic, the
-// internal-node ages, and the log-likelihood, exactly as recorded.
-type Draw struct {
-	Stat   float64
-	Ages   []float64
-	LogLik float64
-}
-
 // EncodeHeader renders the 16-byte file header for trees with nAges
 // internal-node ages.
 func EncodeHeader(nAges int) []byte {
@@ -94,50 +86,21 @@ func appendDraw(buf []byte, stat float64, ages []float64, logLik float64) []byte
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(logLik))
 }
 
-// DecodeFrame decodes a single frame from the start of b for trees
-// with nAges internal-node ages. It returns the decoded draws and the
-// total byte length consumed. Any malformed input — short buffer,
-// implausible length, payload not a whole number of draws, checksum
-// mismatch — yields an error, never a panic; this is the surface the
-// fuzz target drives.
-func DecodeFrame(nAges int, b []byte) (draws []Draw, n int, err error) {
-	if nAges <= 0 {
-		return nil, 0, fmt.Errorf("trace: nAges %d out of range", nAges)
+// frameLen decodes a frame's length field and checks that it is a
+// plausible payload of whole draws of drawSize bytes. It is the one
+// frame-header rule: scan, countDraws and replay all apply it.
+func frameLen(field []byte, drawSize int64) (int64, error) {
+	n := int64(binary.LittleEndian.Uint32(field))
+	if n == 0 || n > maxFrameLen || n%drawSize != 0 {
+		return 0, fmt.Errorf("trace: implausible frame length %d", n)
 	}
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("trace: short frame: %d bytes", len(b))
+	return n, nil
+}
+
+// checkSum verifies a frame's payload against its CRC-32 trailer.
+func checkSum(payload, trailer []byte) error {
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(trailer); got != want {
+		return fmt.Errorf("trace: frame checksum mismatch: %08x != %08x", got, want)
 	}
-	payloadLen := int64(binary.LittleEndian.Uint32(b))
-	drawSize := int64(DrawSize(nAges))
-	if payloadLen == 0 || payloadLen > maxFrameLen {
-		return nil, 0, fmt.Errorf("trace: implausible frame length %d", payloadLen)
-	}
-	if payloadLen%drawSize != 0 {
-		return nil, 0, fmt.Errorf("trace: frame length %d not a multiple of draw size %d", payloadLen, drawSize)
-	}
-	total := 4 + payloadLen + 4
-	if int64(len(b)) < total {
-		return nil, 0, fmt.Errorf("trace: torn frame: need %d bytes, have %d", total, len(b))
-	}
-	payload := b[4 : 4+payloadLen]
-	want := binary.LittleEndian.Uint32(b[4+payloadLen:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("trace: frame checksum mismatch: %08x != %08x", got, want)
-	}
-	count := int(payloadLen / drawSize)
-	draws = make([]Draw, count)
-	off := 0
-	for i := range draws {
-		draws[i].Stat = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-		ages := make([]float64, nAges)
-		for j := range ages {
-			ages[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-		}
-		draws[i].Ages = ages
-		draws[i].LogLik = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-	}
-	return draws, int(total), nil
+	return nil
 }

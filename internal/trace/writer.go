@@ -192,9 +192,9 @@ func replay(r io.ReaderAt, nAges int, from, to int64, fn func(stat float64, ages
 		if _, err := io.ReadFull(sr, hdr[:]); err != nil {
 			return fmt.Errorf("trace: frame header at %d: %w", pos, err)
 		}
-		payloadLen := int64(binary.LittleEndian.Uint32(hdr[:]))
-		if payloadLen == 0 || payloadLen > maxFrameLen || payloadLen%drawSize != 0 {
-			return fmt.Errorf("trace: implausible frame length %d at %d", payloadLen, pos)
+		payloadLen, err := frameLen(hdr[:], drawSize)
+		if err != nil {
+			return fmt.Errorf("%w at %d", err, pos)
 		}
 		if pos+4+payloadLen+4 > to {
 			return fmt.Errorf("trace: frame at %d overruns replay range", pos)
@@ -206,8 +206,8 @@ func replay(r io.ReaderAt, nAges int, from, to int64, fn func(stat float64, ages
 		if _, err := io.ReadFull(sr, hdr[:]); err != nil {
 			return fmt.Errorf("trace: frame checksum at %d: %w", pos, err)
 		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[:]); got != want {
-			return fmt.Errorf("trace: frame checksum mismatch at %d: %08x != %08x", pos, got, want)
+		if err := checkSum(payload, hdr[:]); err != nil {
+			return fmt.Errorf("%w at %d", err, pos)
 		}
 		for o := int64(0); o < payloadLen; o += drawSize {
 			d := payload[o:]

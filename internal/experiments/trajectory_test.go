@@ -157,6 +157,49 @@ func TestCompareSnapshot(t *testing.T) {
 	}
 }
 
+// TestCheckSpeedupFloor pins the speedup floor itself: a point fails
+// below committed × factor, points without a committed speedup are
+// skipped, and the reported floor is exactly committed × factor.
+func TestCheckSpeedupFloor(t *testing.T) {
+	latest := &BenchSnapshot{
+		Speedups: map[string][]SpeedupPoint{
+			"samples": {{Param: 2000, Speedup: 5.0}, {Param: 3000, Speedup: 5.5}},
+			"seqlen":  {{Param: 200, Speedup: 4.0}},
+		},
+	}
+	measured := map[string][]SpeedupPoint{
+		"samples": {
+			{Param: 2000, Speedup: 3.6}, // above floor 3.5: fine
+			{Param: 3000, Speedup: 3.5}, // below floor 3.85: violation
+			{Param: 9999, Speedup: 0.1}, // no committed speedup: ignored
+		},
+		"seqlen": {
+			{Param: 200, Speedup: 4.2},
+		},
+	}
+	checked, violations := CompareSnapshot(measured, latest, 0.7)
+	if checked != 3 {
+		t.Errorf("checked %d points, want 3 (the uncommitted point is skipped)", checked)
+	}
+	if len(violations) != 1 {
+		t.Fatalf("got %d violations (%v), want 1", len(violations), violations)
+	}
+	v := violations[0]
+	if v.Experiment != "samples" || v.Param != 3000 || v.Fresh != 3.5 {
+		t.Errorf("unexpected violation %+v", v)
+	}
+	if wantFloor := v.Committed * 0.7; v.Floor != wantFloor {
+		t.Errorf("floor = %v, want %v", v.Floor, wantFloor)
+	}
+	if got := v.String(); !strings.Contains(got, "samples param 3000") {
+		t.Errorf("violation string %q", got)
+	}
+
+	if _, extra := CompareSnapshot(measured, latest, 0.1); len(extra) != 0 {
+		t.Errorf("factor 0.1 should pass everything, got %v", extra)
+	}
+}
+
 func TestFormatTrajectory(t *testing.T) {
 	snaps := []*BenchSnapshot{
 		{PR: 3, Speedups: map[string][]SpeedupPoint{"seqlen": {{Param: 200, Speedup: 4.0}}}},

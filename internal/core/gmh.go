@@ -25,6 +25,14 @@ import (
 // round. Burn-in uses the same parallel machinery: there is no serial
 // burn-in component (§4.1).
 //
+// Everything a round's proposals share is computed once per round on the
+// launching goroutine: the region analysis of φ's neighbourhood
+// (resim.Scratch.Analyze — interval cut, k_in sweep, transition and
+// completion probabilities), which every proposal thread then samples
+// from read-only, and the index chain's normalisation (rng.LogTable),
+// which all N draws reuse. When the analysis fails (θ out of range), every
+// candidate of the round fails with its error without touching a stream.
+//
 // The round loop is allocation-free: proposal trees, weight/statistic
 // arrays, age buffers and the kernel closure are set up once and reused
 // every round, and proposal likelihoods are computed incrementally against
@@ -67,9 +75,12 @@ type gmhRun struct {
 	n     int
 	total int
 
-	host      *rng.MT19937
-	streams   *rng.StreamSet
-	scratches []*resim.Scratch
+	host    *rng.MT19937
+	streams *rng.StreamSet
+	// scratch holds the round's region analysis, shared read-only by
+	// every proposal thread; pick is the index chain's weight table.
+	scratch *resim.Scratch
+	pick    *rng.LogTable
 
 	set   []*gtree.Tree
 	logw  []float64
@@ -89,7 +100,6 @@ type gmhRun struct {
 	out *SampleSet
 	res *Result
 
-	phi    int
 	slots  []int
 	kernel func(tid int)
 }
@@ -118,12 +128,8 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 		host:    seedSource(cfg.Seed, 2),
 		streams: rng.NewStreamSet(n, cfg.Seed^0x9e3779b97f4a7c15),
 	}
-	// One resimulation scratch per stream: the proposal kernel's region
-	// analysis reuses it every round, so draws allocate nothing.
-	r.scratches = make([]*resim.Scratch, n)
-	for i := range r.scratches {
-		r.scratches[i] = resim.NewScratch()
-	}
+	r.scratch = resim.NewScratch()
+	r.pick = rng.NewLogTable(n + 1)
 
 	// Proposal set: slot 0 holds the current state, slots 1..N the new
 	// candidates. All slots — trees, weights, statistics and age buffers —
@@ -173,16 +179,17 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 
 	// Proposal kernel: one device thread per candidate (§5.2.1). The
 	// thread owning the current state stays idle, exactly as the paper
-	// notes for the generator's thread. The closure is built once; phi,
-	// cur and slots are rebound per round before the launch. On the wave
-	// path the kernel only resimulates and summarizes — the likelihoods of
-	// the whole set are computed afterwards as one fused grid.
+	// notes for the generator's thread. The closure is built once; cur,
+	// slots and the scratch's analysis are rebound per round before the
+	// launch. On the wave path the kernel only resimulates and summarizes
+	// — the likelihoods of the whole set are computed afterwards as one
+	// fused grid.
 	r.slots = make([]int, 0, n)
 	r.kernel = func(tid int) {
 		i := r.slots[tid]
 		p := r.set[i]
 		p.CopyFrom(r.set[r.cur])
-		if err := resim.ResimulateScratch(p, r.phi, r.theta, r.streams.Stream(tid), r.scratches[tid]); err != nil {
+		if err := r.scratch.Sample(p, r.streams.Stream(tid)); err != nil {
 			// A numerically impossible region: the candidate gets zero
 			// weight and can never be sampled; the round proceeds.
 			r.errs[tid] = err
@@ -215,14 +222,23 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 func (r *gmhRun) Step() error {
 	// Auxiliary variable φ: the shared resimulation target, making
 	// every member of the set able to propose the rest (§4.3).
-	r.phi = resim.PickTarget(r.set[r.cur], r.host)
+	phi := resim.PickTarget(r.set[r.cur], r.host)
 	r.slots = r.slots[:0]
 	for i := 0; i <= r.n; i++ {
 		if i != r.cur {
 			r.slots = append(r.slots, i)
 		}
 	}
-	r.g.dev.Launch(r.n, r.kernel)
+	if err := r.scratch.Analyze(r.set[r.cur], phi, r.theta); err != nil {
+		// No draw exists for this region: every candidate fails with the
+		// analysis error, and no proposal stream is consumed.
+		for tid, i := range r.slots {
+			r.errs[tid] = err
+			r.logw[i] = logspace.NegInf
+		}
+	} else {
+		r.g.dev.Launch(r.n, r.kernel)
+	}
 	r.res.Proposals += r.n
 	for _, err := range r.errs {
 		if err != nil {
@@ -234,7 +250,7 @@ func (r *gmhRun) Step() error {
 		// φ, then one fused (proposal × pattern-block) grid over every
 		// candidate that resimulated successfully. Failed candidates and
 		// the current state keep their logw (NegInf and the cached value).
-		r.wave.BindRound(r.phi)
+		r.wave.BindRound(phi)
 		for tid, i := range r.slots {
 			if r.errs[tid] != nil {
 				r.waveTrees[i] = nil
@@ -249,8 +265,9 @@ func (r *gmhRun) Step() error {
 	// Sampling stage: draw from the index chain's stationary
 	// distribution, w_i ∝ P(D|G̃_i) (Eq. 31), N times as Calderhead does.
 	last := r.cur
+	r.pick.Reset(r.logw)
 	for k := 0; k < r.n && !r.rec.full(); k++ {
-		idx := rng.LogCategorical(r.host, r.logw)
+		idx := r.pick.Draw(r.host)
 		if idx != last {
 			r.res.Accepted++
 		}

@@ -11,10 +11,10 @@ import (
 
 // BenchmarkGMHRound times full GMH sampling runs (8 proposals, 8 draws
 // per round) on the paper's Table 1 workload. allocs/op is the headline:
-// the GMH round loop, the delta likelihood path and — since the per-stream
+// the GMH round loop, the delta likelihood path and — since the per-run
 // resim.Scratch — the resimulation kernel's region analysis all allocate
 // nothing, so what remains is per-Run setup (slot trees, caches, streams,
-// scratches), a fixed cost amortized over the chain length. The harness is
+// scratch), a fixed cost amortized over the chain length. The harness is
 // kept exactly as it has always been (whole Run, setup included) so
 // benchstat deltas across commits compare like with like.
 func BenchmarkGMHRound(b *testing.B) {
@@ -54,12 +54,18 @@ func BenchmarkGMHRound(b *testing.B) {
 // enough that the per-round outer-partial lift has something to lift;
 // 12-taxon trees spend most rounds with the target's parent a step or two
 // from the root, leaving little shared path to fuse.
-func BenchmarkGMHRound1000bp(b *testing.B)             { benchGMHRoundStep(b, 32, 1000, false) }
-func BenchmarkGMHRound1000bpPerCandidate(b *testing.B) { benchGMHRoundStep(b, 32, 1000, true) }
-func BenchmarkGMHRound4000bp(b *testing.B)             { benchGMHRoundStep(b, 32, 4000, false) }
-func BenchmarkGMHRound4000bpPerCandidate(b *testing.B) { benchGMHRoundStep(b, 32, 4000, true) }
+func BenchmarkGMHRound1000bp(b *testing.B)             { benchGMHRoundStep(b, 32, 1000, 8, false) }
+func BenchmarkGMHRound1000bpPerCandidate(b *testing.B) { benchGMHRoundStep(b, 32, 1000, 8, true) }
+func BenchmarkGMHRound4000bp(b *testing.B)             { benchGMHRoundStep(b, 32, 4000, 8, false) }
+func BenchmarkGMHRound4000bpPerCandidate(b *testing.B) { benchGMHRoundStep(b, 32, 4000, 8, true) }
 
-func benchGMHRoundStep(b *testing.B, nSeq, seqLen int, perCandidate bool) {
+// BenchmarkGMHRound200bp is one round at the 12-taxon, 200bp shape on 2
+// workers: few patterns and a shallow root path, so resimulation, launch
+// and the index-chain draws are most of the round rather than the
+// likelihood kernels.
+func BenchmarkGMHRound200bp(b *testing.B) { benchGMHRoundStep(b, 12, 200, 2, false) }
+
+func benchGMHRoundStep(b *testing.B, nSeq, seqLen, workers int, perCandidate bool) {
 	b.Helper()
 	aln, _, err := seqgen.SimulateData(nSeq, seqLen, 1.0, 20160401)
 	if err != nil {
@@ -69,7 +75,7 @@ func benchGMHRoundStep(b *testing.B, nSeq, seqLen int, perCandidate bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev := device.New(8)
+	dev := device.New(workers)
 	defer dev.Close()
 	eval, err := felsen.New(model, aln, dev)
 	if err != nil {

@@ -54,3 +54,64 @@ func TestGMHFailedProposalsCountedUnderPathologicalTheta(t *testing.T) {
 		t.Fatalf("run did not complete: %d draws", res.Samples.Len())
 	}
 }
+
+// TestGMHAnalysisFailureFailsEveryCandidate: at θ = 1e-310 the
+// coalescent rates overflow, so the round's shared region analysis fails.
+// Every candidate of every round must fail with it — on the wave,
+// per-candidate and reference paths alike — the chain must record only its
+// initial state, and no proposal stream may be consumed.
+func TestGMHAnalysisFailureFailsEveryCandidate(t *testing.T) {
+	dev := device.New(2)
+	defer dev.Close()
+	cfg := ChainConfig{Theta: 1e-310, Burnin: 0, Samples: 40, Seed: 221}
+	for _, tc := range []struct {
+		name         string
+		build        evaluatorBuilder
+		perCandidate bool
+	}{
+		{"wave", felsen.New, false},
+		{"per-candidate", felsen.New, true},
+		{"reference", felsen.NewReference, false},
+	} {
+		eval, init := fixtureWith(t, tc.build, 6, 40, 222, dev)
+		g := NewGMH(eval, dev, 4)
+		g.PerCandidate = tc.perCandidate
+		run, err := g.Start(init, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := mustSnapshot(t, run).Streams
+		for !run.Done() {
+			if err := run.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := mustSnapshot(t, run).Streams
+		res, err := run.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Proposals == 0 || res.FailedProposals != res.Proposals {
+			t.Errorf("%s: %d of %d proposals failed, want all", tc.name, res.FailedProposals, res.Proposals)
+		}
+		if res.Accepted != 0 {
+			t.Errorf("%s: %d draws moved the chain", tc.name, res.Accepted)
+		}
+		initAges := init.CoalescentAges()
+		for i, ages := range res.Samples.Ages {
+			for k := range ages {
+				if ages[k] != initAges[k] {
+					t.Fatalf("%s: draw %d is not the initial state", tc.name, i)
+				}
+			}
+		}
+		if res.Final.String() != init.String() {
+			t.Errorf("%s: final state differs from the initial one", tc.name)
+		}
+		for i := range before {
+			if before[i] != after[i] {
+				t.Errorf("%s: proposal stream %d advanced", tc.name, i)
+			}
+		}
+	}
+}

@@ -31,11 +31,16 @@
 // serial Metropolis-Hastings acceptance ratio reduces to the data
 // likelihood ratio (Eq. 28).
 //
-// The region analysis needs working memory proportional to the number of
-// fixed ages inside the region. A Scratch owns those buffers so a chain
-// (or one device stream of the multiple-proposal kernel) pays the
-// allocation once and every subsequent draw is allocation-free; Resimulate
-// without a Scratch borrows one from a shared pool.
+// A draw has two halves. The region analysis — the interval cut, the k_in
+// sweep, the interval transition probabilities and the backward
+// completion recursion — depends only on the current tree, the target and
+// θ. The forward walk and tree surgery consume the random stream. A
+// Scratch holds the analysis (Scratch.Analyze), and Scratch.Sample then
+// only reads it, so the multiple-proposal kernel analyses a round's shared
+// neighbourhood once and samples every proposal from it concurrently, one
+// PRNG stream per proposal. ResimulateScratch is the two halves back to
+// back for single-proposal chains; Resimulate without a Scratch borrows
+// one from a shared pool.
 package resim
 
 import (
@@ -78,12 +83,16 @@ func PickTarget(t *gtree.Tree, src rng.Source) int {
 	panic("resim: internal error: target index out of range")
 }
 
-// Scratch is the reusable working memory of one resimulation stream: the
-// boundary, killing-rate and completion-probability buffers the region
-// analysis needs, owned by the caller so repeated draws allocate nothing.
-// A Scratch is not safe for concurrent use — give each chain (or each
-// device stream of a multiple-proposal kernel) its own, exactly as each
-// PRNG stream is owned by one thread.
+// Scratch is the reusable working memory of one resimulation region: the
+// boundary, killing-rate, transition and completion-probability buffers
+// the region analysis fills, owned by the caller so repeated draws
+// allocate nothing.
+//
+// Analyze writes the Scratch and must not run concurrently with anything
+// else on it. After a successful Analyze, Sample only reads the Scratch:
+// any number of goroutines may call Sample at once, each on its own copy
+// of the analysed tree and with its own PRNG stream, until the next
+// Analyze.
 type Scratch struct {
 	r region
 }
@@ -107,14 +116,31 @@ func Resimulate(t *gtree.Tree, target int, theta float64, src rng.Source) error 
 }
 
 // ResimulateScratch is Resimulate with caller-owned working memory: with a
-// warm Scratch the draw performs no heap allocation. The target must be a
-// non-root interior node. The two replacement coalescent events reuse the
-// node slots of the target and its parent (younger event in the target's
+// warm Scratch the draw performs no heap allocation. It is Analyze
+// followed by Sample on the same tree. The target must be a non-root
+// interior node. The two replacement coalescent events reuse the node
+// slots of the target and its parent (younger event in the target's
 // slot), so node indices remain stable identities across proposals. A nil
 // scratch allocates a fresh one.
 //
 //mpcgs:hotpath
 func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source, s *Scratch) error {
+	if s == nil {
+		s = NewScratch() //mpcgsvet:ignore-alloc nil-scratch fallback for legacy callers; hot callers pass a warm Scratch
+	}
+	if err := s.Analyze(t, target, theta); err != nil {
+		return err
+	}
+	return s.Sample(t, src)
+}
+
+// Analyze validates the draw and analyses the region around target in t
+// at theta into s. It reads t and consumes no randomness; on error the
+// Scratch holds no analysis and Sample refuses to run.
+//
+//mpcgs:hotpath
+func (s *Scratch) Analyze(t *gtree.Tree, target int, theta float64) error {
+	s.r.ready = false
 	if theta <= 0 {
 		return fmt.Errorf("resim: theta %v must be positive", theta)
 	}
@@ -133,9 +159,6 @@ func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source,
 	if target == t.Root {
 		return fmt.Errorf("resim: target %d is the root", target)
 	}
-	if s == nil {
-		s = NewScratch() //mpcgsvet:ignore-alloc nil-scratch fallback for legacy callers; hot callers pass a warm Scratch
-	}
 
 	parent := t.Nodes[target].Parent
 	ancestor := t.Nodes[parent].Parent // gtree.Nil when parent is the root
@@ -144,27 +167,56 @@ func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source,
 		t.Nodes[target].Child[1],
 		t.Sibling(target),
 	}
-	r := &s.r
-	if err := r.build(t, target, parent, ancestor, children, theta); err != nil {
+	if err := s.r.build(t, target, parent, ancestor, children, theta); err != nil {
 		return err
+	}
+	s.r.ready = true
+	return nil
+}
+
+// Sample draws the analysed neighbourhood into t from src: the forward
+// walk over the analysed intervals and the tree surgery. t must hold the
+// tree the last Analyze saw, at least around the target; Sample checks the
+// target's parent, the ancestor, the three children and their ages, and
+// refuses a tree that differs. It only reads s (see Scratch).
+//
+//mpcgs:hotpath
+func (s *Scratch) Sample(t *gtree.Tree, src rng.Source) error {
+	r := &s.r
+	if !r.ready {
+		return fmt.Errorf("resim: Sample without a successful Analyze")
+	}
+	if !r.matches(t) {
+		return fmt.Errorf("resim: neighbourhood of target %d differs from the analysed tree", r.target)
 	}
 	return r.sample(t, src)
 }
 
 // region is the fully analyzed resimulation problem: interval structure,
-// killing rates, joins and completion probabilities. Its slice fields live
-// in a Scratch and are rebuilt in place for every draw.
+// killing rates, joins, transition and completion probabilities. Its slice
+// fields live in a Scratch and are rebuilt in place by every Analyze.
 type region struct {
+	ready    bool // a successful Analyze filled the fields below
 	theta    float64
+	nTips    int
 	target   int
 	parent   int
 	ancestor int // gtree.Nil for the root-adjacent case
 	children [3]int
+	// childAge and top are the ages the analysis was cut at: the three
+	// children's and the ancestor's (+Inf in the root-adjacent case).
+	childAge [3]float64
+	top      float64
 
 	bounds []float64 // m+1 boundary ages, bounds[0] = youngest child age
 	kin    []int     // m per-interval inactive lineage counts
 	joinAt [3]int    // boundary index at which each child becomes active
 	g      [][4]float64
+	// trs[j] holds interval j's rates and probs[j][a][b] its transition
+	// probability S_{a,b}(L_j), shared by the completion recursion and
+	// the forward walk.
+	trs   []transitions
+	probs []transTable
 }
 
 func (r *region) rootCase() bool { return r.ancestor == gtree.Nil }
@@ -184,7 +236,11 @@ func (r *region) joinCount(j int) int {
 // build analyzes the resimulation region into r, reusing r's buffers.
 func (r *region) build(t *gtree.Tree, target, parent, ancestor int, children [3]int, theta float64) error {
 	r.theta, r.target, r.parent, r.ancestor = theta, target, parent, ancestor
+	r.nTips = t.NTips()
 	r.children = children
+	for k, c := range children {
+		r.childAge[k] = t.Nodes[c].Age
+	}
 
 	// Region bottom: the youngest child's age; top: the ancestor's age,
 	// or unbounded for the root-adjacent case.
@@ -201,6 +257,7 @@ func (r *region) build(t *gtree.Tree, target, parent, ancestor int, children [3]
 			return fmt.Errorf("resim: ancestor age %v not above region bottom %v", top, bottom)
 		}
 	}
+	r.top = top
 
 	// Boundary ages: the bottom plus every fixed node age strictly inside
 	// (bottom, top) — collected, sorted, and deduplicated in place — plus
@@ -291,13 +348,19 @@ func (r *region) build(t *gtree.Tree, target, parent, ancestor int, children [3]
 // successfully when entering interval j with a active lineages (after the
 // joins at boundary j): the backward recursion over feasible intervals of
 // §4.2, with per-level normalization to guard against underflow on long
-// regions (only ratios matter for the forward sampling).
+// regions (only ratios matter for the forward sampling). Each interval's
+// rates and transition probabilities are kept in trs and probs for the
+// forward walk.
 func (r *region) computeCompletion() {
 	m := len(r.bounds) - 1
 	if cap(r.g) < m+1 {
 		r.g = make([][4]float64, m+1)
+		r.trs = make([]transitions, m)
+		r.probs = make([]transTable, m)
 	} else {
 		r.g = r.g[:m+1]
+		r.trs = r.trs[:m]
+		r.probs = r.probs[:m]
 	}
 	r.g[m] = [4]float64{}
 	if r.rootCase() {
@@ -312,8 +375,9 @@ func (r *region) computeCompletion() {
 		r.g[m][1] = 1
 	}
 	for j := m - 1; j >= 0; j-- {
-		L := r.bounds[j+1] - r.bounds[j]
-		tr := newTransitions(r.kin[j], r.theta)
+		r.trs[j] = newTransitions(r.kin[j], r.theta)
+		r.probs[j] = r.trs[j].table(r.bounds[j+1] - r.bounds[j])
+		p := &r.probs[j]
 		nj := r.joinCount(j + 1)
 		maxv := 0.0
 		for a := 1; a <= maxActive; a++ {
@@ -323,7 +387,7 @@ func (r *region) computeCompletion() {
 				if next > maxActive {
 					continue
 				}
-				sum += tr.prob(a, b, L) * r.g[j+1][next]
+				sum += p[a][b] * r.g[j+1][next]
 			}
 			r.g[j][a] = sum
 			if sum > maxv {
@@ -337,6 +401,26 @@ func (r *region) computeCompletion() {
 			}
 		}
 	}
+}
+
+// matches reports whether t's neighbourhood of the analysed target is the
+// one the analysis was cut from: same tip count, parent, ancestor,
+// children and child and ancestor ages.
+func (r *region) matches(t *gtree.Tree) bool {
+	if t.NTips() != r.nTips {
+		return false
+	}
+	nd := &t.Nodes[r.target]
+	if nd.Parent != r.parent || nd.Child[0] != r.children[0] || nd.Child[1] != r.children[1] ||
+		t.Nodes[r.parent].Parent != r.ancestor || t.Sibling(r.target) != r.children[2] {
+		return false
+	}
+	for k, c := range r.children {
+		if t.Nodes[c].Age != r.childAge[k] {
+			return false
+		}
+	}
+	return r.rootCase() || t.Nodes[r.ancestor].Age == r.top
 }
 
 // mergeWalk is the forward walk's mutable state: the active lineage set
@@ -391,7 +475,7 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 
 	for j := 0; j < m; j++ {
 		L := r.bounds[j+1] - r.bounds[j]
-		tr := newTransitions(r.kin[j], r.theta)
+		tr := &r.trs[j]
 		a := walk.n
 		nj := r.joinCount(j + 1)
 
@@ -403,7 +487,7 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 			if next > maxActive {
 				continue
 			}
-			w := tr.prob(a, b, L) * r.g[j+1][next]
+			w := r.probs[j][a][b] * r.g[j+1][next]
 			weights[b] = w
 			total += w
 		}

@@ -31,35 +31,35 @@ func newTransitions(kin int, theta float64) transitions {
 	return tr
 }
 
-// prob returns S_{a,b}(L): the probability that an interval of length L
-// entered with a active lineages ends with b, with no killing. Zero for
-// transitions outside b ∈ [max(1, a-2), a].
-func (tr *transitions) prob(a, b int, L float64) float64 {
-	if b > a || b < 1 || a-b > 2 {
-		return 0
+// transTable holds S_{a,b}(L) of one interval, indexed [a][b].
+type transTable [maxActive + 1][maxActive + 1]float64
+
+// table returns S_{a,b}(L) for every a, b ∈ [1, 3], zero outside
+// b ∈ [max(1, a-2), a]. Every entry is a combination of the three
+// survival factors e^{-λ_a L}, each evaluated once; at L = 0 the factors
+// are 1 and the table is the identity.
+func (tr *transitions) table(L float64) transTable {
+	var t transTable
+	var e [maxActive + 1]float64
+	for a := 1; a <= maxActive; a++ {
+		e[a] = math.Exp(-tr.lambda[a] * L)
 	}
-	if L == 0 {
-		if a == b {
-			return 1
+	for a := 1; a <= maxActive; a++ {
+		// No change: e^{-λ_a L}.
+		t[a][a] = e[a]
+		if a >= 2 {
+			// ∫ e^{-λ_a s} μ_a e^{-λ_{a-1}(L-s)} ds
+			la, lb := tr.lambda[a], tr.lambda[a-1]
+			t[a][a-1] = tr.mu[a] * (e[a-1] - e[a]) / (la - lb)
 		}
-		return 0
 	}
-	switch a - b {
-	case 0:
-		return math.Exp(-tr.lambda[a] * L)
-	case 1:
-		// ∫ e^{-λ_a s} μ_a e^{-λ_{a-1}(L-s)} ds
-		la, lb := tr.lambda[a], tr.lambda[a-1]
-		return tr.mu[a] * (math.Exp(-lb*L) - math.Exp(-la*L)) / (la - lb)
-	default: // a-b == 2, i.e. 3 -> 1
-		l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
-		// Direct double integration (see derivation in the tests):
-		//   μ3 μ2 / (λ2-λ1) · [ (e^{-λ1 L} - e^{-λ3 L})/(λ3-λ1)
-		//                     - (e^{-λ2 L} - e^{-λ3 L})/(λ3-λ2) ]
-		e1, e2, e3 := math.Exp(-l1*L), math.Exp(-l2*L), math.Exp(-l3*L)
-		v := (e1-e3)/(l3-l1) - (e2-e3)/(l3-l2)
-		return tr.mu[3] * tr.mu[2] * v / (l2 - l1)
-	}
+	// 3 -> 1 by direct double integration (see derivation in the tests):
+	//   μ3 μ2 / (λ2-λ1) · [ (e^{-λ1 L} - e^{-λ3 L})/(λ3-λ1)
+	//                     - (e^{-λ2 L} - e^{-λ3 L})/(λ3-λ2) ]
+	l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
+	v := (e[1]-e[3])/(l3-l1) - (e[2]-e[3])/(l3-l2)
+	t[3][1] = tr.mu[3] * tr.mu[2] * v / (l2 - l1)
+	return t
 }
 
 // timeNudge keeps sampled event ages strictly inside their interval so

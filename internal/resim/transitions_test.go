@@ -7,6 +7,17 @@ import (
 	"mpcgs/internal/rng"
 )
 
+// prob returns S_{a,b}(L): the probability that an interval of length L
+// entered with a active lineages ends with b, with no killing. Zero for
+// transitions outside b ∈ [max(1, a-2), a].
+func (tr *transitions) prob(a, b int, L float64) float64 {
+	if a < 1 || a > maxActive || b < 0 || b > maxActive {
+		return 0
+	}
+	t := tr.table(L)
+	return t[a][b]
+}
+
 func TestProbZeroLengthIsIdentity(t *testing.T) {
 	tr := newTransitions(2, 1.5)
 	for a := 1; a <= 3; a++ {
@@ -247,6 +258,40 @@ func TestLambdaOrdering(t *testing.T) {
 		}
 		if tr.lambda[1] != 2*float64(kin)/0.9 {
 			t.Errorf("kin=%d: lambda1 = %v", kin, tr.lambda[1])
+		}
+	}
+}
+
+// TestTableMatchesPerEntryClosedForms: the table evaluates each survival
+// factor e^{-λ_a L} once and shares it between entries; every entry must
+// equal, bit for bit, its closed form evaluated on its own with fresh
+// exponentials, so sharing the factors changes no draw.
+func TestTableMatchesPerEntryClosedForms(t *testing.T) {
+	src := rng.NewMT19937(420)
+	for trial := 0; trial < 5000; trial++ {
+		kin := rng.Intn(src, 30)
+		theta := math.Exp(10*src.Float64() - 5)
+		L := math.Exp(12*src.Float64() - 8)
+		tr := newTransitions(kin, theta)
+		got := tr.table(L)
+		var want transTable
+		for a := 1; a <= maxActive; a++ {
+			want[a][a] = math.Exp(-tr.lambda[a] * L)
+			if a >= 2 {
+				la, lb := tr.lambda[a], tr.lambda[a-1]
+				want[a][a-1] = tr.mu[a] * (math.Exp(-lb*L) - math.Exp(-la*L)) / (la - lb)
+			}
+		}
+		l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
+		e1, e2, e3 := math.Exp(-l1*L), math.Exp(-l2*L), math.Exp(-l3*L)
+		v := (e1-e3)/(l3-l1) - (e2-e3)/(l3-l2)
+		want[3][1] = tr.mu[3] * tr.mu[2] * v / (l2 - l1)
+		for a := range want {
+			for b := range want[a] {
+				if math.Float64bits(got[a][b]) != math.Float64bits(want[a][b]) {
+					t.Fatalf("kin=%d theta=%v L=%v: S[%d][%d] = %v, closed form %v", kin, theta, L, a, b, got[a][b], want[a][b])
+				}
+			}
 		}
 	}
 }

@@ -123,6 +123,61 @@ func LogCategorical(src Source, logw []float64) int {
 	return len(logw) - 1
 }
 
+// LogTable is LogCategorical with the normalisation hoisted out of
+// repeated draws over the same log-weights: Reset computes the maximum and
+// every exp(logw[i]-max) once, and each Draw then consumes one Float64
+// from src and walks the same prefix sums, so it returns exactly the index
+// LogCategorical would for the same weights and stream. Calderhead's
+// sampling stage draws N indices from one proposal set's weights (paper
+// §4.3): N+1 exponentials a round this way, against up to 2·N·(N+1)
+// through LogCategorical.
+type LogTable struct {
+	exp      []float64
+	total    float64
+	fallback int // last index with non-zero weight: the slack fallback
+}
+
+// NewLogTable returns a LogTable whose buffer holds n weights without
+// growing.
+func NewLogTable(n int) *LogTable { return &LogTable{exp: make([]float64, 0, n)} }
+
+// Reset loads logw. It panics, as LogCategorical does, if every weight is
+// logspace.NegInf.
+func (c *LogTable) Reset(logw []float64) {
+	m := logspace.Max(logw)
+	if logspace.IsZero(m) {
+		panic("rng: LogCategorical with all-zero weights")
+	}
+	c.exp = c.exp[:0]
+	c.total = 0
+	for _, w := range logw {
+		e := math.Exp(w - m)
+		c.exp = append(c.exp, e)
+		c.total += e
+	}
+	c.fallback = len(logw) - 1
+	for i := len(logw) - 1; i >= 0; i-- {
+		if !logspace.IsZero(logw[i]) {
+			c.fallback = i
+			break
+		}
+	}
+}
+
+// Draw samples an index with probability proportional to the loaded
+// weights.
+func (c *LogTable) Draw(src Source) int {
+	x := src.Float64() * c.total
+	acc := 0.0
+	for i, e := range c.exp {
+		acc += e
+		if x < acc {
+			return i
+		}
+	}
+	return c.fallback
+}
+
 // Normal returns a standard normal variate by the Box-Muller transform.
 func Normal(src Source) float64 {
 	// Guard u1 > 0 so the log is finite.

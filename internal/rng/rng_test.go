@@ -275,6 +275,99 @@ func TestLogCategoricalExtremeWeights(t *testing.T) {
 	}
 }
 
+// fixedSource returns the same Float64 forever.
+type fixedSource float64
+
+func (f fixedSource) Uint32() uint32   { return 0 }
+func (f fixedSource) Float64() float64 { return float64(f) }
+
+// TestLogTableMatchesLogCategorical: a LogTable loaded once draws the
+// same indices as LogCategorical over the same weights and stream, for
+// random weights with NegInf entries, and when floating-point slack sends
+// the walk past the last bucket.
+func TestLogTableMatchesLogCategorical(t *testing.T) {
+	gen := NewMT19937(61)
+	table := NewLogTable(4)
+	for trial := 0; trial < 2000; trial++ {
+		logw := make([]float64, 1+Intn(gen, 12))
+		for i := range logw {
+			switch Intn(gen, 4) {
+			case 0:
+				logw[i] = math.Inf(-1)
+			case 1:
+				logw[i] = -800 * gen.Float64() // underflows against the max
+			default:
+				logw[i] = 10 * Normal(gen)
+			}
+		}
+		logw[Intn(gen, len(logw))] = Normal(gen) // at least one finite weight
+		table.Reset(logw)
+		a, b := NewMT19937(uint32(62+trial)), NewMT19937(uint32(62+trial))
+		for k := 0; k < len(logw); k++ {
+			if got, want := table.Draw(a), LogCategorical(b, logw); got != want {
+				t.Fatalf("trial %d draw %d: table drew %d, LogCategorical %d (weights %v)", trial, k, got, want, logw)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("trial %d: streams consumed differently", trial)
+		}
+	}
+
+	// Slack: a variate at the top of the range puts x at the total, past
+	// the last prefix sum, and both fall back to the last index with
+	// non-NegInf weight — even one whose exponential underflowed to zero.
+	u := fixedSource(1)
+	for _, tc := range []struct {
+		logw []float64
+		want int
+	}{
+		{[]float64{0, 0, 0, math.Inf(-1)}, 2},
+		{[]float64{0, 0, 0, -1000, math.Inf(-1)}, 3},
+	} {
+		table.Reset(tc.logw)
+		if got, want := table.Draw(u), LogCategorical(u, tc.logw); got != tc.want || want != tc.want {
+			t.Errorf("slack over %v: table %d, LogCategorical %d, want %d", tc.logw, got, want, tc.want)
+		}
+	}
+}
+
+// TestLogTableBoundaries draws at variates that put x on either side of
+// each prefix-sum boundary, where any change to the normalisation's bits
+// moves the drawn index.
+func TestLogTableBoundaries(t *testing.T) {
+	logw := []float64{0, 0, 0, 0} // prefix sums 1, 2, 3, 4
+	table := NewLogTable(len(logw))
+	table.Reset(logw)
+	for k := 1; k < len(logw); k++ {
+		edge := float64(k) / 4
+		for _, tc := range []struct {
+			u    float64
+			want int
+		}{{math.Nextafter(edge, 0), k - 1}, {edge, k}} {
+			got, oracle := table.Draw(fixedSource(tc.u)), LogCategorical(fixedSource(tc.u), logw)
+			if got != tc.want || oracle != tc.want {
+				t.Errorf("u=%v: table %d, LogCategorical %d, want %d", tc.u, got, oracle, tc.want)
+			}
+		}
+	}
+}
+
+func TestLogTableAllNegInfPanics(t *testing.T) {
+	for _, f := range []func(logw []float64){
+		func(logw []float64) { LogCategorical(NewMT19937(63), logw) },
+		func(logw []float64) { NewLogTable(2).Reset(logw) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "rng: LogCategorical with all-zero weights" {
+					t.Errorf("recovered %v, want the all-zero weights panic", r)
+				}
+			}()
+			f([]float64{math.Inf(-1), math.Inf(-1)})
+		}()
+	}
+}
+
 func TestUniformPair(t *testing.T) {
 	m := NewMT19937(59)
 	seen := map[[2]int]int{}

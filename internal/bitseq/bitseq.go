@@ -7,9 +7,18 @@
 // whose input character is not one of A/C/G/T (gaps, Ns, ambiguity codes)
 // are tracked in a side bitmask and treated as missing data by the
 // likelihood kernel.
+//
+// The set-up readers work a word at a time: FromBytes packs 32 codes per
+// word through one table, Counts and Diff popcount whole words, and
+// Block hands column readers (the evaluator's site-pattern compression)
+// a 32-position block at once. At still reads one position, for the
+// reference evaluator's per-site loops and for String.
 package bitseq
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Base is a 2-bit nucleotide code.
 type Base uint8
@@ -56,7 +65,7 @@ func FromByte(c byte) (Base, bool) {
 
 // Seq is an immutable-length packed nucleotide sequence.
 type Seq struct {
-	words   []uint64 // 2-bit codes, position i in bits (2i mod 64) of word i/32
+	words   []uint64 // 2-bit codes, position i in bits (2i mod 64) of word i/32; zero past n
 	unknown []uint64 // bitset: 1 marks a missing-data position
 	n       int
 }
@@ -74,14 +83,38 @@ func New(n int) *Seq {
 // FromString parses a character string into a packed sequence. Characters
 // outside the nucleotide alphabet become missing-data positions; there is
 // no error case because PHYLIP data routinely contains gaps.
-func FromString(s string) *Seq {
-	q := New(len(s))
-	for i := 0; i < len(s); i++ {
-		if b, ok := FromByte(s[i]); ok {
-			q.Set(i, b)
-		} else {
-			q.SetUnknown(i)
+func FromString(s string) *Seq { return FromBytes([]byte(s)) }
+
+const unknownCode = 4
+
+// codeOf maps every input byte to its 2-bit code, or to unknownCode (bit
+// 2 alone) for a byte FromByte rejects: the one lookup FromBytes makes
+// per character.
+var codeOf = func() (t [256]uint8) {
+	for c := range t {
+		b, ok := FromByte(byte(c))
+		t[c] = uint8(b)
+		if !ok {
+			t[c] = unknownCode
 		}
+	}
+	return t
+}()
+
+// FromBytes packs characters into a sequence as FromString does, 32
+// codes per word in one pass. An unknown position's code bits are zero.
+func FromBytes(b []byte) *Seq {
+	q := New(len(b))
+	for w := range q.words {
+		chunk := b[w*PerWord : min(len(b), (w+1)*PerWord)]
+		var codes, unk uint64
+		for j := len(chunk) - 1; j >= 0; j-- { // last position first: it ends in the top lane
+			v := uint64(codeOf[chunk[j]])
+			codes = codes<<2 | v&3
+			unk = unk<<1 | v>>2
+		}
+		q.words[w] = codes
+		q.unknown[w/2] |= unk << (PerWord * (w % 2))
 	}
 	return q
 }
@@ -142,33 +175,71 @@ func (s *Seq) Clone() *Seq {
 	return c
 }
 
+// Block returns the 32 positions starting at k*PerWord: codes holds
+// position k*PerWord+j in bits 2j..2j+1 and unknown holds it in bit j.
+// Positions at or past Len read as known A.
+func (s *Seq) Block(k int) (codes uint64, unknown uint32) {
+	return s.words[k], uint32(s.unknown[k/2] >> (PerWord * (k % 2)))
+}
+
+// lanesLo is the low bit of every 2-bit lane of a codes word.
+const lanesLo = 0x5555555555555555
+
+// spread moves bit j of x to bit 2j, turning a block's per-position mask
+// into one over its 2-bit lanes.
+func spread(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & lanesLo
+	return v
+}
+
 // Counts accumulates per-base counts of known positions into counts and
-// returns the number of known positions.
+// returns the number of known positions. Per block it popcounts C, G and
+// T over the known lanes; A is the known count less those three.
 func (s *Seq) Counts(counts *[NumBases]int) int {
 	known := 0
-	for i := 0; i < s.n; i++ {
-		if b, ok := s.At(i); ok {
-			counts[b]++
-			known++
+	var c, g, t int
+	for k, w := range s.words {
+		_, unk := s.Block(k)
+		m := lanesLo &^ spread(unk)
+		if tail := s.n - k*PerWord; tail < PerWord {
+			m &= 1<<(2*tail) - 1
 		}
+		lo, hi := w&m, (w>>1)&m
+		c += bits.OnesCount64(lo &^ hi)
+		g += bits.OnesCount64(hi &^ lo)
+		t += bits.OnesCount64(lo & hi)
+		known += bits.OnesCount64(m)
 	}
+	counts[A] += known - c - g - t
+	counts[C] += c
+	counts[G] += g
+	counts[T] += t
 	return known
 }
 
 // Diff returns the number of positions at which s and t hold different
 // known bases. Positions unknown in either sequence are skipped, matching
-// the distance measure used to seed the UPGMA starting tree.
+// the distance measure used to seed the UPGMA starting tree. Each block's
+// code words are XORed, every lane folded onto its low bit, and the lanes
+// known in both sequences popcounted.
 func (s *Seq) Diff(t *Seq) int {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitseq: Diff length mismatch %d vs %d", s.n, t.n))
 	}
 	d := 0
-	for i := 0; i < s.n; i++ {
-		a, okA := s.At(i)
-		b, okB := t.At(i)
-		if okA && okB && a != b {
-			d++
+	tw := t.words[:len(s.words)]
+	for k, w := range s.words {
+		x := w ^ tw[k]
+		x = (x | x>>1) & lanesLo
+		if u := uint32((s.unknown[k/2] | t.unknown[k/2]) >> (PerWord * (k % 2))); u != 0 {
+			x &^= spread(u)
 		}
+		d += bits.OnesCount64(x)
 	}
 	return d
 }

@@ -36,3 +36,9 @@ func ForEachKernel(t *testing.T, f func(t *testing.T)) {
 		})
 	}
 }
+
+// Patterns returns e's site-pattern compression: the number of distinct
+// columns, each pattern's multiplicity and each tip's per-pattern code.
+func Patterns(e *Evaluator) (n int, count []float64, base [][]uint8) {
+	return e.nPatterns, e.patCount, e.patBase
+}

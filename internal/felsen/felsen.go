@@ -162,7 +162,10 @@ func newEvaluator(model subst.Model, aln *phylip.Alignment, dev *device.Device, 
 // compressPatterns deduplicates alignment columns into weighted site
 // patterns: the delta path evaluates each distinct column once and sums
 // the per-pattern log-likelihoods with their multiplicities — an exact
-// reassociation of the sum over sites.
+// reassociation of the sum over sites. Patterns are numbered in order of
+// first occurrence; the block partition and so the summation order
+// depend on it. Each sequence's packed 32-site block is read once and
+// spread into the block's 32 column keys.
 func (e *Evaluator) compressPatterns() {
 	nSeqs := len(e.seqs)
 	e.patBase = make([][]uint8, nSeqs)
@@ -170,24 +173,31 @@ func (e *Evaluator) compressPatterns() {
 		e.patBase[i] = make([]uint8, 0, e.nSites)
 	}
 	index := make(map[string]int, e.nSites)
-	key := make([]byte, nSeqs)
-	for site := 0; site < e.nSites; site++ {
+	keys := make([]byte, bitseq.PerWord*nSeqs) // site j of the block: keys[j*nSeqs:(j+1)*nSeqs]
+	for first := 0; first < e.nSites; first += bitseq.PerWord {
 		for i, sq := range e.seqs {
-			if b, known := sq.At(site); known {
-				key[i] = uint8(b)
-			} else {
-				key[i] = 4
+			codes, unknown := sq.Block(first / bitseq.PerWord)
+			for j := i; j < len(keys); j += nSeqs {
+				keys[j] = uint8(codes & 3)
+				if unknown&1 != 0 {
+					keys[j] = 4
+				}
+				codes >>= 2
+				unknown >>= 1
 			}
 		}
-		if pat, ok := index[string(key)]; ok {
-			e.patCount[pat]++
-			continue
-		}
-		index[string(key)] = e.nPatterns
-		e.nPatterns++
-		e.patCount = append(e.patCount, 1)
-		for i := range e.patBase {
-			e.patBase[i] = append(e.patBase[i], key[i])
+		for j := 0; j < min(bitseq.PerWord, e.nSites-first); j++ {
+			key := keys[j*nSeqs : (j+1)*nSeqs]
+			if pat, ok := index[string(key)]; ok {
+				e.patCount[pat]++
+				continue
+			}
+			index[string(key)] = e.nPatterns
+			e.nPatterns++
+			e.patCount = append(e.patCount, 1)
+			for i := range e.patBase {
+				e.patBase[i] = append(e.patBase[i], key[i])
+			}
 		}
 	}
 	e.tipCond = make([]float64, nSeqs*nStates*e.nPatterns)

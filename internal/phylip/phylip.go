@@ -6,6 +6,7 @@ package phylip
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -121,6 +122,12 @@ func Load(path string) (*Alignment, error) {
 // Read parses a PHYLIP alignment, accepting both sequential (each
 // sequence's data following its name, possibly wrapped over lines) and
 // interleaved (blocks of lines cycling through the sequences) layouts.
+//
+// The non-blank lines are copied once into one buffer; each sequence's
+// characters, spaces dropped, are appended straight into its own byte
+// buffer and packed once by bitseq.FromBytes. The header's counts never
+// size an allocation on their own: the buffers together hold at most the
+// bytes the input supplied.
 func Read(r io.Reader) (*Alignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -152,30 +159,50 @@ func Read(r io.Reader) (*Alignment, error) {
 		return nil, fmt.Errorf("phylip: bad sequence length %q", fields[1])
 	}
 
-	var lines []string
+	// text holds every non-blank line back to back; ends[k] is where line
+	// k stops.
+	var text []byte
+	var ends []int
 	for sc.Scan() {
-		if line := strings.TrimRight(sc.Text(), "\r\n"); strings.TrimSpace(line) != "" {
-			lines = append(lines, line)
+		if line := bytes.TrimRight(sc.Bytes(), "\r\n"); len(bytes.TrimSpace(line)) != 0 {
+			text = append(text, line...)
+			ends = append(ends, len(text))
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("phylip: reading sequences: %w", err)
 	}
+	line := func(k int) []byte {
+		if k == 0 {
+			return text[:ends[0]]
+		}
+		return text[ends[k-1]:ends[k]]
+	}
 
 	// First nseq non-empty lines carry the names. Checked before
 	// allocating, so a header's counts cannot size memory on their own.
-	if len(lines) < nseq {
-		return nil, fmt.Errorf("phylip: header promises %d sequences but only %d data lines found", nseq, len(lines))
+	if len(ends) < nseq {
+		return nil, fmt.Errorf("phylip: header promises %d sequences but only %d data lines found", nseq, len(ends))
+	}
+	// One backing array holds every sequence when the input is large
+	// enough to fill it; each buffer is capped at seqlen, so an overlong
+	// sequence moves out rather than overwriting its neighbour.
+	var backing []byte
+	if seqlen <= len(text)/nseq {
+		backing = make([]byte, 0, nseq*seqlen)
 	}
 	names := make([]string, nseq)
-	data := make([]strings.Builder, nseq)
+	data := make([][]byte, nseq)
 	for i := 0; i < nseq; i++ {
-		name, rest, err := splitNameLine(lines[i], seqlen)
+		name, rest, err := splitNameLine(line(i), seqlen)
 		if err != nil {
 			return nil, fmt.Errorf("phylip: line %d: %w", i+2, err)
 		}
 		names[i] = name
-		data[i].WriteString(rest)
+		if backing != nil {
+			data[i] = backing[i*seqlen : i*seqlen : (i+1)*seqlen]
+		}
+		data[i] = appendNonSpace(data[i], rest)
 	}
 
 	// Continuation lines: sequential wrapping fills sequence i completely
@@ -184,80 +211,88 @@ func Read(r io.Reader) (*Alignment, error) {
 	// still needs characters, in order for interleaved (cur cycles) and
 	// by completion for sequential.
 	cur := 0
-	for _, line := range lines[nseq:] {
-		chars := stripSpaces(line)
+	for k := nseq; k < len(ends); k++ {
 		// Advance past completed sequences.
 		start := cur
-		for data[cur].Len() >= seqlen {
+		for len(data[cur]) >= seqlen {
 			cur = (cur + 1) % nseq
 			if cur == start {
 				return nil, fmt.Errorf("phylip: more sequence data than the header's %d x %d", nseq, seqlen)
 			}
 		}
-		data[cur].WriteString(chars)
+		data[cur] = appendNonSpace(data[cur], line(k))
 		cur = (cur + 1) % nseq
 	}
 
 	a := &Alignment{Names: names, Seqs: make([]*bitseq.Seq, nseq)}
 	for i := 0; i < nseq; i++ {
-		s := data[i].String()
-		if len(s) != seqlen {
-			return nil, fmt.Errorf("phylip: sequence %q has %d characters, header promises %d", names[i], len(s), seqlen)
+		if len(data[i]) != seqlen {
+			return nil, fmt.Errorf("phylip: sequence %q has %d characters, header promises %d", names[i], len(data[i]), seqlen)
 		}
-		a.Seqs[i] = bitseq.FromString(s)
+		a.Seqs[i] = bitseq.FromBytes(data[i])
 	}
 	return a, a.Validate()
 }
 
 // splitNameLine separates the sequence name from the leading data on a
-// named line. Strict PHYLIP reserves ten columns for the name (which may
-// contain spaces); relaxed variants separate name and data by whitespace.
-// The two layouts are ambiguous line-by-line, so the header's sequence
-// length arbitrates: the relaxed split wins unless only the strict
-// ten-column split yields exactly the promised number of characters.
-func splitNameLine(line string, seqlen int) (name, data string, err error) {
-	trimmed := strings.TrimLeft(line, " \t")
-	if trimmed == "" {
-		return "", "", fmt.Errorf("blank sequence line")
+// named line; data still holds its spaces. Strict PHYLIP reserves ten
+// columns for the name (which may contain spaces); relaxed variants
+// separate name and data by whitespace. The two layouts are ambiguous
+// line-by-line, so the header's sequence length arbitrates: the relaxed
+// split wins unless only the strict ten-column split yields exactly the
+// promised number of characters.
+func splitNameLine(line []byte, seqlen int) (name string, data []byte, err error) {
+	trimmed := bytes.TrimLeft(line, " \t")
+	if len(trimmed) == 0 {
+		return "", nil, fmt.Errorf("blank sequence line")
 	}
-	var relName, relData string
-	if idx := strings.IndexAny(trimmed, " \t"); idx > 0 {
-		relName, relData = strings.TrimSpace(trimmed[:idx]), stripSpaces(trimmed[idx:])
-	} else if len(trimmed) > 10 {
-		// No whitespace at all: strict 10-column name glued to data.
-		return strings.TrimSpace(trimmed[:10]), stripSpaces(trimmed[10:]), nil
-	} else {
-		// The whole line is a bare name; data follows on later lines.
-		return trimmed, "", nil
-	}
-	if len(relData) != seqlen && len(trimmed) > 10 {
-		if strict := stripSpaces(trimmed[10:]); len(strict) == seqlen {
-			return strings.TrimSpace(trimmed[:10]), strict, nil
+	idx := bytes.IndexAny(trimmed, " \t")
+	switch {
+	case idx > 0:
+		if len(trimmed) > 10 && countNonSpace(trimmed[idx:]) != seqlen && countNonSpace(trimmed[10:]) == seqlen {
+			return strictName(trimmed), trimmed[10:], nil
 		}
+		return string(bytes.TrimSpace(trimmed[:idx])), trimmed[idx:], nil
+	case len(trimmed) > 10:
+		// No whitespace at all: strict 10-column name glued to data.
+		return strictName(trimmed), trimmed[10:], nil
+	default:
+		// The whole line is a bare name; data follows on later lines.
+		return string(trimmed), nil, nil
 	}
-	return relName, relData, nil
 }
 
-func stripSpaces(s string) string {
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != ' ' && c != '\t' {
-			sb.WriteByte(c)
+func strictName(line []byte) string { return string(bytes.TrimSpace(line[:10])) }
+
+func countNonSpace(b []byte) int {
+	return len(b) - bytes.Count(b, []byte{' '}) - bytes.Count(b, []byte{'\t'})
+}
+
+// appendNonSpace appends src to dst without its spaces and tabs.
+func appendNonSpace(dst, src []byte) []byte {
+	for len(src) > 0 {
+		i := bytes.IndexAny(src, " \t")
+		if i < 0 {
+			return append(dst, src...)
 		}
+		dst = append(dst, src[:i]...)
+		src = src[i+1:]
 	}
-	return sb.String()
+	return dst
 }
 
 // Write renders the alignment in relaxed sequential PHYLIP, one sequence
 // per line, the layout both this package and the reference tools accept.
+// It refuses, naming the sequence, any name Read would not give back
+// from its line: one holding a newline, leading or trailing whitespace,
+// or a space or tab once some name is longer than the ten strict columns.
+// Nothing is written when it refuses.
 func Write(w io.Writer, a *Alignment) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d\n", a.NSeq(), a.SeqLen())
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%d %d\n", a.NSeq(), a.SeqLen())
 	width := 0
 	for _, n := range a.Names {
 		if len(n) > width {
@@ -268,7 +303,17 @@ func Write(w io.Writer, a *Alignment) error {
 		width = 10
 	}
 	for i, s := range a.Seqs {
-		fmt.Fprintf(bw, "%-*s%s\n", width+1, a.Names[i], s.String())
+		if strings.Contains(a.Names[i], "\n") {
+			return fmt.Errorf("phylip: cannot write sequence %q: its name holds a newline", a.Names[i])
+		}
+		start := buf.Len()
+		fmt.Fprintf(&buf, "%-*s%s", width+1, a.Names[i], s.String())
+		name, data, _ := splitNameLine(buf.Bytes()[start:], a.SeqLen())
+		if name != a.Names[i] || countNonSpace(data) != a.SeqLen() {
+			return fmt.Errorf("phylip: cannot write sequence %q: its name would read back as %q", a.Names[i], name)
+		}
+		buf.WriteByte('\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(buf.Bytes())
+	return err
 }

@@ -2,6 +2,7 @@ package phylip
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -104,19 +105,21 @@ func TestReadGapsBecomeUnknown(t *testing.T) {
 	}
 }
 
+// readErrorCases are inputs Read must refuse; they also seed FuzzRead.
+var readErrorCases = map[string]string{
+	"empty":          "",
+	"bad header":     "three 8\nx ACGTACGT\n",
+	"no length":      "3\n",
+	"zero seqs":      "0 5\n",
+	"short data":     "2 8\na ACGT\nb ACGTACGT\n",
+	"long data":      "2 4\na ACGTA\nb ACGT\n",
+	"missing lines":  "3 4\na ACGT\nb ACGT\n",
+	"extra data":     "2 4\na ACGT\nb ACGT\nACGT\n",
+	"duplicate name": "2 4\nsame ACGT\nsame ACGT\n",
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad header":     "three 8\nx ACGTACGT\n",
-		"no length":      "3\n",
-		"zero seqs":      "0 5\n",
-		"short data":     "2 8\na ACGT\nb ACGTACGT\n",
-		"long data":      "2 4\na ACGTA\nb ACGT\n",
-		"missing lines":  "3 4\na ACGT\nb ACGT\n",
-		"extra data":     "2 4\na ACGT\nb ACGT\nACGT\n",
-		"duplicate name": "2 4\nsame ACGT\nsame ACGT\n",
-	}
-	for label, in := range cases {
+	for label, in := range readErrorCases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error, got none", label)
 		}
@@ -252,19 +255,21 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// garbageInputs must never make Read panic; they also seed FuzzRead.
+var garbageInputs = []string{
+	"\x00\x01\x02",
+	"999999 999999\nx ACGT\n",
+	"3 4\n\n\n\n\n\n",
+	"2 4\na\nb\nACGT\nACGT\n",
+	"2 4\na ACGT\nb ACGT\ntrailing junk here\n",
+	strings.Repeat("A", 100000),
+	"-1 -1\n",
+	"2 0\na \nb \n",
+	"4611686018427387904 4\na AAAA\n", // sequence count past any allocation
+}
+
 func TestReadNeverPanicsOnGarbage(t *testing.T) {
-	inputs := []string{
-		"\x00\x01\x02",
-		"999999 999999\nx ACGT\n",
-		"3 4\n\n\n\n\n\n",
-		"2 4\na\nb\nACGT\nACGT\n",
-		"2 4\na ACGT\nb ACGT\ntrailing junk here\n",
-		strings.Repeat("A", 100000),
-		"-1 -1\n",
-		"2 0\na \nb \n",
-		"4611686018427387904 4\na AAAA\n", // sequence count past any allocation
-	}
-	for i, in := range inputs {
+	for i, in := range garbageInputs {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -273,5 +278,86 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 			}()
 			_, _ = Read(strings.NewReader(in))
 		}()
+	}
+}
+
+func TestWriteRefusesNamesThatDoNotReadBack(t *testing.T) {
+	seqs := []*bitseq.Seq{bitseq.FromString("ACGT"), bitseq.FromString("AC-T")}
+	for _, bad := range []string{"Homo sapiens", " lead", "trail ", "new\nline", "tab\tin a long name"} {
+		a := &Alignment{Names: []string{bad, "Pan"}, Seqs: seqs}
+		var buf bytes.Buffer
+		err := Write(&buf, a)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("Write with name %q: error %v, want one naming the sequence", bad, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Write with name %q wrote %d bytes before refusing", bad, buf.Len())
+		}
+	}
+	// A name with a space reads back while every name fits the ten
+	// strict columns.
+	a := &Alignment{Names: []string{"Homo sapie", "Pan"}, Seqs: seqs}
+	var buf bytes.Buffer
+	if err := Write(&buf, a); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if b, err := Read(&buf); err != nil || b.Names[0] != "Homo sapie" {
+		t.Fatalf("Read back: %v, %v", b, err)
+	}
+}
+
+// TestWriteReadRoundTripProperty checks Read(Write(a)) == a for every
+// alignment Write accepts, over names drawn from characters PHYLIP lines
+// treat specially.
+func TestWriteReadRoundTripProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	plain, special := []rune("ab7_.é"), []rune(" \t\n\v\r\u00a0")
+	var accepted, refused int
+	for k := 0; k < 3000; k++ {
+		nseq, L := 2+r.Intn(5), 1+r.Intn(70)
+		a := &Alignment{}
+		seen := map[string]bool{}
+		for len(a.Names) < nseq {
+			name := make([]rune, 1+r.Intn(14))
+			for i := range name {
+				name[i] = plain[r.Intn(len(plain))]
+				if r.Intn(12) == 0 {
+					name[i] = special[r.Intn(len(special))]
+				}
+			}
+			if seen[string(name)] {
+				continue
+			}
+			seen[string(name)] = true
+			s := bitseq.New(L)
+			for j := 0; j < L; j++ {
+				if r.Intn(8) == 0 {
+					s.SetUnknown(j)
+				} else {
+					s.Set(j, bitseq.Base(r.Intn(4)))
+				}
+			}
+			a.Names = append(a.Names, string(name))
+			a.Seqs = append(a.Seqs, s)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, a); err != nil {
+			refused++
+			continue
+		}
+		accepted++
+		b, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("names %q: Write accepted but Read fails: %v", a.Names, err)
+		}
+		for i := range a.Seqs {
+			if b.Names[i] != a.Names[i] || b.Seqs[i].String() != a.Seqs[i].String() {
+				t.Fatalf("names %q: sequence %d reads back as %q %q, want %q %q",
+					a.Names, i, b.Names[i], b.Seqs[i], a.Names[i], a.Seqs[i])
+			}
+		}
+	}
+	if accepted < 300 || refused < 300 {
+		t.Errorf("accepted %d, refused %d of 3000: the generator no longer covers both sides", accepted, refused)
 	}
 }

@@ -41,9 +41,10 @@ func spawnLaunch(workers, n int, kernel func(tid int)) {
 	wg.Wait()
 }
 
-// BenchmarkLaunchOverhead measures pure dispatch cost: an empty kernel
-// over a GMH-round-sized grid (8 threads, the proposal-set size) and a
-// site-kernel-sized grid (1024 threads). "pool" is the persistent-worker
+// BenchmarkLaunchOverhead measures dispatch cost: an empty kernel over a
+// GMH-round-sized grid (8 threads, the proposal-set size) and a
+// site-kernel-sized grid (1024 threads), and a short working grid that
+// shows how late a pool worker arrives. "pool" is the persistent-worker
 // runtime; "spawn" is the seed's goroutine-per-call scheme.
 func BenchmarkLaunchOverhead(b *testing.B) {
 	noop := func(int) {}
@@ -63,6 +64,33 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 			}
 		})
 	}
+
+	// A no-op kernel returns before a parked worker could wake, so the
+	// rows above cannot see wake-up latency. Here each of 4 threads does
+	// about 10 µs of work on a GOMAXPROCS-worker device — an MC³ sweep's
+	// shape — so a launch costs the slowest worker's arrival plus its work.
+	b.Run("pool/work-n=4", func(b *testing.B) {
+		d := New(0)
+		defer d.Close()
+		var out [4]float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.Launch(len(out), func(tid int) { out[tid] = busyWork(tid) })
+		}
+	})
+}
+
+// busyWorkIters sizes busyWork at about 10 µs (9.4 µs measured on a
+// 2-vCPU Intel Xeon VM): a chain of dependent multiply-adds the compiler
+// cannot shorten.
+const busyWorkIters = 4000
+
+func busyWork(seed int) float64 {
+	x := float64(seed)
+	for i := 0; i < busyWorkIters; i++ {
+		x = x*0.999999 + 1e-3
+	}
+	return x
 }
 
 func gridName(scheme string, n int) string {

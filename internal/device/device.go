@@ -15,17 +15,29 @@
 // # Execution model
 //
 // A Device owns a pool of persistent worker goroutines, started lazily on
-// the first parallel Launch and parked on a condition variable between
-// launches — the analogue of a GPU's resident SM schedulers. Each Launch
-// publishes one task (kernel, grid size) to the pool; workers and the
-// launching goroutine claim contiguous chunks of the grid by atomic
-// fetch-and-add until the grid is exhausted, so load imbalance between
-// chunks self-corrects without per-thread goroutine spawns. Because the
-// launching goroutine always participates in its own grid, a nested Launch
-// issued from inside a kernel (dynamic parallelism, §4.4) completes even
-// when every pool worker is busy with the outer grid — nesting cannot
-// deadlock. A panic in any kernel thread is captured and re-raised on the
-// launching goroutine after the grid completes.
+// the first parallel Launch — the analogue of a GPU's resident SM
+// schedulers. Each Launch publishes one task (kernel, grid size) to the
+// pool; workers and the launching goroutine claim contiguous chunks of the
+// grid by atomic fetch-and-add until the grid is exhausted, so load
+// imbalance between chunks self-corrects without per-thread goroutine
+// spawns. Because the launching goroutine always participates in its own
+// grid, a nested Launch issued from inside a kernel (dynamic parallelism,
+// §4.4) completes even when every pool worker is busy with the outer grid
+// — nesting cannot deadlock. A panic in any kernel thread is captured and
+// re-raised on the launching goroutine after the grid completes.
+//
+// Between launches the pool spins, then parks. A worker that finds no
+// pending task polls the pool's submit counter for a short fixed budget
+// (spinBudget) before it parks on a condition variable, and a launcher
+// that has drained its own claims polls its grid's completion count for
+// the same budget before it blocks. Back-to-back launches — a sampler's
+// sweep of small grids — therefore reach an awake worker instead of paying
+// a futex wake-up each. Spinning follows the machine: nothing spins at
+// GOMAXPROCS 1, at most GOMAXPROCS−1 workers of a pool spin at once, both
+// loops yield with runtime.Gosched so other goroutines keep their CPU,
+// and Close ends every spin at once. Which chunks exist and how results
+// combine never depends on who claims them, so spinning changes latency
+// only, never results.
 //
 // Close tears the pool down; a closed (or never-started) Device still
 // executes every Launch correctly on the calling goroutine. Devices that
@@ -40,6 +52,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpcgs/internal/logspace"
 )
@@ -63,6 +76,19 @@ const chunkDivisor = 4
 // pins itself to one tenant's grid while another tenant's launch waits.
 const fairQuantum = chunkDivisor
 
+// spinBudget is how long an idle pool worker polls for the next submit,
+// and how long a launcher polls for its grid's last chunk, before either
+// blocks on the runtime. Parking costs a futex wake-up of about one felsen
+// StageDelta (≈ 11 µs on a 2-vCPU x86 host) per launch, so an MC³ sweep
+// of four rung launches ran mostly on its launcher alone. Measured on that
+// host with the bench workloads (seed 1, a 1 ms budget, 200k idle gaps
+// each), the share of worker idle gaps ended by a submit within 64 / 128
+// µs was 99.6 / 99.7% on heated-mc3, 99.4 / 99.8% on gmh-longseq and
+// 97.6 / 99.6% on gmh-manysamples, whose M-step and resimulation gaps sit
+// at 16–64 µs. 100 µs bridges all but about 0.5% of gaps; heated-mc3
+// throughput read the same at 25, 50, 100 and 200 µs within run noise.
+const spinBudget = 100 * time.Microsecond
+
 // Device executes kernels with a bounded degree of parallelism. A Device
 // is either a root (owning its worker pool) or a tenant view of a shared
 // Pool: views share the root's workers but carry their own launch
@@ -81,13 +107,18 @@ type Device struct {
 // allocation so that worker goroutines keep only the pool alive, letting a
 // runtime cleanup stop them once the Device itself becomes unreachable.
 type pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*task // published tasks that may still have unclaimed chunks
-	rr      int     // round-robin cursor over pending tasks (tenant fairness)
-	size    int     // target number of workers
-	started bool
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*task // published tasks that may still have unclaimed chunks
+	rr       int     // round-robin cursor over pending tasks (tenant fairness)
+	size     int     // target number of workers
+	spinning int     // workers inside a spin window
+	started  bool
+	closed   bool
+
+	// submits counts submits and closes: a spinning worker polls it
+	// without the lock and re-picks under the lock once it moves.
+	submits atomic.Uint64
 }
 
 // task is one published Launch: a grid of n kernel threads claimed in
@@ -227,6 +258,7 @@ func (d *Device) Close() {
 func (p *pool) close() {
 	p.mu.Lock()
 	p.closed = true
+	p.submits.Add(1) // ends every spin window at once
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -244,6 +276,7 @@ func (p *pool) submit(t *task) {
 			}
 		}
 		p.queue = append(p.queue, t)
+		p.submits.Add(1)
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
@@ -275,28 +308,67 @@ func (p *pool) pending() *task {
 	return live[p.rr%len(live)]
 }
 
-// worker is the loop of one persistent pool goroutine: park until a task
-// with unclaimed chunks appears, claim a bounded quantum of its chunks,
-// re-pick, repeat. The bounded quantum (rather than draining the task)
-// keeps claiming fair when several tenants have grids in flight. The
-// worker's id is its stable affinity segment for LaunchAffine grids.
+// worker is the loop of one persistent pool goroutine: claim a bounded
+// quantum of the next pending task's chunks, re-pick, repeat; when nothing
+// is pending, spin for one budget and then park until a submit or Close.
+// The bounded quantum (rather than draining the task) keeps claiming fair
+// when several tenants have grids in flight. The worker's id is its stable
+// affinity segment for LaunchAffine grids.
+//
+// The pending check and the park happen under one hold of p.mu, so a
+// submit that lands while the worker spins, or just after its spin window
+// ends, is never missed: it is either seen on the re-pick or its
+// Broadcast finds the worker parked.
 func (p *pool) worker(id int) {
+	p.mu.Lock()
+	maySpin := true
 	for {
-		p.mu.Lock()
-		var t *task
-		for {
-			t = p.pending()
-			if t != nil || p.closed {
-				break
-			}
-			p.cond.Wait()
+		if t := p.pending(); t != nil {
+			p.mu.Unlock()
+			t.runChunks(fairQuantum, id)
+			p.mu.Lock()
+			maySpin = true
+			continue
 		}
-		p.mu.Unlock()
-		if t == nil {
-			return // pool closed
+		if p.closed {
+			break
 		}
-		t.runChunks(fairQuantum, id)
+		if maySpin && p.spinning < p.spinCap() {
+			seen := p.submits.Load()
+			p.spinning++
+			p.mu.Unlock()
+			maySpin = p.spin(seen)
+			p.mu.Lock()
+			p.spinning--
+			continue
+		}
+		p.cond.Wait()
+		maySpin = true
 	}
+	p.mu.Unlock()
+}
+
+// spinCap is how many of the pool's workers may spin at once: none when
+// GOMAXPROCS is 1, where a spinner could only delay the goroutine it waits
+// for, and otherwise one CPU fewer than GOMAXPROCS, leaving a CPU to the
+// launcher, Queue drivers, HTTP handlers and the GC.
+func (p *pool) spinCap() int {
+	return min(p.size, runtime.GOMAXPROCS(0)-1)
+}
+
+// spin polls the submit counter until it moves past seen (true: a task was
+// submitted or the pool closed) or spinBudget elapses (false: park).
+//
+//mpcgs:hotpath
+func (p *pool) spin(seen uint64) bool {
+	start := time.Now()
+	for p.submits.Load() == seen {
+		if time.Since(start) >= spinBudget {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // run claims and executes chunks until the grid is exhausted — the
@@ -401,12 +473,34 @@ func (d *Device) launch(n int, kernel func(tid int), affine bool) {
 	}
 	d.pool.submit(t)
 	t.run(d.workers - 1)
-	if t.done.Load() != int64(n) {
-		<-t.finished
-	}
+	t.await()
 	if r := t.panicVal.Load(); r != nil {
 		panic(fmt.Sprintf("device: kernel panic: %v", r))
 	}
+}
+
+// await returns once every grid index is accounted for. The launcher's
+// own claims are drained by now and the last chunks are running on pool
+// workers, typically for a few microseconds more, so it polls for one
+// spinBudget before it blocks on the finished channel — unless GOMAXPROCS
+// is 1, where polling would only delay those workers.
+//
+//mpcgs:hotpath
+func (t *task) await() {
+	n := int64(t.n)
+	if t.done.Load() == n {
+		return
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		start := time.Now()
+		for time.Since(start) < spinBudget {
+			runtime.Gosched()
+			if t.done.Load() == n {
+				return
+			}
+		}
+	}
+	<-t.finished
 }
 
 // LaunchBlocks partitions [0, n) into contiguous per-worker blocks and

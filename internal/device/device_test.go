@@ -25,11 +25,13 @@ func TestLaunchCoversAllThreads(t *testing.T) {
 				t.Fatalf("workers=%d: thread %d executed %d times", workers, i, hits[i].Load())
 			}
 		}
+		d.Close()
 	}
 }
 
 func TestLaunchZeroAndNegative(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	ran := false
 	d.Launch(0, func(int) { ran = true })
 	d.Launch(-5, func(int) { ran = true })
@@ -40,6 +42,7 @@ func TestLaunchZeroAndNegative(t *testing.T) {
 
 func TestLaunchFewerThreadsThanWorkers(t *testing.T) {
 	d := New(16)
+	defer d.Close()
 	var count atomic.Int32
 	d.Launch(3, func(int) { count.Add(1) })
 	if count.Load() != 3 {
@@ -50,6 +53,7 @@ func TestLaunchFewerThreadsThanWorkers(t *testing.T) {
 func TestNestedLaunch(t *testing.T) {
 	// Dynamic parallelism: each outer thread launches an inner grid.
 	d := New(4)
+	defer d.Close()
 	const outer, inner = 10, 20
 	var count atomic.Int32
 	d.Launch(outer, func(int) {
@@ -62,6 +66,7 @@ func TestNestedLaunch(t *testing.T) {
 
 func TestLaunchPanicPropagates(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	defer func() {
 		if recover() == nil {
 			t.Error("kernel panic did not propagate")
@@ -76,6 +81,7 @@ func TestLaunchPanicPropagates(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	d := New(2)
+	defer d.Close()
 	d.Launch(5, func(int) {})
 	d.Launch(7, func(int) {})
 	launches, threads := d.Stats()
@@ -85,7 +91,9 @@ func TestStats(t *testing.T) {
 }
 
 func TestWorkersDefault(t *testing.T) {
-	if New(0).Workers() < 1 {
+	d := New(0)
+	defer d.Close()
+	if d.Workers() < 1 {
 		t.Error("default workers < 1")
 	}
 	if Serial().Workers() != 1 {
@@ -103,7 +111,9 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 			want += xs[i]
 		}
 		for _, workers := range []int{1, 8} {
-			got := New(workers).ReduceSum(xs)
+			d := New(workers)
+			got := d.ReduceSum(xs)
+			d.Close()
 			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 				t.Errorf("n=%d workers=%d: ReduceSum = %v, want %v", n, workers, got, want)
 			}
@@ -122,7 +132,10 @@ func TestReduceSumDeterministic(t *testing.T) {
 	ref := New(1).ReduceSum(xs)
 	for _, workers := range []int{2, 5, 16} {
 		for rep := 0; rep < 3; rep++ {
-			if got := New(workers).ReduceSum(xs); got != ref {
+			d := New(workers)
+			got := d.ReduceSum(xs)
+			d.Close()
+			if got != ref {
 				t.Fatalf("workers=%d rep=%d: %v != %v (non-deterministic reduction)", workers, rep, got, ref)
 			}
 		}
@@ -131,6 +144,7 @@ func TestReduceSumDeterministic(t *testing.T) {
 
 func TestReduceMax(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	xs := []float64{-5, 3, -1, 2.5}
 	if got := d.ReduceMax(xs); got != 3 {
 		t.Errorf("ReduceMax = %v, want 3", got)
@@ -142,6 +156,7 @@ func TestReduceMax(t *testing.T) {
 
 func TestReduceLogSumMatchesLogspace(t *testing.T) {
 	d := New(8)
+	defer d.Close()
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
 			return true
@@ -162,6 +177,7 @@ func TestReduceLogSumMatchesLogspace(t *testing.T) {
 
 func TestReduceLogSumUnderflowScale(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	xs := []float64{-1e4, -1e4, -1e4, -1e4}
 	want := -1e4 + math.Log(4)
 	if got := d.ReduceLogSum(xs); math.Abs(got-want) > 1e-9 {
@@ -171,6 +187,7 @@ func TestReduceLogSumUnderflowScale(t *testing.T) {
 
 func TestReduceLogSumAllNegInf(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	xs := []float64{logspace.NegInf, logspace.NegInf}
 	if got := d.ReduceLogSum(xs); !logspace.IsZero(got) {
 		t.Errorf("ReduceLogSum(all -Inf) = %v, want -Inf", got)
@@ -184,6 +201,7 @@ func TestLaunchParallelismActuallyConcurrent(t *testing.T) {
 	// test timeout).
 	const w = 4
 	d := New(w)
+	defer d.Close()
 	var entered atomic.Int32
 	d.Launch(w, func(int) {
 		entered.Add(1)
@@ -211,6 +229,7 @@ func TestLaunchBlocksCoversRange(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, covered[i].Load())
 				}
 			}
+			d.Close()
 		}
 	}
 }
@@ -326,6 +345,7 @@ func TestCloseThenLaunchDegradesToCaller(t *testing.T) {
 
 func TestLaunchBlocksBlockCount(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	var blocks atomic.Int32
 	d.LaunchBlocks(100, func(lo, hi int) { blocks.Add(1) })
 	if got := blocks.Load(); got != 4 {
@@ -500,11 +520,13 @@ func TestLaunchAffineCoversAllThreads(t *testing.T) {
 				}
 			}
 		}
+		d.Close()
 	}
 }
 
 func TestLaunchAffineZeroAndNegative(t *testing.T) {
 	d := New(4)
+	defer d.Close()
 	ran := false
 	d.LaunchAffine(0, func(int) { ran = true })
 	d.LaunchAffine(-5, func(int) { ran = true })
@@ -518,6 +540,7 @@ func TestLaunchAffineRepeatedRounds(t *testing.T) {
 	// launched many times. Every round must still cover every thread
 	// exactly once, whatever the segment cursors did last round.
 	d := New(4)
+	defer d.Close()
 	const n, rounds = 37, 200
 	for r := 0; r < rounds; r++ {
 		var hits = make([]atomic.Int32, n)
@@ -535,6 +558,7 @@ func TestLaunchAffineStealsWhenIdle(t *testing.T) {
 	// workers steal from other segments, so total wall time stays far
 	// below serial execution of the slow segment.
 	d := New(8)
+	defer d.Close()
 	const n = 64
 	var count atomic.Int32
 	done := make(chan struct{})
@@ -561,6 +585,7 @@ func TestLaunchAffineNestedInsideLaunch(t *testing.T) {
 	// Two-level parallelism as the felsen kernel uses it: an outer
 	// proposal grid whose threads each launch an affine block grid.
 	d := New(4)
+	defer d.Close()
 	const outer, inner = 8, 16
 	var count atomic.Int32
 	d.Launch(outer, func(int) {

@@ -236,11 +236,16 @@ func TestMpcgsBayesianFlag(t *testing.T) {
 	if err := os.WriteFile(path, []byte(phy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := run(t, "mpcgs", "", "-q", "-bayesian",
+	out := run(t, "mpcgs", "", "-bayesian",
 		"-burnin", "200", "-samples", "1500", "-seed", "27",
 		path, "1.0")
 	if !strings.Contains(out, "posterior theta") || !strings.Contains(out, "95% CI") {
 		t.Fatalf("no posterior summary in output:\n%s", out)
+	}
+	// -bayesian refuses -sampler, so the header must name the Bayesian
+	// chain rather than the -sampler default.
+	if !strings.Contains(out, "sampler=bayesian model=") {
+		t.Errorf("header does not announce the Bayesian sampler:\n%s", out)
 	}
 }
 
@@ -410,7 +415,7 @@ func TestMpcgsCheckpointSigintResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []string{"-q", "-workers", "2",
-		"-burnin", "200", "-samples", "12000", "-em-iterations", "2", "-seed", "43"}
+		"-burnin", "200", "-samples", "48000", "-em-iterations", "2", "-seed", "43"}
 
 	// Uninterrupted reference.
 	ref := extractTheta(t, run(t, "mpcgs", "", append(args, path, "1.0")...))

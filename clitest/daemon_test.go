@@ -129,7 +129,7 @@ func submitJob(t *testing.T, base, name, phy string, seed uint64) string {
 		"theta":         1.0,
 		"sampler":       "gmh",
 		"burnin":        200,
-		"samples":       6000,
+		"samples":       20000,
 		"em_iterations": 2,
 		"seed":          seed,
 	})

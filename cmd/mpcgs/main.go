@@ -217,8 +217,8 @@ func main() {
 			fatalf("%v", err)
 		}
 		if !*quiet {
-			fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s\n",
-				aln.NSeq(), aln.SeqLen(), *sampler, *model)
+			fmt.Printf("mpcgs: %d sequences x %d bp, sampler=bayesian model=%s\n",
+				aln.NSeq(), aln.SeqLen(), *model)
 		}
 		res, err := mpcgs.RunBayesian(mpcgs.Config{
 			Alignment:    aln,
@@ -281,7 +281,7 @@ func main() {
 		dev := device.New(*workers)
 		defer dev.Close()
 		if *growth {
-			est, err := core.MaximizeThetaGrowth(r.LastSet, core.MLEConfig{}, dev)
+			est, err := core.MaximizeThetaGrowth(r.LastSet, dev)
 			if err != nil {
 				fatalf("%v", err)
 			}

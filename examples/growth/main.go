@@ -35,6 +35,7 @@ func estimate(trueG float64, seed uint64) *core.GrowthEstimate {
 		log.Fatal(err)
 	}
 	dev := device.New(0)
+	defer dev.Close()
 	model, err := subst.NewF81(aln.BaseFreqs(), true)
 	if err != nil {
 		log.Fatal(err)
@@ -53,7 +54,7 @@ func estimate(trueG float64, seed uint64) *core.GrowthEstimate {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := core.MaximizeThetaGrowth(run.Samples, core.MLEConfig{}, dev)
+	est, err := core.MaximizeThetaGrowth(run.Samples, dev)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,6 +30,31 @@ func growthIntegral(a, b, g float64) float64 {
 	return math.Exp(g*a) * math.Expm1(x) / g
 }
 
+// GrowthStats returns the statistics through which log P(G|θ,g) depends
+// on a genealogy's sorted coalescent event ages: the integral
+// Σ_intervals k(k-1)·∫ e^{g u} du (S = Σ k(k-1)t at g = 0) and the sum of
+// the event ages.
+func GrowthStats(nTips int, ages []float64, g float64) (integral, sumAges float64) {
+	if nTips < 2 {
+		panic(fmt.Sprintf("coalprior: %d tips", nTips))
+	}
+	if len(ages) != nTips-1 {
+		panic(fmt.Sprintf("coalprior: %d event ages for %d tips, want %d", len(ages), nTips, nTips-1))
+	}
+	prev := 0.0
+	k := nTips
+	for _, t := range ages {
+		if t < prev {
+			panic(fmt.Sprintf("coalprior: event ages not sorted: %v after %v", t, prev))
+		}
+		integral += float64(k*(k-1)) * growthIntegral(prev, t, g)
+		sumAges += t
+		prev = t
+		k--
+	}
+	return integral, sumAges
+}
+
 // LogPriorGrowth returns log P(G|θ,g) for a genealogy described by its
 // sorted coalescent event ages (most recent first) over nTips
 // contemporaneous tips:
@@ -42,25 +67,8 @@ func LogPriorGrowth(nTips int, ages []float64, theta, g float64) float64 {
 	if theta <= 0 {
 		panic(fmt.Sprintf("coalprior: non-positive theta %v", theta))
 	}
-	if nTips < 2 {
-		panic(fmt.Sprintf("coalprior: %d tips", nTips))
-	}
-	if len(ages) != nTips-1 {
-		panic(fmt.Sprintf("coalprior: %d event ages for %d tips, want %d", len(ages), nTips, nTips-1))
-	}
-	logp := 0.0
-	prev := 0.0
-	k := nTips
-	for _, t := range ages {
-		if t < prev {
-			panic(fmt.Sprintf("coalprior: event ages not sorted: %v after %v", t, prev))
-		}
-		logp += math.Log(2/theta) + g*t
-		logp -= float64(k*(k-1)) / theta * growthIntegral(prev, t, g)
-		prev = t
-		k--
-	}
-	return logp
+	integral, sumAges := GrowthStats(nTips, ages, g)
+	return float64(nTips-1)*math.Log(2/theta) + g*sumAges - integral/theta
 }
 
 // LogPriorGrowthRatio returns log[P(G|θ,g)/P(G|θ0,g0)], the per-sample

@@ -23,8 +23,6 @@ type EMConfig struct {
 	// Tolerance stops the loop once |Δθ|/θ falls below it. Zero selects
 	// 1e-3.
 	Tolerance float64
-	// MLE tunes the inner gradient ascent.
-	MLE MLEConfig
 	// Trace streams every pass's draws to the sidecar at Trace.Path
 	// (all iterations append to the same file), keeping the recorder
 	// memory-bounded and checkpoints O(interval).
@@ -186,7 +184,7 @@ func (e *EMRun) fail(err error) error {
 // finishIteration runs the maximization phase over the completed sampling
 // pass and advances (or completes) the estimation.
 func (e *EMRun) finishIteration(run *Result) error {
-	next, err := MaximizeTheta(run.Samples, e.cfg.MLE, e.dev)
+	next, err := MaximizeTheta(run.Samples, MLEConfig{}, e.dev)
 	if err != nil {
 		return e.fail(err)
 	}

@@ -16,11 +16,13 @@ import (
 //	L(θ, g) = mean_i P(G_i | θ, g) / P(G_i | θ0, 0)
 //
 // is evaluated over the stored per-sample coalescent ages by importance
-// reweighting, then maximized by the same trust-region gradient ascent as
-// Algorithm 2, jointly over (θ, g). Estimates are reliable for moderate
-// growth; strongly growing populations would need a growth-aware proposal
-// kernel ("a new proposal kernel to propose genealogies with the posterior
-// probability of that parameter", §7), which remains future work here too.
+// reweighting. At fixed g it has the form of the constant-size M-step's
+// objective, so θ̂(g) comes from the same exact solve, and the profile
+// over g is maximized by a one-dimensional search. Estimates are reliable
+// for moderate growth; strongly growing populations would need a
+// growth-aware proposal kernel ("a new proposal kernel to propose
+// genealogies with the posterior probability of that parameter", §7),
+// which remains future work here too.
 
 // RelLogLikelihoodGrowth returns log L(θ, g) over the sample set by the
 // posterior likelihood kernel structure of §5.2.3 (per-sample threads,
@@ -44,137 +46,91 @@ func RelLogLikelihoodGrowth(s *SampleSet, theta, g float64, dev *device.Device) 
 type GrowthEstimate struct {
 	Theta  float64
 	Growth float64
-	// LogL is the relative log-likelihood at the maximum.
-	LogL float64
 }
 
-// MaximizeThetaGrowth jointly maximizes L(θ, g) from the sample set,
-// starting at (θ0, 0). The ascent mirrors Algorithm 2 with a central
-// finite-difference gradient in both coordinates, per-coordinate trust
-// regions (θ may at most double per step; g moves at most gStep), and
-// step-halving on non-improvement.
-func MaximizeThetaGrowth(s *SampleSet, cfg MLEConfig, dev *device.Device) (*GrowthEstimate, error) {
-	c := cfg.withDefaults()
-	theta := s.Theta0
-	if theta <= 0 {
-		return nil, fmt.Errorf("core: sample set has non-positive driving theta %v", theta)
-	}
-	g := 0.0
-	obj := func(th, gr float64) float64 { return RelLogLikelihoodGrowth(s, th, gr, dev) }
-
-	// The growth trust region: |Δg| per iteration, in units of inverse
-	// tree height so it is scale-appropriate for the data.
-	meanHeight := 0.0
+// MaximizeThetaGrowth maximizes L(θ, g) over the sample set. Each
+// sample's log-ratio is (n-1)·log θ0/θ + g·ΣT_i + S_i/θ0 - I_i(g)/θ
+// (coalprior.GrowthStats), so at fixed g thetaSolver gives θ̂(g) and the
+// profile log-likelihood, which maximizeProfile searches over g.
+func MaximizeThetaGrowth(s *SampleSet, dev *device.Device) (*GrowthEstimate, error) {
 	ages := s.PostBurninAges()
+	m, err := newThetaSolver(s, len(ages), dev)
+	if err != nil {
+		return nil, err
+	}
+	s0, sumT := make([]float64, len(ages)), make([]float64, len(ages))
+	m.dev.Launch(len(ages), func(i int) { s0[i], sumT[i] = coalprior.GrowthStats(s.NTips, ages[i], 0) })
+	u := 1 / s.Theta0 // each solve starts where the last one ended
+	var solveErr error
+	profile := func(g float64) float64 {
+		m.dev.Launch(len(ages), func(i int) {
+			m.x[i], _ = coalprior.GrowthStats(s.NTips, ages[i], g)
+			m.a[i] = g*sumT[i] + s0[i]/s.Theta0
+		})
+		next, f, err := m.solve(u)
+		if solveErr = err; err != nil {
+			return math.Inf(-1)
+		}
+		u = next
+		return f
+	}
+	// g steps in units of the inverse mean tree height, the scale on
+	// which growth changes a genealogy's prior.
+	height := 0.0
 	for _, a := range ages {
-		meanHeight += a[len(a)-1]
+		height += a[len(a)-1]
 	}
-	meanHeight /= float64(len(ages))
-	gStep := 1.0
-	if meanHeight > 0 {
-		gStep = 2.0 / meanHeight
+	g, err := maximizeProfile(profile, float64(len(ages))/height)
+	if err == nil {
+		profile(g) // θ̂ at the chosen g
+		err = solveErr
 	}
-
-	for iter := 0; iter < c.MaxIterations; iter++ {
-		dTheta := c.Delta * theta
-		dG := c.Delta * math.Max(1, math.Abs(g))
-		gradT := (obj(theta+dTheta, g) - obj(theta-dTheta, g)) / (2 * dTheta)
-		gradG := (obj(theta, g+dG) - obj(theta, g-dG)) / (2 * dG)
-
-		stepT, stepG := gradT, gradG
-		if math.Abs(stepT) > theta {
-			stepT = math.Copysign(theta, stepT)
-		}
-		if math.Abs(stepG) > gStep {
-			stepG = math.Copysign(gStep, stepG)
-		}
-		cur := obj(theta, g)
-		halvings := 0
-		for ; halvings < 200; halvings++ {
-			nt, ng := theta+stepT, g+stepG
-			if nt > 0 && obj(nt, ng) >= cur {
-				break
-			}
-			stepT /= 2
-			stepG /= 2
-		}
-		if halvings == 200 {
-			break
-		}
-		theta += stepT
-		g += stepG
-		if math.Abs(gradT) <= c.Epsilon*theta && math.Abs(gradG) <= c.Epsilon*math.Max(1, math.Abs(g)) {
-			break
-		}
+	if err != nil {
+		return nil, err
 	}
-	return &GrowthEstimate{Theta: theta, Growth: g, LogL: obj(theta, g)}, nil
+	return &GrowthEstimate{Theta: 1 / u, Growth: g}, nil
 }
 
-// JointGenealogyMLE maximizes the exact joint log-likelihood
-// Σ_i log P(G_i|θ,g) over fully observed genealogies (their coalescent
-// ages). Unlike the relative likelihood above, this assumes the
-// genealogies themselves are data — it is the estimator used to validate
-// the growth prior against simulation, and a useful tool when true trees
-// are known.
-func JointGenealogyMLE(nTips int, ages [][]float64, dev *device.Device) (*GrowthEstimate, error) {
-	if len(ages) == 0 {
-		return nil, fmt.Errorf("core: JointGenealogyMLE with no genealogies")
-	}
-	if dev == nil {
-		dev = device.Serial()
-	}
-	obj := func(th, gr float64) float64 {
-		terms := make([]float64, len(ages))
-		dev.Launch(len(ages), func(i int) {
-			terms[i] = coalprior.LogPriorGrowth(nTips, ages[i], th, gr)
-		})
-		return dev.ReduceSum(terms)
-	}
-	// Moment-based start: constant-size MLE of theta.
-	sum := 0.0
-	for _, a := range ages {
-		sum += sumKKTFromAges(nTips, a)
-	}
-	theta := sum / float64(len(ages)) / float64(nTips-1)
-	g := 0.0
-	meanHeight := 0.0
-	for _, a := range ages {
-		meanHeight += a[len(a)-1]
-	}
-	meanHeight /= float64(len(ages))
-	gStep := 2.0 / math.Max(meanHeight, 1e-9)
-
-	for iter := 0; iter < 300; iter++ {
-		dTheta := 1e-6 * theta
-		dG := 1e-6 * math.Max(1, math.Abs(g))
-		gradT := (obj(theta+dTheta, g) - obj(theta-dTheta, g)) / (2 * dTheta)
-		gradG := (obj(theta, g+dG) - obj(theta, g-dG)) / (2 * dG)
-		n := float64(len(ages))
-		stepT, stepG := gradT/n, gradG/n
-		if math.Abs(stepT) > theta {
-			stepT = math.Copysign(theta, stepT)
+// maximizeProfile returns the best point found for a profile
+// log-likelihood ℓ: it brackets a maximum by stepping outward from g = 0,
+// first by h and then by steps growing by the golden ratio, and narrows
+// the bracket by golden-section search until it is 1e-9 wide relative.
+func maximizeProfile(l func(g float64) float64, h float64) (float64, error) {
+	const gold = 0.6180339887498949 // 1/φ
+	bestG, best := 0.0, math.Inf(-1)
+	eval := func(g float64) float64 {
+		v := l(g)
+		if v > best {
+			bestG, best = g, v
 		}
-		if math.Abs(stepG) > gStep {
-			stepG = math.Copysign(gStep, stepG)
+		return v
+	}
+	a, b := 0.0, h
+	fa, fb := eval(a), eval(b)
+	if fb < fa {
+		a, b, fb = b, a, fa
+	}
+	c := b + (b-a)/gold
+	for fc := eval(c); fc > fb; fc = eval(c) {
+		if math.Abs(c) > 1e6*math.Abs(h) {
+			return 0, fmt.Errorf("core: profile likelihood still rising at g = %v", c)
 		}
-		cur := obj(theta, g)
-		halvings := 0
-		for ; halvings < 100; halvings++ {
-			nt, ng := theta+stepT, g+stepG
-			if nt > 0 && obj(nt, ng) >= cur {
-				break
-			}
-			stepT /= 2
-			stepG /= 2
-		}
-		if halvings == 100 {
-			break
-		}
-		theta += stepT
-		g += stepG
-		if math.Abs(gradT)/n <= 1e-8*theta && math.Abs(gradG)/n <= 1e-8*math.Max(1, math.Abs(g)) {
-			break
+		a, b, fb = b, c, fc
+		c = b + (b-a)/gold
+	}
+	lo, hi := math.Min(a, c), math.Max(a, c)
+	x1, x2 := hi-gold*(hi-lo), lo+gold*(hi-lo)
+	f1, f2 := eval(x1), eval(x2)
+	for hi-lo > 1e-9*math.Max(math.Abs(h), math.Abs(bestG)) {
+		if f1 >= f2 {
+			hi, x2, f2 = x2, x1, f1
+			x1 = hi - gold*(hi-lo)
+			f1 = eval(x1)
+		} else {
+			lo, x1, f1 = x1, x2, f2
+			x2 = lo + gold*(hi-lo)
+			f2 = eval(x2)
 		}
 	}
-	return &GrowthEstimate{Theta: theta, Growth: g, LogL: obj(theta, g)}, nil
+	return bestG, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,5 +142,142 @@ func TestMaximizeThetaParallelMatchesSerial(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("serial %v != parallel %v", a, b)
+	}
+}
+
+// algorithm2Theta is the paper's Algorithm 2, the M-step this package ran
+// before the exact solve: a central finite-difference gradient ascent on
+// log L(θ) with step halving, from the driving value. It is kept
+// verbatim, with its former default tuning, as the oracle that
+// TestMStepMatchesAlgorithm2Oracle holds MaximizeTheta to.
+func algorithm2Theta(s *SampleSet, dev *device.Device) float64 {
+	const delta, epsilon, maxIterations = 1e-6, 1e-8, 200
+	theta := s.Theta0
+	obj := func(t float64) float64 { return RelLogLikelihood(s, t, dev) }
+
+	for iter := 0; iter < maxIterations; iter++ {
+		d := delta * theta
+		grad := (obj(theta+d) - obj(theta-d)) / (2 * d)
+		step := grad
+		// Trust region: cap the step at the current theta so one
+		// iteration at most doubles the estimate. Without the cap, a
+		// driving value far below the maximizer (the Fig. 5 setting,
+		// theta0 = 0.01) has an enormous gradient that overshoots onto
+		// the flat far slope of the curve, where the raw Algorithm 2
+		// crawls; the cap turns the approach into a geometric climb.
+		if math.Abs(step) > theta {
+			step = math.Copysign(theta, step)
+		}
+		// Halve the step until it is admissible: positive destination
+		// and non-decreasing objective (Algorithm 2's inner loop).
+		cur := obj(theta)
+		halvings := 0
+		for ; halvings < 200; halvings++ {
+			next := theta + step
+			if next > 0 && obj(next) >= cur {
+				break
+			}
+			step /= 2
+		}
+		if halvings == 200 {
+			return theta // gradient direction yields no improvement
+		}
+		theta += step
+		// Converged once the raw gradient itself would move theta by
+		// less than epsilon relative — a clamped or halved step still
+		// counts as progress.
+		if math.Abs(grad) <= epsilon*theta {
+			return theta
+		}
+	}
+	return theta
+}
+
+// checkAgainstOracle requires an M-step result to be at least as good as
+// Algorithm 2's: log L no lower than the oracle's beyond rounding, and θ̂
+// within 1e-6 relative unless log L is strictly higher (the ascent
+// stopped short).
+func checkAgainstOracle(t *testing.T, label string, theta, oracle, logL, oracleLogL float64) {
+	t.Helper()
+	t.Logf("%s: theta %.17g, oracle %.17g (rel diff %.2g), log L - oracle's = %.3g", label, theta, oracle, (theta-oracle)/oracle, logL-oracleLogL)
+	if logL < oracleLogL-1e-12*math.Max(1, math.Abs(oracleLogL)) {
+		t.Errorf("%s: log L(%v) = %v below the oracle's log L(%v) = %v", label, theta, logL, oracle, oracleLogL)
+	}
+	if math.Abs(theta-oracle) > 1e-6*oracle && !(logL > oracleLogL) {
+		t.Errorf("%s: theta %v, oracle %v, and log L not higher (%v vs %v)", label, theta, oracle, logL, oracleLogL)
+	}
+}
+
+// oracleGMHSets runs GMH on simulated 12×200 and 20×400 alignments at
+// driving values 0.05, 0.5 and 5, and on 10×400 data simulated on a
+// strongly growing genealogy.
+func oracleGMHSets(t *testing.T, dev *device.Device) map[string]*SampleSet {
+	t.Helper()
+	sets := map[string]*SampleSet{}
+	for _, shape := range [][2]int{{12, 200}, {20, 400}} {
+		eval, init := engineFixture(t, shape[0], shape[1], uint64(2400+shape[0]), dev)
+		for i, theta0 := range []float64{0.05, 0.5, 5} {
+			res, err := Run(NewGMH(eval, dev, 8), init, ChainConfig{Theta: theta0, Burnin: 200, Samples: 2000, Seed: uint64(2500 + 10*shape[0] + i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets[fmt.Sprintf("gmh %dx%d theta0=%v", shape[0], shape[1], theta0)] = res.Samples
+		}
+	}
+	sets["gmh growth g=6 10x400"] = growthSequenceDraws(t, 6.0, 2601, 200, 2000, dev)
+	return sets
+}
+
+// TestMStepMatchesAlgorithm2Oracle holds both exact M-steps to the
+// paper's Algorithm 2 ascents on every synthetic set of this file and of
+// growth_test.go and on GMH sample sets.
+func TestMStepMatchesAlgorithm2Oracle(t *testing.T) {
+	dev := device.New(2)
+	defer dev.Close()
+	sets := oracleGMHSets(t, dev)
+	for label, s := range map[string]*SampleSet{
+		"single sample":   syntheticSet(0.5, 6, []float64{3.7}),
+		"far start":       syntheticSet(0.01, 10, []float64{9.0}),
+		"grid search":     syntheticSet(0.8, 7, []float64{2.0, 3.5, 5.0, 4.2, 2.8}),
+		"stays positive":  syntheticSet(1.0, 4, []float64{1e-6}),
+		"curve shape":     syntheticSet(0.3, 6, []float64{5.0}),
+		"parallel":        syntheticSet(0.6, 8, []float64{1.0, 2.0, 3.0, 4.0, 5.0, 2.5, 3.5, 1.5}),
+		"growth driving":  growthDrivingSet(),
+		"growth constant": growthConstantSet(),
+		"growth parallel": growthParallelSet(t),
+	} {
+		sets[label] = s
+	}
+	for label, s := range sets {
+		got, err := MaximizeTheta(s, MLEConfig{}, dev)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := algorithm2Theta(s, dev)
+		checkAgainstOracle(t, label, got, want, RelLogLikelihood(s, got, dev), RelLogLikelihood(s, want, dev))
+		if s.Ages == nil {
+			continue
+		}
+		est, err := MaximizeThetaGrowth(s, dev)
+		if err != nil {
+			t.Fatalf("%s growth: %v", label, err)
+		}
+		oracle := algorithm2Growth(s, dev)
+		logL, oracleLogL := RelLogLikelihoodGrowth(s, est.Theta, est.Growth, dev), RelLogLikelihoodGrowth(s, oracle.Theta, oracle.Growth, dev)
+		checkAgainstOracle(t, label+" growth", est.Theta, oracle.Theta, logL, oracleLogL)
+		t.Logf("%s growth: g %.17g, oracle %.17g", label, est.Growth, oracle.Growth)
+		if math.Abs(est.Growth-oracle.Growth) > 1e-6*math.Max(1, math.Abs(oracle.Growth)) && !(logL > oracleLogL) {
+			t.Errorf("%s: growth %v, oracle %v, and log L not higher (%v vs %v)", label, est.Growth, oracle.Growth, logL, oracleLogL)
+		}
+	}
+}
+
+func TestMStepRejectsEmptySet(t *testing.T) {
+	s := &SampleSet{NTips: 4, Theta0: 1}
+	if _, err := MaximizeTheta(s, MLEConfig{}, nil); err == nil {
+		t.Error("MaximizeTheta accepted an empty sample set")
+	}
+	if _, err := MaximizeThetaGrowth(s, nil); err == nil {
+		t.Error("MaximizeThetaGrowth accepted an empty sample set")
 	}
 }

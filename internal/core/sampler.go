@@ -8,9 +8,9 @@
 //     (§4.1, §4.3, §5.1.4).
 //   - MultiChain: the classic run-P-independent-chains parallelization
 //     whose per-chain burn-in makes it non-scalable (paper §3, Fig. 6).
-//   - Maximum likelihood estimation of θ over a sample set (§5.1.5,
-//     Algorithm 2) and the EM loop that alternates sampling and
-//     maximization (§5.1, Fig. 11).
+//   - Maximum likelihood estimation of θ over a sample set (§5.1.5; an
+//     exact solve in place of Algorithm 2's ascent) and the EM loop that
+//     alternates sampling and maximization (§5.1, Fig. 11).
 package core
 
 import (

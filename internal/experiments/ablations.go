@@ -44,6 +44,7 @@ func ProposalSetSize(c Common) ([]ProposalSizePoint, error) {
 		return nil, err
 	}
 	dev := device.New(c.workers())
+	defer dev.Close()
 	eval, err := buildEvaluator(aln, dev)
 	if err != nil {
 		return nil, err
@@ -149,6 +150,7 @@ func GrowthEstimation(c Common) ([]GrowthPoint, error) {
 		burnin, samples = 3000, 40000
 	}
 	dev := device.New(c.workers())
+	defer dev.Close()
 	var out []GrowthPoint
 	for i, trueG := range []float64{0, 8} {
 		seed := c.seed() + uint64(100+i)
@@ -175,7 +177,7 @@ func GrowthEstimation(c Common) ([]GrowthPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := core.MaximizeThetaGrowth(run.Samples, core.MLEConfig{}, dev)
+		est, err := core.MaximizeThetaGrowth(run.Samples, dev)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"mpcgs/internal/core"
@@ -475,7 +476,7 @@ func MultichainEfficiency(c Common) ([]MultichainPoint, error) {
 	var out []MultichainPoint
 	maxP := c.workers()
 	if maxP == 0 {
-		maxP = device.New(0).Workers()
+		maxP = runtime.GOMAXPROCS(0)
 	}
 	// Each parallelism point gets its own device, torn down before the
 	// next point so earlier pools' workers cannot pollute later timings.

@@ -8,6 +8,8 @@ package experiments
 
 import (
 	"testing"
+
+	"mpcgs/internal/leakcheck"
 )
 
 func quick() Common { return Common{Scale: ScaleQuick, Workers: 8, Seed: 99} }
@@ -64,10 +66,12 @@ func TestMultichainEfficiencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
+	base := leakcheck.Snapshot()
 	pts, err := MultichainEfficiency(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	leakcheck.Verify(t, base)
 	if len(pts) < 3 {
 		t.Fatalf("got %d parallelism points", len(pts))
 	}
@@ -156,10 +160,12 @@ func TestProposalSetSizeAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
+	base := leakcheck.Snapshot()
 	pts, err := ProposalSetSize(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	leakcheck.Verify(t, base)
 	for _, p := range pts {
 		if p.ESS <= 0 || p.Sec <= 0 {
 			t.Errorf("degenerate point %+v", p)
@@ -174,10 +180,12 @@ func TestGrowthEstimationDirection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline experiment")
 	}
+	base := leakcheck.Snapshot()
 	pts, err := GrowthEstimation(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	leakcheck.Verify(t, base)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points", len(pts))
 	}

@@ -65,21 +65,3 @@ func SimulateGrowth(names []string, theta, g float64, src rng.Source) (*gtree.Tr
 	t.Root = next - 1
 	return t, t.Validate()
 }
-
-// SimulateGrowthReps generates independent growth-coalescent genealogies.
-func SimulateGrowthReps(cfg Config, g float64) ([]*gtree.Tree, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	src := rng.NewStreamSet(1, cfg.Seed).Stream(0)
-	names := TipNames(cfg.NSam)
-	trees := make([]*gtree.Tree, cfg.Reps)
-	for r := range trees {
-		t, err := SimulateGrowth(names, cfg.Theta, g, src)
-		if err != nil {
-			return nil, err
-		}
-		trees[r] = t
-	}
-	return trees, nil
-}

@@ -115,21 +115,3 @@ func TestSimulateGrowthErrors(t *testing.T) {
 		t.Error("negative growth accepted")
 	}
 }
-
-func TestSimulateGrowthReps(t *testing.T) {
-	trees, err := SimulateGrowthReps(Config{NSam: 5, Reps: 3, Theta: 1, Seed: 6}, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 3 {
-		t.Fatalf("got %d trees", len(trees))
-	}
-	for _, tr := range trees {
-		if err := tr.Validate(); err != nil {
-			t.Error(err)
-		}
-	}
-	if _, err := SimulateGrowthReps(Config{NSam: 0, Reps: 1, Theta: 1}, 1); err == nil {
-		t.Error("bad config accepted")
-	}
-}

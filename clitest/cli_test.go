@@ -420,19 +420,37 @@ func TestMpcgsCheckpointSigintResume(t *testing.T) {
 	// Uninterrupted reference.
 	ref := extractTheta(t, run(t, "mpcgs", "", append(args, path, "1.0")...))
 
-	// Interrupted run: SIGINT lands mid-estimation; the process must exit
-	// on its own (cancellation, final checkpoint, results printed).
+	// Interrupted run: SIGINT lands mid-estimation, once the first
+	// periodic checkpoint shows the run is under way; the process must
+	// exit on its own (cancellation, final checkpoint, results printed)
+	// and leave the job paused. A run that finished before the signal
+	// exercised nothing, so it fails the test.
 	ckptDir := filepath.Join(dir, "ckpt")
+	jobDir := filepath.Join(ckptDir, "data")
 	killArgs := append([]string{"-checkpoint", ckptDir, "-checkpoint-every", "200"}, args...)
 	cmd := exec.Command(filepath.Join(binDir, "mpcgs"), append(killArgs, path, "1.0")...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	_ = cmd.Process.Signal(os.Interrupt) // may race with a fast finish; both are fine
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		if st, err := ckpt.Load(jobDir); err == nil && st.Status == ckpt.StatusPaused {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatal("no periodic checkpoint within a minute")
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
 	err := cmd.Wait()
-	if _, statErr := os.Stat(ckpt.Path(filepath.Join(ckptDir, "data"))); statErr != nil {
-		t.Fatalf("no checkpoint file after interrupt (run err: %v): %v", err, statErr)
+	st, loadErr := ckpt.Load(jobDir)
+	if loadErr != nil {
+		t.Fatalf("no checkpoint after interrupt (run err: %v): %v", err, loadErr)
+	}
+	if st.Status != ckpt.StatusPaused {
+		t.Fatalf("job is %q after the interrupt, want %q: the run finished before the signal landed", st.Status, ckpt.StatusPaused)
 	}
 
 	// Resume to completion (repeat in the unlikely event the first resume

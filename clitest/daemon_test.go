@@ -230,7 +230,21 @@ func TestMpcgsdServiceSmoke(t *testing.T) {
 	for i, name := range names {
 		submitJob(t, d.base, name, phys[i], seeds[i])
 	}
-	time.Sleep(700 * time.Millisecond)
+	// Drain once some job is observed mid-run: admitted, not finished,
+	// with recorded steps.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		started := false
+		for _, id := range ids {
+			v := getJob(t, d.base, id)
+			started = started || v.Steps > 0 && v.Status != "done" && v.Status != "failed"
+		}
+		if started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no job observed mid-run within a minute")
+		}
+	}
 	running := 0
 	for _, id := range ids {
 		switch getJob(t, d.base, id).Status {

@@ -285,7 +285,8 @@ func main() {
 			if err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Printf("growth: theta = %.6g, g = %.6g\n", est.Theta, est.Growth)
+			fmt.Printf("growth: theta = %.6g, g = %.6g, weight ESS = %.1f of %d\n",
+				est.Theta, est.Growth, est.WeightESS, len(r.LastSet.PostBurninStats()))
 		}
 		if *curve {
 			var grid []float64

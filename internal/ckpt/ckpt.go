@@ -27,8 +27,9 @@
 // rejects every other version before decoding anything else.
 //
 // There is one checkpoint format. Every sampler step carries a sidecar
-// trace_ref; a snapshot holding its draws in memory cannot be encoded,
-// so a run that does not spill its trace can never reach disk. Older
+// trace_ref, the only form a snapshot's trace takes; the snapshot of a
+// run that records in memory has none and cannot be encoded, so such a
+// run can never reach disk. Older
 // formats are no longer read: loading one fails with an error naming
 // the file, the version found and the version supported — resume it
 // with a build that still reads it and let the run finish, or start it

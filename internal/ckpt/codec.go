@@ -320,16 +320,17 @@ func DecodeTraceRef(w *TraceRef) (*core.TraceRef, error) {
 	return r, nil
 }
 
-// EncodeStep converts a stepper snapshot to wire form. A snapshot that
-// holds its trace in memory is refused: the only checkpoint format keeps
-// the draws in the sidecar, so a run that does not spill cannot be
-// checkpointed.
+// EncodeStep converts a stepper snapshot to wire form. Every sampler
+// step — anything but the multichain wrapper, whose subs carry their
+// own — must reference its sidecar trace: a snapshot's trace has no other
+// form, so the snapshot of a run that records in memory carries none and
+// is refused.
 func EncodeStep(s *core.StepSnapshot) (*Step, error) {
 	if s == nil {
 		return nil, nil
 	}
-	if s.Trace != nil {
-		return nil, fmt.Errorf("ckpt: %q step snapshot holds its trace in memory; only runs that spill to a trace sidecar can be checkpointed", s.Sampler)
+	if s.Sampler != "multichain" && s.TraceRef == nil {
+		return nil, fmt.Errorf("ckpt: %q step snapshot has no trace_ref: its run records in memory, and only runs that spill to a trace sidecar can be checkpointed", s.Sampler)
 	}
 	w := &Step{
 		Sampler:         s.Sampler,

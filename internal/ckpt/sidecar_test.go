@@ -73,9 +73,6 @@ func TestTraceRefWireRoundTrip(t *testing.T) {
 	if snap.TraceRef == nil {
 		t.Fatal("spilling snapshot carries no sidecar reference")
 	}
-	if snap.Trace != nil {
-		t.Fatal("spilling snapshot still carries an inline trace")
-	}
 
 	enc, err := EncodeStep(snap)
 	if err != nil {
@@ -195,8 +192,8 @@ func TestEncodeStepRejectsInMemoryTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Trace == nil {
-		t.Fatal("in-memory snapshot carries no trace")
+	if snap.TraceRef != nil {
+		t.Fatal("in-memory snapshot carries a sidecar reference")
 	}
 	if w, err := EncodeStep(snap); err == nil || !strings.Contains(err.Error(), "in memory") {
 		t.Fatalf("in-memory step snapshot encoded: %+v, %v", w, err)

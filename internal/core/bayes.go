@@ -113,11 +113,11 @@ func (b *Bayesian) Run(init *gtree.Tree, cfg ChainConfig) (*BayesResult, error) 
 		// θ move, on the genealogy chain's stream.
 		if len(thetas)%every == 0 {
 			thetaMoves++
-			next := rng.LogNormalStep(run.src, run.theta, step)
+			next := rng.LogNormalStep(run.host, run.theta, step)
 			if next >= tmin && next <= tmax {
 				logr := coalprior.LogPriorStat(nTips, run.st.stat, next) -
 					coalprior.LogPriorStat(nTips, run.st.stat, run.theta)
-				if logr >= 0 || run.src.Float64() < math.Exp(logr) {
+				if logr >= 0 || run.host.Float64() < math.Exp(logr) {
 					run.theta = next
 					thetaAccepted++
 				}

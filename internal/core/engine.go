@@ -390,10 +390,3 @@ func (r *recorder) finalize() error {
 	r.spill = nil
 	return nil
 }
-
-// applyOutcome copies the stop decision onto a finished Result.
-func (r *recorder) applyOutcome(res *Result) {
-	res.StoppedEarly = r.stopped
-	res.StopESS = r.stopESS
-	res.StopRHat = r.stopRHat
-}

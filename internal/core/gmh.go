@@ -70,13 +70,11 @@ func NewGMH(eval *felsen.Evaluator, dev *device.Device, proposals int) *GMH {
 // proposal round (parallel candidate generation plus the index-chain
 // draws), the natural scheduling unit of the multiple-proposal sampler.
 type gmhRun struct {
+	pass
 	g     *GMH
 	theta float64
 	n     int
-	total int
 
-	host    *rng.MT19937
-	streams *rng.StreamSet
 	// scratch holds the round's region analysis, shared read-only by
 	// every proposal thread; pick is the index chain's weight table.
 	scratch *resim.Scratch
@@ -96,38 +94,22 @@ type gmhRun struct {
 	wave      *felsen.Wave
 	waveTrees []*gtree.Tree
 
-	rec *recorder
-	out *SampleSet
-	res *Result
-
 	slots  []int
 	kernel func(tid int)
 }
 
 // Start implements StepSampler.
 func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := g.eval.CheckTree(init); err != nil {
-		return nil, err
-	}
-	if init.NTips() < 3 {
-		return nil, fmt.Errorf("core: sampler needs at least 3 sequences, got %d", init.NTips())
-	}
 	n := g.Proposals
 	if n < 1 {
 		return nil, fmt.Errorf("core: GMH needs at least 1 proposal per round, got %d", n)
 	}
-
-	r := &gmhRun{
-		g:       g,
-		theta:   cfg.Theta,
-		n:       n,
-		total:   cfg.Burnin + cfg.Samples,
-		host:    seedSource(cfg.Seed, 2),
-		streams: rng.NewStreamSet(n, cfg.Seed^0x9e3779b97f4a7c15),
+	ps, err := startPass("gmh", g.eval, init, cfg, seedSource(cfg.Seed, 2),
+		rng.NewStreamSet(n, cfg.Seed^0x9e3779b97f4a7c15))
+	if err != nil {
+		return nil, err
 	}
+	r := &gmhRun{pass: ps, g: g, theta: cfg.Theta, n: n}
 	r.scratch = resim.NewScratch()
 	r.pick = rng.NewLogTable(n + 1)
 
@@ -166,17 +148,6 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 	r.ages[r.cur] = r.set[r.cur].CoalescentAgesInto(r.ages[r.cur])
 	r.stats[r.cur] = sumKKTFromAges(init.NTips(), r.ages[r.cur])
 
-	// Recorded draws copy their age vector out of the slot buffers into
-	// the recorder's flat arena, carved one record at a time (or stream
-	// to the trace sidecar when the run spills).
-	rec, err := newRecorder(init.NTips(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.rec = rec
-	r.out = r.rec.set
-	r.res = &Result{Samples: r.out}
-
 	// Proposal kernel: one device thread per candidate (§5.2.1). The
 	// thread owning the current state stays idle, exactly as the paper
 	// notes for the generator's thread. The closure is built once; cur,
@@ -185,6 +156,7 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 	// — the likelihoods of the whole set are computed afterwards as one
 	// fused grid.
 	r.slots = make([]int, 0, n)
+	nTips := init.NTips()
 	r.kernel = func(tid int) {
 		i := r.slots[tid]
 		p := r.set[i]
@@ -211,7 +183,7 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 			r.logw[i] = g.eval.LogLikelihood(p)
 		}
 		r.ages[i] = p.CoalescentAgesInto(r.ages[i])
-		r.stats[i] = sumKKTFromAges(r.out.NTips, r.ages[i])
+		r.stats[i] = sumKKTFromAges(nTips, r.ages[i])
 	}
 	return r, nil
 }
@@ -288,18 +260,8 @@ func (r *gmhRun) Step() error {
 	return nil
 }
 
-// Done implements SnapshotStepper.
-func (r *gmhRun) Done() bool { return r.rec.full() }
-
 // Finish implements SnapshotStepper.
-func (r *gmhRun) Finish() (*Result, error) {
-	if err := r.rec.finalize(); err != nil {
-		return nil, err
-	}
-	r.rec.applyOutcome(r.res)
-	r.res.Final = r.set[r.cur].Clone()
-	return r.res, nil
-}
+func (r *gmhRun) Finish() (*Result, error) { return r.finish(r.set[r.cur].Clone()) }
 
 // Snapshot implements SnapshotStepper. Only the current slot's tree is
 // carried: every other slot — tree, weight, statistic, ages — is rewritten
@@ -307,68 +269,39 @@ func (r *gmhRun) Finish() (*Result, error) {
 // itself must survive, because it decides how streams map onto slots and
 // where the current state sits in the index-chain walk.
 func (r *gmhRun) Snapshot() (*StepSnapshot, error) {
-	t, ref, err := r.rec.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &StepSnapshot{
-		Sampler:  "gmh",
-		Step:     r.rec.len(),
-		Cur:      r.cur,
-		Host:     r.host.State(),
-		Streams:  r.streams.State(),
-		Chains:   []ChainSnapshot{{Tree: r.set[r.cur].Clone(), Beta: 1}},
-		Trace:    t,
-		TraceRef: ref,
-		Counters: countersOf(r.res),
-	}, nil
+	return r.snapshot(r.cur, []ChainSnapshot{{Tree: r.set[r.cur].Clone(), Beta: 1}}, nil)
 }
 
 // Restore implements SnapshotStepper.
 func (r *gmhRun) Restore(s *StepSnapshot) error {
-	if s.Sampler != "gmh" {
-		return fmt.Errorf("core: %q snapshot restored into a gmh run", s.Sampler)
-	}
-	if len(s.Chains) != 1 || s.Chains[0].Tree == nil {
-		return fmt.Errorf("core: gmh snapshot has no current-state tree")
-	}
-	if s.Cur < 0 || s.Cur > r.n {
-		return fmt.Errorf("core: gmh snapshot slot index %d out of range [0, %d]", s.Cur, r.n)
-	}
-	if s.Step > r.total {
-		return fmt.Errorf("core: gmh snapshot at step %d, run records at most %d", s.Step, r.total)
-	}
-	tree := s.Chains[0].Tree
-	if tree.NTips() != r.set[0].NTips() {
-		return fmt.Errorf("core: gmh snapshot tree has %d tips, run has %d", tree.NTips(), r.set[0].NTips())
-	}
-	if err := tree.Validate(); err != nil {
-		return fmt.Errorf("core: gmh snapshot tree invalid: %w", err)
-	}
-	if err := r.host.SetState(s.Host); err != nil {
-		return err
-	}
-	if err := r.streams.SetState(s.Streams); err != nil {
-		return fmt.Errorf("core: gmh snapshot has %d proposal streams, run is configured for %d: %w",
-			len(s.Streams), r.n, err)
-	}
-	r.cur = s.Cur
-	// Every slot gets the tree so the arena stays structurally valid; only
-	// the current slot's derived values matter — the rest are overwritten
-	// by the next round's kernel.
-	for i := range r.set {
-		r.set[i].CopyFrom(tree)
-	}
-	if r.cache != nil {
-		r.logw[r.cur] = r.g.eval.Rebase(r.cache, r.set[r.cur])
-	} else {
-		r.logw[r.cur] = r.g.eval.LogLikelihood(r.set[r.cur])
-	}
-	r.ages[r.cur] = r.set[r.cur].CoalescentAgesInto(r.ages[r.cur])
-	r.stats[r.cur] = sumKKTFromAges(r.out.NTips, r.ages[r.cur])
-	if err := r.rec.restore(s.Trace, s.TraceRef, s.Step); err != nil {
-		return err
-	}
-	s.Counters.applyTo(r.res)
-	return nil
+	return r.restore(s, func() error {
+		if len(s.Chains) != 1 || s.Chains[0].Tree == nil {
+			return fmt.Errorf("core: gmh snapshot has no current-state tree")
+		}
+		if s.Cur < 0 || s.Cur > r.n {
+			return fmt.Errorf("core: gmh snapshot slot index %d out of range [0, %d]", s.Cur, r.n)
+		}
+		tree := s.Chains[0].Tree
+		if tree.NTips() != r.set[0].NTips() {
+			return fmt.Errorf("core: gmh snapshot tree has %d tips, run has %d", tree.NTips(), r.set[0].NTips())
+		}
+		if err := tree.Validate(); err != nil {
+			return fmt.Errorf("core: gmh snapshot tree invalid: %w", err)
+		}
+		r.cur = s.Cur
+		// Every slot gets the tree so the arena stays structurally valid;
+		// only the current slot's derived values matter — the rest are
+		// overwritten by the next round's kernel.
+		for i := range r.set {
+			r.set[i].CopyFrom(tree)
+		}
+		if r.cache != nil {
+			r.logw[r.cur] = r.g.eval.Rebase(r.cache, r.set[r.cur])
+		} else {
+			r.logw[r.cur] = r.g.eval.LogLikelihood(r.set[r.cur])
+		}
+		r.ages[r.cur] = r.set[r.cur].CoalescentAgesInto(r.ages[r.cur])
+		r.stats[r.cur] = sumKKTFromAges(tree.NTips(), r.ages[r.cur])
+		return nil
+	})
 }

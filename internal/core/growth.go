@@ -46,6 +46,13 @@ func RelLogLikelihoodGrowth(s *SampleSet, theta, g float64, dev *device.Device) 
 type GrowthEstimate struct {
 	Theta  float64
 	Growth float64
+	// WeightESS is the Kish effective sample size (Σw)²/Σw² of the
+	// importance weights w_i = P(G_i|θ̂,ĝ)/P(G_i|θ0,0) at the returned
+	// maximum: near the number of post-burn-in draws when the pass's
+	// driving value (θ0, 0) is close to the estimate, near 1 when a few
+	// draws carry the whole reweighted likelihood and the estimate is
+	// unreliable.
+	WeightESS float64
 }
 
 // MaximizeThetaGrowth maximizes L(θ, g) over the sample set. Each
@@ -88,7 +95,7 @@ func MaximizeThetaGrowth(s *SampleSet, dev *device.Device) (*GrowthEstimate, err
 	if err != nil {
 		return nil, err
 	}
-	return &GrowthEstimate{Theta: 1 / u, Growth: g}, nil
+	return &GrowthEstimate{Theta: 1 / u, Growth: g, WeightESS: m.weightESS(u)}, nil
 }
 
 // maximizeProfile returns the best point found for a profile

@@ -225,6 +225,32 @@ func TestJointGenealogyMLEBeatsWrongModel(t *testing.T) {
 	}
 }
 
+// TestGrowthWeightESS: the reported reliability of the -growth
+// reweighting is the Kish effective sample size of the importance
+// weights — n when they are equal, about 1 when one of them dominates.
+func TestGrowthWeightESS(t *testing.T) {
+	const n = 50
+	m, err := newThetaSolver(syntheticSet(1, 5, make([]float64, n)), n, device.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.weightESS(2); math.Abs(got-n) > 1e-9*n {
+		t.Errorf("equal weights: ESS %v, want %d", got, n)
+	}
+	m.a[7] = 40 // e^40 against e^0 for every other draw
+	if got := m.weightESS(2); math.Abs(got-1) > 1e-9 {
+		t.Errorf("one dominant weight: ESS %v, want 1", got)
+	}
+	s := growthConstantSet()
+	est, err := MaximizeThetaGrowth(s, device.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := float64(len(s.PostBurninAges())); !(est.WeightESS >= 1 && est.WeightESS <= n) {
+		t.Errorf("weight ESS %v outside [1, %v]", est.WeightESS, n)
+	}
+}
+
 func TestMaximizeThetaGrowthParallelMatchesSerial(t *testing.T) {
 	s := growthParallelSet(t)
 	a, err := MaximizeThetaGrowth(s, device.Serial())

@@ -70,36 +70,20 @@ func NewHeated(eval *felsen.Evaluator, dev *device.Device, chains int) *Heated {
 // heatedRun is one started MC³ ladder: a SnapshotStepper whose Step is one
 // parallel sweep of tempered within-chain moves plus a swap attempt.
 type heatedRun struct {
+	pass
 	h         *Heated
 	p         int
 	swapEvery int
-	burnin    int
-	total     int
 
 	theta    float64
 	ladder   *tempering.Ladder
 	states   []*chainState
-	host     *rng.MT19937
-	streams  *rng.StreamSet
 	accepted []bool
 	kernel   func(i int)
-
-	rec  *recorder
-	res  *Result
-	step int
 }
 
 // Start implements StepSampler.
 func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := h.eval.CheckTree(init); err != nil {
-		return nil, err
-	}
-	if init.NTips() < 3 {
-		return nil, fmt.Errorf("core: sampler needs at least 3 sequences, got %d", init.NTips())
-	}
 	p := h.Chains
 	if p < 1 {
 		return nil, fmt.Errorf("core: heated sampler needs at least 1 chain, got %d", p)
@@ -135,22 +119,19 @@ func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, erro
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	rec, err := newRecorder(init.NTips(), cfg)
+	ps, err := startPass("heated", h.eval, init, cfg, seedSource(cfg.Seed, 5),
+		rng.NewStreamSet(p, cfg.Seed^0xc2b2ae3d27d4eb4f))
 	if err != nil {
 		return nil, err
 	}
 	r := &heatedRun{
+		pass:      ps,
 		h:         h,
 		p:         p,
 		swapEvery: swapEvery,
-		burnin:    cfg.Burnin,
-		total:     cfg.Burnin + cfg.Samples,
 		theta:     cfg.Theta,
 		ladder:    ladder,
-		host:      seedSource(cfg.Seed, 5),
-		streams:   rng.NewStreamSet(p, cfg.Seed^0xc2b2ae3d27d4eb4f),
 		accepted:  make([]bool, p),
-		rec:       rec,
 	}
 
 	// One engine state per rung: tree pair, delta cache, resimulation
@@ -160,7 +141,6 @@ func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, erro
 	for i := range r.states {
 		r.states[i].beta = ladder.Beta(i)
 	}
-	r.res = &Result{Samples: r.rec.set}
 
 	// One tempered MH step per rung, in parallel across the ladder on the
 	// persistent pool. Each rung owns its stream, state and scratch, so
@@ -188,7 +168,7 @@ func (r *heatedRun) Step() error {
 	// records the outcome and — during burn-in, with adaptation on —
 	// retunes the ladder, after which every rung's β is re-pinned to the
 	// (possibly moved) schedule.
-	if r.p > 1 && r.step%r.swapEvery == 0 {
+	if r.p > 1 && r.rec.len()%r.swapEvery == 0 {
 		i := rng.Intn(r.host, r.p-1)
 		j := i + 1
 		bi, bj := r.ladder.Beta(i), r.ladder.Beta(j)
@@ -199,37 +179,29 @@ func (r *heatedRun) Step() error {
 			r.res.Swaps++
 		}
 		r.res.SwapAttempts++
-		r.ladder.Record(i, swapped, r.step < r.burnin)
+		r.ladder.Record(i, swapped, r.rec.len() < r.rec.burnin)
 		for k := range r.states {
 			r.states[k].beta = r.ladder.Beta(k)
 		}
 	}
 
-	if err := r.rec.recordState(r.states[0]); err != nil {
-		return err
-	}
-	r.step++
-	return nil
+	return r.rec.recordState(r.states[0])
 }
-
-// Done implements SnapshotStepper.
-func (r *heatedRun) Done() bool { return r.rec.full() }
 
 // Finish implements SnapshotStepper.
 func (r *heatedRun) Finish() (*Result, error) {
-	if err := r.rec.finalize(); err != nil {
+	res, err := r.finish(r.states[0].cur.Clone())
+	if err != nil {
 		return nil, err
 	}
-	r.rec.applyOutcome(r.res)
-	r.res.Final = r.states[0].cur.Clone()
-	r.res.Betas = r.ladder.Betas()
-	r.res.LadderAdapted = r.ladder.Adaptive()
-	r.res.LadderAdaptations = r.ladder.Adaptations()
-	r.res.PairSwapAttempts = r.ladder.PairAttempts()
-	r.res.PairSwaps = r.ladder.PairAccepts()
-	r.res.EstPairSwapAttempts = r.ladder.EstPairAttempts()
-	r.res.EstPairSwaps = r.ladder.EstPairAccepts()
-	return r.res, nil
+	res.Betas = r.ladder.Betas()
+	res.LadderAdapted = r.ladder.Adaptive()
+	res.LadderAdaptations = r.ladder.Adaptations()
+	res.PairSwapAttempts = r.ladder.PairAttempts()
+	res.PairSwaps = r.ladder.PairAccepts()
+	res.EstPairSwapAttempts = r.ladder.EstPairAttempts()
+	res.EstPairSwaps = r.ladder.EstPairAccepts()
+	return res, nil
 }
 
 // Snapshot implements SnapshotStepper: every rung's chain state in ladder
@@ -241,65 +213,36 @@ func (r *heatedRun) Snapshot() (*StepSnapshot, error) {
 	for i, st := range r.states {
 		chains[i] = st.Snapshot()
 	}
-	t, ref, err := r.rec.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &StepSnapshot{
-		Sampler:  "heated",
-		Step:     r.step,
-		Host:     r.host.State(),
-		Streams:  r.streams.State(),
-		Chains:   chains,
-		Ladder:   r.ladder.Snapshot(),
-		Trace:    t,
-		TraceRef: ref,
-		Counters: countersOf(r.res),
-	}, nil
+	return r.snapshot(0, chains, r.ladder.Snapshot())
 }
 
 // Restore implements SnapshotStepper.
 func (r *heatedRun) Restore(s *StepSnapshot) error {
-	if s.Sampler != "heated" {
-		return fmt.Errorf("core: %q snapshot restored into a heated run", s.Sampler)
-	}
-	if len(s.Chains) != r.p {
-		return fmt.Errorf("core: heated snapshot has %d rungs, run is configured for %d", len(s.Chains), r.p)
-	}
-	if s.Step < 0 || s.Step > r.total {
-		return fmt.Errorf("core: heated snapshot at step %d, run has %d", s.Step, r.total)
-	}
-	if s.Ladder == nil {
-		return fmt.Errorf("core: heated snapshot has no ladder state")
-	}
-	if err := r.ladder.Restore(s.Ladder); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	for i := range s.Chains {
-		// Swaps keep β pinned to the ladder position, so a rung's
-		// snapshot β must equal the restored controller's schedule
-		// exactly; a mismatch means Chains or MaxTemp changed since the
-		// snapshot.
-		if s.Chains[i].Beta != r.ladder.Beta(i) {
-			return fmt.Errorf("core: heated snapshot rung %d has beta %v, ladder has %v (MaxTemp/Chains changed?)",
-				i, s.Chains[i].Beta, r.ladder.Beta(i))
+	return r.restore(s, func() error {
+		if len(s.Chains) != r.p {
+			return fmt.Errorf("core: heated snapshot has %d rungs, run is configured for %d", len(s.Chains), r.p)
 		}
-	}
-	if err := r.host.SetState(s.Host); err != nil {
-		return err
-	}
-	if err := r.streams.SetState(s.Streams); err != nil {
-		return err
-	}
-	for i := range s.Chains {
-		if err := r.states[i].RestoreChainState(s.Chains[i]); err != nil {
-			return fmt.Errorf("core: heated rung %d: %w", i, err)
+		if s.Ladder == nil {
+			return fmt.Errorf("core: heated snapshot has no ladder state")
 		}
-	}
-	if err := r.rec.restore(s.Trace, s.TraceRef, s.Step); err != nil {
-		return err
-	}
-	s.Counters.applyTo(r.res)
-	r.step = s.Step
-	return nil
+		if err := r.ladder.Restore(s.Ladder); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		for i := range s.Chains {
+			// Swaps keep β pinned to the ladder position, so a rung's
+			// snapshot β must equal the restored controller's schedule
+			// exactly; a mismatch means Chains or MaxTemp changed since
+			// the snapshot.
+			if s.Chains[i].Beta != r.ladder.Beta(i) {
+				return fmt.Errorf("core: heated snapshot rung %d has beta %v, ladder has %v (MaxTemp/Chains changed?)",
+					i, s.Chains[i].Beta, r.ladder.Beta(i))
+			}
+		}
+		for i := range s.Chains {
+			if err := r.states[i].RestoreChainState(s.Chains[i]); err != nil {
+				return fmt.Errorf("core: heated rung %d: %w", i, err)
+			}
+		}
+		return nil
+	})
 }

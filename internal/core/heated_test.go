@@ -419,8 +419,10 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	for _, kill := range []int{0, 1, 35, 60, 130} {
-		run, err := h.Start(init, cfg)
+		killCfg := spilling(cfg, dir, fmt.Sprintf("kill%d", kill))
+		run, err := h.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +432,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 			}
 		}
 		snap := mustSnapshot(t, run)
-		resumed, err := h.Start(init, cfg)
+		resumed, err := h.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,6 +454,7 @@ func TestHeatedAdaptiveKillResumeBitIdentical(t *testing.T) {
 	// A snapshot without ladder state must be rejected by an adaptive
 	// run and by a non-adaptive one alike, and a non-adaptive run must
 	// refuse an adaptive snapshot.
+	cfg = spilling(cfg, dir, "rejects")
 	run, err := h.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)

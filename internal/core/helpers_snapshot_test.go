@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+)
 
 // mustSnapshot exports a stepper's snapshot, failing the test on the
 // (spill-mode-only) flush error path.
@@ -11,4 +14,11 @@ func mustSnapshot(t *testing.T, run SnapshotStepper) *StepSnapshot {
 		t.Fatalf("snapshot: %v", err)
 	}
 	return snap
+}
+
+// spilling returns cfg recording to the sidecar dir/name.trace, the only
+// recording mode whose snapshots restore.
+func spilling(cfg ChainConfig, dir, name string) ChainConfig {
+	cfg.Trace = &TraceSpec{Path: filepath.Join(dir, name+".trace")}
+	return cfg
 }

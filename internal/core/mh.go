@@ -5,7 +5,6 @@ import (
 
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/gtree"
-	"mpcgs/internal/rng"
 )
 
 // MH is the serial single-chain Metropolis-Hastings sampler implementing
@@ -32,13 +31,9 @@ func NewMH(eval *felsen.Evaluator) *MH { return &MH{eval: eval} }
 
 // mhRun is one started MH chain: a SnapshotStepper over single Metropolis steps.
 type mhRun struct {
+	pass
 	theta float64
-	src   *rng.MT19937
 	st    *chainState
-	rec   *recorder
-	res   *Result
-	step  int
-	total int
 }
 
 // Start implements StepSampler.
@@ -54,36 +49,19 @@ func (m *MH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) {
 // seeded under the given label: 1 for MH, 6 for the genealogy chain of
 // Bayesian.
 func startMH(eval *felsen.Evaluator, init *gtree.Tree, cfg ChainConfig, label uint64) (*mhRun, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := eval.CheckTree(init); err != nil {
-		return nil, err
-	}
-	if init.NTips() < 3 {
-		return nil, fmt.Errorf("core: sampler needs at least 3 sequences, got %d", init.NTips())
-	}
-	rec, err := newRecorder(init.NTips(), cfg)
+	p, err := startPass("mh", eval, init, cfg, seedSource(cfg.Seed, label), nil)
 	if err != nil {
 		return nil, err
 	}
-	return &mhRun{
-		theta: cfg.Theta,
-		src:   seedSource(cfg.Seed, label),
-		st:    newChainState(eval, init),
-		rec:   rec,
-		res:   &Result{Samples: rec.set},
-		total: cfg.Burnin + cfg.Samples,
-	}, nil
+	return &mhRun{pass: p, theta: cfg.Theta, st: newChainState(eval, init)}, nil
 }
 
 // Step implements SnapshotStepper: one Metropolis transition, recorded.
 func (r *mhRun) Step() error {
-	accepted, err := r.st.step(r.theta, r.src)
+	accepted, err := r.st.step(r.theta, r.host)
 	if err != nil {
-		return fmt.Errorf("core: proposal failed at step %d: %w", r.step, err)
+		return fmt.Errorf("core: proposal failed at step %d: %w", r.rec.len(), err)
 	}
-	r.step++
 	r.res.Proposals++
 	if accepted {
 		r.res.Accepted++
@@ -91,57 +69,20 @@ func (r *mhRun) Step() error {
 	return r.rec.recordState(r.st)
 }
 
-// Done implements SnapshotStepper.
-func (r *mhRun) Done() bool { return r.rec.full() }
-
 // Finish implements SnapshotStepper.
-func (r *mhRun) Finish() (*Result, error) {
-	if err := r.rec.finalize(); err != nil {
-		return nil, err
-	}
-	r.rec.applyOutcome(r.res)
-	r.res.Final = r.st.cur
-	return r.res, nil
-}
+func (r *mhRun) Finish() (*Result, error) { return r.finish(r.st.cur) }
 
 // Snapshot implements SnapshotStepper.
 func (r *mhRun) Snapshot() (*StepSnapshot, error) {
-	t, ref, err := r.rec.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &StepSnapshot{
-		Sampler:  "mh",
-		Step:     r.step,
-		Host:     r.src.State(),
-		Chains:   []ChainSnapshot{r.st.Snapshot()},
-		Trace:    t,
-		TraceRef: ref,
-		Counters: countersOf(r.res),
-	}, nil
+	return r.snapshot(0, []ChainSnapshot{r.st.Snapshot()}, nil)
 }
 
 // Restore implements SnapshotStepper.
 func (r *mhRun) Restore(s *StepSnapshot) error {
-	if s.Sampler != "mh" {
-		return fmt.Errorf("core: %q snapshot restored into an mh run", s.Sampler)
-	}
-	if len(s.Chains) != 1 {
-		return fmt.Errorf("core: mh snapshot has %d chains, want 1", len(s.Chains))
-	}
-	if s.Step < 0 || s.Step > r.total {
-		return fmt.Errorf("core: mh snapshot at step %d, run has %d", s.Step, r.total)
-	}
-	if err := r.src.SetState(s.Host); err != nil {
-		return err
-	}
-	if err := r.st.RestoreChainState(s.Chains[0]); err != nil {
-		return err
-	}
-	if err := r.rec.restore(s.Trace, s.TraceRef, s.Step); err != nil {
-		return err
-	}
-	s.Counters.applyTo(r.res)
-	r.step = s.Step
-	return nil
+	return r.restore(s, func() error {
+		if len(s.Chains) != 1 {
+			return fmt.Errorf("core: mh snapshot has %d chains, want 1", len(s.Chains))
+		}
+		return r.st.RestoreChainState(s.Chains[0])
+	})
 }

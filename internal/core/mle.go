@@ -117,6 +117,20 @@ func (m *thetaSolver) pass(u float64) (f, d1, d2 float64) {
 	return m.n1*math.Log(u) + top + math.Log(sw), -ed, -m.n1/(u*u) + edd - ed*ed
 }
 
+// weightESS returns the Kish effective sample size (Σw)²/Σw² of the
+// weights w_i ∝ exp(a_i - u·x_i), the importance weights of the samples
+// at u up to a factor common to all of them, which cancels.
+func (m *thetaSolver) weightESS(u float64) float64 {
+	m.dev.Launch(len(m.x), func(i int) { m.w[i] = m.a[i] - u*m.x[i] })
+	top := m.dev.ReduceMax(m.w)
+	m.dev.Launch(len(m.x), func(i int) {
+		m.w[i] = math.Exp(m.w[i] - top)
+		m.wd[i] = m.w[i] * m.w[i]
+	})
+	sw := m.dev.ReduceSum(m.w)
+	return sw * sw / m.dev.ReduceSum(m.wd)
+}
+
 // solveTol is the relative step at which the solve stops. Newton
 // converges quadratically, so u is then accurate to about this much.
 const solveTol = 1e-12

@@ -265,7 +265,7 @@ func TestMStepMatchesAlgorithm2Oracle(t *testing.T) {
 		oracle := algorithm2Growth(s, dev)
 		logL, oracleLogL := RelLogLikelihoodGrowth(s, est.Theta, est.Growth, dev), RelLogLikelihoodGrowth(s, oracle.Theta, oracle.Growth, dev)
 		checkAgainstOracle(t, label+" growth", est.Theta, oracle.Theta, logL, oracleLogL)
-		t.Logf("%s growth: g %.17g, oracle %.17g", label, est.Growth, oracle.Growth)
+		t.Logf("%s growth: g %.17g, oracle %.17g, weight ESS %.1f of %d", label, est.Growth, oracle.Growth, est.WeightESS, len(s.PostBurninAges()))
 		if math.Abs(est.Growth-oracle.Growth) > 1e-6*math.Max(1, math.Abs(oracle.Growth)) && !(logL > oracleLogL) {
 			t.Errorf("%s: growth %v, oracle %v, and log L not higher (%v vs %v)", label, est.Growth, oracle.Growth, logL, oracleLogL)
 		}

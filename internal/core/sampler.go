@@ -36,7 +36,8 @@ type ChainConfig struct {
 	// Trace, when set, streams every recorded draw to an append-only
 	// sidecar file instead of accumulating it in memory: the recorder
 	// stays bounded, and snapshots carry a durable byte offset into the
-	// sidecar instead of the trace itself (O(interval) checkpoints).
+	// sidecar (O(interval) checkpoints). Only such a run's snapshots
+	// restore; the sidecar is the one form a snapshot's trace takes.
 	Trace *TraceSpec
 	// ESSTarget, when positive, ends the run early once the online
 	// effective-sample-size estimate of the post-burn-in stat stream

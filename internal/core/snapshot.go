@@ -19,13 +19,18 @@ import (
 // full Rebase, and the total is always the full pattern sum at the root),
 // so a restore rebuilds the cache from the tree and lands on bit-identical
 // likelihoods. What must be carried exactly: tree topology and node ages,
-// every PRNG state, the recorded trace so far (or, for a spilling run, a
-// reference to its durable prefix in the sidecar), and the run's counters.
+// every PRNG state, the run's counters, and the recorded trace so far.
+// The trace has one form: a reference to its durable prefix in the run's
+// sidecar (TraceRef), never the draws themselves, so a snapshot's size is
+// independent of how many draws were recorded.
 //
-// The restore contract is bit-identical resumption: a run snapshotted at
-// an arbitrary step boundary and restored into a freshly started stepper
-// with the same configuration produces the same remaining draws, decisions
-// and final Result as the uninterrupted run.
+// The restore contract is bit-identical resumption: a spilling run
+// snapshotted at an arbitrary step boundary and restored into a freshly
+// started stepper with the same configuration produces the same remaining
+// draws, decisions and final Result as the uninterrupted run. A run that
+// records in memory still reports its chains and counters from Snapshot
+// (replays read the final tree from it), but its snapshot carries no
+// trace and cannot be restored.
 
 // ChainSnapshot is the persistent state of one engine chain: the current
 // genealogy plus the chain's tempering exponent and evaluation mode. The
@@ -81,15 +86,6 @@ func (s *chainState) RestoreChainState(c ChainSnapshot) error {
 	return nil
 }
 
-// TraceSnapshot is the recorded trace of a run so far: one entry per draw,
-// deep-copied out of the recorder. Only in-memory runs carry it; spilling
-// runs carry a TraceRef instead.
-type TraceSnapshot struct {
-	Stats  []float64
-	Ages   [][]float64
-	LogLik []float64
-}
-
 // TraceRef is a spilling run's trace as a snapshot carries it: not the
 // draws, just where the durable prefix of the sidecar ends and where
 // the current pass began inside it. This is what makes snapshot size
@@ -118,96 +114,53 @@ type TraceRef struct {
 	Stopped bool
 }
 
-// snapshot exports the recorder's trace state: a deep copy of the
-// draws for in-memory runs, or — after flushing, so the offsets below
-// are durable — a sidecar reference for spilling runs.
-func (r *recorder) snapshot() (*TraceSnapshot, *TraceRef, error) {
-	if r.spill != nil {
-		if err := r.spill.Flush(); err != nil {
-			return nil, nil, fmt.Errorf("core: trace sidecar: %w", err)
-		}
-		off, draws := r.spill.Durable()
-		ref := &TraceRef{
-			Path:       r.spill.Path(),
-			NAges:      r.nAges,
-			Offset:     off,
-			Draws:      draws,
-			PassOffset: r.passOff,
-			PassDraws:  r.passDraws,
-			Stopped:    r.stopped,
-		}
-		if r.diag != nil {
-			ref.ESS = r.diag.ESS()
-			ref.RHat = r.diag.RHat()
-		}
-		return nil, ref, nil
+// snapshot exports the recorder's trace state: for a spilling run, a
+// sidecar reference, taken after flushing so its offsets are durable;
+// for a run that records in memory, nothing.
+func (r *recorder) snapshot() (*TraceRef, error) {
+	if r.spill == nil {
+		return nil, nil
 	}
-	t := &TraceSnapshot{
-		Stats:  append([]float64(nil), r.set.Stats...),
-		Ages:   make([][]float64, len(r.set.Ages)),
-		LogLik: append([]float64(nil), r.set.LogLik...),
+	if err := r.spill.Flush(); err != nil {
+		return nil, fmt.Errorf("core: trace sidecar: %w", err)
 	}
-	for i, ages := range r.set.Ages {
-		t.Ages[i] = append([]float64(nil), ages...)
+	off, draws := r.spill.Durable()
+	ref := &TraceRef{
+		Path:       r.spill.Path(),
+		NAges:      r.nAges,
+		Offset:     off,
+		Draws:      draws,
+		PassOffset: r.passOff,
+		PassDraws:  r.passDraws,
+		Stopped:    r.stopped,
 	}
-	return t, nil, nil
+	if r.diag != nil {
+		ref.ESS = r.diag.ESS()
+		ref.RHat = r.diag.RHat()
+	}
+	return ref, nil
 }
 
-// restore replays a snapshot's trace into a fresh recorder that must
-// hold exactly step draws afterwards. The snapshot must come from a run
-// in the same recording mode:
-//
-//   - in-memory trace → in-memory recorder: the draws replay through
-//     record;
-//   - sidecar ref → spilling recorder: the sidecar is truncated back to
-//     the checkpointed durable offset (discarding anything written
-//     after the snapshot, including a recovered-but-newer tail) and the
-//     pass's draws replay through the online diagnostics.
-//
-// A mismatched pairing is an error, raised before any file is touched.
-func (r *recorder) restore(t *TraceSnapshot, ref *TraceRef, step int) error {
+// restore replays a snapshot's sidecar reference into a fresh spilling
+// recorder that must hold exactly step draws afterwards: the sidecar is
+// truncated back to the checkpointed durable offset (discarding anything
+// written after the snapshot, including a recovered-but-newer tail) and
+// the pass's draws replay through the online diagnostics. Every check
+// runs before the file is touched, so a refused restore leaves the
+// sidecar as it was.
+func (r *recorder) restore(ref *TraceRef, step int) error {
 	if r.n != 0 {
 		return fmt.Errorf("core: trace restore into a recorder that already has %d draws", r.n)
 	}
 	if step < 0 || step > r.total {
 		return fmt.Errorf("core: trace restore at step %d, run records at most %d", step, r.total)
 	}
-	switch {
-	case t != nil && ref != nil:
-		return fmt.Errorf("core: snapshot carries both a trace and a sidecar reference")
-	case t != nil && r.spill == nil:
-		return r.restoreTrace(t, step)
-	case ref != nil && r.spill != nil:
-		return r.restoreRef(ref, step)
-	case t != nil:
-		return fmt.Errorf("core: in-memory trace snapshot restored into a run that spills to a trace sidecar")
-	case ref != nil:
+	if ref == nil {
+		return fmt.Errorf("core: snapshot carries no sidecar reference (TraceRef); only a run that spills its trace to a sidecar can be restored")
+	}
+	if r.spill == nil {
 		return fmt.Errorf("core: sidecar trace snapshot restored into a run that records in memory")
-	default:
-		return fmt.Errorf("core: snapshot carries no trace")
 	}
-}
-
-func (r *recorder) restoreTrace(t *TraceSnapshot, step int) error {
-	if len(t.Stats) != step {
-		return fmt.Errorf("core: trace snapshot has %d draws, snapshot step is %d", len(t.Stats), step)
-	}
-	if len(t.Stats) != len(t.Ages) || len(t.Stats) != len(t.LogLik) {
-		return fmt.Errorf("core: trace snapshot is ragged: %d stats, %d age rows, %d log-likelihoods",
-			len(t.Stats), len(t.Ages), len(t.LogLik))
-	}
-	for i := range t.Stats {
-		if len(t.Ages[i]) != r.nAges {
-			return fmt.Errorf("core: trace snapshot draw %d has %d ages, want %d", i, len(t.Ages[i]), r.nAges)
-		}
-		if err := r.record(t.Stats[i], t.Ages[i], t.LogLik[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *recorder) restoreRef(ref *TraceRef, step int) error {
 	if ref.NAges != r.nAges {
 		return fmt.Errorf("core: sidecar reference has %d ages per draw, run has %d", ref.NAges, r.nAges)
 	}
@@ -266,16 +219,19 @@ func (c Counters) applyTo(res *Result) {
 // sampling run. One struct covers all four samplers; the Sampler tag
 // selects which fields are meaningful:
 //
-//   - "mh": Host (the chain's generator), Chains[0], Trace, Counters, Step.
+//   - "mh": Host (the chain's generator), Chains[0].
 //   - "gmh": Host, Streams (one per proposal thread), Cur (the current
 //     state's slot index — it decides how streams map onto slots and the
 //     index-chain walk order, so it must survive), Chains[0] (the current
-//     slot's tree), Trace, Counters. Step is the number of recorded draws.
+//     slot's tree).
 //   - "heated": Host (the swap generator), Streams (one per rung),
 //     Chains (every rung in ladder order), Ladder (the temperature-ladder
 //     controller's runtime state — the adapted β schedule, per-pair swap
-//     windows and adaptation clock; always set), Trace, Counters, Step.
+//     windows and adaptation clock; always set).
 //   - "multichain": Subs (one "mh" snapshot per chain, in chain order).
+//
+// The three sampler snapshots also carry Step (the number of recorded
+// draws), Counters and, for a spilling run, TraceRef.
 type StepSnapshot struct {
 	Sampler string
 	Step    int
@@ -284,10 +240,9 @@ type StepSnapshot struct {
 	Streams []rng.MTState
 	Chains  []ChainSnapshot
 	Ladder  *tempering.State
-	// Trace carries the draws of an in-memory run; TraceRef the sidecar
-	// reference of a spilling run. Exactly one is set, and only TraceRef
-	// can be checkpointed to disk.
-	Trace    *TraceSnapshot
+	// TraceRef is the sidecar reference of a spilling run, the only form
+	// of a snapshot's trace; it is nil for a run that records in memory,
+	// whose snapshot can be neither restored nor checkpointed.
 	TraceRef *TraceRef
 	Counters
 	Subs []*StepSnapshot
@@ -310,9 +265,11 @@ type StepSnapshot struct {
 // Its between-steps state can be exported and restored. Restore must be
 // called on a freshly started stepper (same sampler, same ChainConfig)
 // before its first Step; Snapshot must be called between steps — the
-// scheduler guarantees both by construction. Snapshot can fail only in
-// spill mode, where it must make the sidecar durable before referencing
-// it.
+// scheduler guarantees both by construction. Only a spilling run's
+// snapshot restores: its trace is a reference into the sidecar, which
+// Snapshot must make durable first (the only way Snapshot can fail). A
+// run that records in memory snapshots its chains and counters without a
+// trace, and Restore refuses that snapshot.
 type SnapshotStepper interface {
 	// Step performs one transition and records its draw(s). An error is
 	// fatal to the run.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"mpcgs/internal/device"
@@ -58,15 +60,16 @@ func resultsIdentical(t *testing.T, label string, want, got *Result) {
 }
 
 // TestKillResumeBitIdentical is the headline acceptance test of the
-// checkpoint subsystem at the core layer: for every sampler, a run
-// snapshotted at an arbitrary step boundary and restored into a freshly
-// started stepper finishes with a trace bit-identical to the
-// uninterrupted run's.
+// checkpoint subsystem at the core layer: for every sampler, a spilling
+// run snapshotted at an arbitrary step boundary and restored into a
+// freshly started stepper finishes with a trace bit-identical to the
+// uninterrupted (in-memory) run's.
 func TestKillResumeBitIdentical(t *testing.T) {
 	dev := device.New(3)
 	defer dev.Close()
 	eval, init := engineFixture(t, 6, 80, 901, dev)
 	cfg := ChainConfig{Theta: 1.0, Burnin: 25, Samples: 140, Seed: 902}
+	dir := t.TempDir()
 
 	samplers := []struct {
 		name string
@@ -87,7 +90,8 @@ func TestKillResumeBitIdentical(t *testing.T) {
 			// Interrupt at several different boundaries, including step 0
 			// (nothing happened yet) and a point past burn-in.
 			for _, kill := range []int{0, 1, 17, 60} {
-				run, err := tc.s.Start(init, cfg)
+				killCfg := spilling(cfg, dir, fmt.Sprintf("%s-kill%d", tc.name, kill))
+				run, err := tc.s.Start(init, killCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +102,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 				}
 				snap := mustSnapshot(t, run)
 				// The original run is now abandoned; a fresh one restores.
-				resumed, err := tc.s.Start(init, cfg)
+				resumed, err := tc.s.Start(init, killCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,6 +138,7 @@ func TestKillResumeSerialEvalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg = spilling(cfg, t.TempDir(), "serial")
 	run, err := serial.Start(init, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +183,9 @@ func TestKillResumeSerialEvalMode(t *testing.T) {
 func TestRestoreRejectsMismatches(t *testing.T) {
 	dev := device.Serial()
 	eval, init := engineFixture(t, 6, 60, 921, dev)
-	cfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 50, Seed: 922}
+	base := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 50, Seed: 922}
+	dir := t.TempDir()
+	cfg := spilling(base, dir, "gmh")
 
 	gmh3, _ := NewGMH(eval, dev, 3).Start(init, cfg)
 	for i := 0; i < 5; i++ {
@@ -196,6 +203,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := mh.Restore(snap); err == nil {
 		t.Fatal("gmh snapshot restored into an mh run")
 	}
+	cfg = spilling(base, dir, "heated")
 	h2, _ := NewHeated(eval, dev, 2).Start(init, cfg)
 	h3, _ := NewHeated(eval, dev, 3).Start(init, cfg)
 	for i := 0; i < 4; i++ {
@@ -217,6 +225,7 @@ func TestEMKillResumeBitIdentical(t *testing.T) {
 	defer dev.Close()
 	eval, init := engineFixture(t, 6, 60, 931, dev)
 	cfg := EMConfig{InitialTheta: 1.0, Iterations: 3, Burnin: 20, Samples: 90, Seed: 932}
+	dir := t.TempDir()
 
 	for _, tc := range []struct {
 		name string
@@ -233,7 +242,9 @@ func TestEMKillResumeBitIdentical(t *testing.T) {
 			// Kill points chosen to land both mid-iteration and right at an
 			// iteration boundary (each pass is Burnin+Samples transitions).
 			for _, kill := range []int{0, 7, 110, 115} {
-				run, err := StartEM(tc.s, init, cfg, dev)
+				killCfg := cfg
+				killCfg.Trace = &TraceSpec{Path: filepath.Join(dir, fmt.Sprintf("%s-kill%d.trace", tc.name, kill))}
+				run, err := StartEM(tc.s, init, killCfg, dev)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -252,7 +263,7 @@ func TestEMKillResumeBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed, err := StartEM(tc.s, init, cfg, dev)
+				resumed, err := StartEM(tc.s, init, killCfg, dev)
 				if err != nil {
 					t.Fatal(err)
 				}

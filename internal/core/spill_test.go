@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpcgs/internal/device"
@@ -127,63 +128,98 @@ func replayAll(t *testing.T, path string) [][]byte {
 	return draws
 }
 
-// TestRestoreRejectsCrossModeTrace: a snapshot restores only into a run
-// of its own recording mode. A sidecar snapshot restored into an
-// in-memory run, and an in-memory snapshot restored into a spilling run,
-// are both refused — and the refused restore leaves the sidecar file
-// byte-for-byte as it was.
+// TestRestoreRejectsCrossModeTrace: a snapshot's trace has one form, the
+// sidecar reference. For every sampler, a run that records in memory
+// still snapshots its chains and counters but carries no TraceRef, and
+// restoring that snapshot fails — into an in-memory run and into a
+// spilling one alike — with an error naming the missing sidecar
+// reference. A sidecar snapshot restored into an in-memory run is refused
+// too, and no refused restore changes a byte of the sidecar.
 func TestRestoreRejectsCrossModeTrace(t *testing.T) {
 	dev := device.Serial()
 	eval, init := engineFixture(t, 6, 60, 811, dev)
-	s := NewGMH(eval, dev, 3)
 	memCfg := ChainConfig{Theta: 1.0, Burnin: 10, Samples: 90, Seed: 812}
-	side := filepath.Join(t.TempDir(), "job.trace")
-	spillCfg := memCfg
-	spillCfg.Trace = &TraceSpec{Path: side}
+	for _, tc := range []struct {
+		name string
+		s    StepSampler
+	}{
+		{"mh", NewMH(eval)},
+		{"gmh", NewGMH(eval, dev, 3)},
+		{"heated", NewHeated(eval, dev, 3)},
+		{"multichain", NewMultiChain(eval, dev, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spillCfg := spilling(memCfg, dir, "job")
+			snapAt := func(cfg ChainConfig) *StepSnapshot {
+				t.Helper()
+				run, err := tc.s.Start(init, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 11; i++ {
+					if err := run.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return mustSnapshot(t, run)
+			}
+			spillSnap := snapAt(spillCfg)
+			memSnap := snapAt(memCfg)
+			steps := []*StepSnapshot{memSnap}
+			if tc.name == "multichain" {
+				steps = memSnap.Subs
+			}
+			for _, st := range steps {
+				if len(st.Chains) == 0 || st.Chains[0].Tree == nil || st.TraceRef != nil {
+					t.Fatalf("in-memory snapshot shape wrong: %d chains, trace ref %v", len(st.Chains), st.TraceRef != nil)
+				}
+			}
+			sidecars := func() map[string][]byte {
+				t.Helper()
+				paths, err := filepath.Glob(filepath.Join(dir, "*"))
+				if err != nil || len(paths) == 0 {
+					t.Fatalf("no sidecar files in %s: %v", dir, err)
+				}
+				files := make(map[string][]byte, len(paths))
+				for _, p := range paths {
+					if files[p], err = os.ReadFile(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return files
+			}
+			before := sidecars()
 
-	snapAt := func(cfg ChainConfig) *StepSnapshot {
-		t.Helper()
-		run, err := s.Start(init, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 11; i++ {
-			if err := run.Step(); err != nil {
+			for _, into := range []struct {
+				mode string
+				cfg  ChainConfig
+			}{{"an in-memory", memCfg}, {"a spilling", spillCfg}} {
+				run, err := tc.s.Start(init, into.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run.Restore(memSnap); err == nil || !strings.Contains(err.Error(), "no sidecar reference") {
+					t.Errorf("in-memory snapshot restored into %s run: %v", into.mode, err)
+				}
+			}
+			mem, err := tc.s.Start(init, memCfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		return mustSnapshot(t, run)
-	}
-	spillSnap := snapAt(spillCfg)
-	memSnap := snapAt(memCfg)
-	if spillSnap.TraceRef == nil || memSnap.Trace == nil {
-		t.Fatalf("snapshot shapes wrong: ref=%v trace=%v", spillSnap.TraceRef != nil, memSnap.Trace != nil)
-	}
-	before, err := os.ReadFile(side)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem, err := s.Start(init, memCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Restore(spillSnap); err == nil {
-		t.Error("sidecar snapshot restored into an in-memory run")
-	}
-	spill, err := s.Start(init, spillCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spill.Restore(memSnap); err == nil {
-		t.Error("in-memory snapshot restored into a spilling run")
-	}
-	after, err := os.ReadFile(side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Errorf("refused restores changed the sidecar: %d bytes before, %d after", len(before), len(after))
+			if err := mem.Restore(spillSnap); err == nil {
+				t.Error("sidecar snapshot restored into an in-memory run")
+			}
+			after := sidecars()
+			if len(after) != len(before) {
+				t.Fatalf("refused restores changed the sidecar set: %d files before, %d after", len(before), len(after))
+			}
+			for p, b := range before {
+				if !bytes.Equal(b, after[p]) {
+					t.Errorf("refused restores changed %s: %d bytes before, %d after", filepath.Base(p), len(b), len(after[p]))
+				}
+			}
+		})
 	}
 }
 

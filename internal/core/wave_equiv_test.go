@@ -80,8 +80,10 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 	}
 	resultsIdentical(t, "uninterrupted wave vs per-candidate", wantPC, want)
 
+	dir := t.TempDir()
 	for _, kill := range []int{0, 1, 17, 60} {
-		run, err := g.Start(init, waveEquivConfig)
+		killCfg := spilling(waveEquivConfig, dir, fmt.Sprintf("kill%d", kill))
+		run, err := g.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +93,7 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 			}
 		}
 		snap := mustSnapshot(t, run)
-		resumed, err := g.Start(init, waveEquivConfig)
+		resumed, err := g.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +115,8 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 	// The cross-dispatch snapshot is also valid: a snapshot taken from a
 	// per-candidate run restores into a wave run (and vice versa) because
 	// the wave keeps no cross-round state worth carrying.
-	run, err := oracle.Start(init, waveEquivConfig)
+	crossCfg := spilling(waveEquivConfig, dir, "cross")
+	run, err := oracle.Start(init, crossCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestWaveGMHKillResumeBitIdentical(t *testing.T) {
 		}
 	}
 	snap := mustSnapshot(t, run)
-	resumed, err := g.Start(init, waveEquivConfig)
+	resumed, err := g.Start(init, crossCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +174,10 @@ func TestGMHReferenceMatchesWave(t *testing.T) {
 	}
 	sameTraces(t, "gmh reference vs wave", want.Samples, wave.Samples, 1e-9)
 
+	dir := t.TempDir()
 	for _, kill := range []int{0, 1, 17, 60} {
-		run, err := g.Start(init, waveEquivConfig)
+		killCfg := spilling(waveEquivConfig, dir, fmt.Sprintf("kill%d", kill))
+		run, err := g.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +187,7 @@ func TestGMHReferenceMatchesWave(t *testing.T) {
 			}
 		}
 		snap := mustSnapshot(t, run)
-		resumed, err := g.Start(init, waveEquivConfig)
+		resumed, err := g.Start(init, killCfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,6 +201,11 @@ type Diagnostics struct {
 type GrowthResult struct {
 	Theta  float64
 	Growth float64
+	// WeightESS is the effective sample size of the importance weights
+	// at the estimate (core.GrowthEstimate.WeightESS): far below the
+	// number of draws, the reweighting from the pass's driving value is
+	// unreliable.
+	WeightESS float64
 }
 
 // SwapReport is the heated sampler's per-pair swap-rate diagnostic:
@@ -312,7 +317,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Growth = &GrowthResult{Theta: est.Theta, Growth: est.Growth}
+		res.Growth = &GrowthResult{Theta: est.Theta, Growth: est.Growth, WeightESS: est.WeightESS}
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@
 package clitest
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -565,7 +566,7 @@ func TestMpcgsRefusesV3BatchCheckpoint(t *testing.T) {
 		{"-inspect", ckptDir},
 	} {
 		out := runExpectError(t, "mpcgs", args...)
-		for _, want := range []string{ckpt.Path(ckptDir), "version 3", "only version 4"} {
+		for _, want := range []string{ckpt.Path(ckptDir), "version 3", fmt.Sprintf("only version %d", ckpt.FormatVersion)} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("mpcgs %v: output does not mention %q:\n%s", args, want, out)
 			}
@@ -796,12 +797,41 @@ func TestMpcgsInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A real mid-flight multichain snapshot: 2 chains, 30 sweeps into
+	// the first pass, spilling into the job's one sidecar.
+	pooledTrace := filepath.Join(dir, "pooled", "pooled.trace")
+	if err := os.MkdirAll(filepath.Dir(pooledTrace), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mc, err := core.StartEM(core.NewMultiChain(eval, dev, 2), init, core.EMConfig{
+		InitialTheta: 1.0, Iterations: 2, Burnin: 20, Samples: 120, Seed: 58,
+		Trace: &core.TraceSpec{Path: pooledTrace},
+	}, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := mc.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mcSnap, err := mc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcWire, err := ckpt.EncodeEM(mcSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range []*ckpt.JobState{
 		{Name: "finished", Fingerprint: "fp1", Status: ckpt.StatusDone, Steps: 320,
 			Theta: "0x1.8p+00"},
 		{Name: "broken", Fingerprint: "fp2", Status: ckpt.StatusFailed, Error: "pathological theta"},
 		{Name: "midflight", Fingerprint: "fp3", Status: ckpt.StatusPaused, Steps: 75,
 			EM: wire},
+		{Name: "pooled", Fingerprint: "fp4", Status: ckpt.StatusPaused, Steps: 30,
+			EM: mcWire},
 	} {
 		if err := ckpt.Save(filepath.Join(dir, j.Name), j); err != nil {
 			t.Fatal(err)
@@ -810,21 +840,32 @@ func TestMpcgsInspect(t *testing.T) {
 
 	out := run(t, "mpcgs", "", "-inspect", dir)
 	for _, want := range []string{
-		"format v4, 3 jobs",
+		fmt.Sprintf("format v%d, 4 jobs", ckpt.FormatVersion),
 		"finished", "done", "theta = 1.5",
 		"broken", "failed", "pathological theta",
 		"midflight", "paused", "sampler heated at transition 75",
 		"trace sidecar: ",
 		"ladder (adaptive, window 8",
 		"pair 0-1", "pair 1-2", "swap rate",
+		// One sweep records a draw per chain: 30 sweeps of 2 chains.
+		"sampler multichain at transition 60, 60 draws recorded",
+		"file " + pooledTrace + ": ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("-inspect output missing %q:\n%s", want, out)
 		}
 	}
+	// The ensemble keeps no online diagnostic: independent chains
+	// alternate in its sweep-ordered stream, so an ESS of it would
+	// mislead.
+	_, pooled, found := strings.Cut(out, "job pooled")
+	pooled, _, _ = strings.Cut(pooled, "\njob ")
+	if !found || strings.Contains(pooled, "online ESS") || strings.Contains(pooled, "R-hat") {
+		t.Fatalf("-inspect reports online diagnostics for a multichain job:\n%s", out)
+	}
 	// Pointed at one job's directory, inspect reports that job alone.
 	out = run(t, "mpcgs", "", "-inspect", filepath.Join(dir, "finished"))
-	if !strings.Contains(out, "format v4, 1 jobs") || !strings.Contains(out, "theta = 1.5") || strings.Contains(out, "midflight") {
+	if !strings.Contains(out, fmt.Sprintf("format v%d, 1 jobs", ckpt.FormatVersion)) || !strings.Contains(out, "theta = 1.5") || strings.Contains(out, "midflight") {
 		t.Fatalf("-inspect of one job directory:\n%s", out)
 	}
 	// Inspect is read-only and refuses positional arguments.

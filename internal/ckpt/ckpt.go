@@ -70,8 +70,14 @@ import (
 //	4 — one file per job: the state file holds a single job's record
 //	    and sits in that job's own checkpoint directory, next to its
 //	    trace sidecar. The record's fields are those of a version-3
-//	    batch entry.
-const FormatVersion = 4
+//	    batch entry. A MultiChain step held one sub-step per chain,
+//	    each with its own sidecar. No longer read.
+//	5 — every sampler's step has one shape. A MultiChain step carries
+//	    its chains and their streams and one trace_ref into the job's
+//	    one sidecar, and no host generator; host is optional, as
+//	    streams already were. A trace_ref of a run that keeps no online
+//	    diagnostic (MultiChain) carries no ess or rhat.
+const FormatVersion = 5
 
 // FileName is the state file inside a job's checkpoint directory. It
 // keeps the name version 3 gave the whole-batch file, so a directory an
@@ -134,18 +140,20 @@ type EMState struct {
 	Active  *Step         `json:"active,omitempty"`
 }
 
-// Step is the wire form of core.StepSnapshot.
+// Step is the wire form of core.StepSnapshot. Every sampler's step has
+// this one shape; the fields a sampler does not use are absent.
 type Step struct {
-	Sampler string     `json:"sampler"`
-	Step    int        `json:"step"`
-	Cur     int        `json:"cur,omitempty"`
+	Sampler string `json:"sampler"`
+	Step    int    `json:"step"`
+	Cur     int    `json:"cur,omitempty"`
+	// Host is the run's own generator; MultiChain has none, its chains
+	// draw from Streams.
 	Host    *RNGState  `json:"host,omitempty"`
 	Streams []RNGState `json:"streams,omitempty"`
 	Chains  []Chain    `json:"chains,omitempty"`
 	Ladder  *Ladder    `json:"ladder,omitempty"`
 	// TraceRef locates the step's draws in the append-only sidecar
 	// file: the snapshot carries only the durable offsets. Every step
-	// but the multichain wrapper (whose per-chain subs carry their own)
 	// has one.
 	TraceRef *TraceRef `json:"trace_ref,omitempty"`
 
@@ -154,8 +162,6 @@ type Step struct {
 	FailedProposals int `json:"failed_proposals,omitempty"`
 	Swaps           int `json:"swaps,omitempty"`
 	SwapAttempts    int `json:"swap_attempts,omitempty"`
-
-	Subs []*Step `json:"subs,omitempty"`
 }
 
 // Chain is the wire form of core.ChainSnapshot.

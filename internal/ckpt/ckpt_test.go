@@ -133,7 +133,8 @@ func TestRNGRoundTrip(t *testing.T) {
 // to a sidecar, snapshots it, pushes the snapshot through JSON, and
 // requires the resumed run to be bit-identical — the end-to-end statement
 // that the wire format loses nothing a chain needs. Every sampler step
-// crosses the wire as a trace_ref, multichain's per-chain subs included.
+// crosses the wire with one trace_ref into its run's one sidecar, multichain
+// included.
 func TestStepSnapshotWireRoundTrip(t *testing.T) {
 	dev := device.Serial()
 	aln, _, err := seqgen.SimulateData(6, 60, 1.0, 77)
@@ -196,17 +197,13 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &wire); err != nil {
 			t.Fatal(err)
 		}
-		if tc.name == "multichain" {
-			if wire.TraceRef != nil || len(wire.Subs) != 2 {
-				t.Fatalf("multichain wire shape: ref=%v subs=%d", wire.TraceRef != nil, len(wire.Subs))
-			}
-			for i, sub := range wire.Subs {
-				if sub.TraceRef == nil || !strings.HasSuffix(sub.TraceRef.Path, fmt.Sprintf(".trace.c%d", i)) {
-					t.Fatalf("multichain sub %d does not reference its own sidecar: %+v", i, sub.TraceRef)
-				}
-			}
-		} else if wire.TraceRef == nil {
-			t.Fatalf("%s: wire step carries no trace_ref", tc.name)
+		// Every sampler's step has the one shape: one trace_ref into the
+		// run's own sidecar.
+		if wire.TraceRef == nil || wire.TraceRef.Path != cfg.Trace.Path {
+			t.Fatalf("%s: wire step does not reference the run's sidecar: %+v", tc.name, wire.TraceRef)
+		}
+		if tc.name == "multichain" && (wire.Host != nil || len(wire.Streams) != 2 || len(wire.Chains) != 2) {
+			t.Fatalf("multichain wire shape: host %v, %d streams, %d chains", wire.Host != nil, len(wire.Streams), len(wire.Chains))
 		}
 		decoded, err := DecodeStep(&wire)
 		if err != nil {
@@ -453,12 +450,12 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 }
 
 // TestLoadRejectsOldVersions: format-1 and format-2 checkpoints (inline
-// traces) and format-3 ones (every job of a batch in one file) are no
-// longer read. Load fails before decoding, naming the file, the version
+// traces), format-3 ones (every job of a batch in one file) and format-4
+// ones (a multichain step of per-chain sub-steps) are no longer read. Load fails before decoding, naming the file, the version
 // found and the version supported — even for a document that would
 // otherwise decode cleanly.
 func TestLoadRejectsOldVersions(t *testing.T) {
-	for _, v := range []int{1, 2, 3} {
+	for _, v := range []int{1, 2, 3, 4} {
 		dir := t.TempDir()
 		doc := fmt.Sprintf(`{
  "version": %d,
@@ -491,15 +488,15 @@ func TestLoadRejectsMalformedJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(`{"version": 4, "name": "", "status": "done"}`)
+	write(fmt.Sprintf(`{"version": %d, "name": "", "status": "done"}`, FormatVersion))
 	if _, err := Load(dir); err == nil {
 		t.Error("nameless job accepted")
 	}
-	write(`{"version": 4, "name": "x", "status": "parked"}`)
+	write(fmt.Sprintf(`{"version": %d, "name": "x", "status": "parked"}`, FormatVersion))
 	if _, err := Load(dir); err == nil {
 		t.Error("unknown status accepted")
 	}
-	write(`{"version": 4, "name": "x", "status": "paused"}`)
+	write(fmt.Sprintf(`{"version": %d, "name": "x", "status": "paused"}`, FormatVersion))
 	if _, err := Load(dir); err == nil {
 		t.Error("paused job without EM state accepted")
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -263,22 +264,26 @@ func DecodeLadder(w *Ladder) (*tempering.State, error) {
 	return s, nil
 }
 
-// EncodeTraceRef converts a sidecar trace reference to wire form.
+// EncodeTraceRef converts a sidecar trace reference to wire form. The
+// online diagnostics are written only for a run that keeps them: a NaN
+// ESS marks a run that keeps none.
 func EncodeTraceRef(r *core.TraceRef) *TraceRef {
 	if r == nil {
 		return nil
 	}
-	return &TraceRef{
+	w := &TraceRef{
 		Path:       r.Path,
 		NAges:      r.NAges,
 		Offset:     r.Offset,
 		Draws:      r.Draws,
 		PassOffset: r.PassOffset,
 		PassDraws:  r.PassDraws,
-		ESS:        hexFloat(r.ESS),
-		RHat:       hexFloat(r.RHat),
 		Stopped:    r.Stopped,
 	}
+	if !math.IsNaN(r.ESS) {
+		w.ESS, w.RHat = hexFloat(r.ESS), hexFloat(r.RHat)
+	}
+	return w
 }
 
 // DecodeTraceRef converts a wire sidecar reference back. Offset
@@ -305,6 +310,8 @@ func DecodeTraceRef(w *TraceRef) (*core.TraceRef, error) {
 		PassOffset: w.PassOffset,
 		PassDraws:  w.PassDraws,
 		Stopped:    w.Stopped,
+		ESS:        math.NaN(),
+		RHat:       math.NaN(),
 	}
 	var err error
 	if w.ESS != "" {
@@ -320,16 +327,15 @@ func DecodeTraceRef(w *TraceRef) (*core.TraceRef, error) {
 	return r, nil
 }
 
-// EncodeStep converts a stepper snapshot to wire form. Every sampler
-// step — anything but the multichain wrapper, whose subs carry their
-// own — must reference its sidecar trace: a snapshot's trace has no other
-// form, so the snapshot of a run that records in memory carries none and
-// is refused.
+// EncodeStep converts a stepper snapshot to wire form. Every step must
+// reference its sidecar trace: a snapshot's trace has no other form, so
+// the snapshot of a run that records in memory carries none and is
+// refused.
 func EncodeStep(s *core.StepSnapshot) (*Step, error) {
 	if s == nil {
 		return nil, nil
 	}
-	if s.Sampler != "multichain" && s.TraceRef == nil {
+	if s.TraceRef == nil {
 		return nil, fmt.Errorf("ckpt: %q step snapshot has no trace_ref: its run records in memory, and only runs that spill to a trace sidecar can be checkpointed", s.Sampler)
 	}
 	w := &Step{
@@ -344,8 +350,8 @@ func EncodeStep(s *core.StepSnapshot) (*Step, error) {
 		Swaps:           s.Swaps,
 		SwapAttempts:    s.SwapAttempts,
 	}
-	if s.Sampler != "multichain" {
-		host := EncodeRNG(s.Host)
+	if s.Host != nil {
+		host := EncodeRNG(*s.Host)
 		w.Host = &host
 	}
 	for _, st := range s.Streams {
@@ -354,24 +360,16 @@ func EncodeStep(s *core.StepSnapshot) (*Step, error) {
 	for _, c := range s.Chains {
 		w.Chains = append(w.Chains, EncodeChain(c))
 	}
-	for i, sub := range s.Subs {
-		ws, err := EncodeStep(sub)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: sub-chain %d: %w", i, err)
-		}
-		w.Subs = append(w.Subs, ws)
-	}
 	return w, nil
 }
 
-// DecodeStep converts a wire stepper snapshot back. Every sampler step —
-// anything but the multichain wrapper, whose subs carry their own — must
+// DecodeStep converts a wire stepper snapshot back. Every step must
 // reference its sidecar trace.
 func DecodeStep(w *Step) (*core.StepSnapshot, error) {
 	if w == nil {
 		return nil, nil
 	}
-	if w.Sampler != "multichain" && w.TraceRef == nil {
+	if w.TraceRef == nil {
 		return nil, fmt.Errorf("ckpt: %q step snapshot has no trace_ref", w.Sampler)
 	}
 	s := &core.StepSnapshot{
@@ -391,7 +389,7 @@ func DecodeStep(w *Step) (*core.StepSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Host = host
+		s.Host = &host
 	}
 	for i, st := range w.Streams {
 		dec, err := DecodeRNG(st)
@@ -417,13 +415,6 @@ func DecodeStep(w *Step) (*core.StepSnapshot, error) {
 		return nil, err
 	}
 	s.TraceRef = ref
-	for i, sub := range w.Subs {
-		dec, err := DecodeStep(sub)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: sub-chain %d: %w", i, err)
-		}
-		s.Subs = append(s.Subs, dec)
-	}
 	return s, nil
 }
 

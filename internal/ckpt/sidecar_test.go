@@ -202,32 +202,23 @@ func TestEncodeStepRejectsInMemoryTrace(t *testing.T) {
 	if w, err := EncodeEM(em); err == nil {
 		t.Fatalf("EM snapshot with an in-memory pass encoded: %+v", w)
 	}
-	mc := &core.StepSnapshot{Sampler: "multichain", Subs: []*core.StepSnapshot{snap}}
+	mc := &core.StepSnapshot{Sampler: "multichain", Streams: snap.Streams, Chains: snap.Chains}
 	if w, err := EncodeStep(mc); err == nil {
-		t.Fatalf("multichain snapshot with an in-memory sub encoded: %+v", w)
+		t.Fatalf("multichain snapshot without a trace_ref encoded: %+v", w)
 	}
 }
 
-// TestDecodeStepRequiresTraceRef: every sampler step must reference its
-// sidecar; only the multichain wrapper, whose subs carry their own, may
-// omit one.
+// TestDecodeStepRequiresTraceRef: every sampler step, multichain
+// included, must reference its sidecar.
 func TestDecodeStepRequiresTraceRef(t *testing.T) {
 	ref := &TraceRef{Path: "x.trace", NAges: 5, Offset: 16, Draws: 0}
-	for _, sampler := range []string{"mh", "gmh", "heated"} {
+	for _, sampler := range []string{"mh", "gmh", "heated", "multichain"} {
 		if _, err := DecodeStep(&Step{Sampler: sampler}); err == nil || !strings.Contains(err.Error(), "trace_ref") {
 			t.Errorf("%s step without trace_ref decoded: %v", sampler, err)
 		}
 		if _, err := DecodeStep(&Step{Sampler: sampler, TraceRef: ref}); err != nil {
 			t.Errorf("%s step with trace_ref rejected: %v", sampler, err)
 		}
-	}
-	mc := &Step{Sampler: "multichain", Subs: []*Step{{Sampler: "mh", TraceRef: ref}, {Sampler: "mh"}}}
-	if _, err := DecodeStep(mc); err == nil || !strings.Contains(err.Error(), "sub-chain 1") {
-		t.Errorf("multichain sub without trace_ref decoded: %v", err)
-	}
-	mc.Subs[1].TraceRef = ref
-	if _, err := DecodeStep(mc); err != nil {
-		t.Errorf("multichain wrapper without its own trace_ref rejected: %v", err)
 	}
 }
 

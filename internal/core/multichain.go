@@ -6,6 +6,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/gtree"
+	"mpcgs/internal/rng"
 )
 
 // MultiChain is the classic parallelization the paper argues against
@@ -25,12 +26,14 @@ import (
 // the chains' post-burn-in draws in chain order, truncated to S, with
 // Burnin 0: no burn-in draw is recorded in it.
 //
-// The sampler is step-driven like the others: one Step is a parallel
-// sweep in which every unfinished chain takes one Metropolis step on the
-// device. Chains are fully independent — each owns its generator, engine
-// state and recorder — so the lockstep sweeps produce exactly the draws
-// the old run-each-chain-to-completion layout produced, and the sweep
-// boundary is a consistent point to checkpoint the whole ensemble.
+// The sampler is one pass like the others: one Step is a parallel sweep
+// in which every chain takes one Metropolis step on the device, driven by
+// its own generator, and the sweep's P draws are then recorded in chain
+// order. The pass's one recorder (and, when it spills, its one sidecar)
+// thus holds the sweeps back to back, and Finish regroups them by chain.
+// The ensemble keeps no online diagnostic: in the sweep-ordered stream
+// independent chains alternate, so an ESS of it would read near the draw
+// count whatever the chains' mixing, and stop targets are refused.
 type MultiChain struct {
 	eval   *felsen.Evaluator
 	dev    *device.Device
@@ -42,16 +45,18 @@ func NewMultiChain(eval *felsen.Evaluator, dev *device.Device, chains int) *Mult
 	return &MultiChain{eval: eval, dev: dev, Chains: chains}
 }
 
-// mcRun is one started multichain ensemble: P independent MH runs driven
-// in lockstep sweeps.
+// mcRun is one started multichain ensemble: P independent chains driven
+// in lockstep sweeps, each by its own stream of the pass.
 type mcRun struct {
-	m       *MultiChain
-	samples int // pooled post-burn-in quota
-	nTips   int
-	theta   float64
-	subs    []*mhRun
-	errs    []error
-	kernel  func(chain int)
+	pass
+	m        *MultiChain
+	p        int
+	samples  int // pooled post-burn-in quota
+	theta    float64
+	states   []*chainState
+	accepted []bool
+	errs     []error
+	kernel   func(chain int)
 }
 
 // Start implements StepSampler.
@@ -69,126 +74,105 @@ func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, 
 		// ensemble rejects targets rather than guessing a split.
 		return nil, fmt.Errorf("core: MultiChain does not support convergence stop targets")
 	}
-	perChain := (cfg.Samples + p - 1) / p
-	r := &mcRun{
-		m:       m,
-		samples: cfg.Samples,
-		nTips:   init.NTips(),
-		theta:   cfg.Theta,
-		subs:    make([]*mhRun, p),
-		errs:    make([]error, p),
+	// The pass records every sweep: P·Burnin burn-in draws, then each
+	// chain's ceil(S/P) post-burn-in draws.
+	sweeps := cfg
+	sweeps.Burnin = p * cfg.Burnin
+	sweeps.Samples = p * ((cfg.Samples + p - 1) / p)
+	gens := make([]*rng.MT19937, p)
+	for chain := range gens {
+		gens[chain] = seedSource(cfg.Seed+uint64(chain)*0x01000193, 1)
 	}
-	for chain := 0; chain < p; chain++ {
-		sc := ChainConfig{
-			Theta:   cfg.Theta,
-			Burnin:  cfg.Burnin,
-			Samples: perChain,
-			Seed:    cfg.Seed + uint64(chain)*0x01000193,
-		}
-		if cfg.Trace != nil {
-			// Chains step concurrently inside the device launch, so each
-			// one spills to its own sidecar file.
-			t := *cfg.Trace
-			t.Path = fmt.Sprintf("%s.c%d", cfg.Trace.Path, chain)
-			sc.Trace = &t
-		}
-		run, err := startMH(m.eval, init, sc, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: chain %d: %w", chain, err)
-		}
-		r.subs[chain] = run
+	ps, err := startPass("multichain", m.eval, init, sweeps, nil, rng.NewStreamSetOf(gens))
+	if err != nil {
+		return nil, err
+	}
+	ps.rec.diag = nil // no online diagnostic (see MultiChain)
+	r := &mcRun{
+		pass:     ps,
+		m:        m,
+		p:        p,
+		samples:  cfg.Samples,
+		theta:    cfg.Theta,
+		states:   newChainLadder(m.eval, init, p),
+		accepted: make([]bool, p),
+		errs:     make([]error, p),
 	}
 	r.kernel = func(chain int) {
-		if sub := r.subs[chain]; !sub.Done() {
-			r.errs[chain] = sub.Step()
-		}
+		r.accepted[chain], r.errs[chain] = r.states[chain].step(r.theta, r.streams.Stream(chain))
 	}
 	return r, nil
 }
 
-// Step implements SnapshotStepper: one parallel sweep, each unfinished chain
-// advancing by one Metropolis step.
+// Step implements SnapshotStepper: one parallel sweep, each chain
+// advancing by one Metropolis step, then the sweep's draws in chain order.
 func (r *mcRun) Step() error {
-	r.m.dev.Launch(len(r.subs), r.kernel)
+	r.m.dev.Launch(r.p, r.kernel)
 	for chain, err := range r.errs {
 		if err != nil {
-			return fmt.Errorf("core: chain %d: %w", chain, err)
+			return fmt.Errorf("core: chain %d: proposal failed at step %d: %w", chain, r.rec.len()/r.p, err)
+		}
+	}
+	r.res.Proposals += r.p
+	for chain, st := range r.states {
+		if r.accepted[chain] {
+			r.res.Accepted++
+		}
+		if err := r.rec.recordState(st); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Done implements SnapshotStepper.
-func (r *mcRun) Done() bool {
-	for _, sub := range r.subs {
-		if !sub.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// Finish implements SnapshotStepper: pool the chains' post-burn-in draws, exactly
-// the reduction the run-to-completion layout performed.
+// Finish implements SnapshotStepper: the sweep-ordered pass is regrouped
+// into the pooled set. Chain c's k-th draw sits at index k·P + c, so the
+// pool takes each chain's post-burn-in draws in turn until it holds S.
 func (r *mcRun) Finish() (*Result, error) {
-	out := &SampleSet{
-		NTips:  r.nTips,
-		Theta0: r.theta,
-		Burnin: 0,
+	res, err := r.finish(r.states[r.p-1].cur)
+	if err != nil {
+		return nil, err
+	}
+	sweeps := res.Samples
+	pooled := &SampleSet{
+		NTips:  sweeps.NTips,
+		Theta0: sweeps.Theta0,
 		Stats:  make([]float64, 0, r.samples),
 		Ages:   make([][]float64, 0, r.samples),
 		LogLik: make([]float64, 0, r.samples),
 	}
-	res := &Result{Samples: out}
-	for _, sub := range r.subs {
-		sr, err := sub.Finish()
-		if err != nil {
-			return nil, err
+	for chain := 0; chain < r.p; chain++ {
+		for i := sweeps.Burnin + chain; i < sweeps.Len() && pooled.Len() < r.samples; i += r.p {
+			pooled.Stats = append(pooled.Stats, sweeps.Stats[i])
+			pooled.Ages = append(pooled.Ages, sweeps.Ages[i])
+			pooled.LogLik = append(pooled.LogLik, sweeps.LogLik[i])
 		}
-		res.Accepted += sr.Accepted
-		res.Proposals += sr.Proposals
-		stats := sr.Samples.PostBurninStats()
-		agesList := sr.Samples.PostBurninAges()
-		lls := sr.Samples.PostBurninLogLik()
-		for i := range stats {
-			if out.Len() >= r.samples {
-				break
-			}
-			out.Stats = append(out.Stats, stats[i])
-			out.Ages = append(out.Ages, agesList[i])
-			out.LogLik = append(out.LogLik, lls[i])
-		}
-		res.Final = sr.Final
 	}
+	res.Samples = pooled
 	return res, nil
 }
 
-// Snapshot implements SnapshotStepper: one MH snapshot per chain, in
-// chain order.
+// Snapshot implements SnapshotStepper: every chain's state in chain order
+// plus its stream.
 func (r *mcRun) Snapshot() (*StepSnapshot, error) {
-	subs := make([]*StepSnapshot, len(r.subs))
-	for i, sub := range r.subs {
-		snap, err := sub.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("core: chain %d: %w", i, err)
-		}
-		subs[i] = snap
+	chains := make([]ChainSnapshot, r.p)
+	for i, st := range r.states {
+		chains[i] = st.Snapshot()
 	}
-	return &StepSnapshot{Sampler: "multichain", Subs: subs}, nil
+	return r.snapshot(0, chains, nil)
 }
 
 // Restore implements SnapshotStepper.
 func (r *mcRun) Restore(s *StepSnapshot) error {
-	if s.Sampler != "multichain" {
-		return fmt.Errorf("core: %q snapshot restored into a multichain run", s.Sampler)
-	}
-	if len(s.Subs) != len(r.subs) {
-		return fmt.Errorf("core: multichain snapshot has %d chains, run is configured for %d", len(s.Subs), len(r.subs))
-	}
-	for i, sub := range s.Subs {
-		if err := r.subs[i].Restore(sub); err != nil {
-			return fmt.Errorf("core: chain %d: %w", i, err)
+	return r.restore(s, func() error {
+		if len(s.Chains) != r.p {
+			return fmt.Errorf("core: multichain snapshot has %d chains, run is configured for %d", len(s.Chains), r.p)
 		}
-	}
-	return nil
+		for i := range s.Chains {
+			if err := r.states[i].RestoreChainState(s.Chains[i]); err != nil {
+				return fmt.Errorf("core: chain %d: %w", i, err)
+			}
+		}
+		return nil
+	})
 }

@@ -12,14 +12,15 @@ import (
 // pass is the lifecycle every sampler shares: one recorded pass of draws
 // (§5.1.3), from the start checks to Finish, and the part of a snapshot
 // that is not the sampler's own — the generators, the trace and the
-// counters. gmhRun, mhRun and heatedRun embed it (and through mhRun every
-// multichain chain and the Bayesian genealogy chain); each keeps only its
-// own chain state: GMH's slot set, MH's chain, MC³'s rungs and ladder.
+// counters. gmhRun, mhRun, heatedRun and mcRun embed it (and through
+// mhRun the Bayesian genealogy chain); each keeps only its own chain
+// state: GMH's slot set, MH's chain, MC³'s rungs and ladder, MultiChain's
+// independent chains.
 // The recorder is the one count of the pass: rec.len() is the number of
 // draws so far, rec.total the configured budget.
 type pass struct {
-	name    string // the StepSnapshot.Sampler tag
-	host    *rng.MT19937
+	name    string         // the StepSnapshot.Sampler tag
+	host    *rng.MT19937   // nil for MultiChain, whose chains draw from streams
 	streams *rng.StreamSet // nil for a single-chain run
 	rec     *recorder
 	res     *Result
@@ -78,11 +79,14 @@ func (p *pass) snapshot(cur int, chains []ChainSnapshot, ladder *tempering.State
 		Sampler:  p.name,
 		Step:     p.rec.len(),
 		Cur:      cur,
-		Host:     p.host.State(),
 		Chains:   chains,
 		Ladder:   ladder,
 		TraceRef: ref,
 		Counters: countersOf(p.res),
+	}
+	if p.host != nil {
+		host := p.host.State()
+		s.Host = &host
 	}
 	if p.streams != nil {
 		s.Streams = p.streams.State()
@@ -102,8 +106,13 @@ func (p *pass) restore(s *StepSnapshot, own func() error) error {
 	if err := own(); err != nil {
 		return err
 	}
-	if err := p.host.SetState(s.Host); err != nil {
-		return err
+	if p.host != nil {
+		if s.Host == nil {
+			return fmt.Errorf("core: %s snapshot has no host generator", p.name)
+		}
+		if err := p.host.SetState(*s.Host); err != nil {
+			return err
+		}
 	}
 	if p.streams != nil {
 		if err := p.streams.SetState(s.Streams); err != nil {

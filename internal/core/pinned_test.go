@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"mpcgs/internal/device"
@@ -153,5 +154,29 @@ func TestHeatedPinnedDraws(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPin(t, fmt.Sprintf("heated workers=%d", workers), res, drawPin{0x41c1285477bcfcc, 0x1de18412b578a913, 0xb0808de17329b17e, 0xeb02ccf34f1056d5, 9, 0})
+	}
+}
+
+// TestMultiChainPinnedDraws pins the independent-chains baseline — the
+// pooled draws of a 3-chain ensemble and an EM estimate over it — at 1
+// and 2 workers.
+func TestMultiChainPinnedDraws(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		dev := device.New(workers)
+		eval, init := engineFixture(t, 7, 100, 2131, dev)
+		res, err := Run(NewMultiChain(eval, dev, 3), init, ChainConfig{Theta: 1.0, Burnin: 50, Samples: 400, Seed: 2133})
+		if err != nil {
+			dev.Close()
+			t.Fatal(err)
+		}
+		checkPin(t, fmt.Sprintf("multichain workers=%d", workers), res, drawPin{0xbe82794721421094, 0x7ec848da73edcd94, 0xbd234fb33c5c1c94, 0xe45f126e0d27c95d, 39, 0})
+		em, err := RunEM(NewMultiChain(eval, dev, 3), init, EMConfig{InitialTheta: 0.5, Iterations: 3, Burnin: 50, Samples: 400, Seed: 2135}, dev)
+		dev.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(em.Theta); got != 0x3ffb5aaae0490e51 {
+			t.Errorf("multichain workers=%d: EM theta bits %#x, want 0x3ffb5aaae0490e51", workers, got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/rng"
@@ -92,7 +93,8 @@ func (s *chainState) RestoreChainState(c ChainSnapshot) error {
 // independent of how many draws the run has recorded. ESS, RHat and
 // Stopped mirror the online diagnostics at snapshot time; they are
 // informational (inspect reads them) and rebuilt from the stream on
-// restore, never trusted.
+// restore, never trusted. ESS and RHat are NaN when the run keeps no
+// online diagnostic (MultiChain); a diagnostic's ESS is never NaN.
 type TraceRef struct {
 	// Path of the sidecar as the run was configured (informational:
 	// restore always uses the resuming run's own configured sidecar).
@@ -134,6 +136,7 @@ func (r *recorder) snapshot() (*TraceRef, error) {
 		PassDraws:  r.passDraws,
 		Stopped:    r.stopped,
 	}
+	ref.ESS, ref.RHat = math.NaN(), math.NaN()
 	if r.diag != nil {
 		ref.ESS = r.diag.ESS()
 		ref.RHat = r.diag.RHat()
@@ -228,15 +231,16 @@ func (c Counters) applyTo(res *Result) {
 //     Chains (every rung in ladder order), Ladder (the temperature-ladder
 //     controller's runtime state — the adapted β schedule, per-pair swap
 //     windows and adaptation clock; always set).
-//   - "multichain": Subs (one "mh" snapshot per chain, in chain order).
+//   - "multichain": Streams (one per chain), Chains (every chain in chain
+//     order); no Host.
 //
-// The three sampler snapshots also carry Step (the number of recorded
-// draws), Counters and, for a spilling run, TraceRef.
+// Every snapshot also carries Step (the number of recorded draws),
+// Counters and, for a spilling run, TraceRef.
 type StepSnapshot struct {
 	Sampler string
 	Step    int
 	Cur     int
-	Host    rng.MTState
+	Host    *rng.MTState
 	Streams []rng.MTState
 	Chains  []ChainSnapshot
 	Ladder  *tempering.State
@@ -245,7 +249,6 @@ type StepSnapshot struct {
 	// whose snapshot can be neither restored nor checkpointed.
 	TraceRef *TraceRef
 	Counters
-	Subs []*StepSnapshot
 }
 
 // SnapshotStepper is a sampling run that has been started but is driven

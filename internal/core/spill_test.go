@@ -166,14 +166,8 @@ func TestRestoreRejectsCrossModeTrace(t *testing.T) {
 			}
 			spillSnap := snapAt(spillCfg)
 			memSnap := snapAt(memCfg)
-			steps := []*StepSnapshot{memSnap}
-			if tc.name == "multichain" {
-				steps = memSnap.Subs
-			}
-			for _, st := range steps {
-				if len(st.Chains) == 0 || st.Chains[0].Tree == nil || st.TraceRef != nil {
-					t.Fatalf("in-memory snapshot shape wrong: %d chains, trace ref %v", len(st.Chains), st.TraceRef != nil)
-				}
+			if len(memSnap.Chains) == 0 || memSnap.Chains[0].Tree == nil || memSnap.TraceRef != nil {
+				t.Fatalf("in-memory snapshot shape wrong: %d chains, trace ref %v", len(memSnap.Chains), memSnap.TraceRef != nil)
 			}
 			sidecars := func() map[string][]byte {
 				t.Helper()

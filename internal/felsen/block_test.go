@@ -33,6 +33,7 @@ func blockSizesFor(nPatterns int) []int {
 // parallel branch), an initial genealogy, and a set of proposals.
 func blockFixture(t *testing.T) (*subst.F81, *gtree.Tree, []*gtree.Tree, func(dev *device.Device) *Evaluator) {
 	t.Helper()
+	scratch := resim.NewScratch()
 	aln, _, err := seqgen.SimulateData(12, 2000, 1.0, 424)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func blockFixture(t *testing.T) (*subst.F81, *gtree.Tree, []*gtree.Tree, func(de
 	for len(props) < 6 {
 		p := tree.Clone()
 		target := resim.PickTarget(p, src)
-		if resim.Resimulate(p, target, 1.0, src) == nil {
+		if resim.ResimulateScratch(p, target, 1.0, src, scratch) == nil {
 			props = append(props, p)
 		}
 	}

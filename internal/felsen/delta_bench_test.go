@@ -43,12 +43,13 @@ func benchEval(b *testing.B, aln *phylip.Alignment) *Evaluator {
 // benchProposal derives one valid neighbourhood resimulation of tree.
 func benchProposal(b *testing.B, tree *gtree.Tree, seed uint32) *gtree.Tree {
 	b.Helper()
+	scratch := resim.NewScratch()
 	src := rng.NewMT19937(seed)
 	prop := tree.Clone()
 	for {
 		prop.CopyFrom(tree)
 		target := resim.PickTarget(prop, src)
-		if resim.Resimulate(prop, target, 1.0, src) == nil {
+		if resim.ResimulateScratch(prop, target, 1.0, src, scratch) == nil {
 			return prop
 		}
 	}
@@ -123,6 +124,7 @@ func BenchmarkDeltaParallel(b *testing.B) {
 // BenchmarkDeltaVsSerial it covers both halves of the per-round kernel
 // cost (evaluate-all, rebase-one).
 func BenchmarkRebaseTo(b *testing.B) {
+	scratch := resim.NewScratch()
 	for _, L := range []int{200, 1000, 4000} {
 		eval, tree := benchFixture(b, 12, L)
 		c := eval.NewDeltaCache()
@@ -135,7 +137,7 @@ func BenchmarkRebaseTo(b *testing.B) {
 		for {
 			p.CopyFrom(a)
 			target := resim.PickTarget(p, src)
-			if resim.Resimulate(p, target, 1.0, src) == nil {
+			if resim.ResimulateScratch(p, target, 1.0, src, scratch) == nil {
 				break
 			}
 		}

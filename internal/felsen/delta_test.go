@@ -74,6 +74,7 @@ func testDeltaMatchesSerialOverResimulations(t *testing.T) {
 	// evaluation must agree with a from-scratch serial one to roundoff,
 	// and with a from-scratch pattern evaluation bit-for-bit — the delta
 	// path skips work, it never changes per-node arithmetic.
+	scratch := resim.NewScratch()
 	eval, tree, src := deltaFixture(t, 10, 80, 302)
 	c := eval.NewDeltaCache()
 	eval.Rebase(c, tree)
@@ -81,7 +82,7 @@ func testDeltaMatchesSerialOverResimulations(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		prop.CopyFrom(tree)
 		target := resim.PickTarget(prop, src)
-		if err := resim.Resimulate(prop, target, 1.0, src); err != nil {
+		if err := resim.ResimulateScratch(prop, target, 1.0, src, scratch); err != nil {
 			continue
 		}
 		got := eval.LogLikelihoodDelta(c, prop)
@@ -121,6 +122,7 @@ func TestDeltaIdenticalTreeReturnsCachedValue(t *testing.T) {
 func TestDeltaConcurrentProposals(t *testing.T) {
 	// N goroutines evaluate distinct proposals against one shared cache,
 	// the GMH proposal-kernel pattern. Run with -race in CI.
+	scratch := resim.NewScratch()
 	eval, tree, src := deltaFixture(t, 10, 60, 304)
 	c := eval.NewDeltaCache()
 	eval.Rebase(c, tree)
@@ -130,7 +132,7 @@ func TestDeltaConcurrentProposals(t *testing.T) {
 	for i := range props {
 		props[i] = tree.Clone()
 		target := resim.PickTarget(props[i], src)
-		if err := resim.Resimulate(props[i], target, 1.0, src); err != nil {
+		if err := resim.ResimulateScratch(props[i], target, 1.0, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = eval.LogLikelihoodSerial(props[i])
@@ -179,6 +181,7 @@ func TestTipRowResolutionBitIdentical(t *testing.T) {
 	// headers. Results must stay bit-identical between the delta path, a
 	// from-scratch pattern evaluation, and the staged path, across block
 	// sizes straddling the pattern count.
+	scratch := resim.NewScratch()
 	aln, _, err := seqgen.SimulateData(4, 240, 1.0, 881)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +207,7 @@ func TestTipRowResolutionBitIdentical(t *testing.T) {
 		for step := 0; step < 50; step++ {
 			prop.CopyFrom(tree)
 			target := resim.PickTarget(prop, src)
-			if err := resim.Resimulate(prop, target, 1.0, src); err != nil {
+			if err := resim.ResimulateScratch(prop, target, 1.0, src, scratch); err != nil {
 				continue
 			}
 			got := eval.LogLikelihoodDelta(c, prop)

@@ -10,6 +10,7 @@ import (
 // return bit-identical log-likelihoods to the one-shot delta path (both
 // run the same kernel), and Discard must leave the cache untouched.
 func TestStageDeltaMatchesLogLikelihoodDelta(t *testing.T) {
+	scratch := resim.NewScratch()
 	eval, tree, src := deltaFixture(t, 10, 80, 501)
 	c := eval.NewDeltaCache()
 	base := eval.Rebase(c, tree)
@@ -17,7 +18,7 @@ func TestStageDeltaMatchesLogLikelihoodDelta(t *testing.T) {
 	for step := 0; step < 200; step++ {
 		prop.CopyFrom(tree)
 		target := resim.PickTarget(prop, src)
-		if err := resim.Resimulate(prop, target, 1.0, src); err != nil {
+		if err := resim.ResimulateScratch(prop, target, 1.0, src, scratch); err != nil {
 			continue
 		}
 		want := eval.LogLikelihoodDelta(c, prop)
@@ -38,6 +39,7 @@ func TestStageDeltaMatchesLogLikelihoodDelta(t *testing.T) {
 // leave the cache in exactly the state RebaseTo would produce — same
 // stored log-likelihood and same subsequent delta evaluations.
 func TestStageDeltaCommitEqualsRebase(t *testing.T) {
+	scratch := resim.NewScratch()
 	eval, tree, src := deltaFixture(t, 10, 80, 502)
 	cStaged := eval.NewDeltaCache()
 	cRebase := eval.NewDeltaCache()
@@ -49,7 +51,7 @@ func TestStageDeltaCommitEqualsRebase(t *testing.T) {
 	for step := 0; step < 150; step++ {
 		prop.CopyFrom(cur)
 		target := resim.PickTarget(prop, src)
-		if err := resim.Resimulate(prop, target, 1.0, src); err != nil {
+		if err := resim.ResimulateScratch(prop, target, 1.0, src, scratch); err != nil {
 			continue
 		}
 		d := eval.StageDelta(cStaged, prop)

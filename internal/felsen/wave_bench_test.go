@@ -17,6 +17,7 @@ import (
 // obscures the kernel cost.
 func benchWaveRound(b *testing.B, seqLen int, wave bool) {
 	b.Helper()
+	scratch := resim.NewScratch()
 	aln, _, err := seqgen.SimulateData(12, seqLen, 1.0, 424)
 	if err != nil {
 		b.Fatal(err)
@@ -34,7 +35,7 @@ func benchWaveRound(b *testing.B, seqLen int, wave bool) {
 	props := make([]*gtree.Tree, 0, 8)
 	for len(props) < 8 {
 		p := tree.Clone()
-		if resim.Resimulate(p, phi, 1.0, src) == nil {
+		if resim.ResimulateScratch(p, phi, 1.0, src, scratch) == nil {
 			props = append(props, p)
 		}
 	}

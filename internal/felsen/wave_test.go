@@ -25,6 +25,7 @@ import (
 // resimulate that target — the structure of one GMH round.
 func waveFixture(t *testing.T, phiPick func(*gtree.Tree) int) (*gtree.Tree, int, []*gtree.Tree, func(dev *device.Device) *Evaluator) {
 	t.Helper()
+	scratch := resim.NewScratch()
 	aln, _, err := seqgen.SimulateData(12, 2000, 1.0, 424)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func waveFixture(t *testing.T, phiPick func(*gtree.Tree) int) (*gtree.Tree, int,
 	props := make([]*gtree.Tree, 0, 6)
 	for len(props) < 6 {
 		p := tree.Clone()
-		if resim.Resimulate(p, phi, 1.0, src) == nil {
+		if resim.ResimulateScratch(p, phi, 1.0, src, scratch) == nil {
 			props = append(props, p)
 		}
 	}
@@ -182,6 +183,7 @@ func TestWaveAcrossRounds(t *testing.T) {
 	// accepted candidate, bind a fresh φ, evaluate the next wave — every
 	// round bit-identical to the per-candidate path on an independently
 	// maintained evaluator.
+	scratch := resim.NewScratch()
 	tree, _, _, mk := waveFixture(t, anyTarget)
 	a := mk(device.New(4))
 	b := mk(device.Serial())
@@ -196,7 +198,7 @@ func TestWaveAcrossRounds(t *testing.T) {
 		props := make([]*gtree.Tree, 0, 4)
 		for len(props) < 4 {
 			p := cur.Clone()
-			if resim.Resimulate(p, phi, 1.0, src) == nil {
+			if resim.ResimulateScratch(p, phi, 1.0, src, scratch) == nil {
 				props = append(props, p)
 			}
 		}

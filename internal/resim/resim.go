@@ -39,15 +39,13 @@
 // only reads it, so the multiple-proposal kernel analyses a round's shared
 // neighbourhood once and samples every proposal from it concurrently, one
 // PRNG stream per proposal. ResimulateScratch is the two halves back to
-// back for single-proposal chains; Resimulate without a Scratch borrows
-// one from a shared pool.
+// back for single-proposal chains.
 package resim
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/rng"
@@ -101,33 +99,17 @@ type Scratch struct {
 // size the tree's regions demand and are reused afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchPool backs Resimulate calls made without an explicit Scratch, so
-// legacy call sites stay cheap without carrying one around.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// Resimulate redraws the neighbourhood around target from the conditional
-// coalescent prior with parameter theta, modifying t in place, using a
-// pooled Scratch. See ResimulateScratch for the allocation-free form.
-func Resimulate(t *gtree.Tree, target int, theta float64, src rng.Source) error {
-	s := scratchPool.Get().(*Scratch)
-	err := ResimulateScratch(t, target, theta, src, s)
-	scratchPool.Put(s)
-	return err
-}
-
-// ResimulateScratch is Resimulate with caller-owned working memory: with a
-// warm Scratch the draw performs no heap allocation. It is Analyze
-// followed by Sample on the same tree. The target must be a non-root
-// interior node. The two replacement coalescent events reuse the node
-// slots of the target and its parent (younger event in the target's
-// slot), so node indices remain stable identities across proposals. A nil
-// scratch allocates a fresh one.
+// ResimulateScratch redraws the neighbourhood around target from the
+// conditional coalescent prior with parameter theta, modifying t in
+// place, in the caller's working memory s: with a warm Scratch the draw
+// performs no heap allocation. It is Analyze followed by Sample on the
+// same tree. The target must be a non-root interior node. The two
+// replacement coalescent events reuse the node slots of the target and
+// its parent (younger event in the target's slot), so node indices
+// remain stable identities across proposals.
 //
 //mpcgs:hotpath
 func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source, s *Scratch) error {
-	if s == nil {
-		s = NewScratch() //mpcgsvet:ignore-alloc nil-scratch fallback for legacy callers; hot callers pass a warm Scratch
-	}
 	if err := s.Analyze(t, target, theta); err != nil {
 		return err
 	}

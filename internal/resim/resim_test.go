@@ -35,32 +35,34 @@ func ladderTree(t *testing.T) *gtree.Tree {
 }
 
 func TestResimulateErrors(t *testing.T) {
+	scratch := NewScratch()
 	tr := ladderTree(t)
 	src := rng.NewMT19937(400)
-	if err := Resimulate(tr, 0, 1.0, src); err == nil {
+	if err := ResimulateScratch(tr, 0, 1.0, src, scratch); err == nil {
 		t.Error("tip target accepted")
 	}
-	if err := Resimulate(tr, tr.Root, 1.0, src); err == nil {
+	if err := ResimulateScratch(tr, tr.Root, 1.0, src, scratch); err == nil {
 		t.Error("root target accepted")
 	}
-	if err := Resimulate(tr, 99, 1.0, src); err == nil {
+	if err := ResimulateScratch(tr, 99, 1.0, src, scratch); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if err := Resimulate(tr, 4, 0, src); err == nil {
+	if err := ResimulateScratch(tr, 4, 0, src, scratch); err == nil {
 		t.Error("theta=0 accepted")
 	}
-	if err := Resimulate(tr, 4, -1, src); err == nil {
+	if err := ResimulateScratch(tr, 4, -1, src, scratch); err == nil {
 		t.Error("negative theta accepted")
 	}
 }
 
 func TestResimulateStructure(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(401)
 	base := ladderTree(t)
 	for trial := 0; trial < 500; trial++ {
 		tr := base.Clone()
 		target := PickTarget(tr, src)
-		if err := Resimulate(tr, target, 1.0, src); err != nil {
+		if err := ResimulateScratch(tr, target, 1.0, src, scratch); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := tr.Validate(); err != nil {
@@ -73,6 +75,7 @@ func TestResimulateStructure(t *testing.T) {
 // changes: every node other than the target, its parent, and the upward
 // links of the three children keeps its age, name, children and parent.
 func TestResimulateFixedPartUntouched(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(402)
 	base := ladderTree(t)
 	for trial := 0; trial < 200; trial++ {
@@ -84,7 +87,7 @@ func TestResimulateFixedPartUntouched(t *testing.T) {
 			tr.Nodes[target].Child[1]: true,
 			tr.Sibling(target):        true,
 		}
-		if err := Resimulate(tr, target, 1.0, src); err != nil {
+		if err := ResimulateScratch(tr, target, 1.0, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		for i := range tr.Nodes {
@@ -108,12 +111,13 @@ func TestResimulateFixedPartUntouched(t *testing.T) {
 }
 
 func TestResimulateDeterministic(t *testing.T) {
+	scratch := NewScratch()
 	base := ladderTree(t)
 	a, b := base.Clone(), base.Clone()
-	if err := Resimulate(a, 4, 1.0, rng.NewMT19937(77)); err != nil {
+	if err := ResimulateScratch(a, 4, 1.0, rng.NewMT19937(77), scratch); err != nil {
 		t.Fatal(err)
 	}
-	if err := Resimulate(b, 4, 1.0, rng.NewMT19937(77)); err != nil {
+	if err := ResimulateScratch(b, 4, 1.0, rng.NewMT19937(77), scratch); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Nodes {
@@ -132,6 +136,7 @@ func TestResimulateDeterministic(t *testing.T) {
 // (k_in = 1). The empirical means must match numerical integration, and
 // the first merge must pair the three children uniformly.
 func TestResimulateConditionalDensity(t *testing.T) {
+	scratch := NewScratch()
 	theta := 2.0
 	tr0 := ladderTree(t)
 	src := rng.NewMT19937(403)
@@ -160,7 +165,7 @@ func TestResimulateConditionalDensity(t *testing.T) {
 	pairCounts := map[[2]int]int{}
 	for r := 0; r < reps; r++ {
 		tr := tr0.Clone()
-		if err := Resimulate(tr, 4, theta, src); err != nil {
+		if err := ResimulateScratch(tr, 4, theta, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		// Slot 4 holds the younger event, slot 5 the older.
@@ -203,6 +208,7 @@ func TestResimulateConditionalDensity(t *testing.T) {
 // to θ(1-1/n). This exercises joins, multi-interval regions, the
 // completion recursion and the root-adjacent case together.
 func TestPriorChainKingman(t *testing.T) {
+	scratch := NewScratch()
 	if testing.Short() {
 		t.Skip("statistical chain test")
 	}
@@ -221,7 +227,7 @@ func TestPriorChainKingman(t *testing.T) {
 	count := 0
 	for s := 0; s < steps; s++ {
 		target := PickTarget(tr, src)
-		if err := Resimulate(tr, target, theta, src); err != nil {
+		if err := ResimulateScratch(tr, target, theta, src, scratch); err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
 		if s < burn {
@@ -252,6 +258,7 @@ func TestPriorChainKingman(t *testing.T) {
 // parent is always the root: every proposal is an independent draw of the
 // whole genealogy from the prior through the root-adjacent path.
 func TestPriorChainRootCaseOnly(t *testing.T) {
+	scratch := NewScratch()
 	if testing.Short() {
 		t.Skip("statistical chain test")
 	}
@@ -265,7 +272,7 @@ func TestPriorChainRootCaseOnly(t *testing.T) {
 	sums := [2]float64{}
 	cherry := map[string]int{}
 	for s := 0; s < steps; s++ {
-		if err := Resimulate(tr, PickTarget(tr, src), theta, src); err != nil {
+		if err := ResimulateScratch(tr, PickTarget(tr, src), theta, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		d := tr.IntervalDurations()
@@ -302,6 +309,7 @@ func TestPriorChainRootCaseOnly(t *testing.T) {
 // TestPriorChainTopologyMixing verifies the chain changes tree topology,
 // not just node ages: across many steps, the sibling of tip a must vary.
 func TestPriorChainTopologyMixing(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(406)
 	tr, err := gtree.RandomCoalescent([]string{"a", "b", "c", "d"}, 1.0, src)
 	if err != nil {
@@ -309,7 +317,7 @@ func TestPriorChainTopologyMixing(t *testing.T) {
 	}
 	siblings := map[int]bool{}
 	for s := 0; s < 2000; s++ {
-		if err := Resimulate(tr, PickTarget(tr, src), 1.0, src); err != nil {
+		if err := ResimulateScratch(tr, PickTarget(tr, src), 1.0, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		siblings[tr.Sibling(0)] = true
@@ -323,6 +331,7 @@ func TestPriorChainTopologyMixing(t *testing.T) {
 // random trees and a range of theta values, covering regions with many
 // feasible intervals and varying k_in.
 func TestResimulateManyShapes(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(407)
 	for _, n := range []int{3, 4, 6, 10, 20} {
 		names := make([]string, n)
@@ -335,7 +344,7 @@ func TestResimulateManyShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 100; trial++ {
-				if err := Resimulate(tr, PickTarget(tr, src), theta, src); err != nil {
+				if err := ResimulateScratch(tr, PickTarget(tr, src), theta, src, scratch); err != nil {
 					t.Fatalf("n=%d theta=%v trial %d: %v", n, theta, trial, err)
 				}
 				if err := tr.Validate(); err != nil {
@@ -350,6 +359,7 @@ func TestResimulateManyShapes(t *testing.T) {
 // younger replacement event sits in the target's slot, the older in the
 // parent's, and the parent slot keeps its upward attachment.
 func TestResimulateSlotConvention(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(408)
 	base := ladderTree(t)
 	for trial := 0; trial < 300; trial++ {
@@ -357,7 +367,7 @@ func TestResimulateSlotConvention(t *testing.T) {
 		target := PickTarget(tr, src)
 		parent := tr.Nodes[target].Parent
 		ancestor := tr.Nodes[parent].Parent
-		if err := Resimulate(tr, target, 1.0, src); err != nil {
+		if err := ResimulateScratch(tr, target, 1.0, src, scratch); err != nil {
 			t.Fatal(err)
 		}
 		if tr.Nodes[target].Age >= tr.Nodes[parent].Age {
@@ -380,6 +390,7 @@ func TestResimulateSlotConvention(t *testing.T) {
 // smallest subnormal must now give an error or a valid tree, and θ
 // whose rates overflow must be refused up front.
 func TestResimulateTinyTheta(t *testing.T) {
+	scratch := NewScratch()
 	src := rng.NewMT19937(408)
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	for _, theta := range []float64{1e-150, 1e-200, 1e-305, 1e-308, 5e-324} {
@@ -392,7 +403,7 @@ func TestResimulateTinyTheta(t *testing.T) {
 				continue // ages this small underflow: no such tree exists
 			}
 			for trial := 0; trial < 50; trial++ {
-				err := Resimulate(tr, PickTarget(tr, src), theta, src)
+				err := ResimulateScratch(tr, PickTarget(tr, src), theta, src, scratch)
 				if err == nil {
 					if err := tr.Validate(); err != nil {
 						t.Fatalf("theta=%v tree scale %v trial %d: %v", theta, scale, trial, err)

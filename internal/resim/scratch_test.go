@@ -9,48 +9,6 @@ import (
 	"mpcgs/internal/rng"
 )
 
-// TestResimulateScratchMatchesPooled verifies that a caller-owned Scratch
-// reused across many draws produces bit-identical proposals to the pooled
-// path for the same seed, including on the root-adjacent region case.
-func TestResimulateScratchMatchesPooled(t *testing.T) {
-	base := ladderTree(t)
-	s := NewScratch()
-	for _, target := range []int{4, 5} {
-		srcA, srcB := rng.NewMT19937(910), rng.NewMT19937(910)
-		a, b := base.Clone(), base.Clone()
-		for trial := 0; trial < 300; trial++ {
-			ta := PickTarget(a, srcA)
-			tb := PickTarget(b, srcB)
-			if ta != tb {
-				t.Fatalf("target %d trial %d: picked targets diverged", target, trial)
-			}
-			if err := Resimulate(a, ta, 1.0, srcA); err != nil {
-				t.Fatal(err)
-			}
-			if err := ResimulateScratch(b, tb, 1.0, srcB, s); err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.Nodes {
-				if a.Nodes[i] != b.Nodes[i] {
-					t.Fatalf("target %d trial %d: node %d differs between pooled and scratch paths", target, trial, i)
-				}
-			}
-		}
-	}
-}
-
-// TestResimulateScratchNil: a nil scratch must behave like the pooled path
-// (fresh buffers), not crash.
-func TestResimulateScratchNil(t *testing.T) {
-	tr := ladderTree(t)
-	if err := ResimulateScratch(tr, 4, 1.0, rng.NewMT19937(911), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // benchTree builds a larger random coalescent genealogy for benchmarking.
 func benchTree(b *testing.B, nTips int) *gtree.Tree {
 	b.Helper()
@@ -83,22 +41,6 @@ func BenchmarkResimScratch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.CopyFrom(base)
 		if err := ResimulateScratch(tr, PickTarget(tr, src), 1.0, src, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkResimPooled is the same draw through the pooled Resimulate
-// wrapper, for comparison with the explicit-Scratch path.
-func BenchmarkResimPooled(b *testing.B) {
-	base := benchTree(b, 12)
-	tr := base.Clone()
-	src := rng.NewMT19937(914)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.CopyFrom(base)
-		if err := Resimulate(tr, PickTarget(tr, src), 1.0, src); err != nil {
 			b.Fatal(err)
 		}
 	}

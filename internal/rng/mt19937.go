@@ -154,6 +154,12 @@ func NewStreamSet(n int, seed uint64) *StreamSet {
 	return s
 }
 
+// NewStreamSetOf makes a stream set of the given generators, in order,
+// for a caller whose threads are seeded by its own schedule.
+func NewStreamSetOf(streams []*MT19937) *StreamSet {
+	return &StreamSet{streams: streams}
+}
+
 // Len returns the number of streams.
 func (s *StreamSet) Len() int { return len(s.streams) }
 

@@ -144,15 +144,12 @@ func doneState(res *Result) ckpt.JobState {
 // sidecars from a previous incarnation. A fresh start must not append
 // after stale draws (the file would grow without bound across restarts
 // and a changed tree size would poison the open), and a later resume
-// must not find a stale snapshot. Multichain runs fan out to per-chain
-// "<sidecar>.c<i>" files, so those go too.
+// must not find a stale snapshot.
 func clearJobDir(dir, name string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("sched: %w", err)
 	}
-	sidecar := TracePath(dir, name)
-	stale, _ := filepath.Glob(sidecar + ".c*")
-	for _, path := range append([]string{ckpt.Path(dir), sidecar}, stale...) {
+	for _, path := range []string{ckpt.Path(dir), TracePath(dir, name)} {
 		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("sched: %w", err)
 		}

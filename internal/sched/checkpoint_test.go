@@ -3,8 +3,10 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -485,6 +487,7 @@ func TestCheckpointFilePerJob(t *testing.T) {
 	jobs := []Job{
 		quickJob("v1", testAlignment(t, 5, 40, 681), "mh", 682),
 		quickJob("Pop B", testAlignment(t, 5, 40, 683), "mh", 684),
+		quickJob("pooled", testAlignment(t, 5, 40, 685), "multichain", 686),
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	pool := device.NewPool(2)
@@ -509,8 +512,19 @@ func TestCheckpointFilePerJob(t *testing.T) {
 		if j.Name != job.Name || j.Status != ckpt.StatusDone || j.Fingerprint == "" {
 			t.Errorf("job %q: record %q status %q fingerprint %q", job.Name, j.Name, j.Status, j.Fingerprint)
 		}
-		if _, err := os.Stat(TracePath(jobDir, job.Name)); err != nil {
-			t.Errorf("job %q: no trace sidecar: %v", job.Name, err)
+		// The state file and one trace sidecar, whatever the sampler.
+		entries, err := os.ReadDir(jobDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		want := []string{ckpt.FileName, filepath.Base(TracePath(jobDir, job.Name))}
+		slices.Sort(want)
+		if !slices.Equal(names, want) {
+			t.Errorf("job %q: checkpoint directory holds %q, want %q", job.Name, names, want)
 		}
 	}
 }
@@ -599,7 +613,7 @@ func TestCheckpointWriteFailureIsLoud(t *testing.T) {
 func TestResumeRefusesUnreadableCheckpoints(t *testing.T) {
 	job := quickJob("corrupt", testAlignment(t, 5, 40, 699), "mh", 700)
 	dir := t.TempDir()
-	if err := os.WriteFile(ckpt.Path(dir), []byte(`{"version": 4, "name"`), 0o644); err != nil {
+	if err := os.WriteFile(ckpt.Path(dir), []byte(fmt.Sprintf(`{"version": %d, "name"`, ckpt.FormatVersion)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	q := NewQueue(device.NewPool(2), QueueOptions{})
@@ -618,7 +632,7 @@ func TestResumeRefusesUnreadableCheckpoints(t *testing.T) {
 		Checkpoint: CheckpointOptions{Dir: batchDir},
 		Resume:     true,
 	})
-	for _, want := range []string{ckpt.Path(batchDir), "version 3", "only version 4"} {
+	for _, want := range []string{ckpt.Path(batchDir), "version 3", fmt.Sprintf("only version %d", ckpt.FormatVersion)} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("format-3 batch directory: err %v does not mention %q", err, want)
 		}

@@ -122,7 +122,7 @@ func (j Job) Validate() error {
 		return fmt.Errorf("rhat_target %v must exceed 1 (0 to disable)", j.RHatTarget)
 	}
 	if j.Sampler == "multichain" && (j.ESSTarget > 0 || j.RHatTarget > 0) {
-		// Each multichain sub-chain owns an even share of the pooled
+		// Each multichain chain owns an even share of the pooled
 		// quota; a per-chain stop rule against a pooled target is
 		// ill-defined, so the ensemble rejects targets (core would too,
 		// but here the refusal is synchronous).

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -493,7 +494,7 @@ func TestNewRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := ckpt.Path(filepath.Join(dir, "jobs", "keeper", "ckpt"))
-	if err := os.WriteFile(state, []byte(`{"version": 4, "name"`), 0o644); err != nil {
+	if err := os.WriteFile(state, []byte(fmt.Sprintf(`{"version": %d, "name"`, ckpt.FormatVersion)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Options{StateDir: dir}); err == nil || !strings.Contains(err.Error(), state) {

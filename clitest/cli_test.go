@@ -841,14 +841,14 @@ func TestMpcgsInspect(t *testing.T) {
 	out := run(t, "mpcgs", "", "-inspect", dir)
 	for _, want := range []string{
 		fmt.Sprintf("format v%d, 4 jobs", ckpt.FormatVersion),
-		"finished", "done", "theta = 1.5",
+		"finished", "done", "theta = 1.5", "320 sampler steps",
 		"broken", "failed", "pathological theta",
-		"midflight", "paused", "sampler heated at transition 75",
+		"midflight", "paused", "75 transitions", "sampler heated, 75 draws recorded",
 		"trace sidecar: ",
 		"ladder (adaptive, window 8",
 		"pair 0-1", "pair 1-2", "swap rate",
 		// One sweep records a draw per chain: 30 sweeps of 2 chains.
-		"sampler multichain at transition 60, 60 draws recorded",
+		"30 multichain sweeps", "sampler multichain, 60 draws recorded",
 		"file " + pooledTrace + ": ",
 	} {
 		if !strings.Contains(out, want) {

@@ -470,20 +470,22 @@ func inspect(w io.Writer, dir string) error {
 		}
 		switch j.Status {
 		case ckpt.StatusDone:
-			fmt.Fprintf(w, "job %-16s done    theta = %-10s (%d EM iterations, %d steps)\n",
+			fmt.Fprintf(w, "job %-16s done    theta = %-10s (%d EM iterations, %d sampler steps)\n",
 				j.Name, hexOrRaw(j.Theta), len(j.History), j.Steps)
 		case ckpt.StatusFailed:
 			fmt.Fprintf(w, "job %-16s failed  %s\n", j.Name, j.Error)
 		case ckpt.StatusPaused:
-			fmt.Fprintf(w, "job %-16s paused  EM iteration %d, driving theta = %s, %d steps, %d EM rounds done\n",
-				j.Name, j.EM.It+1, hexOrRaw(j.EM.Theta), j.Steps, len(j.EM.History))
-			if a := j.EM.Active; a != nil {
-				drawn := 0
-				if a.TraceRef != nil {
-					drawn = a.TraceRef.Draws - a.TraceRef.PassDraws
-				}
-				fmt.Fprintf(w, "  mid-pass: sampler %s at transition %d, %d draws recorded\n",
-					a.Sampler, a.Step, drawn)
+			a := j.EM.Active
+			unit := "sampler steps"
+			if a != nil {
+				unit = stepUnit(a.Sampler)
+			}
+			fmt.Fprintf(w, "job %-16s paused  EM iteration %d, driving theta = %s, %d %s, %d EM rounds done\n",
+				j.Name, j.EM.It+1, hexOrRaw(j.EM.Theta), j.Steps, unit, len(j.EM.History))
+			if a != nil {
+				// A snapshot's step is its pass's recorded-draw count, for
+				// every sampler; the job's steps above count Step calls.
+				fmt.Fprintf(w, "  mid-pass: sampler %s, %d draws recorded\n", a.Sampler, a.Step)
 				if a.TraceRef != nil {
 					inspectSidecar(w, jobDirs[i], j.Name, a.TraceRef)
 				}
@@ -494,6 +496,19 @@ func inspect(w io.Writer, dir string) error {
 		}
 	}
 	return nil
+}
+
+// stepUnit names what one Step of the sampler is, the unit of a job
+// record's step count: a GMH proposal round (N draws), a multichain sweep
+// (one draw per chain), or one MH or MC³ transition (one draw).
+func stepUnit(sampler string) string {
+	switch sampler {
+	case "gmh":
+		return "GMH rounds"
+	case "multichain":
+		return "multichain sweeps"
+	}
+	return "transitions"
 }
 
 // inspectSidecar renders a paused job's streaming-trace state: the

@@ -377,8 +377,9 @@ func runGMHRound(w io.Writer, c experiments.Common) error {
 	printSpeedup(w, "GMH round dispatch: fused wave rounds vs per-candidate dispatch",
 		"bp", pts, nil)
 	fmt.Fprintln(w, "here \"serial\" is the per-candidate GMH dispatch (one delta evaluation")
-	fmt.Fprintln(w, "per candidate) and \"parallel\" the fused (proposal x block) wave grid")
-	fmt.Fprintln(w, "with the per-round outer-partial lift; both runs are bit-identical, so")
+	fmt.Fprintln(w, "per candidate) and \"parallel\" the wave dispatch: the per-round outer-")
+	fmt.Fprintln(w, "partial lift, each candidate evaluated on its proposal thread or in the")
+	fmt.Fprintln(w, "fused (proposal x block) grid; both runs are bit-identical, so")
 	fmt.Fprintln(w, "the speedup is pure dispatch cost (32 taxa, N=8 proposals).")
 	fmt.Fprintln(w)
 	return nil

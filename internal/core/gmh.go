@@ -38,7 +38,13 @@ import (
 // every round, and proposal likelihoods are computed incrementally against
 // a felsen.DeltaCache of the current state's conditionals — the in-device-
 // memory data reuse that lets the proposal kernel's work stay proportional
-// to the resimulated neighbourhood rather than the whole genealogy.
+// to the resimulated neighbourhood rather than the whole genealogy. The
+// root path above φ's neighbourhood is shared too: before the launch a
+// felsen.Wave lifts it once per round (BindRound). When one candidate is
+// too small to split over pattern blocks (Wave.InKernel), each proposal
+// thread then evaluates its own candidate against that lift, so the round
+// is one launch; a larger candidate's likelihood is left to one fused
+// (proposal × pattern-block) grid launched after the resimulations.
 //
 // Over a reference evaluator (felsen.NewReference) there is no cache:
 // each proposal thread evaluates its candidate from scratch with
@@ -53,10 +59,10 @@ type GMH struct {
 	Proposals int
 	// PerCandidate forces the pre-wave dispatch: each candidate's
 	// likelihood evaluated by its own device thread through
-	// LogLikelihoodDelta instead of the round's fused
-	// (proposal × pattern-block) wave grid. The two paths are bit-identical
-	// (the equivalence suite pins this), so the toggle exists as the wave's
-	// oracle and for A/B benchmarks, not as a semantic switch.
+	// LogLikelihoodDelta instead of against the round's wave lift. The
+	// paths are bit-identical (the equivalence suite pins this), so the
+	// toggle exists as the wave's oracle and for A/B benchmarks, not as a
+	// semantic switch.
 	PerCandidate bool
 }
 
@@ -88,10 +94,13 @@ type gmhRun struct {
 	cur   int // index of the current state within the set
 	cache *felsen.DeltaCache
 
-	// wave is the fused round evaluator (nil on the per-candidate and
-	// reference paths); waveTrees is its slot-indexed input, rebuilt
-	// every round with nil for the current state and failed candidates.
+	// wave is the round's lifted evaluator (nil on the per-candidate and
+	// reference paths); inKernel is its per-round dispatch, fixed before
+	// the launch. waveTrees is the grid's slot-indexed input, rebuilt
+	// every grid round with nil for the current state and failed
+	// candidates.
 	wave      *felsen.Wave
+	inKernel  bool
 	waveTrees []*gtree.Tree
 
 	slots  []int
@@ -137,10 +146,10 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 		r.cache = g.eval.NewDeltaCache()
 		r.logw[r.cur] = g.eval.Rebase(r.cache, r.set[r.cur])
 		if !g.PerCandidate {
-			// Wave evaluation: the whole candidate set's likelihoods as one
-			// fused (proposal × pattern-block) grid against a per-round
-			// outer-partial lift of the shared root path. Bit-identical to
-			// the per-candidate dispatch.
+			// Wave evaluation: every candidate's likelihood against a
+			// per-round outer-partial lift of the shared root path, on its
+			// proposal thread or in one fused grid. Bit-identical to the
+			// per-candidate dispatch.
 			r.wave = g.eval.NewWave(r.cache)
 			r.waveTrees = make([]*gtree.Tree, n+1)
 		}
@@ -151,10 +160,10 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 	// Proposal kernel: one device thread per candidate (§5.2.1). The
 	// thread owning the current state stays idle, exactly as the paper
 	// notes for the generator's thread. The closure is built once; cur,
-	// slots and the scratch's analysis are rebound per round before the
-	// launch. On the wave path the kernel only resimulates and summarizes
-	// — the likelihoods of the whole set are computed afterwards as one
-	// fused grid.
+	// slots, the scratch's analysis and the wave's binding are rebound per
+	// round before the launch. On a grid round of the wave path the kernel
+	// only resimulates and summarizes — the likelihoods of the whole set
+	// are computed afterwards as one fused grid.
 	r.slots = make([]int, 0, n)
 	nTips := init.NTips()
 	r.kernel = func(tid int) {
@@ -170,6 +179,9 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (SnapshotStepper, error) 
 		}
 		r.errs[tid] = nil
 		switch {
+		case r.inKernel:
+			// Against the round's lift, on this thread (§5.2.1).
+			r.logw[i] = r.wave.EvalOne(p)
 		case r.wave != nil:
 			// Evaluated by the wave grid after the launch completes.
 		case r.cache != nil:
@@ -201,37 +213,46 @@ func (r *gmhRun) Step() error {
 			r.slots = append(r.slots, i)
 		}
 	}
+	r.inKernel = false
 	if err := r.scratch.Analyze(r.set[r.cur], phi, r.theta); err != nil {
 		// No draw exists for this region: every candidate fails with the
-		// analysis error, and no proposal stream is consumed.
+		// analysis error, no proposal stream is consumed, and nothing is
+		// bound or evaluated.
 		for tid, i := range r.slots {
 			r.errs[tid] = err
 			r.logw[i] = logspace.NegInf
 		}
 	} else {
+		if r.wave != nil {
+			// Lift the shared root path once for this round's φ. The lift
+			// reads only φ and the cache's base, both fixed by now, so it
+			// precedes the launch and small candidates can be evaluated
+			// by the proposal threads themselves.
+			r.wave.BindRound(phi)
+			r.inKernel = r.wave.InKernel()
+		}
 		r.g.dev.Launch(r.n, r.kernel)
+		if r.wave != nil && !r.inKernel {
+			// One fused (proposal × pattern-block) grid over every
+			// candidate that resimulated successfully. Failed candidates
+			// and the current state keep their logw (NegInf and the
+			// cached value).
+			for tid, i := range r.slots {
+				if r.errs[tid] != nil {
+					r.waveTrees[i] = nil
+				} else {
+					r.waveTrees[i] = r.set[i]
+				}
+			}
+			r.waveTrees[r.cur] = nil
+			r.wave.Eval(r.waveTrees, r.logw)
+		}
 	}
 	r.res.Proposals += r.n
 	for _, err := range r.errs {
 		if err != nil {
 			r.res.FailedProposals++
 		}
-	}
-	if r.wave != nil {
-		// Wave evaluation: lift the shared root path once for this round's
-		// φ, then one fused (proposal × pattern-block) grid over every
-		// candidate that resimulated successfully. Failed candidates and
-		// the current state keep their logw (NegInf and the cached value).
-		r.wave.BindRound(phi)
-		for tid, i := range r.slots {
-			if r.errs[tid] != nil {
-				r.waveTrees[i] = nil
-			} else {
-				r.waveTrees[i] = r.set[i]
-			}
-		}
-		r.waveTrees[r.cur] = nil
-		r.wave.Eval(r.waveTrees, r.logw)
 	}
 
 	// Sampling stage: draw from the index chain's stationary

@@ -312,13 +312,15 @@ func SpeedupVsSeqLenFull(c Common) ([]SpeedupPoint, error) {
 // with a fixed N = 8 proposal set on 32-taxon data at 1000bp and 4000bp,
 // timing the per-candidate dispatch (each candidate's likelihood as its
 // own delta evaluation — the pre-wave path, kept as GMH.PerCandidate)
-// against the fused (proposal × pattern-block) wave grid with the
-// per-round outer-partial lift. Both runs use the same seed and produce
-// bit-identical traces, so the ratio is pure dispatch cost. The point
-// reuses SpeedupPoint with SerialSec = per-candidate and ParallelSec =
-// wave. 32 taxa is the design point: the lift amortizes the shared root
-// path above the resimulated neighbourhood, which 12-taxon genealogies
-// rarely make deep enough to matter.
+// against the wave dispatch: the per-round outer-partial lift, with each
+// candidate evaluated on its proposal thread or, when it is large enough
+// to split, in the fused (proposal × pattern-block) grid. Both runs use
+// the same seed and produce bit-identical traces, so the ratio is pure
+// dispatch cost. The point reuses SpeedupPoint with SerialSec =
+// per-candidate and ParallelSec = wave. 32 taxa is the design point: the
+// lift amortizes the shared root path above the resimulated
+// neighbourhood, which 12-taxon genealogies rarely make deep enough to
+// matter.
 func GMHWaveRound(c Common) ([]SpeedupPoint, error) {
 	lengths := []int{1000, 4000}
 	nSeq, proposals := 32, 8

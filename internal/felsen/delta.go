@@ -82,6 +82,15 @@ const DefaultBlockSize = 128
 // boundaries and hence results are unaffected.
 const blockParallelMinWork = 1 << 13
 
+// launchWorth reports whether an evaluation of rows conditional rows over
+// every pattern, cut into cells independent launch units, is worth a
+// device launch rather than an inline loop: more than one cell, more than
+// one worker, and at least blockParallelMinWork rows·patterns. Every
+// block-parallel choice in this package makes this one test.
+func (e *Evaluator) launchWorth(cells, rows int) bool {
+	return cells > 1 && e.dev.Workers() > 1 && rows*e.nPatterns >= blockParallelMinWork
+}
+
 // DeltaCache holds the per-pattern conditional likelihoods of every
 // interior node of one base genealogy, plus the base tree itself for
 // diffing. It is created by NewDeltaCache, filled by Rebase or RebaseTo,
@@ -419,7 +428,7 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 	}
 	ds.e, ds.c, ds.t, ds.writeBack = e, c, t, writeBack
 	ds.bindRows(t)
-	if nBlocks > 1 && e.dev.Workers() > 1 && (len(ds.order)+1)*nPat >= blockParallelMinWork {
+	if e.launchWorth(nBlocks, len(ds.order)+1) {
 		// Two-level parallelism: this evaluation's blocks join the device
 		// pool alongside any other proposals' blocks. Affinity keeps each
 		// block on the worker that streamed it last round.

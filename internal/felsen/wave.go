@@ -21,14 +21,23 @@ package felsen
 //
 // — the clean-child dot product the kernel would otherwise evaluate per
 // candidate — plus the round-invariant transition matrices of the chain
-// edges above the ancestor. Eval then evaluates the whole candidate set as
-// one fused (proposal × pattern-block) grid: each cell computes its
-// block's target and parent rows, then walks the root path multiplying a
-// single dirty-side dot product against the shared outer lane per node,
-// and finishes with the block's root-contraction partial. Per-proposal
-// work drops from two dot products per root-path node to one, from two
-// fresh transition matrices per dirty node to five per proposal plus a
-// shared set, and the round's N nested block launches fuse into one grid.
+// edges above the ancestor. A candidate's evaluation is then a row of
+// (pattern-block) cells: each cell computes its block's target and parent
+// rows, walks the root path multiplying a single dirty-side dot product
+// against the shared outer lane per node, and finishes with the block's
+// root-contraction partial. Per-proposal work drops from two dot products
+// per root-path node to one, and from two fresh transition matrices per
+// dirty node to five per proposal plus a shared set.
+//
+// Those cells run in one of two dispatches, chosen per round by InKernel
+// with the delta evaluator's own block-split test on one candidate's
+// (2 + path depth) rows. A candidate too small to split is evaluated by
+// EvalOne on the proposal thread that produced it, its cells in block
+// order — the paper's proposal kernel, where each thread computes its own
+// candidate's likelihood (§5.2.1) — so a small round costs one launch.
+// A larger candidate is evaluated after the resimulation launch by Eval,
+// which runs the whole candidate set as one fused (proposal × pattern-
+// block) grid.
 //
 // # Bit-identity with the per-candidate path
 //
@@ -43,20 +52,24 @@ package felsen
 // which side was cached. The per-node operation order (children dots,
 // running maximum, rescale test, scale add) matches runBlock exactly, the
 // per-pattern order within a block and the block partial order within a
-// proposal are fixed, and the grid cells write disjoint slots. Results are
-// therefore bit-identical across worker counts, repeat runs, kill/resume,
-// and against the per-candidate oracle path.
+// proposal are fixed, and cells write disjoint slots. Eval and EvalOne run
+// the same cell function and sum a candidate's block partials in the same
+// order. Results are therefore bit-identical across worker counts, either
+// dispatch, repeat runs, kill/resume, and against the per-candidate oracle
+// path.
 //
 // # Validity contract
 //
 // A bound round is valid only for candidate trees that differ from the
 // cache's base exactly in the slots {φ, parent(φ)}, with the parent slot
 // attached to the same ancestor (or being the root when parent(φ) was the
-// root) — precisely what resim.ResimulateScratch(t, φ, ...) produces on a
-// copy of the base. Anything that moves the cache's base (RebaseTo,
-// Rebase, Commit) or changes φ invalidates the binding: callers must
-// BindRound again after every accepted move and every fresh φ draw. Eval
-// panics without a bound round.
+// root) — precisely what resim.Scratch.Sample produces on a copy of the
+// base after Analyze(base, φ, θ) succeeded (resim.ResimulateScratch is
+// the two in one call). BindRound reads only φ and the cache's base, so
+// it may run before the candidates exist. Anything that moves the cache's
+// base (RebaseTo, Rebase, Commit) or changes φ invalidates the binding:
+// callers must BindRound again after every accepted move and every fresh
+// φ draw. Eval and EvalOne panic without a bound round.
 
 import (
 	"math"
@@ -65,13 +78,12 @@ import (
 	"mpcgs/internal/subst"
 )
 
-// waveProp is one live candidate of the bound round: its tree, the output
-// slot its log-likelihood lands in, and the five proposal-specific
+// waveProp is one live candidate of the bound round: the output slot its
+// log-likelihood lands in (Eval only), and the five proposal-specific
 // transition matrices (the target's two child edges, the parent's two
 // child edges, and the ancestor→parent edge — every other edge the
 // evaluation touches is round-invariant and shared).
 type waveProp struct {
-	t    *gtree.Tree
 	slot int
 	// tm0/tm1 are the target's child-edge matrices in Child-array order.
 	tm0, tm1 subst.Matrix
@@ -94,18 +106,21 @@ type waveProp struct {
 // working row — one node's conditional lanes for one pattern block,
 // overwritten in place as the cell walks parent → root path — and the
 // target row, which the vector path stores between the target and parent
-// passes (the scalar path carries it in registers).
+// passes (the scalar path carries it in registers). prop holds EvalOne's
+// candidate setup, so concurrent EvalOne calls share nothing writable.
 type waveScratch struct {
 	cond   []float64 // nStates lanes of blockSize patterns each
 	scale  []float64 // blockSize
 	tcond  []float64 // the target row, laid out like cond
 	tscale []float64
+	prop   waveProp
 }
 
-// Wave evaluates GMH proposal sets against one DeltaCache as fused
-// (proposal × pattern-block) grids with a per-round outer-partial lift.
-// A Wave is bound to one evaluator and one cache; it is not safe for
-// concurrent use (one sampler run owns it, like a resim.Scratch).
+// Wave evaluates GMH proposal sets against one DeltaCache with a
+// per-round outer-partial lift, as fused (proposal × pattern-block) grids
+// or one candidate per proposal thread. A Wave is bound to one evaluator
+// and one cache; one sampler run owns it, like a resim.Scratch. Only
+// EvalOne may be called concurrently, and only between binds.
 type Wave struct {
 	e *Evaluator
 	c *DeltaCache
@@ -242,7 +257,7 @@ func (w *Wave) BindRound(phi int) {
 		// Cells write disjoint lanes and there is no reduction, so the
 		// schedule cannot affect results; the gate is execution-only,
 		// like evalDelta's.
-		if nBlocks > 1 && e.dev.Workers() > 1 && depth*nPat >= blockParallelMinWork {
+		if e.launchWorth(nBlocks, depth) {
 			e.dev.LaunchAffine(nBlocks, w.liftKernel)
 		} else {
 			for b := 0; b < nBlocks; b++ {
@@ -275,6 +290,48 @@ func (w *Wave) runLiftBlock(b int) {
 	}
 }
 
+// InKernel reports whether one candidate of the bound round is too small
+// to split over pattern blocks: the delta evaluator's block-split test on
+// the candidate's 2 + depth dirty rows (target, parent, root path). Then
+// each proposal thread should evaluate its own candidate with EvalOne and
+// the round needs no grid launch; otherwise Eval's grid spreads the
+// candidates' blocks over the device. Both give the same bits.
+func (w *Wave) InKernel() bool {
+	if !w.bound {
+		panic("felsen: Wave.InKernel without BindRound")
+	}
+	e := w.e
+	nBlocks := (e.nPatterns + e.blockSize - 1) / e.blockSize
+	return !e.launchWorth(nBlocks, 2+len(w.path))
+}
+
+// prepare resolves candidate t's proposal-specific state against the
+// bound round: its five edge matrices and the clean rows its cells
+// stream — the target's two children and the parent's clean child — so
+// the cell kernel never branches on tip-ness. Eval and EvalOne both set a
+// candidate up through it.
+//
+//mpcgs:hotpath
+func (w *Wave) prepare(pr *waveProp, t *gtree.Tree) {
+	e := w.e
+	tn := &t.Nodes[w.phi]
+	e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[0]].Age, &pr.tm0)
+	e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[1]].Age, &pr.tm1)
+	pn := &t.Nodes[w.parent]
+	pr.pclean = pn.Child[0]
+	if pr.pclean == w.phi {
+		pr.pclean = pn.Child[1]
+	}
+	e.model.TransitionInto(pn.Age-tn.Age, &pr.pmPhi)
+	e.model.TransitionInto(pn.Age-t.Nodes[pr.pclean].Age, &pr.pmClean)
+	if !w.rootCase {
+		e.model.TransitionInto(w.c.base.Nodes[w.path[0]].Age-pn.Age, &pr.am)
+	}
+	pr.tlc, pr.tls = w.rowOf(tn.Child[0])
+	pr.trc, pr.trs = w.rowOf(tn.Child[1])
+	pr.cvc, pr.cvs = w.rowOf(pr.pclean)
+}
+
 // Eval computes log P(D|G̃) for every candidate of the bound round as one
 // fused (proposal × pattern-block) grid. trees is indexed by output slot:
 // a nil entry (the current state's slot, or a candidate whose resimulation
@@ -294,27 +351,8 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 		if t == nil {
 			continue
 		}
-		w.props = append(w.props, waveProp{t: t, slot: slot})
-		pr := &w.props[len(w.props)-1]
-		tn := &t.Nodes[w.phi]
-		e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[0]].Age, &pr.tm0)
-		e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[1]].Age, &pr.tm1)
-		pn := &t.Nodes[w.parent]
-		pr.pclean = pn.Child[0]
-		if pr.pclean == w.phi {
-			pr.pclean = pn.Child[1]
-		}
-		e.model.TransitionInto(pn.Age-tn.Age, &pr.pmPhi)
-		e.model.TransitionInto(pn.Age-t.Nodes[pr.pclean].Age, &pr.pmClean)
-		if !w.rootCase {
-			e.model.TransitionInto(w.c.base.Nodes[w.path[0]].Age-pn.Age, &pr.am)
-		}
-		// Resolve the clean rows the cells will stream — the target's two
-		// children and the parent's clean child — once per proposal, so the
-		// cell kernel never branches on tip-ness.
-		pr.tlc, pr.tls = w.rowOf(tn.Child[0])
-		pr.trc, pr.trs = w.rowOf(tn.Child[1])
-		pr.cvc, pr.cvs = w.rowOf(pr.pclean)
+		w.props = append(w.props, waveProp{slot: slot})
+		w.prepare(&w.props[len(w.props)-1], t)
 	}
 	nLive := len(w.props)
 	if nLive == 0 {
@@ -335,7 +373,7 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 	// and the reduction below is fixed-order, so the schedule never
 	// affects results.
 	nCells := nBlocks * nLive
-	if nCells > 1 && e.dev.Workers() > 1 && nLive*(2+len(w.path))*nPat >= blockParallelMinWork {
+	if e.launchWorth(nCells, nLive*(2+len(w.path))) {
 		e.dev.LaunchAffine(nCells, w.cellKernel)
 	} else {
 		for cell := 0; cell < nCells; cell++ {
@@ -343,8 +381,8 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 		}
 	}
 	// Per-proposal fixed-order reduction over its block partials — the
-	// same block order the per-candidate path sums, so totals match bit
-	// for bit.
+	// same block order the per-candidate path and EvalOne sum, so totals
+	// match bit for bit.
 	for li := range w.props {
 		total := 0.0
 		for b := 0; b < nBlocks; b++ {
@@ -354,19 +392,51 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 	}
 }
 
-// runCell evaluates one (pattern block, proposal) grid cell: the
-// candidate's fused target-and-parent pass, root-path walk against the
-// shared outer lanes, and the block's root-contraction partial into
-// sums[b*nLive+li]. The per-node arithmetic and operation order replicate
-// runBlock exactly (see the bit-identity note in the package comment).
+// EvalOne computes log P(D|G̃) for one candidate t of the bound round on
+// the calling goroutine: t's cell of every pattern block in block order,
+// summed in the order Eval's reduction sums them, so the result is Eval's
+// (and LogLikelihoodDelta's) bit for bit. t must satisfy the round's
+// validity contract. Calls may run concurrently between binds — each
+// works in its own pooled scratch and only reads the round state — which
+// lets every proposal thread evaluate its own candidate (see InKernel).
+//
+//mpcgs:hotpath
+func (w *Wave) EvalOne(t *gtree.Tree) float64 {
+	if !w.bound {
+		panic("felsen: Wave.EvalOne without BindRound")
+	}
+	e := w.e
+	ws := e.wavePool.Get().(*waveScratch)
+	w.prepare(&ws.prop, t)
+	nBlocks := (e.nPatterns + e.blockSize - 1) / e.blockSize
+	total := 0.0
+	for b := 0; b < nBlocks; b++ {
+		total += w.cellSum(&ws.prop, b, ws)
+	}
+	e.wavePool.Put(ws)
+	return total
+}
+
+// runCell evaluates one (pattern block, proposal) cell of Eval's grid
+// into sums[cell], cell = b·nLive + li.
 //
 //mpcgs:hotpath
 func (w *Wave) runCell(cell int) {
-	e := w.e
 	nLive := len(w.props)
-	li := cell % nLive
-	b := cell / nLive
-	pr := &w.props[li]
+	ws := w.e.wavePool.Get().(*waveScratch)
+	w.sums[cell] = w.cellSum(&w.props[cell%nLive], cell/nLive, ws)
+	w.e.wavePool.Put(ws)
+}
+
+// cellSum evaluates candidate pr over pattern block b in ws's working
+// rows: the fused target-and-parent pass, the root-path walk against the
+// shared outer lanes, and the block's root-contraction partial, which it
+// returns. The per-node arithmetic and operation order replicate runBlock
+// exactly (see the bit-identity note in the package comment).
+//
+//mpcgs:hotpath
+func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
+	e := w.e
 	nPat := e.nPatterns
 	bs := e.blockSize
 	lo := b * bs
@@ -375,7 +445,6 @@ func (w *Wave) runCell(cell int) {
 		hi = nPat
 	}
 	n := hi - lo
-	ws := e.wavePool.Get().(*waveScratch)
 	// The working row: the current node's lanes for this block,
 	// overwritten in place as the walk climbs.
 	sv := rowView{ws.cond, ws.scale, bs}
@@ -401,8 +470,7 @@ func (w *Wave) runCell(cell int) {
 
 	// Root contraction with the prior frequencies — the working row now
 	// holds the root (the parent itself in the root case).
-	w.sums[cell] = evalRoot(sv, e.patCount[lo:hi], &e.freqs, n)
-	e.wavePool.Put(ws)
+	return evalRoot(sv, e.patCount[lo:hi], &e.freqs, n)
 }
 
 // evalNeighbourhood evaluates the resimulated neighbourhood's two nodes

@@ -3,8 +3,8 @@ package felsen
 // Equivalence and determinism of the wave-fused proposal evaluation
 // (wave.go). The contract under test: for any round (a base tree, a
 // target φ, and candidates produced by resimulating φ on copies of the
-// base), Wave.Eval returns for every candidate the exact bits
-// LogLikelihoodDelta returns — across block sizes, worker counts, repeat
+// base), Wave.Eval and Wave.EvalOne return for every candidate the exact
+// bits LogLikelihoodDelta returns — across block sizes, worker counts, repeat
 // runs, nil (skipped) slots, the root-adjacent case, and across rounds as
 // the cache is rebased onto accepted candidates.
 
@@ -91,7 +91,8 @@ func testWaveMatchesPerCandidate(t *testing.T, phiPick func(*gtree.Tree) int) {
 		var want []float64
 		for di, mkDev := range devs {
 			for rep := 0; rep < 2; rep++ {
-				eval := mk(mkDev())
+				dev := mkDev()
+				eval := mk(dev)
 				eval.SetBlockSize(bs)
 				c := eval.NewDeltaCache()
 				eval.Rebase(c, tree)
@@ -104,10 +105,18 @@ func testWaveMatchesPerCandidate(t *testing.T, phiPick func(*gtree.Tree) int) {
 				w.BindRound(phi)
 				got := make([]float64, len(props))
 				w.Eval(props, got)
+				// The in-kernel dispatch: every candidate evaluated by its
+				// own device thread, concurrently, against the same bind.
+				one := make([]float64, len(props))
+				dev.Launch(len(props), func(i int) { one[i] = w.EvalOne(props[i]) })
 				for i := range props {
 					if math.Float64bits(got[i]) != math.Float64bits(oracle[i]) {
 						t.Fatalf("blockSize=%d dev %d rep %d candidate %d: wave %v != per-candidate %v (must be bit-identical)",
 							bs, di, rep, i, got[i], oracle[i])
+					}
+					if math.Float64bits(one[i]) != math.Float64bits(oracle[i]) {
+						t.Fatalf("blockSize=%d dev %d rep %d candidate %d: EvalOne %v != per-candidate %v (must be bit-identical)",
+							bs, di, rep, i, one[i], oracle[i])
 					}
 				}
 				if di == 0 && rep == 0 {
@@ -224,12 +233,20 @@ func TestWaveEvalRequiresBind(t *testing.T) {
 	c := eval.NewDeltaCache()
 	eval.Rebase(c, tree)
 	w := eval.NewWave(c)
-	defer func() {
-		if recover() == nil {
-			t.Error("Eval without BindRound did not panic")
-		}
-	}()
-	w.Eval(props, make([]float64, len(props)))
+	for name, call := range map[string]func(){
+		"Eval":     func() { w.Eval(props, make([]float64, len(props))) },
+		"EvalOne":  func() { w.EvalOne(props[0]) },
+		"InKernel": func() { w.InKernel() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s without BindRound did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestWaveBindRejectsBadTarget(t *testing.T) {

@@ -4,6 +4,7 @@
 package clitest
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -17,6 +18,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/experiments"
 	"mpcgs/internal/felsen"
+	"mpcgs/internal/phylip"
 	"mpcgs/internal/seqgen"
 	"mpcgs/internal/subst"
 )
@@ -148,6 +150,47 @@ func TestMpcgsGrowthFlag(t *testing.T) {
 		path, "1.0")
 	if !strings.Contains(out, "growth:") {
 		t.Fatalf("no growth estimate in output:\n%s", out)
+	}
+}
+
+// TestMpcgsGrowthWarnsOnLowWeightESS: -growth warns on stderr when the
+// weights' effective sample size is below n/10, and stdout carries the
+// same lines either way. On 12×200 data (true θ = 1) a single EM pass
+// driven at θ0 = 5 leaves a few dozen effective draws of 2000; one driven
+// at θ0 = 0.5 leaves most of them.
+func TestMpcgsGrowthWarnsOnLowWeightESS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full estimation pipeline")
+	}
+	aln, _, err := seqgen.SimulateData(12, 200, 1.0, 2412)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phy bytes.Buffer
+	if err := phylip.Write(&phy, aln); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "data.phy")
+	if err := os.WriteFile(path, phy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		theta0 string
+		warn   bool
+	}{{"5", true}, {"0.5", false}} {
+		cmd := exec.Command(filepath.Join(binDir, "mpcgs"), "-q", "-growth", "-proposals", "8",
+			"-em-iterations", "1", "-burnin", "200", "-samples", "2000", path, tc.theta0)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("theta0 %s: %v\n%s%s", tc.theta0, err, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "growth: ") || strings.Contains(stdout.String(), "warning") {
+			t.Errorf("theta0 %s: stdout must hold the growth line and no warning:\n%s", tc.theta0, stdout.String())
+		}
+		if got := strings.Contains(stderr.String(), "warning: the growth estimate rests on"); got != tc.warn {
+			t.Errorf("theta0 %s: warned %v, want %v\nstdout:\n%sstderr:\n%s", tc.theta0, got, tc.warn, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -107,6 +107,9 @@ func (d *daemon) drain(t *testing.T) {
 	if !strings.Contains(d.output(), "drained cleanly") {
 		t.Fatalf("no drain confirmation in output:\n%s", d.output())
 	}
+	if !strings.Contains(d.output(), "mpcgsd: pattern kernels ") {
+		t.Fatalf("no kernel tier line in output:\n%s", d.output())
+	}
 }
 
 // jobView is the slice of the daemon's job JSON the smoke test compares.

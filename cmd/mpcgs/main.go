@@ -285,8 +285,14 @@ func main() {
 			if err != nil {
 				fatalf("%v", err)
 			}
+			n := len(r.LastSet.PostBurninStats())
 			fmt.Printf("growth: theta = %.6g, g = %.6g, weight ESS = %.1f of %d\n",
-				est.Theta, est.Growth, est.WeightESS, len(r.LastSet.PostBurninStats()))
+				est.Theta, est.Growth, est.WeightESS, n)
+			if est.WeightESS < float64(n)/10 {
+				fmt.Fprintf(os.Stderr, "mpcgs: warning: the growth estimate rests on %.1f effective draws of %d (below n/10): "+
+					"the final pass was driven far from (theta, g); rerun with the driving value nearer theta = %.6g\n",
+					est.WeightESS, n, est.Theta)
+			}
 		}
 		if *curve {
 			var grid []float64

@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"mpcgs/internal/felsen"
 	"mpcgs/internal/serve"
 )
 
@@ -75,7 +76,11 @@ func main() {
 	}
 	// The resolved address is printed unconditionally so wrappers (and
 	// the CI smoke test) can scrape the port when -addr picks port 0.
+	// Scrapers take the rest of that line as the URL, so the kernel tier
+	// (what the likelihood kernels run at on this CPU) follows on a line
+	// of its own.
 	fmt.Printf("mpcgsd: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(logw, "mpcgsd: pattern kernels %s\n", felsen.KernelTier())
 
 	hs := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)

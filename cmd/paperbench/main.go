@@ -46,6 +46,7 @@ import (
 
 	"mpcgs/internal/device"
 	"mpcgs/internal/experiments"
+	"mpcgs/internal/felsen"
 	"mpcgs/internal/stats"
 )
 
@@ -207,6 +208,7 @@ func writeJSON(path string, names []string, c experiments.Common) error {
 		Seed:        c.Seed,
 		Experiments: names,
 		Speedups:    measuredSpeedups,
+		KernelTier:  felsen.KernelTier(),
 	}
 	return snap.Write(path)
 }

@@ -28,6 +28,10 @@ type BenchSnapshot struct {
 	Seed        uint64                    `json:"seed"` // 0 = default
 	Experiments []string                  `json:"experiments"`
 	Speedups    map[string][]SpeedupPoint `json:"speedups"`
+	// KernelTier is the instruction set felsen's pattern kernels ran at
+	// (felsen.KernelTier). Snapshots written before it was recorded
+	// leave it empty.
+	KernelTier string `json:"kernel_tier,omitempty"`
 
 	// PR and File identify where the snapshot came from; they are
 	// derived from the filename by LoadSnapshots, not stored in it.

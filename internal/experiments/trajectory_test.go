@@ -39,6 +39,28 @@ func TestParseSnapshotBench7(t *testing.T) {
 	}
 }
 
+// TestSnapshotKernelTier checks that the kernel tier round-trips through
+// Write and ParseSnapshot, and that a snapshot written before the field
+// existed (BENCH_7.json) still parses, with the tier empty.
+func TestSnapshotKernelTier(t *testing.T) {
+	old, err := ParseSnapshot(filepath.Join("..", "..", "BENCH_7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.KernelTier != "" {
+		t.Errorf("BENCH_7.json kernel tier %q, want empty", old.KernelTier)
+	}
+	dir := t.TempDir()
+	writeSnapshot(t, dir, "BENCH_3.json", &BenchSnapshot{KernelTier: "avx512"})
+	got, err := ParseSnapshot(filepath.Join(dir, "BENCH_3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.KernelTier != "avx512" {
+		t.Errorf("kernel tier %q after a round trip, want avx512", got.KernelTier)
+	}
+}
+
 func writeSnapshot(t *testing.T, dir, name string, snap *BenchSnapshot) {
 	t.Helper()
 	snap.Schema = SnapshotSchema

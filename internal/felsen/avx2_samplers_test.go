@@ -1,11 +1,11 @@
 package felsen_test
 
-// Whole-sampler bit-identity of the AVX2 pattern kernels: the GMH
+// Whole-sampler bit-identity of the vector pattern kernels: the GMH
 // sampler under the wave and the per-candidate dispatch, and the MH
-// sampler on the delta path, must record bit-identical traces with the
-// scalar kernels and with the AVX2 kernels, at every worker count — and
-// MH must match the reference evaluator's per-site path as it does in
-// core's delta ≡ serial suite.
+// sampler on the delta path, must record bit-identical traces at every
+// kernel tier the CPU runs (scalar, avx2, avx512) and every worker
+// count — and MH must match the reference evaluator's per-site path as
+// it does in core's delta ≡ serial suite.
 
 import (
 	"fmt"
@@ -72,7 +72,7 @@ func TestAVX2WaveGMHMatchesPerCandidate(t *testing.T) {
 	}
 	mhRef := run(t, core.NewMH(ref))
 	var gmhWant, mhWant *core.Result
-	felsen.ForEachKernel(t, func(t *testing.T) {
+	felsen.ForEachTier(t, func(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			dev := device.New(workers)
 			eval, err := felsen.New(model, aln, dev)

@@ -52,7 +52,7 @@ func closeRel(a, b float64) bool {
 }
 
 func TestRebaseMatchesSerial(t *testing.T) {
-	ForEachKernel(t, testRebaseMatchesSerial)
+	ForEachTier(t, testRebaseMatchesSerial)
 }
 
 func testRebaseMatchesSerial(t *testing.T) {
@@ -66,7 +66,7 @@ func testRebaseMatchesSerial(t *testing.T) {
 }
 
 func TestDeltaMatchesSerialOverResimulations(t *testing.T) {
-	ForEachKernel(t, testDeltaMatchesSerialOverResimulations)
+	ForEachTier(t, testDeltaMatchesSerialOverResimulations)
 }
 
 func testDeltaMatchesSerialOverResimulations(t *testing.T) {

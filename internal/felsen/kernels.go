@@ -4,17 +4,22 @@ package felsen
 //
 // Every kernel here evaluates one node's conditional row over a range of
 // patterns, and patterns never interact, so a kernel may process them in
-// any grouping. On amd64 CPUs with AVX2 (useAVX2, detected once at
-// package init) the kernels run four patterns per YMM register in Go
-// assembly (kernels_amd64.s), one vector multiply or add per scalar one,
-// in the scalar loop's order and without fused multiply-add. Each lane
-// therefore rounds exactly as the scalar code does, and the results are
-// bit-identical to the scalar loops below. A 4-pattern group in which
-// any lane needs rescaling, and the n%4 tail, run through the scalar
-// loop, which is the single fallback: the vector code never rescales.
-// The root contraction's vector kernel also takes the per-pattern log
-// four lanes at a time, by the instruction sequence math.Log runs on
-// amd64 (see evalRoot). Elsewhere the scalar loops run alone.
+// any grouping. On amd64 the kernels run in Go assembly
+// (kernels_amd64.s) at the widest tier the CPU offers, detected once at
+// package init: AVX-512F, eight patterns per ZMM register, or AVX2,
+// four per YMM register. Either way each vector multiply or add stands
+// for one scalar one, in the scalar loop's order and without fused
+// multiply-add, so each lane rounds exactly as the scalar code does and
+// the results are bit-identical to the scalar loops below at every tier.
+// The fallback order is fixed: whole 8-pattern groups (AVX-512), then
+// 4-pattern groups (AVX2), then the scalar loop. An 8-pattern group in
+// which any lane needs rescaling runs as two 4-pattern groups; a
+// 4-pattern group that needs rescaling, and the n%4 tail, run through
+// the scalar loop, the single rescaling path: the vector code never
+// rescales. The root contraction's vector kernel is AVX2 at both vector
+// tiers and takes the per-pattern log four lanes at a time, by the
+// instruction sequence math.Log runs on amd64 (see evalRoot). Elsewhere
+// the scalar loops run alone.
 
 import (
 	"math"
@@ -22,6 +27,29 @@ import (
 	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
 )
+
+// tier is an instruction set the pattern kernels run at. The tiers are
+// ordered: a CPU that runs one runs every tier below it.
+type tier uint8
+
+const (
+	tierScalar tier = iota
+	tierAVX2
+	tierAVX512
+)
+
+var tierNames = [...]string{tierScalar: "scalar", tierAVX2: "avx2", tierAVX512: "avx512"}
+
+func (t tier) String() string { return tierNames[t] }
+
+// kernelTier is the tier the kernels run at: the widest this CPU offers
+// (detectTier), set once at package init.
+var kernelTier = detectTier()
+
+// KernelTier names the instruction set felsen's pattern kernels run at
+// on this CPU: "avx512", "avx2" or "scalar". Results are bit-identical
+// at every tier; only their speed differs.
+func KernelTier() string { return kernelTier.String() }
 
 // rowView is one conditional row viewed from the first pattern of a
 // range: state lane x is cond[x*stride:], the rescaling-log lane scale.
@@ -46,7 +74,7 @@ func rowAt(cond, scale []float64, stride, lo int) rowView {
 //mpcgs:hotpath
 func evalNode(l, r, o rowView, m0, m1 *subst.Matrix, n int) {
 	i := 0
-	for useAVX2 && n-i >= 4 {
+	for kernelTier != tierScalar && n-i >= 4 {
 		i += nodeVec(l, r, o, m0, m1, i, n)
 		if n-i < 4 {
 			break
@@ -136,7 +164,7 @@ func nodeScalar(l, r, o rowView, m0, m1 *subst.Matrix, lo, hi int) {
 //mpcgs:hotpath
 func evalWalk(s, c rowView, m *subst.Matrix, n int) {
 	i := 0
-	for useAVX2 && n-i >= 4 {
+	for kernelTier != tierScalar && n-i >= 4 {
 		i += walkVec(s, c, m, i, n)
 		if n-i < 4 {
 			break
@@ -210,7 +238,7 @@ func walkScalar(s, c rowView, m *subst.Matrix, lo, hi int) {
 //mpcgs:hotpath
 func evalLift(v, o rowView, m *subst.Matrix, n int) {
 	i := 0
-	if useAVX2 {
+	if kernelTier != tierScalar {
 		i = liftVec(v, o, m, n)
 	}
 	liftScalar(v, o, m, i, n)
@@ -259,7 +287,7 @@ func liftScalar(v, o rowView, m *subst.Matrix, lo, hi int) {
 func evalRoot(v rowView, pc []float64, f *[4]float64, n int) float64 {
 	sum := 0.0
 	i := 0
-	for useAVX2 && n-i >= 4 {
+	for kernelTier != tierScalar && n-i >= 4 {
 		var done int
 		sum, done = rootVec(v, pc, f, sum, i, n)
 		i += done

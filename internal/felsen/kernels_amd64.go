@@ -2,38 +2,47 @@ package felsen
 
 import "mpcgs/internal/subst"
 
-// useAVX2 selects the AVX2 pattern kernels (kernels_amd64.s). It is set
-// once, at package init: the CPU must report AVX and AVX2, and the OS
-// must save the YMM registers across context switches (OSXSAVE, with
-// XCR0's SSE and AVX state bits set).
-var useAVX2 = detectAVX2()
-
-func detectAVX2() bool {
+// detectTier reports the widest kernel tier this CPU and OS run. AVX2
+// needs the CPU to report AVX and AVX2 and the OS to save the YMM
+// registers across context switches (OSXSAVE, with XCR0's SSE and AVX
+// state bits set). AVX-512 needs AVX2 as well, since its kernels hand
+// rescaling groups and 4-pattern tails to the AVX2 ones, plus AVX512F
+// and XCR0's opmask, ZMM_Hi256 and Hi16_ZMM state bits.
+func detectTier() tier {
 	const (
 		cpuidOSXSAVE = 1 << 27 // leaf 1, ECX
 		cpuidAVX     = 1 << 28 // leaf 1, ECX
 		cpuidAVX2    = 1 << 5  // leaf 7, EBX
+		cpuidAVX512F = 1 << 16 // leaf 7, EBX
 		xcr0SSEAVX   = 1<<1 | 1<<2
+		xcr0AVX512   = xcr0SSEAVX | 1<<5 | 1<<6 | 1<<7
 	)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return tierScalar
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&cpuidOSXSAVE == 0 || ecx1&cpuidAVX == 0 || xgetbv()&xcr0SSEAVX != xcr0SSEAVX {
-		return false
+	if ecx1&cpuidOSXSAVE == 0 || ecx1&cpuidAVX == 0 {
+		return tierScalar
 	}
+	xcr0 := xgetbv()
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&cpuidAVX2 != 0
+	switch {
+	case xcr0&xcr0SSEAVX != xcr0SSEAVX || ebx7&cpuidAVX2 == 0:
+		return tierScalar
+	case xcr0&xcr0AVX512 != xcr0AVX512 || ebx7&cpuidAVX512F == 0:
+		return tierAVX2
+	}
+	return tierAVX512
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)
 
-// The assembly kernels process `groups` whole 4-pattern groups from the
-// given lane pointers. nodeKernelAVX2 and walkKernelAVX2 stop before the
-// first group that needs rescaling, leaving it unwritten, and return the
-// number of patterns they finished.
+// The assembly kernels process `groups` whole groups of 4 (AVX2) or 8
+// (AVX512) patterns from the given lane pointers. The node and walk
+// kernels stop before the first group that needs rescaling, leaving it
+// unwritten, and return the number of patterns they finished.
 
 //go:noescape
 func nodeKernelAVX2(l *float64, lstride int, ls *float64, r *float64, rstride int, rs *float64, o *float64, ostride int, os *float64, m0, m1 *subst.Matrix, groups int) (done int)
@@ -43,6 +52,15 @@ func walkKernelAVX2(s *float64, sstride int, ss *float64, c *float64, cstride in
 
 //go:noescape
 func liftKernelAVX2(v *float64, vstride int, o *float64, ostride int, m *subst.Matrix, groups int)
+
+//go:noescape
+func nodeKernelAVX512(l *float64, lstride int, ls *float64, r *float64, rstride int, rs *float64, o *float64, ostride int, os *float64, m0, m1 *subst.Matrix, groups int) (done int)
+
+//go:noescape
+func walkKernelAVX512(s *float64, sstride int, ss *float64, c *float64, cstride int, cs *float64, m *subst.Matrix, groups int) (done int)
+
+//go:noescape
+func liftKernelAVX512(v *float64, vstride int, o *float64, ostride int, m *subst.Matrix, groups int)
 
 // rootKernelAVX2 adds the root-contraction terms of `groups` whole
 // 4-pattern groups to sum and returns the new sum. It stops before the
@@ -67,7 +85,11 @@ func (v rowView) span(i, n int, scale bool) {
 }
 
 // nodeVec runs evalNode's whole 4-pattern groups from pattern i on and
-// returns how many patterns it finished.
+// returns how many patterns it finished: at the AVX512 tier whole
+// 8-pattern groups first, then the AVX2 kernel on the 4-pattern rest. An
+// 8-pattern group that needs rescaling goes to the AVX2 kernel as two
+// 4-pattern groups, so the stop is always at the first 4-pattern group
+// that needs rescaling, whatever the tier.
 func nodeVec(l, r, o rowView, m0, m1 *subst.Matrix, i, n int) int {
 	if n-i < 4 {
 		return 0
@@ -75,36 +97,67 @@ func nodeVec(l, r, o rowView, m0, m1 *subst.Matrix, i, n int) int {
 	l.span(i, n, true)
 	r.span(i, n, true)
 	o.span(i, n, true)
-	return nodeKernelAVX2(&l.cond[i], l.stride, &l.scale[i], &r.cond[i], r.stride, &r.scale[i],
-		&o.cond[i], o.stride, &o.scale[i], m0, m1, (n-i)/4)
+	lo := i
+	if kernelTier == tierAVX512 && n-i >= 8 {
+		i += nodeKernelAVX512(&l.cond[i], l.stride, &l.scale[i], &r.cond[i], r.stride, &r.scale[i],
+			&o.cond[i], o.stride, &o.scale[i], m0, m1, (n-i)/8)
+		if n-i >= 8 { // the 8-pattern group at i needs rescaling
+			return i - lo + nodeKernelAVX2(&l.cond[i], l.stride, &l.scale[i], &r.cond[i], r.stride, &r.scale[i],
+				&o.cond[i], o.stride, &o.scale[i], m0, m1, 2)
+		}
+	}
+	if n-i >= 4 {
+		i += nodeKernelAVX2(&l.cond[i], l.stride, &l.scale[i], &r.cond[i], r.stride, &r.scale[i],
+			&o.cond[i], o.stride, &o.scale[i], m0, m1, (n-i)/4)
+	}
+	return i - lo
 }
 
 // walkVec runs evalWalk's whole 4-pattern groups from pattern i on and
-// returns how many patterns it finished.
+// returns how many patterns it finished, by nodeVec's tiers and stop.
 func walkVec(s, c rowView, m *subst.Matrix, i, n int) int {
 	if n-i < 4 {
 		return 0
 	}
 	s.span(i, n, true)
 	c.span(i, n, true)
-	return walkKernelAVX2(&s.cond[i], s.stride, &s.scale[i], &c.cond[i], c.stride, &c.scale[i], m, (n-i)/4)
+	lo := i
+	if kernelTier == tierAVX512 && n-i >= 8 {
+		i += walkKernelAVX512(&s.cond[i], s.stride, &s.scale[i], &c.cond[i], c.stride, &c.scale[i], m, (n-i)/8)
+		if n-i >= 8 { // the 8-pattern group at i needs rescaling
+			return i - lo + walkKernelAVX2(&s.cond[i], s.stride, &s.scale[i], &c.cond[i], c.stride, &c.scale[i], m, 2)
+		}
+	}
+	if n-i >= 4 {
+		i += walkKernelAVX2(&s.cond[i], s.stride, &s.scale[i], &c.cond[i], c.stride, &c.scale[i], m, (n-i)/4)
+	}
+	return i - lo
 }
 
-// liftVec runs evalLift's whole 4-pattern groups and returns how many
-// patterns it finished.
+// liftVec runs evalLift's whole 4-pattern groups, at the AVX512 tier as
+// 8-pattern groups and at most one AVX2 4-pattern group, and returns how
+// many patterns it finished.
 func liftVec(v, o rowView, m *subst.Matrix, n int) int {
 	if n < 4 {
 		return 0
 	}
 	v.span(0, n, false)
 	o.span(0, n, false)
-	liftKernelAVX2(&v.cond[0], v.stride, &o.cond[0], o.stride, m, n/4)
+	i := 0
+	if kernelTier == tierAVX512 && n >= 8 {
+		liftKernelAVX512(&v.cond[0], v.stride, &o.cond[0], o.stride, m, n/8)
+		i = n - n%8
+	}
+	if n-i >= 4 {
+		liftKernelAVX2(&v.cond[i], v.stride, &o.cond[i], o.stride, m, (n-i)/4)
+	}
 	return n - n%4
 }
 
 // rootVec runs evalRoot's whole 4-pattern groups from pattern i on,
 // adding their terms to sum, and returns the new sum and how many
-// patterns it finished.
+// patterns it finished. It is AVX2 at both vector tiers: an 8-wide
+// contraction is no faster, its terms still being summed one by one.
 func rootVec(v rowView, pc []float64, f *[4]float64, sum float64, i, n int) (float64, int) {
 	if n-i < 4 {
 		return sum, 0

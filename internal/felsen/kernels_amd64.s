@@ -1,17 +1,20 @@
-// AVX2 pattern kernels: four patterns per YMM register, one VMULPD or
-// VADDPD per scalar * or + of the Go loops in kernels.go, in the same
-// left-to-right order and without FMA, so every lane rounds exactly as
-// the scalar code does. The running maximum is VMAXPD with the current
-// maximum as the second source, which is `if w > maxv { maxv = w }`
-// bit for bit (a NaN or a tie keeps maxv). A group in which any lane
-// needs rescaling is left unwritten: the kernel returns how many
-// patterns it finished and the Go caller runs that group through the
-// scalar loop.
+// Pattern kernels at two vector tiers: AVX2, four patterns per YMM
+// register (node, walk, lift and the root contraction), and AVX-512F,
+// eight patterns per ZMM register (node, walk and lift; further down).
+// Both do one VMULPD or VADDPD per scalar * or + of the Go loops in
+// kernels.go, in the same left-to-right order and without FMA, so every
+// lane rounds exactly as the scalar code does. The running maximum is
+// VMAXPD with the current maximum as the second source, which is
+// `if w > maxv { maxv = w }` bit for bit (a NaN or a tie keeps maxv). A
+// group in which any lane needs rescaling is left unwritten: the kernel
+// returns how many patterns it finished, and the Go caller runs that
+// group at the next tier down (an 8-pattern group as two AVX2 groups, a
+// 4-pattern group through the scalar loop).
 //
 // Rows are passed as (lane 0 pointer, lane stride in float64s, scale
-// lane pointer); state lane x starts x strides after lane 0. Matrix
-// entries are broadcast once per call into the local frame, so the dot
-// products read them as folded memory operands.
+// lane pointer); state lane x starts x strides after lane 0. The AVX2
+// kernels broadcast the matrix entries once per call into the local
+// frame, so the dot products read them as folded memory operands.
 
 #include "textflag.h"
 
@@ -220,6 +223,203 @@ liftLoop:
 	JMP  liftLoop
 
 liftDone:
+	VZEROUPPER
+	RET
+
+// AVX-512F pattern kernels: eight patterns per ZMM register, with the
+// AVX2 kernels' operation sequence lane for lane. Matrix entries are
+// read by embedded broadcast (VMULPD.BCST) straight from the matrix;
+// nodeKernelAVX512 holds its first matrix broadcast in Z16..Z31 instead,
+// which frees the general register a second matrix pointer would take.
+// The running maximum starts from VPXORQ (VXORPD on ZMM needs
+// AVX512DQ) and the rescale test compares into opmask registers, so
+// every instruction here is AVX512F. An 8-pattern group in which any
+// lane needs rescaling is left unwritten; the Go caller runs its two
+// 4-pattern groups through the AVX2 kernel.
+
+// DOTB computes acc = m[x][0]*z0 + m[x][1]*z1 + m[x][2]*z2 + m[x][3]*z3,
+// left to right, broadcasting matrix row x from off(m). Clobbers Z15.
+#define DOTB(m, off, z0, z1, z2, z3, acc) \
+	VMULPD.BCST (off+0)(m), z0, acc; \
+	VMULPD.BCST (off+8)(m), z1, Z15; \
+	VADDPD Z15, acc, acc; \
+	VMULPD.BCST (off+16)(m), z2, Z15; \
+	VADDPD Z15, acc, acc; \
+	VMULPD.BCST (off+24)(m), z3, Z15; \
+	VADDPD Z15, acc, acc
+
+// DOTR is DOTB with matrix row x already broadcast in b0..b3.
+#define DOTR(b0, b1, b2, b3, z0, z1, z2, z3, acc) \
+	VMULPD b0, z0, acc; \
+	VMULPD b1, z1, Z15; \
+	VADDPD Z15, acc, acc; \
+	VMULPD b2, z2, Z15; \
+	VADDPD Z15, acc, acc; \
+	VMULPD b3, z3, Z15; \
+	VADDPD Z15, acc, acc
+
+// RUNNINGMAX8 and RESCALE8 are RUNNINGMAX and RESCALE on ZMM registers:
+// K1 marks lanes below 1e-150, K2 lanes above +0, and their AND decides.
+// RESCALE8 clobbers zero, K1 and K2.
+#define RUNNINGMAX8(w0, w1, w2, w3, mx) \
+	VPXORQ mx, mx, mx; \
+	VMAXPD mx, w0, mx; \
+	VMAXPD mx, w1, mx; \
+	VMAXPD mx, w2, mx; \
+	VMAXPD mx, w3, mx
+
+#define RESCALE8(mx, zero, bail) \
+	VCMPPD.BCST $0x11, rescaleThr<>(SB), mx, K1; \
+	VPXORQ zero, zero, zero; \
+	VCMPPD $0x1e, zero, mx, K2; \
+	KANDW K2, K1, K1; \
+	KORTESTW K1, K1; \
+	JNZ bail
+
+// func nodeKernelAVX512(l *float64, lstride int, ls *float64, r *float64, rstride int, rs *float64, o *float64, ostride int, os *float64, m0, m1 *subst.Matrix, groups int) (done int)
+TEXT ·nodeKernelAVX512(SB), NOSPLIT, $0-104
+	MOVQ         m0+72(FP), AX
+	VBROADCASTSD 0(AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD 32(AX), Z20
+	VBROADCASTSD 40(AX), Z21
+	VBROADCASTSD 48(AX), Z22
+	VBROADCASTSD 56(AX), Z23
+	VBROADCASTSD 64(AX), Z24
+	VBROADCASTSD 72(AX), Z25
+	VBROADCASTSD 80(AX), Z26
+	VBROADCASTSD 88(AX), Z27
+	VBROADCASTSD 96(AX), Z28
+	VBROADCASTSD 104(AX), Z29
+	VBROADCASTSD 112(AX), Z30
+	VBROADCASTSD 120(AX), Z31
+	MOVQ         m1+80(FP), AX
+	MOVQ         l+0(FP), SI
+	MOVQ         lstride+8(FP), R8
+	SHLQ         $3, R8
+	MOVQ         ls+16(FP), R9
+	MOVQ         r+24(FP), DI
+	MOVQ         rstride+32(FP), R10
+	SHLQ         $3, R10
+	MOVQ         rs+40(FP), R11
+	MOVQ         o+48(FP), DX
+	MOVQ         ostride+56(FP), R12
+	SHLQ         $3, R12
+	MOVQ         os+64(FP), R13
+	XORQ         CX, CX
+
+node8Loop:
+	CMPQ CX, groups+88(FP)
+	JGE  node8Done
+	LOAD4(SI, R8, Z0, Z1, Z2, Z3)
+	LOAD4(DI, R10, Z4, Z5, Z6, Z7)
+	DOTR(Z16, Z17, Z18, Z19, Z0, Z1, Z2, Z3, Z8)
+	DOTB(AX, 0, Z4, Z5, Z6, Z7, Z9)
+	VMULPD Z9, Z8, Z11
+	DOTR(Z20, Z21, Z22, Z23, Z0, Z1, Z2, Z3, Z8)
+	DOTB(AX, 32, Z4, Z5, Z6, Z7, Z9)
+	VMULPD Z9, Z8, Z12
+	DOTR(Z24, Z25, Z26, Z27, Z0, Z1, Z2, Z3, Z8)
+	DOTB(AX, 64, Z4, Z5, Z6, Z7, Z9)
+	VMULPD Z9, Z8, Z13
+	DOTR(Z28, Z29, Z30, Z31, Z0, Z1, Z2, Z3, Z8)
+	DOTB(AX, 96, Z4, Z5, Z6, Z7, Z9)
+	VMULPD Z9, Z8, Z14
+	RUNNINGMAX8(Z11, Z12, Z13, Z14, Z10)
+	RESCALE8(Z10, Z9, node8Done)
+	STORE4(DX, R12, Z11, Z12, Z13, Z14)
+	VMOVUPD (R9), Z8
+	VADDPD  (R11), Z8, Z8
+	VMOVUPD Z8, (R13)
+	ADDQ    $64, SI
+	ADDQ    $64, R9
+	ADDQ    $64, DI
+	ADDQ    $64, R11
+	ADDQ    $64, DX
+	ADDQ    $64, R13
+	INCQ    CX
+	JMP     node8Loop
+
+node8Done:
+	VZEROUPPER
+	SHLQ $3, CX
+	MOVQ CX, done+96(FP)
+	RET
+
+// func walkKernelAVX512(s *float64, sstride int, ss *float64, c *float64, cstride int, cs *float64, m *subst.Matrix, groups int) (done int)
+TEXT ·walkKernelAVX512(SB), NOSPLIT, $0-72
+	MOVQ m+48(FP), AX
+	MOVQ s+0(FP), SI
+	MOVQ sstride+8(FP), R8
+	SHLQ $3, R8
+	MOVQ ss+16(FP), R9
+	MOVQ c+24(FP), DI
+	MOVQ cstride+32(FP), R10
+	SHLQ $3, R10
+	MOVQ cs+40(FP), R11
+	XORQ CX, CX
+
+walk8Loop:
+	CMPQ CX, groups+56(FP)
+	JGE  walk8Done
+	// The outer-partial lanes are each read once, as memory operands.
+	LOAD4(SI, R8, Z0, Z1, Z2, Z3)
+	DOTB(AX, 0, Z0, Z1, Z2, Z3, Z8)
+	VMULPD (DI), Z8, Z8
+	DOTB(AX, 32, Z0, Z1, Z2, Z3, Z9)
+	VMULPD (DI)(R10*1), Z9, Z9
+	DOTB(AX, 64, Z0, Z1, Z2, Z3, Z10)
+	VMULPD (DI)(R10*2), Z10, Z10
+	LEAQ   (DI)(R10*2), BX
+	DOTB(AX, 96, Z0, Z1, Z2, Z3, Z11)
+	VMULPD (BX)(R10*1), Z11, Z11
+	RUNNINGMAX8(Z8, Z9, Z10, Z11, Z12)
+	RESCALE8(Z12, Z14, walk8Done)
+	STORE4(SI, R8, Z8, Z9, Z10, Z11)
+	VMOVUPD (R9), Z13
+	VADDPD  (R11), Z13, Z13
+	VMOVUPD Z13, (R9)
+	ADDQ    $64, SI
+	ADDQ    $64, R9
+	ADDQ    $64, DI
+	ADDQ    $64, R11
+	INCQ    CX
+	JMP     walk8Loop
+
+walk8Done:
+	VZEROUPPER
+	SHLQ $3, CX
+	MOVQ CX, done+64(FP)
+	RET
+
+// func liftKernelAVX512(v *float64, vstride int, o *float64, ostride int, m *subst.Matrix, groups int)
+TEXT ·liftKernelAVX512(SB), NOSPLIT, $0-48
+	MOVQ m+32(FP), AX
+	MOVQ v+0(FP), SI
+	MOVQ vstride+8(FP), R8
+	SHLQ $3, R8
+	MOVQ o+16(FP), DI
+	MOVQ ostride+24(FP), R10
+	SHLQ $3, R10
+	MOVQ groups+40(FP), CX
+
+lift8Loop:
+	TESTQ CX, CX
+	JLE   lift8Done
+	LOAD4(SI, R8, Z0, Z1, Z2, Z3)
+	DOTB(AX, 0, Z0, Z1, Z2, Z3, Z4)
+	DOTB(AX, 32, Z0, Z1, Z2, Z3, Z5)
+	DOTB(AX, 64, Z0, Z1, Z2, Z3, Z6)
+	DOTB(AX, 96, Z0, Z1, Z2, Z3, Z7)
+	STORE4(DI, R10, Z4, Z5, Z6, Z7)
+	ADDQ  $64, SI
+	ADDQ  $64, DI
+	DECQ  CX
+	JMP   lift8Loop
+
+lift8Done:
 	VZEROUPPER
 	RET
 

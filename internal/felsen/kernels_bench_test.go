@@ -7,7 +7,8 @@ import (
 	"mpcgs/internal/rng"
 )
 
-// BenchmarkKernels times each pattern kernel alone, scalar and AVX2, on
+// BenchmarkKernels times each pattern kernel alone at each tier the CPU
+// runs (scalar, avx2, avx512; a missing tier skips), on
 // one 128-pattern block (DefaultBlockSize, what a block or wave cell
 // runs) and on a 3000-pattern lane (about gmh-longseq's pattern count).
 // The inputs are F81 rows of uniform values; the walk's outer lanes are
@@ -18,13 +19,9 @@ func BenchmarkKernels(b *testing.B) {
 	ms := kernelMatrices(b)
 	for _, kernel := range []string{"node", "walk", "lift", "neighbourhood", "root"} {
 		for _, n := range []int{DefaultBlockSize, 3000} {
-			for _, vec := range []bool{false, true} {
-				mode := "scalar"
-				if vec {
-					mode = "avx2"
-				}
-				b.Run(fmt.Sprintf("%s/%s/n=%d", kernel, mode, n), func(b *testing.B) {
-					SetUseAVX2(b, vec)
+			for _, tr := range allTiers {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", kernel, tr, n), func(b *testing.B) {
+					useTier(b, tr)
 					g := &kernelGen{src: rng.NewMT19937(21)}
 					l, r, c, o, tgt := g.row(n, 0), g.row(n, 0), g.row(n, 0), g.row(n, 0), g.row(n, 0)
 					ones := g.row(n, 0)

@@ -4,8 +4,9 @@ package felsen
 
 import "mpcgs/internal/subst"
 
-// useAVX2 is always false off amd64: the scalar loops run alone.
-var useAVX2 = false
+// detectTier is always the scalar tier off amd64: the scalar loops run
+// alone.
+func detectTier() tier { return tierScalar }
 
 func nodeVec(l, r, o rowView, m0, m1 *subst.Matrix, i, n int) int { return 0 }
 

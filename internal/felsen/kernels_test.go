@@ -1,19 +1,23 @@
 package felsen
 
-// Bit-identity of the AVX2 pattern kernels (kernels_amd64.s) with their
-// scalar twins (kernels.go). Every case runs the scalar loop and the
-// vector dispatch on identical copies of the same rows and compares the
-// whole backing arrays with math.Float64bits (see sameBits for NaN
-// payloads), so a wrong lane, a stray
-// write outside [0, n) or a differently rounded value all fail. The
-// cases cover every length mod 4, every start offset mod 4 (a block's lo
-// with a block size that is not a multiple of 4), rescale groups at the
-// first, middle and last group position, and the values 0, −0,
-// subnormals, exactly 1e-150, +Inf and NaN.
+// Bit-identity of the vector pattern kernels (kernels_amd64.s) with
+// their scalar twins (kernels.go), at each vector tier the CPU runs
+// (subtests "avx2" and "avx512"; a tier the CPU lacks skips). Every case
+// runs the scalar loop and the vector dispatch on identical copies of
+// the same rows and compares the whole backing arrays with
+// math.Float64bits (see sameBits for NaN payloads), so a wrong lane, a
+// stray write outside [0, n) or a differently rounded value all fail.
+// The cases cover every length mod 4, every start offset mod 4 (a
+// block's lo with a block size that is not a multiple of 4), rescale
+// groups at the first, middle and last group position, and the values
+// 0, −0, subnormals, exactly 1e-150, +Inf and NaN;
+// TestAVX2EightGroupBoundary adds every length mod 8 and rescale lanes
+// in either half of an 8-pattern group.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mpcgs/internal/rng"
@@ -56,7 +60,11 @@ func (g *kernelGen) value() float64 {
 // lanes, with a lane stride that is not a multiple of 4, so lanes and
 // view start at every alignment.
 func (g *kernelGen) row(n, off int) kernelRow {
-	stride := off + n + 5
+	return g.rowStride(n, off, off+n+5)
+}
+
+// rowStride is row with the lane stride given; stride ≥ off+n.
+func (g *kernelGen) rowStride(n, off, stride int) kernelRow {
 	r := kernelRow{cond: make([]float64, 3*stride+off+n), scale: make([]float64, off+n)}
 	for i := range r.cond {
 		r.cond[i] = g.value()
@@ -150,71 +158,74 @@ func sameRows(t *testing.T, what string, a, b kernelRow) {
 }
 
 func TestAVX2NodeKernelBits(t *testing.T) {
-	SetUseAVX2(t, true)
-	ms := kernelMatrices(t)
-	g := &kernelGen{src: rng.NewMT19937(11)}
-	for ci, c := range kernelCases() {
-		g.special = c.special
-		l, r, o := g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off)
-		for _, p := range c.tiny {
-			l.shrink(p)
-			r.shrink(p)
-		}
-		m0, m1 := &ms[ci%len(ms)], &ms[(ci+1)%len(ms)]
-		want, got := o.clone(), o.clone()
-		nodeScalar(l.view, r.view, want.view, m0, m1, 0, c.n)
-		evalNode(l.view, r.view, got.view, m0, m1, c.n)
-		sameRows(t, c.name+" o", want, got)
-		if !c.special && c.tiny == nil {
-			if done := nodeVec(l.view, r.view, got.view, m0, m1, 0, c.n); done != c.n-c.n%4 {
-				t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
+	forEachVectorTier(t, func(t *testing.T, _ tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(11)}
+		for ci, c := range kernelCases() {
+			g.special = c.special
+			l, r, o := g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off)
+			for _, p := range c.tiny {
+				l.shrink(p)
+				r.shrink(p)
+			}
+			m0, m1 := &ms[ci%len(ms)], &ms[(ci+1)%len(ms)]
+			want, got := o.clone(), o.clone()
+			nodeScalar(l.view, r.view, want.view, m0, m1, 0, c.n)
+			evalNode(l.view, r.view, got.view, m0, m1, c.n)
+			sameRows(t, c.name+" o", want, got)
+			if !c.special && c.tiny == nil {
+				if done := nodeVec(l.view, r.view, got.view, m0, m1, 0, c.n); done != c.n-c.n%4 {
+					t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAVX2WalkKernelBits(t *testing.T) {
-	SetUseAVX2(t, true)
-	ms := kernelMatrices(t)
-	g := &kernelGen{src: rng.NewMT19937(12)}
-	for ci, c := range kernelCases() {
-		g.special = c.special
-		s, outer := g.row(c.n, c.off), g.row(c.n, c.off)
-		for _, p := range c.tiny {
-			s.shrink(p)
-		}
-		m := &ms[ci%len(ms)]
-		want, got := s.clone(), s.clone()
-		walkScalar(want.view, outer.view, m, 0, c.n)
-		evalWalk(got.view, outer.view, m, c.n)
-		sameRows(t, c.name+" s", want, got)
-		if !c.special && c.tiny == nil {
-			if done := walkVec(s.view, outer.view, m, 0, c.n); done != c.n-c.n%4 {
-				t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
+	forEachVectorTier(t, func(t *testing.T, _ tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(12)}
+		for ci, c := range kernelCases() {
+			g.special = c.special
+			s, outer := g.row(c.n, c.off), g.row(c.n, c.off)
+			for _, p := range c.tiny {
+				s.shrink(p)
+			}
+			m := &ms[ci%len(ms)]
+			want, got := s.clone(), s.clone()
+			walkScalar(want.view, outer.view, m, 0, c.n)
+			evalWalk(got.view, outer.view, m, c.n)
+			sameRows(t, c.name+" s", want, got)
+			if !c.special && c.tiny == nil {
+				if done := walkVec(s.view, outer.view, m, 0, c.n); done != c.n-c.n%4 {
+					t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAVX2LiftKernelBits(t *testing.T) {
-	SetUseAVX2(t, true)
-	ms := kernelMatrices(t)
-	g := &kernelGen{src: rng.NewMT19937(13)}
-	for ci, c := range kernelCases() {
-		if c.tiny != nil {
-			continue // the lift never rescales
+	forEachVectorTier(t, func(t *testing.T, _ tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(13)}
+		for ci, c := range kernelCases() {
+			if c.tiny != nil {
+				continue // the lift never rescales
+			}
+			g.special = c.special
+			v, o := g.row(c.n, c.off), g.row(c.n, c.off)
+			m := &ms[ci%len(ms)]
+			want, got := o.clone(), o.clone()
+			liftScalar(v.view, want.view, m, 0, c.n)
+			evalLift(v.view, got.view, m, c.n)
+			sameRows(t, c.name+" outer", want, got)
+			if done := liftVec(v.view, got.view, m, c.n); done != c.n-c.n%4 {
+				t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
+			}
 		}
-		g.special = c.special
-		v, o := g.row(c.n, c.off), g.row(c.n, c.off)
-		m := &ms[ci%len(ms)]
-		want, got := o.clone(), o.clone()
-		liftScalar(v.view, want.view, m, 0, c.n)
-		evalLift(v.view, got.view, m, c.n)
-		sameRows(t, c.name+" outer", want, got)
-		if done := liftVec(v.view, got.view, m, c.n); done != c.n-c.n%4 {
-			t.Fatalf("%s: vector kernel finished %d patterns, want %d", c.name, done, c.n-c.n%4)
-		}
-	}
+	})
 }
 
 // TestAVX2NeighbourhoodBits compares the vector path's two node passes
@@ -222,26 +233,105 @@ func TestAVX2LiftKernelBits(t *testing.T) {
 // groups are placed at the target (shrunk children) and, shifted by one
 // group, at the parent (a shrunk clean child).
 func TestAVX2NeighbourhoodBits(t *testing.T) {
-	SetUseAVX2(t, true)
-	ms := kernelMatrices(t)
-	g := &kernelGen{src: rng.NewMT19937(14)}
-	for ci, c := range kernelCases() {
-		g.special = c.special
-		l, r, cv, o := g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off)
-		tgt := g.row(c.n, 0)
-		for _, p := range c.tiny {
-			l.shrink(p)
-			r.shrink(p)
-			cv.shrink((p + 4) % (c.n - c.n%4))
+	forEachVectorTier(t, func(t *testing.T, vec tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(14)}
+		for ci, c := range kernelCases() {
+			g.special = c.special
+			l, r, cv, o := g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off), g.row(c.n, c.off)
+			tgt := g.row(c.n, 0)
+			for _, p := range c.tiny {
+				l.shrink(p)
+				r.shrink(p)
+				cv.shrink((p + 4) % (c.n - c.n%4))
+			}
+			pr := &waveProp{tm0: ms[ci%4], tm1: ms[(ci+1)%4], pmPhi: ms[(ci+2)%4], pmClean: ms[(ci+3)%4]}
+			want, got := o.clone(), o.clone()
+			kernelTier = tierScalar
+			evalNeighbourhood(pr, l.view, r.view, cv.view, tgt.clone().view, want.view, c.n)
+			kernelTier = vec
+			evalNeighbourhood(pr, l.view, r.view, cv.view, tgt.clone().view, got.view, c.n)
+			sameRows(t, c.name+" parent", want, got)
 		}
-		pr := &waveProp{tm0: ms[ci%4], tm1: ms[(ci+1)%4], pmPhi: ms[(ci+2)%4], pmClean: ms[(ci+3)%4]}
-		want, got := o.clone(), o.clone()
-		useAVX2 = false
-		evalNeighbourhood(pr, l.view, r.view, cv.view, tgt.clone().view, want.view, c.n)
-		useAVX2 = true
-		evalNeighbourhood(pr, l.view, r.view, cv.view, tgt.clone().view, got.view, c.n)
-		sameRows(t, c.name+" parent", want, got)
+	})
+}
+
+// TestKernelTier logs the tier package init detected, so a -v run
+// shows which tier subtests of the kernel suites ran and which skipped,
+// and checks that KernelTier names the tier a test forces.
+func TestKernelTier(t *testing.T) {
+	t.Logf("detected kernel tier: %s", KernelTier())
+	if KernelTier() != detectedTier.String() {
+		t.Fatalf("KernelTier() = %q before any forcing, detected %s", KernelTier(), detectedTier)
 	}
+	runTiers(t, allTiers, func(t *testing.T, tr tier) {
+		if got := KernelTier(); got != tr.String() {
+			t.Fatalf("KernelTier() = %q with the %s tier forced", got, tr)
+		}
+	})
+}
+
+// TestAVX2EightGroupBoundary checks the seams of the AVX512 tier's
+// dispatch (8-pattern groups, then one AVX2 4-pattern group, then the
+// scalar tail) at each vector tier against the scalar loops: every
+// length mod 8, lane strides wider than n, and one rescale lane in the
+// lower or the upper half of the first, middle or last 8-pattern group.
+// Node and walk must stop exactly at the 4-pattern group holding the
+// rescale lane.
+func TestAVX2EightGroupBoundary(t *testing.T) {
+	forEachVectorTier(t, func(t *testing.T, _ tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(18)}
+		for _, n := range []int{8, 9, 10, 11, 12, 13, 14, 15, 64, 65, 66, 67, 68, 69, 70, 71} {
+			groups := n / 8
+			places := []int{-1}
+			for _, grp := range slices.Compact([]int{0, groups / 2, groups - 1}) {
+				for half := 0; half < 2; half++ {
+					places = append(places, 8*grp+4*half+(grp+half)%4)
+				}
+			}
+			for _, stride := range []int{n + 1, 2*n + 3, 3*n + 8} {
+				for _, off := range []int{0, 3} {
+					for ci, p := range places {
+						name := fmt.Sprintf("n=%d/stride=%d/off=%d/rescale=%d", n, stride, off, p)
+						stop := n - n%4
+						if p >= 0 {
+							stop = p - p%4
+						}
+						m0, m1 := &ms[ci%len(ms)], &ms[(ci+1)%len(ms)]
+						l, r, o := g.rowStride(n, off, stride), g.rowStride(n, off, stride), g.rowStride(n, off, stride)
+						s, outer := g.rowStride(n, off, stride), g.rowStride(n, off, stride)
+						if p >= 0 {
+							l.shrink(p)
+							r.shrink(p)
+							s.shrink(p)
+						}
+
+						want, got := o.clone(), o.clone()
+						nodeScalar(l.view, r.view, want.view, m0, m1, 0, n)
+						evalNode(l.view, r.view, got.view, m0, m1, n)
+						sameRows(t, name+" node", want, got)
+						if done := nodeVec(l.view, r.view, o.clone().view, m0, m1, 0, n); done != stop {
+							t.Fatalf("%s: node kernel finished %d patterns, want %d", name, done, stop)
+						}
+
+						want, got = s.clone(), s.clone()
+						walkScalar(want.view, outer.view, m0, 0, n)
+						evalWalk(got.view, outer.view, m0, n)
+						sameRows(t, name+" walk", want, got)
+						if done := walkVec(s.clone().view, outer.view, m0, 0, n); done != stop {
+							t.Fatalf("%s: walk kernel finished %d patterns, want %d", name, done, stop)
+						}
+
+						want, got = o.clone(), o.clone()
+						liftScalar(l.view, want.view, m1, 0, n)
+						evalLift(l.view, got.view, m1, n)
+						sameRows(t, name+" lift", want, got)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestAVX2RescaleDecision pins the vector kernels' rescale test to the
@@ -254,71 +344,72 @@ func TestAVX2NeighbourhoodBits(t *testing.T) {
 // values the kernel sees: ±0, subnormals, 1e-150 and its neighbours,
 // +Inf and NaN.
 func TestAVX2RescaleDecision(t *testing.T) {
-	SetUseAVX2(t, true)
-	var id subst.Matrix
-	for x := range id {
-		id[x][x] = 1
-	}
-	values := append([]float64{0.5, 1e-160, math.Nextafter(rescaleThreshold, 0), math.Nextafter(rescaleThreshold, 1)}, kernelSpecials...)
-	const n = 4 * 256
-	g := &kernelGen{src: rng.NewMT19937(15)}
-	in, ones := g.row(n, 0), g.row(n, 0)
-	for i := range ones.cond {
-		ones.cond[i] = 1
-	}
-	for p := 0; p < n; p++ {
-		benign := (p/4)%2 == 0 && g.src.Uint32()%2 == 0
-		for x := 0; x < nStates; x++ {
-			v := 0.5
-			if !benign {
-				v = values[g.src.Uint32()%uint32(len(values))]
-			}
-			in.view.cond[x*in.view.stride+p] = v
+	forEachVectorTier(t, func(t *testing.T, _ tier) {
+		var id subst.Matrix
+		for x := range id {
+			id[x][x] = 1
 		}
-	}
-	rescale := make([]bool, n/4)
-	for p := 0; p < n; p++ {
-		var u [nStates]float64
-		for x := range u {
-			u[x] = in.view.cond[x*in.view.stride+p]
+		values := append([]float64{0.5, 1e-160, math.Nextafter(rescaleThreshold, 0), math.Nextafter(rescaleThreshold, 1)}, kernelSpecials...)
+		const n = 4 * 256
+		g := &kernelGen{src: rng.NewMT19937(15)}
+		in, ones := g.row(n, 0), g.row(n, 0)
+		for i := range ones.cond {
+			ones.cond[i] = 1
 		}
-		maxv := 0.0
-		for x := 0; x < nStates; x++ {
-			w := (id[x][0]*u[0] + id[x][1]*u[1] + id[x][2]*u[2] + id[x][3]*u[3]) * 1
-			if w > maxv {
-				maxv = w
+		for p := 0; p < n; p++ {
+			benign := (p/4)%2 == 0 && g.src.Uint32()%2 == 0
+			for x := 0; x < nStates; x++ {
+				v := 0.5
+				if !benign {
+					v = values[g.src.Uint32()%uint32(len(values))]
+				}
+				in.view.cond[x*in.view.stride+p] = v
 			}
 		}
-		if maxv < rescaleThreshold && maxv > 0 {
-			rescale[p/4] = true
-		}
-	}
-	for _, k := range []struct {
-		name string
-		run  func(i int) int
-	}{
-		{"node", func(i int) int { return nodeVec(in.view, ones.view, g.row(n, 0).view, &id, &id, i, n) }},
-		{"walk", func(i int) int { return walkVec(in.clone().view, ones.view, &id, i, n) }},
-	} {
-		name, run := k.name, k.run
-		stops := 0
-		for grp := 0; grp < n/4; {
-			next := grp
-			for next < n/4 && !rescale[next] {
-				next++
+		rescale := make([]bool, n/4)
+		for p := 0; p < n; p++ {
+			var u [nStates]float64
+			for x := range u {
+				u[x] = in.view.cond[x*in.view.stride+p]
 			}
-			if got := grp*4 + run(grp*4); got != next*4 {
-				t.Fatalf("%s kernel from pattern %d stopped at %d, want %d", name, grp*4, got, next*4)
+			maxv := 0.0
+			for x := 0; x < nStates; x++ {
+				w := (id[x][0]*u[0] + id[x][1]*u[1] + id[x][2]*u[2] + id[x][3]*u[3]) * 1
+				if w > maxv {
+					maxv = w
+				}
 			}
-			if next < n/4 {
-				stops++
+			if maxv < rescaleThreshold && maxv > 0 {
+				rescale[p/4] = true
 			}
-			grp = next + 1
 		}
-		if stops == 0 || stops == n/4 {
-			t.Fatalf("%s: %d of %d groups rescale; the fixture must mix both", name, stops, n/4)
+		for _, k := range []struct {
+			name string
+			run  func(i int) int
+		}{
+			{"node", func(i int) int { return nodeVec(in.view, ones.view, g.row(n, 0).view, &id, &id, i, n) }},
+			{"walk", func(i int) int { return walkVec(in.clone().view, ones.view, &id, i, n) }},
+		} {
+			name, run := k.name, k.run
+			stops := 0
+			for grp := 0; grp < n/4; {
+				next := grp
+				for next < n/4 && !rescale[next] {
+					next++
+				}
+				if got := grp*4 + run(grp*4); got != next*4 {
+					t.Fatalf("%s kernel from pattern %d stopped at %d, want %d", name, grp*4, got, next*4)
+				}
+				if next < n/4 {
+					stops++
+				}
+				grp = next + 1
+			}
+			if stops == 0 || stops == n/4 {
+				t.Fatalf("%s: %d of %d groups rescale; the fixture must mix both", name, stops, n/4)
+			}
 		}
-	}
+	})
 }
 
 // rootEdges are the likelihoods placed in bail-out and boundary lanes of
@@ -342,70 +433,71 @@ func rootInRange(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64
 // also checks that the vector kernel alone stops exactly at the first
 // group it must not take, and compares every pattern's term alone.
 func TestAVX2RootKernelBits(t *testing.T) {
-	SetUseAVX2(t, true)
-	freqSets := []*[4]float64{{0.1, 0.2, 0.3, 0.4}, {1, 0.25, 0.375, 0.125}}
-	g := &kernelGen{src: rng.NewMT19937(16)}
-	for _, n := range kernelLengths {
-		groups := n / 4
-		places := [][]int{nil}
-		if groups > 0 {
-			at := func(grp int) int { return 4*grp + grp%4 }
-			places = append(places, []int{at(0)}, []int{at(groups / 2)}, []int{at(groups - 1)}, []int{at(0), at(groups / 2), at(groups - 1)})
-		}
-		for off := 0; off < 4; off++ {
-			for _, special := range []bool{false, true} {
-				for _, edges := range places {
-					for _, edge := range rootEdges {
-						if edges == nil && edge != 0 {
-							continue // the case without edge lanes runs once
-						}
-						for fi, f := range freqSets {
-							g.special = special
-							name := fmt.Sprintf("n=%d/off=%d/special=%v/edges=%v@%v/f=%d", n, off, special, edge, edges, fi)
-							r := g.row(n, off)
-							for i := range r.scale {
-								r.scale[i] = -40 * g.src.Float64()
+	forEachVectorTier(t, func(t *testing.T, vec tier) {
+		freqSets := []*[4]float64{{0.1, 0.2, 0.3, 0.4}, {1, 0.25, 0.375, 0.125}}
+		g := &kernelGen{src: rng.NewMT19937(16)}
+		for _, n := range kernelLengths {
+			groups := n / 4
+			places := [][]int{nil}
+			if groups > 0 {
+				at := func(grp int) int { return 4*grp + grp%4 }
+				places = append(places, []int{at(0)}, []int{at(groups / 2)}, []int{at(groups - 1)}, []int{at(0), at(groups / 2), at(groups - 1)})
+			}
+			for off := 0; off < 4; off++ {
+				for _, special := range []bool{false, true} {
+					for _, edges := range places {
+						for _, edge := range rootEdges {
+							if edges == nil && edge != 0 {
+								continue // the case without edge lanes runs once
 							}
-							for _, p := range edges {
-								r.view.cond[p] = edge
-								for x := 1; x < nStates; x++ {
-									r.view.cond[x*r.view.stride+p] = math.Copysign(0, edge)
+							for fi, f := range freqSets {
+								g.special = special
+								name := fmt.Sprintf("n=%d/off=%d/special=%v/edges=%v@%v/f=%d", n, off, special, edge, edges, fi)
+								r := g.row(n, off)
+								for i := range r.scale {
+									r.scale[i] = -40 * g.src.Float64()
 								}
+								for _, p := range edges {
+									r.view.cond[p] = edge
+									for x := 1; x < nStates; x++ {
+										r.view.cond[x*r.view.stride+p] = math.Copysign(0, edge)
+									}
+								}
+								pc := make([]float64, off+n)
+								for i := range pc {
+									pc[i] = float64(1 + g.src.Uint32()%5)
+								}
+								pc = pc[off:]
+								checkRoot(t, vec, name, r.view, pc, f, n)
 							}
-							pc := make([]float64, off+n)
-							for i := range pc {
-								pc[i] = float64(1 + g.src.Uint32()%5)
-							}
-							pc = pc[off:]
-							checkRoot(t, name, r.view, pc, f, n)
 						}
 					}
 				}
 			}
 		}
-	}
-	// One pattern at a time: with zero scales and a single nonzero count,
-	// the sum is exactly that pattern's log likelihood, so a one-ulp
-	// difference in one lane's contraction or log cannot round away in
-	// the sum, as it can beside a scale of order −20.
-	g.special = false
-	const n = 1024
-	r := g.row(n, 1)
-	clear(r.scale)
-	one := make([]float64, n)
-	for p := range one {
-		one[p] = 1
-		checkRoot(t, fmt.Sprintf("pattern %d alone", p), r.view, one, freqSets[0], n)
-		one[p] = 0
-	}
+		// One pattern at a time: with zero scales and a single nonzero count,
+		// the sum is exactly that pattern's log likelihood, so a one-ulp
+		// difference in one lane's contraction or log cannot round away in
+		// the sum, as it can beside a scale of order −20.
+		g.special = false
+		const n = 1024
+		r := g.row(n, 1)
+		clear(r.scale)
+		one := make([]float64, n)
+		for p := range one {
+			one[p] = 1
+			checkRoot(t, vec, fmt.Sprintf("pattern %d alone", p), r.view, one, freqSets[0], n)
+			one[p] = 0
+		}
+	})
 }
 
-// checkRoot runs one TestAVX2RootKernelBits case.
-func checkRoot(t *testing.T, name string, v rowView, pc []float64, f *[4]float64, n int) {
+// checkRoot runs one TestAVX2RootKernelBits case at vector tier vec.
+func checkRoot(t *testing.T, vec tier, name string, v rowView, pc []float64, f *[4]float64, n int) {
 	t.Helper()
-	useAVX2 = false
+	kernelTier = tierScalar
 	want := evalRoot(v, pc, f, n)
-	useAVX2 = true
+	kernelTier = vec
 	got := evalRoot(v, pc, f, n)
 	if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
 		t.Fatalf("%s: scalar %v (%#x), vector %v (%#x)", name, want, math.Float64bits(want), got, math.Float64bits(got))
@@ -432,8 +524,11 @@ func checkRoot(t *testing.T, name string, v rowView, pc []float64, f *[4]float64
 // one lane of a group whose other lanes are 1 (log 1 = +0), with
 // frequency 1 on state 0, zero scales and unit counts, so the kernel's
 // sum is the lane's log exactly. The lane rotates through all four.
+//
+// It calls the root kernel itself, which is AVX2 at both vector tiers,
+// so it runs once, at the avx2 tier.
 func TestAVX2LogMatchesMathLog(t *testing.T) {
-	SetUseAVX2(t, true)
+	useTier(t, tierAVX2)
 	var cond, scale [4 * nStates]float64
 	pc := []float64{1, 1, 1, 1}
 	f := &[4]float64{1, 0, 0, 0}

@@ -486,7 +486,7 @@ func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 //
 //mpcgs:hotpath
 func evalNeighbourhood(pr *waveProp, l, r, c, t, o rowView, n int) {
-	if useAVX2 {
+	if kernelTier != tierScalar {
 		evalNode(l, r, t, &pr.tm0, &pr.tm1, n)
 		evalNode(t, c, o, &pr.pmPhi, &pr.pmClean, n)
 		return

@@ -135,11 +135,11 @@ func testWaveMatchesPerCandidate(t *testing.T, phiPick func(*gtree.Tree) int) {
 }
 
 func TestWaveMatchesPerCandidateBits(t *testing.T) {
-	ForEachKernel(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, anyTarget) })
+	ForEachTier(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, anyTarget) })
 }
 
 func TestWaveMatchesPerCandidateBitsRootCase(t *testing.T) {
-	ForEachKernel(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, rootAdjacentTarget) })
+	ForEachTier(t, func(t *testing.T) { testWaveMatchesPerCandidate(t, rootAdjacentTarget) })
 }
 
 func TestWaveSkipsNilSlots(t *testing.T) {

@@ -1,16 +1,12 @@
 // Command paperbench regenerates the tables and figures of the paper's
-// evaluation section (§6) as text tables and ASCII plots.
+// evaluation section (§6), and the ablations and extensions beyond it,
+// as text tables and ASCII plots:
 //
-//	paperbench -experiment accuracy    # Table 1 / Fig. 13
-//	paperbench -experiment samples     # Table 2 / Fig. 14
-//	paperbench -experiment sequences   # Table 3 / Fig. 15
-//	paperbench -experiment seqlen      # Table 4 / Fig. 16
-//	paperbench -experiment curve       # Fig. 5
-//	paperbench -experiment burnin      # Fig. 2
-//	paperbench -experiment multichain  # Fig. 6
+//	paperbench -experiment seqlen    # Table 4 / Fig. 16
 //	paperbench -experiment all
 //
-// -experiment also accepts a comma-separated list. The default -scale
+// -experiment accepts a comma-separated list; -help lists every
+// experiment with the table or figure it regenerates. The default -scale
 // quick shrinks workloads to finish in minutes; -scale paper uses the
 // paper's sizes, and -experiment seqlen-full runs the Fig. 16 sweep at
 // paper scale regardless of -scale. With -md FILE the run's output is
@@ -41,6 +37,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,9 +55,76 @@ var measuredSpeedups = map[string][]experiments.SpeedupPoint{}
 // snapshot's speedup; it absorbs runner noise.
 const compareFactor = 0.7
 
+// experiment is one -experiment value.
+type experiment struct {
+	name  string
+	about string // the table or figure it regenerates
+	run   func(io.Writer, experiments.Common) error
+	// notInAll keeps it out of -experiment all: seqlen-full always runs
+	// the paper-scale workload, so it runs only when named.
+	notInAll bool
+}
+
+// experimentTable lists every experiment in the order -experiment all
+// runs them; lookup, all and the -experiment help all read it.
+var experimentTable = []experiment{
+	{name: "accuracy", about: "Table 1 / Fig. 13: θ accuracy, LAMARC vs GMH", run: runAccuracy},
+	{name: "samples", about: "Table 2 / Fig. 14: speedup vs genealogy samples", run: runSamples},
+	{name: "sequences", about: "Table 3 / Fig. 15: speedup vs sequences", run: runSequences},
+	{name: "seqlen", about: "Table 4 / Fig. 16: speedup vs sequence length", run: runSeqLen},
+	{name: "seqlen-full", about: "Fig. 16 at paper scale whatever -scale says", run: runSeqLenFull, notInAll: true},
+	{name: "gmhround", about: "GMH round dispatch: wave vs per-candidate", run: runGMHRound},
+	{name: "curve", about: "Fig. 5: relative likelihood curve", run: runCurve},
+	{name: "burnin", about: "Fig. 2: burn-in trace", run: runBurnin},
+	{name: "multichain", about: "Fig. 6: multichain vs GMH wall time", run: runMultichain},
+	{name: "autostop", about: "ESS-target auto-stop vs fixed-length batches", run: runAutostop},
+	{name: "tempering", about: "adaptive vs geometric MC3 ladder", run: runTempering},
+	{name: "proposalsize", about: "§7 ablation: GMH proposal-set size N", run: runProposalSize},
+	{name: "nested", about: "§4.4 ablation: per-proposal site kernels", run: runNested},
+	{name: "growth", about: "§7 extension: (θ, growth) estimation", run: runGrowth},
+}
+
+// experimentHelp is the -experiment flag's usage text.
+func experimentHelp() string {
+	var b strings.Builder
+	b.WriteString("comma-separated experiments to run, or all (every one but seqlen-full):")
+	for _, e := range experimentTable {
+		fmt.Fprintf(&b, "\n  %-14s%s", e.name, e.about)
+	}
+	return b.String()
+}
+
+// selectExperiments resolves the -experiment value against experimentTable.
+func selectExperiments(arg string) []experiment {
+	var sel []experiment
+	if arg == "all" {
+		for _, e := range experimentTable {
+			if !e.notInAll {
+				sel = append(sel, e)
+			}
+		}
+		return sel
+	}
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			fatalf("unknown experiment %q", name)
+		}
+		sel = append(sel, experimentTable[i])
+	}
+	if len(sel) == 0 {
+		fatalf("no experiment selected")
+	}
+	return sel
+}
+
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "comma-separated experiments to run (accuracy, samples, sequences, seqlen, seqlen-full, gmhround, curve, burnin, multichain, batch, autostop, tempering, proposalsize, nested, growth, all)")
+		experiment  = flag.String("experiment", "all", experimentHelp())
 		scale       = flag.String("scale", "quick", "workload sizing: quick or paper")
 		workers     = flag.Int("workers", 0, "device parallelism (0 = all cores)")
 		seed        = flag.Uint64("seed", 0, "PRNG seed (0 = default)")
@@ -113,48 +177,10 @@ func main() {
 		Workers: *workers,
 		Seed:    *seed,
 	}
-	runners := map[string]func(io.Writer, experiments.Common) error{
-		"accuracy":     runAccuracy,
-		"samples":      runSamples,
-		"sequences":    runSequences,
-		"seqlen":       runSeqLen,
-		"curve":        runCurve,
-		"burnin":       runBurnin,
-		"multichain":   runMultichain,
-		"batch":        runBatch,
-		"autostop":     runAutostop,
-		"tempering":    runTempering,
-		"proposalsize": runProposalSize,
-		"nested":       runNested,
-		"growth":       runGrowth,
-		"seqlen-full":  runSeqLenFull,
-		"gmhround":     runGMHRound,
-		"service":      runService,
-	}
-	// seqlen-full always runs the paper-scale workload, so "all" leaves it
-	// out; select it explicitly when regenerating the full-scale table.
-	order := []string{
-		"accuracy", "samples", "sequences", "seqlen", "gmhround", "curve",
-		"burnin", "multichain", "batch", "autostop", "tempering", "service",
-		"proposalsize", "nested", "growth",
-	}
-	var names []string
-	if *experiment == "all" {
-		names = order
-	} else {
-		for _, name := range strings.Split(*experiment, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, ok := runners[name]; !ok {
-				fatalf("unknown experiment %q", name)
-			}
-			names = append(names, name)
-		}
-		if len(names) == 0 {
-			fatalf("no experiment selected")
-		}
+	sel := selectExperiments(*experiment)
+	names := make([]string, len(sel))
+	for i, e := range sel {
+		names[i] = e.name
 	}
 
 	var buf bytes.Buffer
@@ -162,9 +188,9 @@ func main() {
 	if *mdPath != "" {
 		w = io.MultiWriter(os.Stdout, &buf)
 	}
-	for _, name := range names {
-		if err := runners[name](w, c); err != nil {
-			fatalf("%s: %v", name, err)
+	for _, e := range sel {
+		if err := e.run(w, c); err != nil {
+			fatalf("%s: %v", e.name, err)
 		}
 	}
 	if *mdPath != "" {
@@ -387,41 +413,6 @@ func runGMHRound(w io.Writer, c experiments.Common) error {
 	return nil
 }
 
-func runBatch(w io.Writer, c experiments.Common) error {
-	fmt.Fprintln(w, "=== Batch mode: multi-tenant scheduler throughput vs back-to-back runs ===")
-	pts, err := experiments.BatchThroughput(c)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-6s %-12s %-12s %-14s %-14s %-10s\n",
-		"jobs", "serial (s)", "batch (s)", "serial jobs/s", "batch jobs/s", "speedup")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-6d %-12.3f %-12.3f %-14.2f %-14.2f %-10.2f\n",
-			p.Jobs, p.SerialSec, p.BatchSec, p.SerialJobsPerS, p.BatchJobsPerS, p.Speedup)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func runService(w io.Writer, c experiments.Common) error {
-	fmt.Fprintln(w, "=== Service mode: mpcgsd synthetic many-client throughput and latency ===")
-	pts, err := experiments.ServiceThroughput(c)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-8s %-6s %-10s %-10s %-10s %-10s\n",
-		"clients", "jobs", "wall (s)", "jobs/s", "p50 (ms)", "p95 (ms)")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-8d %-6d %-10.3f %-10.2f %-10.0f %-10.0f\n",
-			p.Clients, p.Jobs, p.WallSec, p.JobsPerSec, p.P50Ms, p.P95Ms)
-	}
-	fmt.Fprintln(w, "each client submits jobs over HTTP and polls to completion; jobs are")
-	fmt.Fprintln(w, "the batch experiment's quick-scale workload, so the delta against the")
-	fmt.Fprintln(w, "batch rows is the cost of the HTTP shell and the durable job journal.")
-	fmt.Fprintln(w)
-	return nil
-}
-
 func runAutostop(w io.Writer, c experiments.Common) error {
 	fmt.Fprintln(w, "=== Auto-stop: ESS-target batches vs fixed-length equivalents ===")
 	pts, err := experiments.AutostopThroughput(c)
@@ -438,24 +429,6 @@ func runAutostop(w io.Writer, c experiments.Common) error {
 	fmt.Fprintln(w, "every job but the last declares an ESS target; \"hard\" columns are the")
 	fmt.Fprintln(w, "no-target job's busy time as a fraction of batch wall time — its rise in")
 	fmt.Fprintln(w, "the target-driven batch is the freed workers being reallocated to it.")
-	fmt.Fprintln(w)
-
-	dir, err := os.MkdirTemp("", "mpcgs-ckptsize")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	sizes, err := experiments.CheckpointSizes(c, dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "--- Checkpoint size vs samples recorded (the O(interval) claim) ---")
-	fmt.Fprintf(w, "%-10s %-16s %-14s\n", "samples", "sidecar ckpt (B)", "sidecar (B)")
-	for _, p := range sizes {
-		fmt.Fprintf(w, "%-10d %-16d %-14d\n", p.Samples, p.SidecarBytes, p.TraceBytes)
-	}
-	fmt.Fprintln(w, "the sidecar grows O(run); the checkpoint stays O(interval) — the draws")
-	fmt.Fprintln(w, "live in the sidecar file, the checkpoint keeps a durable offset.")
 	fmt.Fprintln(w)
 	return nil
 }

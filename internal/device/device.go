@@ -57,9 +57,9 @@ import (
 	"mpcgs/internal/logspace"
 )
 
-// ErrClosed is returned by Pool operations issued after Close: a
-// long-lived batch service must hear about shutdown instead of silently
-// absorbing an entire grid on the calling goroutine.
+// ErrClosed is returned by Pool.Tenant after Close: a long-lived batch
+// service must hear about shutdown instead of starting a job whose grids
+// would silently run on the calling goroutine.
 var ErrClosed = errors.New("device: pool closed")
 
 // WarpSize is the number of threads cooperating in one shuffle reduction,
@@ -95,10 +95,9 @@ const spinBudget = 100 * time.Microsecond
 // accounting, so a batch scheduler can attribute device time per job.
 type Device struct {
 	workers  int
-	pool     *pool     // nil for single-worker devices
-	root     *Device   // the pool-owning device; self for roots
-	name     string    // tenant label; empty for roots
-	agg      *aggStats // shared Pool-wide counters; nil off-pool
+	pool     *pool   // nil for single-worker devices
+	root     *Device // the pool-owning device; self for roots
+	name     string  // tenant label; empty for roots
 	launches atomic.Int64
 	threads  atomic.Int64
 }
@@ -226,7 +225,7 @@ func New(workers int) *Device {
 // the root device reachable so the runtime cleanup cannot tear the shared
 // pool down while any tenant still holds a view.
 func (d *Device) tenantView(name string) *Device {
-	return &Device{workers: d.workers, pool: d.pool, root: d.root, name: name, agg: d.agg}
+	return &Device{workers: d.workers, pool: d.pool, root: d.root, name: name}
 }
 
 // Name returns the tenant label of a view ("" for a root device).
@@ -452,10 +451,6 @@ func (d *Device) launch(n int, kernel func(tid int), affine bool) {
 	}
 	d.launches.Add(1)
 	d.threads.Add(int64(n))
-	if d.agg != nil {
-		d.agg.launches.Add(1)
-		d.agg.threads.Add(int64(n))
-	}
 	if d.workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			kernel(i)
@@ -610,35 +605,24 @@ func (d *Device) ReduceLogSum(xs []float64) float64 {
 //
 // Unlike a bare Device — whose Launch deliberately degrades to a serial
 // run on the caller after Close, the right teardown behaviour for a
-// single estimation run — a Pool fails fast: Launch and Tenant return
-// ErrClosed once the pool has been closed, because a batch service must
-// notice shutdown rather than grind a whole grid on one goroutine. A
-// Launch already in flight when Close is called still completes, and
-// tenant views keep the Device contract (their launches degrade rather
-// than error); the batch scheduler polls Closed between scheduling
-// quanta, so a closed pool stops the batch at the next quantum boundary
-// with at most one bounded quantum of degraded work per driver.
+// single estimation run — a Pool fails fast: Tenant returns ErrClosed
+// once the pool has been closed, because a batch service must notice
+// shutdown rather than grind a whole grid on one goroutine. Tenant
+// views keep the Device contract (their launches degrade rather than
+// error, and a launch in flight when Close is called still completes);
+// the batch scheduler polls Closed between scheduling quanta, so a
+// closed pool stops the batch at the next quantum boundary with at most
+// one bounded quantum of degraded work per driver.
 type Pool struct {
 	mu     sync.Mutex
 	root   *Device
-	agg    aggStats
 	closed bool
-}
-
-// aggStats accumulates launch counts across a pool's root and every
-// tenant view, so Pool.Stats needs no registry of views — a long-lived
-// service creates tenants per job without the pool retaining them.
-type aggStats struct {
-	launches atomic.Int64
-	threads  atomic.Int64
 }
 
 // NewPool returns a shared pool with the given number of workers
 // (non-positive selects runtime.GOMAXPROCS(0)).
 func NewPool(workers int) *Pool {
-	p := &Pool{root: New(workers)}
-	p.root.agg = &p.agg
-	return p
+	return &Pool{root: New(workers)}
 }
 
 // Workers returns the pool's degree of parallelism.
@@ -653,20 +637,6 @@ func (p *Pool) Tenant(name string) (*Device, error) {
 		return nil, ErrClosed
 	}
 	return p.root.tenantView(name), nil
-}
-
-// Launch runs kernel over [0, n) on the shared workers, like
-// Device.Launch, but returns ErrClosed instead of degrading to a serial
-// caller-side run once the pool has been closed.
-func (p *Pool) Launch(n int, kernel func(tid int)) error {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	p.root.Launch(n, kernel)
-	return nil
 }
 
 // Close stops the shared workers. Tenant views remain safe to use for
@@ -684,10 +654,4 @@ func (p *Pool) Closed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.closed
-}
-
-// Stats returns cumulative launches and kernel threads across the root
-// device and every tenant view.
-func (p *Pool) Stats() (launches, threads int64) {
-	return p.agg.launches.Load(), p.agg.threads.Load()
 }

@@ -365,31 +365,17 @@ func TestLaunchBlocksBlockCount(t *testing.T) {
 }
 
 func TestPoolLaunchAfterCloseReturnsErrClosed(t *testing.T) {
-	// Regression: a late Launch on a closed shared pool must fail fast
-	// with the sentinel instead of hanging or silently absorbing the grid
-	// on the calling goroutine (the Device teardown behaviour, which is
-	// wrong for a long-lived batch service).
+	// Regression: a closed shared pool must refuse new tenants with the
+	// sentinel instead of handing out views whose grids would silently
+	// run on the calling goroutine (the Device teardown behaviour, which
+	// is wrong for a long-lived batch service).
 	p := NewPool(4)
-	if err := p.Launch(10, func(int) {}); err != nil {
-		t.Fatalf("Launch on open pool: %v", err)
+	if p.Closed() {
+		t.Error("Closed() = true before Close")
 	}
 	p.Close()
 	p.Close() // double Close is fine
 
-	done := make(chan error, 1)
-	go func() {
-		done <- p.Launch(100, func(int) {
-			t.Error("kernel ran on a closed pool")
-		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Launch after Close = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Launch after Close hung")
-	}
 	if _, err := p.Tenant("late"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Tenant after Close = %v, want ErrClosed", err)
 	}
@@ -429,9 +415,6 @@ func TestPoolTenantViewsShareWorkersSplitAccounting(t *testing.T) {
 	}
 	if lb != 2 || tb != 100 {
 		t.Errorf("tenant b stats = %d launches/%d threads, want 2/100", lb, tb)
-	}
-	if l, th := p.Stats(); l != 3 || th != 200 {
-		t.Errorf("pool aggregate stats = %d/%d, want 3/200", l, th)
 	}
 }
 

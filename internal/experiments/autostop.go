@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
 
-	"mpcgs/internal/ckpt"
-	"mpcgs/internal/core"
 	"mpcgs/internal/device"
 	"mpcgs/internal/sched"
 	"mpcgs/internal/seqgen"
@@ -128,82 +125,6 @@ func AutostopThroughput(c Common) ([]AutostopPoint, error) {
 			HardShareFixed:  hardFixed,
 			HardShareTarget: hardTarget,
 			Speedup:         fixedSec / targetSec,
-		})
-	}
-	return out, nil
-}
-
-// CheckpointSizePoint is one row of the O(interval) table: the encoded
-// snapshot size of a spilling run at the end of its last step, next to
-// the size of the sidecar file its checkpoint points into.
-type CheckpointSizePoint struct {
-	Samples      int
-	SidecarBytes int   // snapshot carrying only the sidecar reference
-	TraceBytes   int64 // sidecar file size (where the draws actually live)
-}
-
-// CheckpointSizes measures snapshot size as a function of recorded draw
-// count. The sidecar grows linearly; the snapshot must not grow at all.
-func CheckpointSizes(c Common, dir string) ([]CheckpointSizePoint, error) {
-	sampleCounts := []int{500, 2000, 8000}
-	if c.Scale == ScalePaper {
-		sampleCounts = []int{1000, 10000, 100000}
-	}
-	dev := device.Serial()
-	aln, _, err := seqgen.SimulateData(6, 60, 1.0, c.seed())
-	if err != nil {
-		return nil, err
-	}
-	eval, err := buildEvaluator(aln, dev)
-	if err != nil {
-		return nil, err
-	}
-	init, err := core.InitialTree(aln, 1.0, c.seed()+1)
-	if err != nil {
-		return nil, err
-	}
-	s := core.NewGMH(eval, dev, 3)
-
-	snapshotBytes := func(cfg core.ChainConfig) (int, int64, error) {
-		run, err := s.Start(init, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		for !run.Done() {
-			if err := run.Step(); err != nil {
-				return 0, 0, err
-			}
-		}
-		snap, err := run.Snapshot()
-		if err != nil {
-			return 0, 0, err
-		}
-		wire, err := ckpt.EncodeStep(snap)
-		if err != nil {
-			return 0, 0, err
-		}
-		data, err := json.Marshal(wire)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return 0, 0, err
-		}
-		return len(data), snap.TraceRef.Offset, nil
-	}
-
-	var out []CheckpointSizePoint
-	for i, n := range sampleCounts {
-		cfg := core.ChainConfig{Theta: 1.0, Burnin: 50, Samples: n, Seed: c.seed() + 7,
-			Trace: &core.TraceSpec{Path: fmt.Sprintf("%s/ckptsize%d.trace", dir, i)}}
-		sidecar, traceBytes, err := snapshotBytes(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint-size experiment, %d samples: %w", n, err)
-		}
-		out = append(out, CheckpointSizePoint{
-			Samples:      n,
-			SidecarBytes: sidecar,
-			TraceBytes:   traceBytes,
 		})
 	}
 	return out, nil

@@ -4,7 +4,8 @@
 // Fig. 13), the speedup sweeps over sample count, sequence count and
 // sequence length (Tables 2-4 / Figs. 14-16), the relative likelihood
 // curve (Fig. 5), a burn-in trace (Fig. 2) and the multi-chain efficiency
-// model (Fig. 6).
+// model (Fig. 6). It is the one implementation of these measurements;
+// cmd/paperbench runs them and prints their tables and plots.
 //
 // Workloads follow §6.1: genealogies are simulated from the coalescent at
 // a known true θ (the ms substrate), sequences are evolved along them

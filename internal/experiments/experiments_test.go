@@ -227,26 +227,3 @@ func TestTemperingComparisonShape(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchThroughputExperimentRuns smoke-tests the batch experiment at a
-// tiny scale: every point runs both modes and reports coherent numbers.
-func TestBatchThroughputExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("batch experiment harness")
-	}
-	pts, err := BatchThroughput(Common{Scale: ScaleQuick, Workers: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
-	}
-	for _, p := range pts {
-		if p.SerialSec <= 0 || p.BatchSec <= 0 {
-			t.Errorf("jobs=%d: non-positive timing %+v", p.Jobs, p)
-		}
-		if p.Speedup <= 0 {
-			t.Errorf("jobs=%d: non-positive speedup", p.Jobs)
-		}
-	}
-}

@@ -13,13 +13,15 @@ import (
 	"mpcgs/internal/subst"
 )
 
-func benchFixture(b *testing.B, nSeq, L int) (*Evaluator, *gtree.Tree) {
+// benchFixture builds an evaluator on dev (nil for serial) over simulated
+// nSeq x L data, and a random coalescent genealogy of its taxa.
+func benchFixture(b *testing.B, nSeq, L int, dev *device.Device) (*Evaluator, *gtree.Tree) {
 	b.Helper()
 	aln, _, err := seqgen.SimulateData(nSeq, L, 1.0, 99)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eval := benchEval(b, aln)
+	eval := benchEval(b, aln, dev)
 	tree, err := gtree.RandomCoalescent(aln.Names, 1.0, rng.NewMT19937(5))
 	if err != nil {
 		b.Fatal(err)
@@ -27,13 +29,13 @@ func benchFixture(b *testing.B, nSeq, L int) (*Evaluator, *gtree.Tree) {
 	return eval, tree
 }
 
-func benchEval(b *testing.B, aln *phylip.Alignment) *Evaluator {
+func benchEval(b *testing.B, aln *phylip.Alignment, dev *device.Device) *Evaluator {
 	b.Helper()
 	model, err := subst.NewF81(aln.BaseFreqs(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eval, err := New(model, aln, nil)
+	eval, err := New(model, aln, dev)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,10 +64,15 @@ func benchProposal(b *testing.B, tree *gtree.Tree, seed uint32) *gtree.Tree {
 // speedups; it must grow with sequence length. The 4000bp point is the
 // large-pattern regime this kernel is optimized for (Fig. 16's growing
 // right edge): at 12 sequences it compresses to well over a thousand
-// distinct site patterns, so the pattern-lane streaming dominates.
+// distinct site patterns, so the pattern-lane streaming dominates. The
+// parallel case is the same from-scratch evaluation spread over a device
+// pool (LogLikelihood: sites in LaunchBlocks, then a ReduceSum), the
+// paper's §5.2.2 data likelihood kernel.
 func BenchmarkDeltaVsSerial(b *testing.B) {
+	dev := device.New(0)
+	defer dev.Close()
 	for _, L := range []int{200, 1000, 4000} {
-		eval, tree := benchFixture(b, 12, L)
+		eval, tree := benchFixture(b, 12, L, nil)
 		c := eval.NewDeltaCache()
 		eval.Rebase(c, tree)
 		prop := benchProposal(b, tree, 77)
@@ -80,6 +87,12 @@ func BenchmarkDeltaVsSerial(b *testing.B) {
 				eval.LogLikelihoodSerial(prop)
 			}
 		})
+		par, _ := benchFixture(b, 12, L, dev)
+		b.Run(fmt.Sprintf("parallel/bp=%d", L), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				par.LogLikelihood(prop)
+			}
+		})
 	}
 }
 
@@ -89,23 +102,8 @@ func BenchmarkDeltaVsSerial(b *testing.B) {
 // scale past the proposal count on large alignments.
 func BenchmarkDeltaParallel(b *testing.B) {
 	for _, L := range []int{1000, 4000} {
-		aln, _, err := seqgen.SimulateData(12, L, 1.0, 99)
-		if err != nil {
-			b.Fatal(err)
-		}
-		model, err := subst.NewF81(aln.BaseFreqs(), true)
-		if err != nil {
-			b.Fatal(err)
-		}
 		dev := device.New(0)
-		eval, err := New(model, aln, dev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree, err := gtree.RandomCoalescent(aln.Names, 1.0, rng.NewMT19937(5))
-		if err != nil {
-			b.Fatal(err)
-		}
+		eval, tree := benchFixture(b, 12, L, dev)
 		c := eval.NewDeltaCache()
 		eval.Rebase(c, tree)
 		prop := benchProposal(b, tree, 77)
@@ -126,7 +124,7 @@ func BenchmarkDeltaParallel(b *testing.B) {
 func BenchmarkRebaseTo(b *testing.B) {
 	scratch := resim.NewScratch()
 	for _, L := range []int{200, 1000, 4000} {
-		eval, tree := benchFixture(b, 12, L)
+		eval, tree := benchFixture(b, 12, L, nil)
 		c := eval.NewDeltaCache()
 		eval.Rebase(c, tree)
 		src := rng.NewMT19937(31)
@@ -162,7 +160,7 @@ func BenchmarkRebaseTo(b *testing.B) {
 // per block.
 func BenchmarkRebaseFull(b *testing.B) {
 	for _, L := range []int{1000, 4000} {
-		eval, tree := benchFixture(b, 12, L)
+		eval, tree := benchFixture(b, 12, L, nil)
 		c := eval.NewDeltaCache()
 		b.Run(fmt.Sprintf("bp=%d", L), func(b *testing.B) {
 			b.ReportAllocs()

@@ -921,3 +921,34 @@ func TestMpcgsInspect(t *testing.T) {
 		t.Fatal("inspect of a missing directory succeeded")
 	}
 }
+
+// TestMpcgsProfilesSurviveFailure: an exit with status 1 still stops
+// every profile. A batch whose second job fails at its first step, and a
+// manifest refused at load, each leave a non-empty gzipped CPU and heap
+// profile and a trace that go tool trace parses.
+func TestMpcgsProfilesSurviveFailure(t *testing.T) {
+	dir := t.TempDir()
+	writeData(t, dir, "6", "80", "81", "82")
+	manifests := map[string]string{
+		"failing-job": `{"defaults": {"sampler": "mh", "burnin": 20, "samples": 100, "em_iterations": 1},
+  "jobs": [{"name": "ok", "phylip": "data.phy", "theta": 0.5}, {"name": "bad", "phylip": "data.phy", "theta": 1e-140}]}`,
+		"refused": `{"jobs": [{"name": "x", "phylip": "data.phy", "theta": 1e-300}]}`,
+	}
+	for name, manifest := range manifests {
+		mpath := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(mpath, []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cpu, mem, tr := filepath.Join(dir, name+".cpu"), filepath.Join(dir, name+".mem"), filepath.Join(dir, name+".trace")
+		out := runExpectError(t, "mpcgs", "-workers", "2", "-batch", mpath, "-cpuprofile", cpu, "-memprofile", mem, "-trace", tr)
+		for _, p := range []string{cpu, mem} {
+			data, err := os.ReadFile(p)
+			if err != nil || len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+				t.Errorf("%s: %s is not a gzipped profile (%d bytes, %v)\n%s", name, filepath.Base(p), len(data), err, out)
+			}
+		}
+		if parsed, err := exec.Command("go", "tool", "trace", "-d=parsed", tr).CombinedOutput(); err != nil {
+			t.Errorf("%s: the trace does not parse: %v\n%s", name, err, parsed[:min(len(parsed), 400)])
+		}
+	}
+}

@@ -79,9 +79,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"strconv"
 	"strings"
 	"time"
@@ -91,6 +88,7 @@ import (
 	"mpcgs/internal/core"
 	"mpcgs/internal/device"
 	"mpcgs/internal/phylip"
+	"mpcgs/internal/profiling"
 	"mpcgs/internal/sched"
 	sidecar "mpcgs/internal/trace"
 )
@@ -121,9 +119,7 @@ func main() {
 		resumeDir  = flag.String("resume", "", "resume from the checkpoint in this directory (implies -checkpoint into it)")
 		inspectDir = flag.String("inspect", "", "print per-job status from the checkpoint in this directory and exit (no resume)")
 		quiet      = flag.Bool("q", false, "print only the final estimate")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		tracePath  = flag.String("trace", "", "write a runtime/trace of the run to this file (inspect with go tool trace)")
+		prof       = profiling.Flags()
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mpcgs [flags] <seqdata.phy> <initial-theta>\n")
@@ -132,29 +128,16 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatalf("-cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("-cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "mpcgs: %v\n", err)
+		os.Exit(1)
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatalf("-trace: %v", err)
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			fatalf("-trace: %v", err)
-		}
-		defer trace.Stop()
+	// From here on every exit goes through prof.Exit, which stops the
+	// profiles first.
+	fatalf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mpcgs: "+format+"\n", args...)
+		prof.Exit(1)
 	}
-	defer writeMemProfile(*memProfile)
 	// A flag its mode would silently drop is a spec bug, the same rule
 	// the manifest loader enforces: a batch takes its job settings from
 	// the manifest, and the Bayesian chain reads only some of them.
@@ -175,12 +158,12 @@ func main() {
 	if *inspectDir != "" {
 		if flag.NArg() != 0 {
 			flag.Usage()
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		if err := inspect(os.Stdout, *inspectDir); err != nil {
 			fatalf("%v", err)
 		}
-		return
+		prof.Exit(0)
 	}
 	// Resuming continues checkpointing into the same directory, so a
 	// second interruption is just another resume.
@@ -193,18 +176,17 @@ func main() {
 	if *batch != "" {
 		if flag.NArg() != 0 {
 			flag.Usage()
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		jobs, err := sched.LoadManifest(*batch)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, nil)
-		return
+		prof.Exit(runBatch(jobs, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, nil))
 	}
 	if flag.NArg() != 2 {
 		flag.Usage()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	path := flag.Arg(0)
 	theta0, err := strconv.ParseFloat(flag.Arg(1), 64)
@@ -234,7 +216,7 @@ func main() {
 		}
 		fmt.Printf("posterior theta: mean %.6g, median %.6g, 95%% CI [%.6g, %.6g]\n",
 			res.PosteriorMean, res.PosteriorMedian, res.CredibleLow, res.CredibleHigh)
-		return
+		prof.Exit(0)
 	}
 	aln, err := phylip.Load(path)
 	if err != nil {
@@ -270,7 +252,7 @@ func main() {
 		fmt.Printf("mpcgs: %d sequences x %d bp, sampler=%s model=%s%s\n",
 			aln.NSeq(), aln.SeqLen(), *sampler, *model, note)
 	}
-	runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, func(r sched.Result) {
+	prof.Exit(runBatch([]sched.Job{job}, *workers, *ckptDir, *ckptEvery, *resumeDir != "", *quiet, func(r sched.Result) {
 		if (*growth || *curve) && r.LastSet == nil {
 			fatalf("-growth and -curve need the final pass's draws, and a job that had already finished when it was resumed no longer has them; rerun it without -resume")
 		}
@@ -305,7 +287,7 @@ func main() {
 				fmt.Printf("  %-12.5g %.4f\n", x, vals[i])
 			}
 		}
-	})
+	}))
 }
 
 // jobFlags maps every per-job flag to the batch-manifest field that
@@ -329,8 +311,9 @@ var bayesianFlags = map[string]bool{"bayesian": true, "model": true, "burnin": t
 // on), and resume restores job state from a previous invocation's
 // checkpoint directory. A single estimation passes the printer of its
 // report as single; a manifest's batch (single nil) prints one line per
-// job between a header and a throughput summary.
-func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resume, quiet bool, single func(sched.Result)) {
+// job between a header and a throughput summary. It returns the exit
+// status: 1 when the batch aborted or a job failed.
+func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resume, quiet bool, single func(sched.Result)) int {
 	opts := sched.Options{
 		Checkpoint: sched.CheckpointOptions{Dir: ckptDir, Every: ckptEvery},
 		Resume:     resume,
@@ -376,8 +359,9 @@ func runBatch(jobs []sched.Job, workers int, ckptDir string, ckptEvery int, resu
 			len(results)-failed, failed, wall.Seconds(), float64(len(results))/wall.Seconds())
 	}
 	if err != nil || failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // printEstimate prints a single estimation's report: the EM trajectory,
@@ -592,26 +576,4 @@ func hexOrRaw(s string) string {
 		return fmt.Sprintf("%.6g", f)
 	}
 	return s
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mpcgs: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// writeMemProfile writes a heap profile at process exit (after a GC, so
-// the profile reflects live retention rather than garbage).
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("-memprofile: %v", err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fatalf("-memprofile: %v", err)
-	}
 }

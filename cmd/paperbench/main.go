@@ -35,8 +35,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"slices"
 	"strings"
 	"time"
@@ -44,6 +42,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/experiments"
 	"mpcgs/internal/felsen"
+	"mpcgs/internal/profiling"
 	"mpcgs/internal/stats"
 )
 
@@ -131,9 +130,7 @@ func main() {
 		mdPath      = flag.String("md", "", "also write the run's output to this Markdown file as a generated section")
 		jsonPath    = flag.String("json", "", "write the run's measured speedup/time points to this file as machine-readable JSON (the BENCH_*.json trajectory)")
 		comparePath = flag.String("compare", "", "directory of committed BENCH_*.json snapshots (typically the repo root): print the per-experiment speedup trajectory and exit non-zero if this run regressed against the latest snapshot")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		tracePath   = flag.String("trace", "", "write a runtime/trace of the run to this file (inspect with go tool trace)")
+		prof        = profiling.Flags()
 	)
 	flag.Parse()
 	// Load the committed trajectory before anything runs or is written:
@@ -149,65 +146,57 @@ func main() {
 			fatalf("bench-trajectory: no BENCH_*.json snapshots in %s", *comparePath)
 		}
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatalf("-cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("-cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatalf("-trace: %v", err)
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			fatalf("-trace: %v", err)
-		}
-		defer trace.Stop()
-	}
-	defer writeMemProfile(*memProfile)
+	sel := selectExperiments(*experiment)
 	c := experiments.Common{
 		Scale:   experiments.Scale(*scale),
 		Workers: *workers,
 		Seed:    *seed,
 	}
-	sel := selectExperiments(*experiment)
+	if err := prof.Start(); err != nil {
+		fatalf("%v", err)
+	}
+	// From here on every exit goes through prof.Exit, which stops the
+	// profiles first.
+	if err := run(sel, c, *mdPath, *jsonPath, snaps); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		prof.Exit(1)
+	}
+	prof.Exit(0)
+}
+
+// run runs the selected experiments, writes the -md and -json outputs
+// and, when snaps holds the committed trajectory, runs the -compare gate.
+func run(sel []experiment, c experiments.Common, mdPath, jsonPath string, snaps []*experiments.BenchSnapshot) error {
 	names := make([]string, len(sel))
 	for i, e := range sel {
 		names[i] = e.name
 	}
-
 	var buf bytes.Buffer
 	var w io.Writer = os.Stdout
-	if *mdPath != "" {
+	if mdPath != "" {
 		w = io.MultiWriter(os.Stdout, &buf)
 	}
 	for _, e := range sel {
 		if err := e.run(w, c); err != nil {
-			fatalf("%s: %v", e.name, err)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
-	if *mdPath != "" {
-		if err := writeMarkdown(*mdPath, names, c, buf.Bytes()); err != nil {
-			fatalf("writing %s: %v", *mdPath, err)
+	if mdPath != "" {
+		if err := writeMarkdown(mdPath, names, c, buf.Bytes()); err != nil {
+			return fmt.Errorf("writing %s: %w", mdPath, err)
 		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", *mdPath)
+		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", mdPath)
 	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, names, c); err != nil {
-			fatalf("writing %s: %v", *jsonPath, err)
+	if jsonPath != "" {
+		if err := writeJSON(jsonPath, names, c); err != nil {
+			return fmt.Errorf("writing %s: %w", jsonPath, err)
 		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", *jsonPath)
+		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", jsonPath)
 	}
 	if snaps != nil {
-		runCompare(snaps)
+		return runCompare(snaps)
 	}
+	return nil
 }
 
 // writeJSON dumps the run's measured speedup points as an indented
@@ -244,38 +233,22 @@ func writeJSON(path string, names []string, c experiments.Common) error {
 // this run's fresh measurements against the latest one and exit
 // non-zero on a regression past the floor. A run that measured nothing
 // comparable also fails — a check of zero points checked nothing.
-func runCompare(snaps []*experiments.BenchSnapshot) {
+func runCompare(snaps []*experiments.BenchSnapshot) error {
 	experiments.FormatTrajectory(os.Stdout, snaps)
 	latest := snaps[len(snaps)-1]
 	checked, violations := experiments.CompareSnapshot(measuredSpeedups, latest, compareFactor)
 	if checked == 0 {
-		fatalf("bench-trajectory: no measured point matched %s (run an experiment the snapshot covers, e.g. seqlen)", latest.File)
+		return fmt.Errorf("bench-trajectory: no measured point matched %s (run an experiment the snapshot covers, e.g. seqlen)", latest.File)
 	}
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "bench-trajectory: FAIL %s\n", v)
 	}
 	if len(violations) > 0 {
-		fatalf("bench-trajectory: %d of %d points regressed past %.0f%% of %s", len(violations), checked, compareFactor*100, latest.File)
+		return fmt.Errorf("bench-trajectory: %d of %d points regressed past %.0f%% of %s", len(violations), checked, compareFactor*100, latest.File)
 	}
 	fmt.Printf("bench-trajectory: OK, %d points within %.0f%% of %s across %d snapshots\n",
 		checked, compareFactor*100, latest.File, len(snaps))
-}
-
-// writeMemProfile writes a heap profile at process exit (after a GC, so
-// the profile reflects live retention rather than garbage).
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("-memprofile: %v", err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fatalf("-memprofile: %v", err)
-	}
+	return nil
 }
 
 // writeMarkdown renders the captured run as a generated Markdown document:
@@ -468,7 +441,7 @@ func runCurve(w io.Writer, c experiments.Common) error {
 	}
 	fmt.Fprintln(w, stats.AsciiPlot("Figure 5: log relative likelihood over theta",
 		"theta", "log L", pts, 64, 18))
-	fmt.Fprintf(w, "curve maximum near theta = %.3g (true 1.0, driving 0.01)\n\n", res.ArgMax)
+	fmt.Fprintf(w, "curve maximum near theta = %.3g (true 1.0, driving 0.01), acceptance rate %.3f\n\n", res.ArgMax, res.AcceptanceRate)
 	return nil
 }
 
@@ -548,6 +521,7 @@ func runGrowth(w io.Writer, c experiments.Common) error {
 	return nil
 }
 
+// fatalf reports a failure before the profiles start and exits 1.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "paperbench: "+format+"\n", args...)
 	os.Exit(1)

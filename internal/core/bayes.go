@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mpcgs/internal/coalprior"
 	"mpcgs/internal/felsen"
@@ -117,7 +116,7 @@ func (b *Bayesian) Run(init *gtree.Tree, cfg ChainConfig) (*BayesResult, error) 
 			if next >= tmin && next <= tmax {
 				logr := coalprior.LogPriorStat(nTips, run.st.stat, next) -
 					coalprior.LogPriorStat(nTips, run.st.stat, run.theta)
-				if logr >= 0 || run.host.Float64() < math.Exp(logr) {
+				if metropolis(logr, run.host) {
 					run.theta = next
 					thetaAccepted++
 				}

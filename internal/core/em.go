@@ -20,9 +20,6 @@ type EMConfig struct {
 	Burnin       int
 	Samples      int
 	Seed         uint64
-	// Tolerance stops the loop once |Δθ|/θ falls below it. Zero selects
-	// 1e-3.
-	Tolerance float64
 	// Trace streams every pass's draws to the sidecar at Trace.Path
 	// (all iterations append to the same file), keeping the recorder
 	// memory-bounded and checkpoints O(interval).
@@ -33,11 +30,11 @@ type EMConfig struct {
 	RHatTarget float64
 }
 
+// emTolerance stops the loop once |Δθ|/θ falls below it.
+const emTolerance = 1e-3
+
 func (c *EMConfig) withDefaults() EMConfig {
 	out := *c
-	if out.Tolerance <= 0 {
-		out.Tolerance = 1e-3
-	}
 	if out.Iterations <= 0 {
 		out.Iterations = 10
 	}
@@ -209,7 +206,7 @@ func (e *EMRun) finishIteration(run *Result) error {
 	moved := math.Abs(next-e.theta) / e.theta
 	e.theta = next
 	e.it++
-	if moved < e.cfg.Tolerance || e.it >= e.cfg.Iterations {
+	if moved < emTolerance || e.it >= e.cfg.Iterations {
 		e.res.Theta = e.theta
 		e.done = true
 	}
@@ -225,6 +222,8 @@ func InitialTree(aln *phylip.Alignment, theta0 float64, seed uint64) (*gtree.Tre
 	if err := aln.Validate(); err != nil {
 		return nil, err
 	}
+	// Per-site divergences, so node ages land in the likelihood model's
+	// branch-length units (expected substitutions per site).
 	d := aln.DistanceMatrix()
 	L := float64(aln.SeqLen())
 	for i := range d {
@@ -232,7 +231,7 @@ func InitialTree(aln *phylip.Alignment, theta0 float64, seed uint64) (*gtree.Tre
 			d[i][j] /= L
 		}
 	}
-	t, err := UPGMATree(d, aln.Names)
+	t, err := gtree.UPGMA(d, aln.Names)
 	if err != nil {
 		return nil, err
 	}
@@ -241,11 +240,4 @@ func InitialTree(aln *phylip.Alignment, theta0 float64, seed uint64) (*gtree.Tre
 		return gtree.RandomCoalescent(aln.Names, theta0, src)
 	}
 	return t, nil
-}
-
-// UPGMATree wraps gtree.UPGMA; distances should be per-site divergences so
-// node ages land in the same units as the likelihood model's branch
-// lengths (expected substitutions per site).
-func UPGMATree(dist [][]float64, names []string) (*gtree.Tree, error) {
-	return gtree.UPGMA(dist, names)
 }

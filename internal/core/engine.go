@@ -183,12 +183,21 @@ func (s *chainState) step(theta float64, src rng.Source) (bool, error) {
 	if err := s.propose(theta, src); err != nil {
 		return false, err
 	}
-	if logr := s.logAcceptRatio(); logr >= 0 || src.Float64() < math.Exp(logr) {
+	if metropolis(s.logAcceptRatio(), src) {
 		s.accept()
 		return true, nil
 	}
 	s.reject()
 	return false, nil
+}
+
+// metropolis is the Metropolis test of a move with log acceptance ratio
+// logr: an uphill move is accepted without a draw, a downhill one with
+// probability exp(logr) against one uniform from src.
+//
+//mpcgs:hotpath
+func metropolis(logr float64, src rng.Source) bool {
+	return logr >= 0 || src.Float64() < math.Exp(logr)
 }
 
 // Auto-stop cadence: the convergence targets are evaluated every

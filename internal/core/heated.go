@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
@@ -173,7 +172,7 @@ func (r *heatedRun) Step() error {
 		j := i + 1
 		bi, bj := r.ladder.Beta(i), r.ladder.Beta(j)
 		logr := (bi - bj) * (r.states[j].logLik - r.states[i].logLik)
-		swapped := logr >= 0 || r.host.Float64() < math.Exp(logr)
+		swapped := metropolis(logr, r.host)
 		if swapped {
 			r.states[i], r.states[j] = r.states[j], r.states[i]
 			r.res.Swaps++

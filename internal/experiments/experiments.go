@@ -371,10 +371,13 @@ type CurveResult struct {
 	Theta0    float64
 	// ArgMax is the θ grid point with the highest relative likelihood.
 	ArgMax float64
+	// AcceptanceRate is the sampling pass's: a pass that never moved
+	// gives one genealogy's curve, which LikelihoodCurve refuses.
+	AcceptanceRate float64
 }
 
 // LikelihoodCurve runs the Fig. 5 experiment: true θ = 1.0, driving
-// θ0 = 0.01.
+// θ0 = 0.01. A pass that accepted no proposal is an error.
 func LikelihoodCurve(c Common) (*CurveResult, error) {
 	trueTheta, theta0 := 1.0, 0.01
 	nSeq, seqLen, burnin, samples := 12, 200, 1000, 10000
@@ -400,7 +403,10 @@ func LikelihoodCurve(c Common) (*CurveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &CurveResult{TrueTheta: trueTheta, Theta0: theta0}
+	if run.Accepted == 0 {
+		return nil, fmt.Errorf("experiments: the Fig. 5 pass (data seed %d) accepted none of its %d proposals, so its curve is the initial genealogy's alone", c.seed(), run.Proposals)
+	}
+	res := &CurveResult{TrueTheta: trueTheta, Theta0: theta0, AcceptanceRate: run.AcceptanceRate()}
 	// Log-spaced grid from theta0/2 to 10x the truth.
 	for x := theta0 / 2; x <= 10*trueTheta; x *= 1.15 {
 		res.Thetas = append(res.Thetas, x)

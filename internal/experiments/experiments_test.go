@@ -7,6 +7,7 @@ package experiments
 // -short.
 
 import (
+	"strings"
 	"testing"
 
 	"mpcgs/internal/leakcheck"
@@ -94,9 +95,17 @@ func TestLikelihoodCurveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling experiment")
 	}
-	res, err := LikelihoodCurve(quick())
+	// The default data seed's pass moves; seed 99's pass never does at
+	// θ0 = 0.01, and a curve of its one genealogy must be refused.
+	if _, err := LikelihoodCurve(Common{Scale: ScaleQuick, Workers: 2, Seed: 99}); err == nil || !strings.Contains(err.Error(), "accepted none") {
+		t.Errorf("seed 99 at 2 workers: err %v, want the pass that never moved refused", err)
+	}
+	res, err := LikelihoodCurve(Common{Scale: ScaleQuick, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.AcceptanceRate <= 0 {
+		t.Errorf("acceptance rate %v, want positive", res.AcceptanceRate)
 	}
 	// Fig. 5's shape: driven at theta0 = 0.01 with truth at 1.0, the
 	// curve's maximum must sit far above the driving value.

@@ -228,10 +228,10 @@ func TestAVX2LiftKernelBits(t *testing.T) {
 	})
 }
 
-// TestAVX2NeighbourhoodBits compares the vector path's two node passes
-// through the target row with the scalar path's fused loop. Rescale
-// groups are placed at the target (shrunk children) and, shifted by one
-// group, at the parent (a shrunk clean child).
+// TestAVX2NeighbourhoodBits compares the neighbourhood's two node passes
+// through the target row at each vector tier with the same passes at the
+// scalar tier. Rescale groups are placed at the target (shrunk children)
+// and, shifted by one group, at the parent (a shrunk clean child).
 func TestAVX2NeighbourhoodBits(t *testing.T) {
 	forEachVectorTier(t, func(t *testing.T, vec tier) {
 		ms := kernelMatrices(t)

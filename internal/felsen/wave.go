@@ -72,8 +72,6 @@ package felsen
 // φ draw. Eval and EvalOne panic without a bound round.
 
 import (
-	"math"
-
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/subst"
 )
@@ -105,9 +103,9 @@ type waveProp struct {
 // waveScratch is the per-cell working memory of the wave kernel: the
 // working row — one node's conditional lanes for one pattern block,
 // overwritten in place as the cell walks parent → root path — and the
-// target row, which the vector path stores between the target and parent
-// passes (the scalar path carries it in registers). prop holds EvalOne's
-// candidate setup, so concurrent EvalOne calls share nothing writable.
+// target row, stored between the target and parent passes. prop holds
+// EvalOne's candidate setup, so concurrent EvalOne calls share nothing
+// writable.
 type waveScratch struct {
 	cond   []float64 // nStates lanes of blockSize patterns each
 	scale  []float64 // blockSize
@@ -475,116 +473,15 @@ func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 
 // evalNeighbourhood evaluates the resimulated neighbourhood's two nodes
 // over patterns [0, n): the target row from its children l and r (the
-// candidate's Child-array order), then the parent row from the target
-// and the parent's clean-child row c, into o. Each node's arithmetic is
+// candidate's Child-array order) into t, then the parent row from t and
+// the parent's clean-child row c into o. Each node's arithmetic is
 // runBlock's, with the same matrix↔child pairing; the two dot factors
 // and the two scale summands commute bit-exactly, so evaluating the φ
 // side first is the per-candidate kernel's result regardless of
-// Child-array order. The vector path runs two evalNode passes through
-// the target row t (a float64 store is exact); the scalar path fuses
-// them and leaves t untouched.
+// Child-array order.
 //
 //mpcgs:hotpath
 func evalNeighbourhood(pr *waveProp, l, r, c, t, o rowView, n int) {
-	if kernelTier != tierScalar {
-		evalNode(l, r, t, &pr.tm0, &pr.tm1, n)
-		evalNode(t, c, o, &pr.pmPhi, &pr.pmClean, n)
-		return
-	}
-	waveNeighbourhood(pr, l, r, c, o, n)
-}
-
-// waveNeighbourhood is the scalar path's fused neighbourhood over
-// patterns [0, n): the target row — computed from its children l and r
-// (the candidate's Child-array order) — is carried per pattern in
-// registers straight into the parent's dot products against the
-// parent's clean-child row c, and only the parent row is stored, into o.
-// Each node's arithmetic is exactly evalNode's (children dots, running
-// maximum, rescale test, scale add), with the φ-side factor first at the
-// parent.
-//
-//mpcgs:hotpath
-func waveNeighbourhood(pr *waveProp, l, r, c, o rowView, n int) {
-	a00, a01, a02, a03 := pr.tm0[0][0], pr.tm0[0][1], pr.tm0[0][2], pr.tm0[0][3]
-	a10, a11, a12, a13 := pr.tm0[1][0], pr.tm0[1][1], pr.tm0[1][2], pr.tm0[1][3]
-	a20, a21, a22, a23 := pr.tm0[2][0], pr.tm0[2][1], pr.tm0[2][2], pr.tm0[2][3]
-	a30, a31, a32, a33 := pr.tm0[3][0], pr.tm0[3][1], pr.tm0[3][2], pr.tm0[3][3]
-	b00, b01, b02, b03 := pr.tm1[0][0], pr.tm1[0][1], pr.tm1[0][2], pr.tm1[0][3]
-	b10, b11, b12, b13 := pr.tm1[1][0], pr.tm1[1][1], pr.tm1[1][2], pr.tm1[1][3]
-	b20, b21, b22, b23 := pr.tm1[2][0], pr.tm1[2][1], pr.tm1[2][2], pr.tm1[2][3]
-	b30, b31, b32, b33 := pr.tm1[3][0], pr.tm1[3][1], pr.tm1[3][2], pr.tm1[3][3]
-	p00, p01, p02, p03 := pr.pmPhi[0][0], pr.pmPhi[0][1], pr.pmPhi[0][2], pr.pmPhi[0][3]
-	p10, p11, p12, p13 := pr.pmPhi[1][0], pr.pmPhi[1][1], pr.pmPhi[1][2], pr.pmPhi[1][3]
-	p20, p21, p22, p23 := pr.pmPhi[2][0], pr.pmPhi[2][1], pr.pmPhi[2][2], pr.pmPhi[2][3]
-	p30, p31, p32, p33 := pr.pmPhi[3][0], pr.pmPhi[3][1], pr.pmPhi[3][2], pr.pmPhi[3][3]
-	q00, q01, q02, q03 := pr.pmClean[0][0], pr.pmClean[0][1], pr.pmClean[0][2], pr.pmClean[0][3]
-	q10, q11, q12, q13 := pr.pmClean[1][0], pr.pmClean[1][1], pr.pmClean[1][2], pr.pmClean[1][3]
-	q20, q21, q22, q23 := pr.pmClean[2][0], pr.pmClean[2][1], pr.pmClean[2][2], pr.pmClean[2][3]
-	q30, q31, q32, q33 := pr.pmClean[3][0], pr.pmClean[3][1], pr.pmClean[3][2], pr.pmClean[3][3]
-	o0, o1, o2, o3, os := o.cond[:n], o.cond[o.stride:][:n], o.cond[2*o.stride:][:n], o.cond[3*o.stride:][:n], o.scale[:n]
-	l0, l1, l2, l3, ls := l.cond[:n], l.cond[l.stride:][:n], l.cond[2*l.stride:][:n], l.cond[3*l.stride:][:n], l.scale[:n]
-	r0, r1, r2, r3, rs := r.cond[:n], r.cond[r.stride:][:n], r.cond[2*r.stride:][:n], r.cond[3*r.stride:][:n], r.scale[:n]
-	c0, c1, c2, c3, cs := c.cond[:n], c.cond[c.stride:][:n], c.cond[2*c.stride:][:n], c.cond[3*c.stride:][:n], c.scale[:n]
-	for i := range o0 {
-		u0, u1, u2, u3 := l0[i], l1[i], l2[i], l3[i]
-		v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-		t0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * (b00*v0 + b01*v1 + b02*v2 + b03*v3)
-		t1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * (b10*v0 + b11*v1 + b12*v2 + b13*v3)
-		t2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * (b20*v0 + b21*v1 + b22*v2 + b23*v3)
-		t3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * (b30*v0 + b31*v1 + b32*v2 + b33*v3)
-		maxv := 0.0
-		if t0 > maxv {
-			maxv = t0
-		}
-		if t1 > maxv {
-			maxv = t1
-		}
-		if t2 > maxv {
-			maxv = t2
-		}
-		if t3 > maxv {
-			maxv = t3
-		}
-		tsc := ls[i] + rs[i]
-		if maxv < rescaleThreshold && maxv > 0 {
-			inv := 1 / maxv
-			t0 *= inv
-			t1 *= inv
-			t2 *= inv
-			t3 *= inv
-			tsc += math.Log(maxv)
-		}
-		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-		w0 := (p00*t0 + p01*t1 + p02*t2 + p03*t3) * (q00*x0 + q01*x1 + q02*x2 + q03*x3)
-		w1 := (p10*t0 + p11*t1 + p12*t2 + p13*t3) * (q10*x0 + q11*x1 + q12*x2 + q13*x3)
-		w2 := (p20*t0 + p21*t1 + p22*t2 + p23*t3) * (q20*x0 + q21*x1 + q22*x2 + q23*x3)
-		w3 := (p30*t0 + p31*t1 + p32*t2 + p33*t3) * (q30*x0 + q31*x1 + q32*x2 + q33*x3)
-		maxv = 0.0
-		if w0 > maxv {
-			maxv = w0
-		}
-		if w1 > maxv {
-			maxv = w1
-		}
-		if w2 > maxv {
-			maxv = w2
-		}
-		if w3 > maxv {
-			maxv = w3
-		}
-		sc := tsc + cs[i]
-		if maxv < rescaleThreshold && maxv > 0 {
-			inv := 1 / maxv
-			w0 *= inv
-			w1 *= inv
-			w2 *= inv
-			w3 *= inv
-			sc += math.Log(maxv)
-		}
-		o0[i] = w0
-		o1[i] = w1
-		o2[i] = w2
-		o3[i] = w3
-		os[i] = sc
-	}
+	evalNode(l, r, t, &pr.tm0, &pr.tm1, n)
+	evalNode(t, c, o, &pr.pmPhi, &pr.pmClean, n)
 }

@@ -113,13 +113,24 @@ func UPGMA(dist [][]float64, names []string) (*Tree, error) {
 // substrate's generator and the fallback starting tree when all sequences
 // are identical.
 func RandomCoalescent(names []string, theta float64, src rng.Source) (*Tree, error) {
-	n := len(names)
-	if n < 2 {
+	if n := len(names); n < 2 {
 		return nil, fmt.Errorf("gtree: RandomCoalescent needs at least 2 tips, got %d", n)
 	}
 	if theta <= 0 {
 		return nil, fmt.Errorf("gtree: RandomCoalescent needs theta > 0, got %v", theta)
 	}
+	return Coalescent(names, src, func(k int, age float64) float64 {
+		return age + rng.Exp(src, float64(k*(k-1))/theta)
+	})
+}
+
+// Coalescent builds a genealogy of names (at least two) backward in time:
+// while k lineages remain, next(k, age) draws the age of the next
+// coalescence above age, then a uniform pair of the k lineages joins
+// there. Tip i takes names[i], and interior nodes are numbered in the
+// order they join. The waiting-time law is next's alone.
+func Coalescent(names []string, src rng.Source, next func(k int, age float64) float64) (*Tree, error) {
+	n := len(names)
 	t := New(n)
 	active := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -127,13 +138,10 @@ func RandomCoalescent(names []string, theta float64, src rng.Source) (*Tree, err
 		active[i] = i
 	}
 	age := 0.0
-	next := n
+	p := n
 	for k := n; k >= 2; k-- {
-		rate := float64(k*(k-1)) / theta
-		age += rng.Exp(src, rate)
+		age = next(k, age)
 		i, j := rng.UniformPair(src, k)
-		p := next
-		next++
 		a, b := active[i], active[j]
 		t.Nodes[p].Child = [2]int{a, b}
 		t.Nodes[p].Age = age
@@ -143,7 +151,8 @@ func RandomCoalescent(names []string, theta float64, src rng.Source) (*Tree, err
 		active[i] = p
 		active[j] = active[k-1]
 		active = active[:k-1]
+		p++
 	}
-	t.Root = next - 1
+	t.Root = p - 1
 	return t, t.Validate()
 }

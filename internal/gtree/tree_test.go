@@ -451,3 +451,33 @@ func TestNewPanicsOnTinyTree(t *testing.T) {
 	}()
 	New(1)
 }
+
+// TestRandomCoalescentPinnedDraw pins one genealogy at a fixed seed: each
+// interior node's children and the bits of its age. The distributional
+// tests cannot see a reordered draw or a moved rounding; this one can.
+func TestRandomCoalescentPinnedDraw(t *testing.T) {
+	tr, err := RandomCoalescent([]string{"a", "b", "c", "d", "e", "f"}, 1.5, rng.NewMT19937(20160401))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		c0, c1 int
+		age    uint64
+	}{
+		{0, 1, 0x3fa335eb02048f92},
+		{3, 4, 0x3fb02a9425cffc94},
+		{6, 2, 0x3fc680f8630b5343},
+		{8, 7, 0x3fc9907cb9037ea8},
+		{9, 5, 0x3fe1eec12aac3cba},
+	}
+	if tr.Root != 10 {
+		t.Fatalf("root %d, want 10", tr.Root)
+	}
+	for i, w := range want {
+		n := tr.Nodes[tr.NTips()+i]
+		if n.Child != [2]int{w.c0, w.c1} || math.Float64bits(n.Age) != w.age {
+			t.Errorf("node %d: children %v age %#016x, want [%d %d] %#016x",
+				tr.NTips()+i, n.Child, math.Float64bits(n.Age), w.c0, w.c1, w.age)
+		}
+	}
+}

@@ -115,3 +115,34 @@ func TestSimulateGrowthErrors(t *testing.T) {
 		t.Error("negative growth accepted")
 	}
 }
+
+// TestSimulateGrowthPinnedDraw pins one growing-population genealogy at
+// a fixed seed: each interior node's children and the bits of its age.
+// The distributional tests cannot see a reordered draw or a moved
+// rounding; this one can.
+func TestSimulateGrowthPinnedDraw(t *testing.T) {
+	tr, err := SimulateGrowth(TipNames(6), 1.5, 2.5, rng.NewMT19937(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		c0, c1 int
+		age    uint64
+	}{
+		{2, 4, 0x3f702d2024c46a86},
+		{6, 5, 0x3fb6ed3d7422b8c2},
+		{0, 1, 0x3fc3aa13cb271be4},
+		{3, 7, 0x3fd072ff58f2172f},
+		{8, 9, 0x3fda5cd843f2a1d8},
+	}
+	if tr.Root != 10 {
+		t.Fatalf("root %d, want 10", tr.Root)
+	}
+	for i, w := range want {
+		n := tr.Nodes[tr.NTips()+i]
+		if n.Child != [2]int{w.c0, w.c1} || math.Float64bits(n.Age) != w.age {
+			t.Errorf("node %d: children %v age %#016x, want [%d %d] %#016x",
+				tr.NTips()+i, n.Child, math.Float64bits(n.Age), w.c0, w.c1, w.age)
+		}
+	}
+}

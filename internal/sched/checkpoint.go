@@ -106,8 +106,9 @@ func Fingerprint(j Job) string {
 // then the driver stepping it, then the drain — so it needs no lock.
 type ckptWriter struct {
 	dir, name, fingerprint string
-	// err is the first write failure. It sticks: a job whose checkpoints
-	// silently failed is not resumable, so its result must say so.
+	// err is the first checkpoint failure: of a snapshot, its encoding
+	// or a write. It sticks: a job whose checkpoints silently failed is
+	// not resumable, so its result must say so.
 	err error
 }
 
@@ -118,7 +119,13 @@ func (w *ckptWriter) save(rec ckpt.JobState) error {
 		return nil
 	}
 	rec.Name, rec.Fingerprint = w.name, w.fingerprint
-	if err := ckpt.Save(w.dir, &rec); err != nil && w.err == nil {
+	return w.fail(ckpt.Save(w.dir, &rec))
+}
+
+// fail records err, when non-nil, as the job's checkpoint failure unless
+// an earlier one stuck, and returns the first failure so far.
+func (w *ckptWriter) fail(err error) error {
+	if err != nil && w.err == nil {
 		w.err = err
 	}
 	return w.err

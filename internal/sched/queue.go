@@ -501,8 +501,8 @@ func (q *Queue) drive() {
 // routes it: settled, requeued, or parked for a drain snapshot.
 func (q *Queue) runQuantum(r *qrunner) {
 	if q.pool.Closed() {
-		q.snapshot(r)
-		q.settleRunner(r, fmt.Errorf("sched: job %q interrupted: %w", r.name, device.ErrClosed))
+		err := fmt.Errorf("sched: job %q interrupted: %w", r.name, device.ErrClosed)
+		q.settleRunner(r, errors.Join(err, q.snapshot(r)))
 		return
 	}
 	r.ticket.update(TicketRunning, r.steps)
@@ -528,6 +528,7 @@ func (q *Queue) runQuantum(r *qrunner) {
 		q.settleRunner(r, nil)
 	default:
 		if r.cw != nil && r.sinceSnap >= r.snapEvery {
+			// A failure sticks in r.cw and settles the job with it.
 			q.snapshot(r)
 		}
 		// Status before requeue: once the runner is back on the heap
@@ -568,11 +569,11 @@ func (q *Queue) snapshot(r *qrunner) error {
 	}
 	snap, err := r.em.Snapshot()
 	if err != nil {
-		return err
+		return r.cw.fail(err)
 	}
 	wire, err := ckpt.EncodeEM(snap)
 	if err != nil {
-		return err
+		return r.cw.fail(err)
 	}
 	r.sinceSnap = 0
 	return r.cw.save(ckpt.JobState{Status: ckpt.StatusPaused, Steps: r.steps, EM: wire})

@@ -355,3 +355,61 @@ func TestCheckpointKey(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueSnapshotFailureSettlesJob: a snapshot that fails before any
+// write — here because the EMRun has nothing left to snapshot — sticks
+// like a failed write. A periodic one fails the job when it settles,
+// and one taken on a closed pool joins the interruption error.
+func TestQueueSnapshotFailureSettlesJob(t *testing.T) {
+	pool := device.NewPool(1)
+	dev, err := pool.Tenant("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(pool, QueueOptions{})
+	defer q.Close()
+	// runner returns a checkpointed runner over a finished EMRun, whose
+	// Snapshot fails.
+	runner := func(name string) *qrunner {
+		job, err := admit(quickJob(name, testAlignment(t, 5, 40, 911), "mh", 912), 0, pool.Workers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, err := startJob(job, dev, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !em.Done() {
+			if err := em.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q.mu.Lock()
+		q.pending++
+		q.mu.Unlock()
+		return &qrunner{
+			name:   name,
+			em:     em,
+			cw:     &ckptWriter{dir: t.TempDir(), name: name, fingerprint: "f"},
+			ticket: newTicket(name, "t", 0),
+		}
+	}
+	const cause = "snapshot of a finished EM run"
+
+	r := runner("periodic")
+	if err := q.snapshot(r); err == nil || !strings.Contains(err.Error(), cause) {
+		t.Fatalf("snapshot of a finished run: %v", err)
+	}
+	q.settleRunner(r, nil)
+	if res := waitTicket(t, r.ticket); res.Err == nil || !strings.Contains(res.Err.Error(), cause) {
+		t.Errorf("periodic snapshot failure: settled with %v, want it named", res.Err)
+	}
+
+	pool.Close()
+	r = runner("closed")
+	q.runQuantum(r)
+	res := waitTicket(t, r.ticket)
+	if !errors.Is(res.Err, device.ErrClosed) || !strings.Contains(res.Err.Error(), cause) {
+		t.Errorf("interrupted job: settled with %v, want the interruption and the snapshot failure", res.Err)
+	}
+}

@@ -194,6 +194,30 @@ func TestMpcgsGrowthWarnsOnLowWeightESS(t *testing.T) {
 	}
 }
 
+// TestMpcgsReportsFrozenPass runs a GMH pass that never accepts a move
+// (θ0 = 0.01 on seqgen seed 99) and requires mpcgs to report it as
+// undiagnosable: ESS 0, z NaN, burn-in not sufficient, and why.
+func TestMpcgsReportsFrozenPass(t *testing.T) {
+	aln, _, err := seqgen.SimulateData(12, 200, 1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phy bytes.Buffer
+	if err := phylip.Write(&phy, aln); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "data.phy")
+	if err := os.WriteFile(path, phy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := run(t, "mpcgs", "", "-workers", "2", "-em-iterations", "1", "-seed", "3", path, "0.01")
+	for _, want := range []string{"(acceptance 0.000,", "ESS 0, Geweke z NaN,", "(sufficient: false)", "the chain did not move, so it cannot be diagnosed"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestMpcgsSamplerFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full estimation pipeline")

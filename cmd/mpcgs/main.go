@@ -379,6 +379,9 @@ func printEstimate(r sched.Result, quiet bool) {
 			d := core.Diagnose(r.LastSet)
 			fmt.Printf("  diagnostics: ESS %.0f, Geweke z %.2f, suggested burn-in %d (sufficient: %v)\n",
 				d.ESS, d.GewekeZ, d.SuggestedBurnin, d.BurninSufficient)
+			if d.Frozen {
+				fmt.Println("  diagnostics: the post-burn-in log-likelihood never changed; the chain did not move, so it cannot be diagnosed")
+			}
 		}
 		if run := r.LastRun; run != nil {
 			if len(run.PairSwapAttempts) > 0 {

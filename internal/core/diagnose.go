@@ -23,18 +23,24 @@ type Diagnostics struct {
 	// trace (including the configured burn-in region).
 	SuggestedBurnin int
 	// BurninSufficient reports whether the configured burn-in covers the
-	// detected transient.
+	// detected transient. It is false for a frozen trace.
 	BurninSufficient bool
+	// Frozen reports that the post-burn-in trace holds a single value:
+	// the chain never moved, so it cannot be diagnosed. ESS is then 0
+	// and GewekeZ NaN.
+	Frozen bool
 }
 
 // Diagnose computes convergence diagnostics for a sample set.
 func Diagnose(s *SampleSet) Diagnostics {
+	post := s.PostBurninLogLik()
 	d := Diagnostics{
-		ESS:             stats.EffectiveSampleSize(s.PostBurninLogLik()),
-		GewekeZ:         stats.Geweke(s.PostBurninLogLik(), 0.2, 0.5),
+		ESS:             stats.EffectiveSampleSize(post),
+		GewekeZ:         stats.Geweke(post, 0.2, 0.5),
 		SuggestedBurnin: stats.DetectBurnin(s.LogLik),
+		Frozen:          len(post) >= 2 && stats.Constant(post),
 	}
-	d.BurninSufficient = s.Burnin >= d.SuggestedBurnin &&
+	d.BurninSufficient = !d.Frozen && s.Burnin >= d.SuggestedBurnin &&
 		(math.IsNaN(d.GewekeZ) || math.Abs(d.GewekeZ) < 2.5)
 	return d
 }

@@ -34,8 +34,10 @@ package felsen
 // and store is dense, and the inner loop indexes equal-length lanes by
 // one induction variable so the compiler drops the bounds checks
 // (verified with -gcflags=-d=ssa/check_bce). Node rows are node-major:
-// interior node i's lanes start at (i-nTips)·4·nPatterns in the cond
-// array and (i-nTips)·nPatterns in the scale array.
+// interior node i's lanes start at (i-nTips)·4·stride in the cond array
+// and (i-nTips)·stride in the scale array, where the lane stride is
+// nPatterns rounded up to a multiple of eight and every block of rows
+// starts on a cache line (see the lane layout in kernels.go).
 //
 // # Pattern blocks
 //
@@ -97,12 +99,12 @@ func (e *Evaluator) launchWorth(cells, rows int) bool {
 // and read concurrently by any number of LogLikelihoodDelta calls.
 type DeltaCache struct {
 	base *gtree.Tree
-	// cond is node-major SoA: interior node row k = node-nTips occupies
-	// cond[k*4*nPatterns : (k+1)*4*nPatterns], state lane x of that row at
-	// offset x*nPatterns.
+	// cond is node-major SoA: interior node row k = node-nTips is
+	// rowLanes(cond, nStates, k), state lane x of that row at offset
+	// x*stride.
 	cond []float64
 	// scale holds the rows' rescaling-log lanes: row k at
-	// scale[k*nPatterns : (k+1)*nPatterns].
+	// rowLanes(scale, 1, k).
 	scale  []float64
 	logLik float64
 	valid  bool
@@ -166,8 +168,8 @@ type rowRef struct {
 func (e *Evaluator) NewDeltaCache() *DeltaCache {
 	nInt := len(e.seqs) - 1
 	return &DeltaCache{
-		cond:  make([]float64, nInt*nStates*e.nPatterns),
-		scale: make([]float64, nInt*e.nPatterns),
+		cond:  alignedLanes(nInt * nStates * e.stride),
+		scale: alignedLanes(nInt * e.stride),
 	}
 }
 
@@ -316,12 +318,12 @@ func (d *DeltaEval) Commit() {
 	if ds == nil {
 		return // nothing differed from the base
 	}
+	e := d.e
 	nTips := d.t.NTips()
-	nPat := d.e.nPatterns
 	for k, node := range ds.order {
 		r := node - nTips
-		copy(d.c.cond[r*nStates*nPat:(r+1)*nStates*nPat], ds.cond[k*nStates*nPat:(k+1)*nStates*nPat])
-		copy(d.c.scale[r*nPat:(r+1)*nPat], ds.scale[k*nPat:(k+1)*nPat])
+		copy(e.rowLanes(d.c.cond, nStates, r), e.rowLanes(ds.cond, nStates, k))
+		copy(e.rowLanes(d.c.scale, 1, r), e.rowLanes(ds.scale, 1, k))
 	}
 	d.c.base.CopyFrom(d.t)
 	d.c.logLik = d.logLik
@@ -406,21 +408,21 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 			e.model.TransitionInto(nd.Age-t.Nodes[ch].Age, &ds.mats[ch])
 		}
 	}
-	nPat := e.nPatterns
 	if !writeBack {
-		if need := len(ds.order) * nStates * nPat; cap(ds.cond) < need {
-			ds.cond = make([]float64, need)                //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
-			ds.scale = make([]float64, len(ds.order)*nPat) //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
+		rows := len(ds.order)
+		if need := rows * nStates * e.stride; cap(ds.cond) < need {
+			ds.cond = alignedLanes(need)             //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
+			ds.scale = alignedLanes(rows * e.stride) //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
 		} else {
 			ds.cond = ds.cond[:need]
-			ds.scale = ds.scale[:len(ds.order)*nPat]
+			ds.scale = ds.scale[:rows*e.stride]
 		}
 		for k, node := range ds.order {
 			ds.pos[node] = k
 		}
 	}
 	bs := e.blockSize
-	nBlocks := (nPat + bs - 1) / bs
+	nBlocks := (e.nPatterns + bs - 1) / bs
 	if cap(ds.sums) < nBlocks {
 		ds.sums = make([]float64, nBlocks) //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
 	} else {
@@ -480,21 +482,20 @@ func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 // table for tips (their scale lane is the shared all-zero lane), the
 // staged scratch lanes for already-recomputed dirty nodes of a
 // non-write-back evaluation, and the cache otherwise. cond is the node's
-// four contiguous state lanes (lane x at offset x·nPatterns), scale its
+// four contiguous state lanes (lane x at offset x·stride), scale its
 // rescaling-log lane. It is the resolution half of bindRows: called once
 // per node per evaluation, never from the block kernel.
 func (ds *deltaScratch) row(nTips, node int) (cond, scale []float64) {
 	e := ds.e
-	nPat := e.nPatterns
 	switch {
 	case node < nTips:
-		return e.tipCond[node*nStates*nPat : (node+1)*nStates*nPat], e.zeroScale
+		return e.rowLanes(e.tipCond, nStates, node), e.zeroScale
 	case ds.dirty[node] && !ds.writeBack:
 		k := ds.pos[node]
-		return ds.cond[k*nStates*nPat : (k+1)*nStates*nPat], ds.scale[k*nPat : (k+1)*nPat]
+		return e.rowLanes(ds.cond, nStates, k), e.rowLanes(ds.scale, 1, k)
 	default:
 		r := node - nTips
-		return ds.c.cond[r*nStates*nPat : (r+1)*nStates*nPat], ds.c.scale[r*nPat : (r+1)*nPat]
+		return e.rowLanes(ds.c.cond, nStates, r), e.rowLanes(ds.c.scale, 1, r)
 	}
 }
 
@@ -502,13 +503,12 @@ func (ds *deltaScratch) row(nTips, node int) (cond, scale []float64) {
 // row itself for write-back evaluations, the staged scratch row otherwise.
 func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 	e := ds.e
-	nPat := e.nPatterns
 	if ds.writeBack {
 		r := node - nTips
-		return ds.c.cond[r*nStates*nPat : (r+1)*nStates*nPat], ds.c.scale[r*nPat : (r+1)*nPat]
+		return e.rowLanes(ds.c.cond, nStates, r), e.rowLanes(ds.c.scale, 1, r)
 	}
 	k := ds.pos[node]
-	return ds.cond[k*nStates*nPat : (k+1)*nStates*nPat], ds.scale[k*nPat : (k+1)*nPat]
+	return e.rowLanes(ds.cond, nStates, k), e.rowLanes(ds.scale, 1, k)
 }
 
 // runBlock evaluates one pattern block: every dirty node's lanes for the
@@ -525,19 +525,15 @@ func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 //mpcgs:hotpath
 func (ds *deltaScratch) runBlock(b int) {
 	e := ds.e
-	nPat := e.nPatterns
 	lo := b * e.blockSize
-	hi := lo + e.blockSize
-	if hi > nPat {
-		hi = nPat
-	}
+	hi := min(lo+e.blockSize, e.nPatterns)
 	n := hi - lo
 	for k := range ds.rows {
 		rr := &ds.rows[k]
-		evalNode(rowAt(rr.lc, rr.ls, nPat, lo), rowAt(rr.rc, rr.rs, nPat, lo), rowAt(rr.oc, rr.os, nPat, lo), rr.m0, rr.m1, n)
+		evalNode(e.rowAt(rr.lc, rr.ls, lo), e.rowAt(rr.rc, rr.rs, lo), e.rowAt(rr.oc, rr.os, lo), rr.m0, rr.m1, n)
 	}
 	// Root contraction with the prior frequencies (Eq. 21). The root is
 	// always dirty here: diffDirty marks every changed node's full
 	// ancestor path.
-	ds.sums[b] = evalRoot(rowAt(ds.rootCond, ds.rootScale, nPat, lo), e.patCount[lo:hi], &e.freqs, n)
+	ds.sums[b] = evalRoot(e.rowAt(ds.rootCond, ds.rootScale, lo), e.patCount[lo:hi], &e.freqs, n)
 }

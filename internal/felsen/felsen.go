@@ -49,7 +49,7 @@ type Evaluator struct {
 	// (0..3, 4 = missing) — the immutable data the paper parks in constant
 	// memory (§4.4). tipCond additionally materializes every tip's
 	// conditional lanes per pattern in the same SoA row layout as the
-	// delta cache (tip i's state lane x at [i*4*nPatterns + x*nPatterns]),
+	// delta cache (tip i's row is rowLanes(tipCond, nStates, i)),
 	// immutable for the evaluator's lifetime, so the delta kernel streams
 	// tip conditionals instead of regenerating them. zeroScale is the
 	// all-zero rescaling lane every tip row shares.
@@ -58,6 +58,10 @@ type Evaluator struct {
 	patBase   [][]uint8
 	tipCond   []float64
 	zeroScale []float64
+	// stride is the lane stride of every node-major row:
+	// laneStride(nPatterns), set once by compressPatterns (see the lane
+	// layout in kernels.go).
+	stride int
 
 	// blockSize is the pattern-block width of the delta kernel (see
 	// delta.go). It participates in the floating-point summation order, so
@@ -148,11 +152,12 @@ func newEvaluator(model subst.Model, aln *phylip.Alignment, dev *device.Device, 
 		// Sized at Get time so a SetBlockSize before the first evaluation
 		// is honored; a working row and a target row (four state lanes
 		// plus the scale lane each) per concurrent wave cell.
+		st := laneStride(e.blockSize)
 		return &waveScratch{
-			cond:   make([]float64, nStates*e.blockSize),
-			scale:  make([]float64, e.blockSize),
-			tcond:  make([]float64, nStates*e.blockSize),
-			tscale: make([]float64, e.blockSize),
+			cond:   alignedLanes(nStates * st),
+			scale:  alignedLanes(st),
+			tcond:  alignedLanes(nStates * st),
+			tscale: alignedLanes(st),
 		}
 	}
 	e.compressPatterns()
@@ -200,20 +205,34 @@ func (e *Evaluator) compressPatterns() {
 			}
 		}
 	}
-	e.tipCond = make([]float64, nSeqs*nStates*e.nPatterns)
-	e.zeroScale = make([]float64, e.nPatterns)
+	e.stride = laneStride(e.nPatterns)
+	e.tipCond = alignedLanes(nSeqs * nStates * e.stride)
+	e.zeroScale = alignedLanes(e.stride)
 	for i := range e.patBase {
-		row := e.tipCond[i*nStates*e.nPatterns : (i+1)*nStates*e.nPatterns]
+		row := e.rowLanes(e.tipCond, nStates, i)
 		for pat, code := range e.patBase[i] {
 			if code < 4 {
-				row[int(code)*e.nPatterns+pat] = 1
+				row[int(code)*e.stride+pat] = 1
 			} else {
 				for x := 0; x < nStates; x++ {
-					row[x*e.nPatterns+pat] = 1
+					row[x*e.stride+pat] = 1
 				}
 			}
 		}
 	}
+}
+
+// rowLanes returns row r of a block of node-major rows of n lanes each
+// (nStates state lanes, or one scale lane) at the evaluator's lane
+// stride: the one place a row's bounds are computed.
+func (e *Evaluator) rowLanes(block []float64, n, r int) []float64 {
+	w := n * e.stride
+	return block[r*w : (r+1)*w]
+}
+
+// rowAt views a full node-major row from pattern lo on.
+func (e *Evaluator) rowAt(cond, scale []float64, lo int) rowView {
+	return rowView{cond[lo:], scale[lo:], e.stride}
 }
 
 // NPatterns returns the number of distinct site patterns the alignment

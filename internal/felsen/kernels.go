@@ -16,13 +16,26 @@ package felsen
 // which any lane needs rescaling runs as two 4-pattern groups; a
 // 4-pattern group that needs rescaling, and the n%4 tail, run through
 // the scalar loop, the single rescaling path: the vector code never
-// rescales. The root contraction's vector kernel is AVX2 at both vector
-// tiers and takes the per-pattern log four lanes at a time, by the
-// instruction sequence math.Log runs on amd64 (see evalRoot). Elsewhere
-// the scalar loops run alone.
+// rescales. The root contraction runs in two phases, as the paper's
+// data likelihood kernel does (§5.2.2): the vector kernels write each
+// pattern's term, taking the log by the instruction sequence math.Log
+// runs on amd64, and one Go loop then adds the terms in pattern order
+// (see evalRoot). Elsewhere the scalar loops run alone.
+//
+// # Lane layout
+//
+// Node-major rows (the tip table, the delta cache, staged scratch, the
+// wave's outer lanes and its cell rows) have a lane stride of their
+// pattern count rounded up to a multiple of eight (laneStride), and
+// each block of them starts on a 64-byte boundary (alignedLanes). So
+// every state and scale lane starts on a cache line, and an 8-pattern
+// group from an aligned pattern never splits one. The at most seven
+// pad entries at the end of a lane are never read: every kernel reads
+// and writes only patterns [lo, hi) of the pattern count.
 
 import (
 	"math"
+	"unsafe"
 
 	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
@@ -53,17 +66,32 @@ func KernelTier() string { return kernelTier.String() }
 
 // rowView is one conditional row viewed from the first pattern of a
 // range: state lane x is cond[x*stride:], the rescaling-log lane scale.
-// Node-major rows (cache, tip table, staged scratch, lift lanes) have
-// stride nPatterns; a wave cell's working rows have stride blockSize.
+// Node-major rows have the evaluator's lane stride (Evaluator.stride); a
+// wave cell's working rows have stride laneStride(blockSize).
 type rowView struct {
 	cond   []float64
 	scale  []float64
 	stride int
 }
 
-// rowAt views a full node-major row from pattern lo on.
-func rowAt(cond, scale []float64, stride, lo int) rowView {
-	return rowView{cond[lo:], scale[lo:], stride}
+// laneAlign is the lane alignment in float64s: one 64-byte cache line,
+// one ZMM register of eight patterns.
+const laneAlign = 8
+
+// laneStride returns the lane stride of rows over n patterns: n rounded
+// up to a multiple of laneAlign, so at most laneAlign-1 pad entries per
+// lane.
+func laneStride(n int) int { return (n + laneAlign - 1) &^ (laneAlign - 1) }
+
+// alignedLanes returns n zeroed float64s starting on a 64-byte boundary,
+// the one allocation of every block of node-major rows. Go aligns a
+// []float64 to 8 bytes only, so it allocates laneAlign-1 spare entries
+// and starts at the first aligned one; the heap does not move objects,
+// so the alignment holds for the slice's lifetime.
+func alignedLanes(n int) []float64 {
+	s := make([]float64, n+laneAlign-1)
+	off := (laneAlign - int(uintptr(unsafe.Pointer(unsafe.SliceData(s)))/8%laneAlign)) % laneAlign
+	return s[off : off+n : off+n]
 }
 
 // evalNode computes o = (m0·l) ⊙ (m1·r) over patterns [0, n), with the
@@ -270,41 +298,71 @@ func liftScalar(v, o rowView, m *subst.Matrix, lo, hi int) {
 	}
 }
 
+// rootChunk is the number of patterns whose root-contraction terms
+// evalRoot holds at a time, in a buffer on its stack.
+const rootChunk = 64
+
 // evalRoot returns the root contraction over patterns [0, n) of the root
 // row v: Σ pc[i]·(log(f·v(i)) + scale(i)), summed in pattern order, with
 // a pattern whose likelihood f·v(i) is not positive adding −Inf (Eq. 21).
 //
-// The vector kernel mirrors math.Log's amd64 assembly (archLog in
-// $GOROOT/src/math/log_amd64.s), the function math.Log runs on that
-// architecture, op for op in each lane, so every term carries the bits
-// the scalar loop computes; it then adds the four terms to the sum one
-// at a time, in pattern order. A group goes to the scalar loop unless
-// every lane's likelihood is a normal finite float64: archLog's special
-// cases (zero, negative, +Inf, NaN) and the subnormals, which archLog
-// does not normalise, stay with math.Log itself.
+// It runs in two phases per chunk of rootChunk patterns, the paper's
+// per-site logs followed by an additive reduction: rootTerms writes each
+// pattern's term, then one loop adds the terms to the sum in pattern
+// order from +0. That is the order the terms were always added in, so
+// the sum has the same bits as a loop adding each term as it goes.
 //
 //mpcgs:hotpath
 func evalRoot(v rowView, pc []float64, f *[4]float64, n int) float64 {
+	var buf [rootChunk]float64
 	sum := 0.0
-	i := 0
-	for kernelTier != tierScalar && n-i >= 4 {
-		var done int
-		sum, done = rootVec(v, pc, f, sum, i, n)
-		i += done
-		if n-i < 4 {
-			break
+	for lo := 0; lo < n; lo += rootChunk {
+		hi := min(lo+rootChunk, n)
+		terms := buf[:hi-lo]
+		rootTerms(v, pc, f, lo, hi, terms)
+		for _, t := range terms {
+			sum += t
 		}
-		sum = rootScalar(v, pc, f, sum, i, i+4)
-		i += 4
 	}
-	return rootScalar(v, pc, f, sum, i, n)
+	return sum
 }
 
-// rootScalar is evalRoot's loop over patterns [lo, hi), adding each
-// pattern's term to sum.
+// rootTerms writes the root-contraction terms of patterns [lo, hi) to
+// t[0 : hi-lo]. The vector kernels mirror math.Log's amd64 assembly
+// (archLog in $GOROOT/src/math/log_amd64.s), the function math.Log runs
+// on that architecture, op for op in each lane, so every term carries
+// the bits rootTermScalar computes. A vector group goes to the scalar
+// loop unless every lane's likelihood is a normal finite float64:
+// archLog's special cases (zero, negative, +Inf, NaN) and the
+// subnormals, which archLog does not normalise, stay with math.Log
+// itself. Such a group is the width of the kernel that met it: eight
+// patterns at the AVX512 tier, four at AVX2.
 //
 //mpcgs:hotpath
-func rootScalar(v rowView, pc []float64, f *[4]float64, sum float64, lo, hi int) float64 {
+func rootTerms(v rowView, pc []float64, f *[4]float64, lo, hi int, t []float64) {
+	i := lo
+	for kernelTier != tierScalar && hi-i >= 4 {
+		i += rootVec(v, pc, f, i, hi, t[i-lo:])
+		if hi-i < 4 {
+			break
+		}
+		// At the AVX512 tier rootVec leaves 8 or more patterns only when
+		// an 8-pattern group bailed out.
+		w := 4
+		if kernelTier == tierAVX512 && hi-i >= 8 {
+			w = 8
+		}
+		rootTermScalar(v, pc, f, i, i+w, t[i-lo:])
+		i += w
+	}
+	rootTermScalar(v, pc, f, i, hi, t[i-lo:])
+}
+
+// rootTermScalar is rootTerms' loop over patterns [lo, hi), writing
+// pattern lo+i's term to t[i].
+//
+//mpcgs:hotpath
+func rootTermScalar(v rowView, pc []float64, f *[4]float64, lo, hi int, t []float64) {
 	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
 	s0 := v.cond[lo:hi]
 	s1 := v.cond[v.stride+lo : v.stride+hi]
@@ -313,14 +371,13 @@ func rootScalar(v rowView, pc []float64, f *[4]float64, sum float64, lo, hi int)
 	ss := v.scale[lo:hi]
 	pc = pc[lo:hi]
 	n := len(s0)
-	s1, s2, s3, ss, pc = s1[:n], s2[:n], s3[:n], ss[:n], pc[:n]
+	s1, s2, s3, ss, pc, t = s1[:n], s2[:n], s3[:n], ss[:n], pc[:n], t[:n]
 	for i := range s0 {
 		siteL := f0*s0[i] + f1*s1[i] + f2*s2[i] + f3*s3[i]
 		if siteL <= 0 {
-			sum += logspace.NegInf
+			t[i] = logspace.NegInf
 			continue
 		}
-		sum += pc[i] * (math.Log(siteL) + ss[i])
+		t[i] = pc[i] * (math.Log(siteL) + ss[i])
 	}
-	return sum
 }

@@ -62,14 +62,17 @@ func walkKernelAVX512(s *float64, sstride int, ss *float64, c *float64, cstride 
 //go:noescape
 func liftKernelAVX512(v *float64, vstride int, o *float64, ostride int, m *subst.Matrix, groups int)
 
-// rootKernelAVX2 adds the root-contraction terms of `groups` whole
-// 4-pattern groups to sum and returns the new sum. It stops before the
-// first group in which any lane's likelihood is not a normal finite
-// float64, leaving that group's terms out, and returns the number of
-// patterns it finished.
+// rootTermsAVX2 and rootTermsAVX512 write the root-contraction terms of
+// `groups` whole 4- or 8-pattern groups to t, one per pattern. Each
+// stops before the first group in which any lane's likelihood is not a
+// normal finite float64, leaving that group's terms unwritten, and
+// returns the number of patterns it finished.
 //
 //go:noescape
-func rootKernelAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, sum float64, groups int) (out float64, done int)
+func rootTermsAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
+
+//go:noescape
+func rootTermsAVX512(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
 
 // span bounds-checks the lanes the assembly reads or writes for patterns
 // [i, n) of v, n > i: the first pattern of state lane 0, the last of
@@ -154,15 +157,28 @@ func liftVec(v, o rowView, m *subst.Matrix, n int) int {
 	return n - n%4
 }
 
-// rootVec runs evalRoot's whole 4-pattern groups from pattern i on,
-// adding their terms to sum, and returns the new sum and how many
-// patterns it finished. It is AVX2 at both vector tiers: an 8-wide
-// contraction is no faster, its terms still being summed one by one.
-func rootVec(v rowView, pc []float64, f *[4]float64, sum float64, i, n int) (float64, int) {
+// rootVec writes rootTerms' terms of whole 4-pattern groups from
+// pattern i on to t[0:], t[k] for pattern i+k, and returns how many
+// patterns it finished: at the AVX512 tier whole 8-pattern groups first,
+// then at most one AVX2 4-pattern group. It stops at the first group
+// that must go to the scalar loop, an 8-pattern group at the AVX512
+// tier and a 4-pattern one otherwise.
+func rootVec(v rowView, pc []float64, f *[4]float64, i, n int, t []float64) int {
 	if n-i < 4 {
-		return sum, 0
+		return 0
 	}
 	v.span(i, n, true)
 	_ = pc[n-1]
-	return rootKernelAVX2(&v.cond[i], v.stride, &v.scale[i], &pc[i], f, sum, (n-i)/4)
+	_ = t[n-i-1]
+	lo := i
+	if kernelTier == tierAVX512 && n-i >= 8 {
+		i += rootTermsAVX512(&v.cond[i], v.stride, &v.scale[i], &pc[i], f, &t[0], (n-i)/8)
+		if n-i >= 8 { // the 8-pattern group at i bails out
+			return i - lo
+		}
+	}
+	if n-i >= 4 {
+		i += rootTermsAVX2(&v.cond[i], v.stride, &v.scale[i], &pc[i], f, &t[i-lo], (n-i)/4)
+	}
+	return i - lo
 }

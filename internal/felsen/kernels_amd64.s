@@ -1,6 +1,6 @@
 // Pattern kernels at two vector tiers: AVX2, four patterns per YMM
-// register (node, walk, lift and the root contraction), and AVX-512F,
-// eight patterns per ZMM register (node, walk and lift; further down).
+// register, and AVX-512F, eight patterns per ZMM register (further
+// down), each for node, walk, lift and the root contraction's terms.
 // Both do one VMULPD or VADDPD per scalar * or + of the Go loops in
 // kernels.go, in the same left-to-right order and without FMA, so every
 // lane rounds exactly as the scalar code does. The running maximum is
@@ -9,7 +9,8 @@
 // group in which any lane needs rescaling is left unwritten: the kernel
 // returns how many patterns it finished, and the Go caller runs that
 // group at the next tier down (an 8-pattern group as two AVX2 groups, a
-// 4-pattern group through the scalar loop).
+// 4-pattern group through the scalar loop). The root kernels only write
+// terms; Go adds them, and hands a group they leave to the scalar loop.
 //
 // Rows are passed as (lane 0 pointer, lane stride in float64s, scale
 // lane pointer); state lane x starts x strides after lane 0. The AVX2
@@ -451,16 +452,14 @@ CONST4(logL5, 0x3fc7466496cb03de)
 CONST4(logL6, 0x3fc39a09d078c69f)
 CONST4(logL7, 0x3fc2f112df3e5244)
 
-// func rootKernelAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, sum float64, groups int) (out float64, done int)
+// func rootTermsAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
 //
-// Per group: siteL = f0*s0 + f1*s1 + f2*s2 + f3*s3 as in rootScalar;
+// Per group: siteL = f0*s0 + f1*s1 + f2*s2 + f3*s3 as in rootTermScalar;
 // bail unless every lane lies in [2^-1022, MaxFloat64] (two ordered
 // compares, so 0, -0, negatives, subnormals, +Inf and NaN all bail);
 // log(siteL) by archLog's instruction sequence, lane-wise; then
-// term = pc*(log+ss), whose four lanes are added to sum one by one with
-// scalar VADDSD in pattern order. The frequencies stay in Y12..Y15 and
-// the sum in the low lane of X9.
-TEXT ·rootKernelAVX2(SB), NOSPLIT, $0-72
+// term = pc*(log+ss), stored to t. The frequencies stay in Y12..Y15.
+TEXT ·rootTermsAVX2(SB), NOSPLIT, $0-64
 	MOVQ f+32(FP), AX
 	VBROADCASTSD 0(AX), Y12
 	VBROADCASTSD 8(AX), Y13
@@ -471,7 +470,7 @@ TEXT ·rootKernelAVX2(SB), NOSPLIT, $0-72
 	SHLQ  $3, R8
 	MOVQ  ss+16(FP), R9
 	MOVQ  pc+24(FP), R10
-	MOVSD sum+40(FP), X9
+	MOVQ  t+40(FP), DI
 	MOVQ  groups+48(FP), DX
 	XORQ  CX, CX
 
@@ -542,27 +541,127 @@ rootLoop:
 	VSUBPD Y1, Y7, Y7
 	VMULPD ln2Hi<>(SB), Y2, Y2
 	VSUBPD Y7, Y2, Y2 // Y2 = log(siteL)
-	// term = pc * (log + ss); sum += term lane by lane
-	VADDPD       (R9), Y2, Y2
-	VMULPD       (R10), Y2, Y2
-	VADDSD       X2, X9, X9
-	VUNPCKHPD    X2, X2, X3
-	VADDSD       X3, X9, X9
-	VEXTRACTF128 $1, Y2, X2
-	VADDSD       X2, X9, X9
-	VUNPCKHPD    X2, X2, X3
-	VADDSD       X3, X9, X9
-	ADDQ         $32, SI
-	ADDQ         $32, R9
-	ADDQ         $32, R10
-	INCQ         CX
-	JMP          rootLoop
+	// term = pc * (log + ss)
+	VADDPD  (R9), Y2, Y2
+	VMULPD  (R10), Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, DI
+	INCQ    CX
+	JMP     rootLoop
 
 rootDone:
 	VZEROUPPER
-	MOVSD X9, out+56(FP)
-	SHLQ  $2, CX
-	MOVQ  CX, done+64(FP)
+	SHLQ $2, CX
+	MOVQ CX, done+56(FP)
+	RET
+
+// func rootTermsAVX512(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
+//
+// rootTermsAVX2 on eight lanes, in AVX512F alone: the constants by
+// embedded broadcast (.BCST), the bit operations as VPANDQ/VPORQ (VANDPD
+// and VORPD on ZMM need AVX512DQ), the range test and archLog's NLT
+// compare into opmask registers, and its 0-or-1 mask as a zero-masked
+// move of 1 (VMOVAPD.Z). The frequencies stay in Z12..Z15, √2/2 in Z16
+// and 1 in Z17.
+TEXT ·rootTermsAVX512(SB), NOSPLIT, $0-64
+	MOVQ         f+32(FP), AX
+	VBROADCASTSD 0(AX), Z12
+	VBROADCASTSD 8(AX), Z13
+	VBROADCASTSD 16(AX), Z14
+	VBROADCASTSD 24(AX), Z15
+	VBROADCASTSD hSqrt2<>(SB), Z16
+	VBROADCASTSD one<>(SB), Z17
+	MOVQ         s+0(FP), SI
+	MOVQ         stride+8(FP), R8
+	SHLQ         $3, R8
+	MOVQ         ss+16(FP), R9
+	MOVQ         pc+24(FP), R10
+	MOVQ         t+40(FP), DI
+	MOVQ         groups+48(FP), DX
+	XORQ         CX, CX
+
+root8Loop:
+	CMPQ CX, DX
+	JGE  root8Done
+	// siteL, left to right
+	VMULPD (SI), Z12, Z0
+	VMULPD (SI)(R8*1), Z13, Z1
+	VADDPD Z1, Z0, Z0
+	VMULPD (SI)(R8*2), Z14, Z1
+	VADDPD Z1, Z0, Z0
+	LEAQ   (SI)(R8*2), BX
+	VMULPD (BX)(R8*1), Z15, Z1
+	VADDPD Z1, Z0, Z0
+	// bail unless 2^-1022 <= siteL <= MaxFloat64 in every lane
+	VCMPPD.BCST $0x1d, minNormal<>(SB), Z0, K1     // GE_OQ
+	VCMPPD.BCST $0x12, maxFloat<>(SB), Z0, K1, K2  // LE_OQ, within K1
+	KMOVW       K2, AX
+	CMPL        AX, $0xff
+	JNE         root8Done
+
+	// f1, ki := math.Frexp(x); k := float64(ki), as in rootTermsAVX2
+	VPANDQ.BCST fracMask<>(SB), Z0, Z1
+	VPORQ.BCST  half<>(SB), Z1, Z1 // Z1 = f1
+	VPSRLQ      $52, Z0, Z2
+	VPORQ.BCST  twoP52<>(SB), Z2, Z2
+	VSUBPD.BCST expBias<>(SB), Z2, Z2 // Z2 = k
+	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }
+	VCMPPD    $5, Z1, Z16, K3
+	VMOVAPD.Z Z17, K3, Z3 // 0 or 1
+	VSUBPD    Z3, Z2, Z2
+	VADDPD    Z17, Z3, Z3 // 1 or 2
+	VMULPD    Z3, Z1, Z1
+	// f := f1 - 1; s := f / (2 + f); s2 := s * s; s4 := s2 * s2
+	VSUBPD      Z17, Z1, Z1 // Z1 = f
+	VADDPD.BCST two<>(SB), Z1, Z3
+	VDIVPD      Z3, Z1, Z3 // Z3 = s
+	VMULPD      Z3, Z3, Z4 // Z4 = s2
+	VMULPD      Z4, Z4, Z5 // Z5 = s4
+	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
+	VMULPD.BCST logL7<>(SB), Z5, Z6
+	VADDPD.BCST logL5<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL3<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL1<>(SB), Z6, Z6
+	VMULPD      Z6, Z4, Z4 // Z4 = t1
+	// t2 := s4 * (L2 + s4*(L4+s4*L6))
+	VMULPD.BCST logL6<>(SB), Z5, Z6
+	VADDPD.BCST logL4<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL2<>(SB), Z6, Z6
+	VMULPD      Z6, Z5, Z5 // Z5 = t2
+	// R := t1 + t2; hfsq := 0.5 * f * f
+	VADDPD      Z5, Z4, Z4 // Z4 = R
+	VMULPD.BCST half<>(SB), Z1, Z7
+	VMULPD      Z1, Z7, Z7 // Z7 = hfsq
+	// k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD      Z7, Z4, Z4
+	VMULPD      Z4, Z3, Z3
+	VMULPD.BCST ln2Lo<>(SB), Z2, Z4
+	VADDPD      Z4, Z3, Z3
+	VSUBPD      Z3, Z7, Z7
+	VSUBPD      Z1, Z7, Z7
+	VMULPD.BCST ln2Hi<>(SB), Z2, Z2
+	VSUBPD      Z7, Z2, Z2 // Z2 = log(siteL)
+	// term = pc * (log + ss)
+	VADDPD  (R9), Z2, Z2
+	VMULPD  (R10), Z2, Z2
+	VMOVUPD Z2, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	ADDQ    $64, DI
+	INCQ    CX
+	JMP     root8Loop
+
+root8Done:
+	VZEROUPPER
+	SHLQ $3, CX
+	MOVQ CX, done+56(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -11,10 +11,12 @@ import (
 // runs (scalar, avx2, avx512; a missing tier skips), on
 // one 128-pattern block (DefaultBlockSize, what a block or wave cell
 // runs) and on a 3000-pattern lane (about gmh-longseq's pattern count).
-// The inputs are F81 rows of uniform values; the walk's outer lanes are
-// all ones so repeated in-place steps stay clear of rescaling, and the
-// root contraction runs over F81 stationary frequencies with unit
-// pattern counts. ns/pattern is the time per pattern of one node.
+// The inputs are F81 rows of uniform values at the production layout
+// (lane stride laneStride(n), 64-byte-aligned lanes); the walk's outer
+// lanes are all ones so repeated in-place steps stay clear of
+// rescaling, and the root contraction runs over F81 stationary
+// frequencies with unit pattern counts. ns/pattern is the time per
+// pattern of one node.
 func BenchmarkKernels(b *testing.B) {
 	ms := kernelMatrices(b)
 	for _, kernel := range []string{"node", "walk", "lift", "neighbourhood", "root"} {
@@ -23,8 +25,8 @@ func BenchmarkKernels(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%s/n=%d", kernel, tr, n), func(b *testing.B) {
 					useTier(b, tr)
 					g := &kernelGen{src: rng.NewMT19937(21)}
-					l, r, c, o, tgt := g.row(n, 0), g.row(n, 0), g.row(n, 0), g.row(n, 0), g.row(n, 0)
-					ones := g.row(n, 0)
+					l, r, c, o, tgt := g.laneRow(n), g.laneRow(n), g.laneRow(n), g.laneRow(n), g.laneRow(n)
+					ones := g.laneRow(n)
 					for i := range ones.cond {
 						ones.cond[i] = 1
 					}

@@ -14,6 +14,4 @@ func walkVec(s, c rowView, m *subst.Matrix, i, n int) int { return 0 }
 
 func liftVec(v, o rowView, m *subst.Matrix, n int) int { return 0 }
 
-func rootVec(v rowView, pc []float64, f *[4]float64, sum float64, i, n int) (float64, int) {
-	return sum, 0
-}
+func rootVec(v rowView, pc []float64, f *[4]float64, i, n int, t []float64) int { return 0 }

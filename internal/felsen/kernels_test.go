@@ -65,7 +65,20 @@ func (g *kernelGen) row(n, off int) kernelRow {
 
 // rowStride is row with the lane stride given; stride ≥ off+n.
 func (g *kernelGen) rowStride(n, off, stride int) kernelRow {
-	r := kernelRow{cond: make([]float64, 3*stride+off+n), scale: make([]float64, off+n)}
+	return g.fill(make([]float64, 3*stride+off+n), make([]float64, off+n), off, stride)
+}
+
+// laneRow builds an n-pattern row at the production layout: lane stride
+// laneStride(n), lanes from alignedLanes.
+func (g *kernelGen) laneRow(n int) kernelRow {
+	st := laneStride(n)
+	return g.fill(alignedLanes(nStates*st), alignedLanes(st), 0, st)
+}
+
+// fill fills cond and scale with generated values and views them from
+// pattern off at the given lane stride.
+func (g *kernelGen) fill(cond, scale []float64, off, stride int) kernelRow {
+	r := kernelRow{cond: cond, scale: scale}
 	for i := range r.cond {
 		r.cond[i] = g.value()
 	}
@@ -277,9 +290,12 @@ func TestKernelTier(t *testing.T) {
 // length mod 8, lane strides wider than n, and one rescale lane in the
 // lower or the upper half of the first, middle or last 8-pattern group.
 // Node and walk must stop exactly at the 4-pattern group holding the
-// rescale lane.
+// rescale lane. The root contraction gets a bail-out lane (0, a
+// subnormal, +Inf or NaN) at the same places and on either side of the
+// rootChunk edge; its terms, its sum and where its vector kernels stop
+// must match the scalar rule (checkRoot).
 func TestAVX2EightGroupBoundary(t *testing.T) {
-	forEachVectorTier(t, func(t *testing.T, _ tier) {
+	forEachVectorTier(t, func(t *testing.T, vec tier) {
 		ms := kernelMatrices(t)
 		g := &kernelGen{src: rng.NewMT19937(18)}
 		for _, n := range []int{8, 9, 10, 11, 12, 13, 14, 15, 64, 65, 66, 67, 68, 69, 70, 71} {
@@ -327,6 +343,23 @@ func TestAVX2EightGroupBoundary(t *testing.T) {
 						liftScalar(l.view, want.view, m1, 0, n)
 						evalLift(l.view, got.view, m1, n)
 						sameRows(t, name+" lift", want, got)
+					}
+					for _, p := range append(places, rootChunk-1, rootChunk) {
+						for _, edge := range []float64{0, 5e-324, math.Inf(1), math.NaN()} {
+							if p >= n || p < 0 && edge != 0 {
+								continue // the case without a bail-out lane runs once
+							}
+							r := g.rowStride(n, off, stride)
+							if p >= 0 {
+								setLikelihood(r.view, p, edge)
+							}
+							pc := make([]float64, n)
+							for i := range pc {
+								pc[i] = float64(1 + g.src.Uint32()%5)
+							}
+							name := fmt.Sprintf("n=%d/stride=%d/off=%d/bail=%v@%d", n, stride, off, edge, p)
+							checkRoot(t, vec, name+" root", r.view, pc, &[4]float64{1, 0.25, 0.375, 0.125}, n)
+						}
 					}
 				}
 			}
@@ -414,24 +447,24 @@ func TestAVX2RescaleDecision(t *testing.T) {
 
 // rootEdges are the likelihoods placed in bail-out and boundary lanes of
 // the root contraction: archLog's special cases and both ends of the
-// vector kernel's range [2^-1022, MaxFloat64]. The first six and the
+// vector kernels' range [2^-1022, MaxFloat64]. The first six and the
 // last two must bail out to the scalar loop; 2^-1022 and MaxFloat64 must
 // not.
 var rootEdges = []float64{0, math.Copysign(0, -1), -0.75, 5e-324, math.Float64frombits(0x000fffffffffffff),
 	0x1p-1022, math.MaxFloat64, math.Inf(1), math.NaN()}
 
-// rootInRange reports whether the vector kernel takes a group whose
+// rootInRange reports whether the vector kernels take a group whose
 // lane likelihood is x.
 func rootInRange(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
 
-// TestAVX2RootKernelBits compares evalRoot with the AVX2 kernels on and
-// off, bit for bit, over every length mod 4, view offset and lane
+// TestAVX2RootKernelBits compares evalRoot with the vector kernels on
+// and off, bit for bit, over every length mod 4, view offset and lane
 // stride (wider than n, as a wave cell's block rows and the delta
-// path's nPatterns rows are), with edge likelihoods in the first,
+// path's node-major rows are), with edge likelihoods in the first,
 // middle and last group. With frequency 1 on state 0 and the other
 // states ±0, an edge lane's likelihood is exactly the edge value. It
-// also checks that the vector kernel alone stops exactly at the first
-// group it must not take, and compares every pattern's term alone.
+// also compares every pattern's term and checks where the vector
+// kernels alone stop (checkRoot).
 func TestAVX2RootKernelBits(t *testing.T) {
 	forEachVectorTier(t, func(t *testing.T, vec tier) {
 		freqSets := []*[4]float64{{0.1, 0.2, 0.3, 0.4}, {1, 0.25, 0.375, 0.125}}
@@ -458,10 +491,7 @@ func TestAVX2RootKernelBits(t *testing.T) {
 									r.scale[i] = -40 * g.src.Float64()
 								}
 								for _, p := range edges {
-									r.view.cond[p] = edge
-									for x := 1; x < nStates; x++ {
-										r.view.cond[x*r.view.stride+p] = math.Copysign(0, edge)
-									}
+									setLikelihood(r.view, p, edge)
 								}
 								pc := make([]float64, off+n)
 								for i := range pc {
@@ -492,93 +522,133 @@ func TestAVX2RootKernelBits(t *testing.T) {
 	})
 }
 
-// checkRoot runs one TestAVX2RootKernelBits case at vector tier vec.
-func checkRoot(t *testing.T, vec tier, name string, v rowView, pc []float64, f *[4]float64, n int) {
-	t.Helper()
-	kernelTier = tierScalar
-	want := evalRoot(v, pc, f, n)
-	kernelTier = vec
-	got := evalRoot(v, pc, f, n)
-	if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
-		t.Fatalf("%s: scalar %v (%#x), vector %v (%#x)", name, want, math.Float64bits(want), got, math.Float64bits(got))
-	}
-	stop := n - n%4
-	for p := 0; p < n-n%4; p++ {
-		siteL := f[0]*v.cond[p] + f[1]*v.cond[v.stride+p] + f[2]*v.cond[2*v.stride+p] + f[3]*v.cond[3*v.stride+p]
-		if !rootInRange(siteL) {
-			stop = p - p%4
-			break
-		}
-	}
-	if _, done := rootVec(v, pc, f, 0, 0, n); done != stop {
-		t.Fatalf("%s: vector kernel finished %d patterns, want %d", name, done, stop)
+// setLikelihood makes pattern p's likelihood under frequencies with
+// f[0] = 1 exactly x: state lane 0 holds x and the others zero of x's
+// sign.
+func setLikelihood(v rowView, p int, x float64) {
+	v.cond[p] = x
+	for s := 1; s < nStates; s++ {
+		v.cond[s*v.stride+p] = math.Copysign(0, x)
 	}
 }
 
-// TestAVX2LogMatchesMathLog checks the vector kernel's log against
-// math.Log, bit for bit, over random normal bit patterns, [0.5, 2), the
-// ulps around √2/2 in every binade (1000 either side in every 8th, 16
-// in the rest), and every power of two with its neighbours. At a
-// mantissa of exactly √2/2 archLog's reduction halves f1's exponent and
-// math/log.go's pure-Go rule does not; the two differ at √2/2·2^32. Each value sits in
-// one lane of a group whose other lanes are 1 (log 1 = +0), with
-// frequency 1 on state 0, zero scales and unit counts, so the kernel's
-// sum is the lane's log exactly. The lane rotates through all four.
-//
-// It calls the root kernel itself, which is AVX2 at both vector tiers,
-// so it runs once, at the avx2 tier.
+// checkRoot runs one root-contraction case at vector tier vec against
+// the scalar tier: every pattern's term and the sum, bit for bit, and
+// the pattern rootVec alone stops at (rootStop).
+func checkRoot(t *testing.T, vec tier, name string, v rowView, pc []float64, f *[4]float64, n int) {
+	t.Helper()
+	want, got := make([]float64, n), make([]float64, n)
+	kernelTier = tierScalar
+	wantSum := evalRoot(v, pc, f, n)
+	rootTerms(v, pc, f, 0, n, want)
+	kernelTier = vec
+	gotSum := evalRoot(v, pc, f, n)
+	rootTerms(v, pc, f, 0, n, got)
+	sameBits(t, name+" terms", want, got)
+	if math.Float64bits(wantSum) != math.Float64bits(gotSum) && !(math.IsNaN(wantSum) && math.IsNaN(gotSum)) {
+		t.Fatalf("%s: scalar %v (%#x), vector %v (%#x)", name, wantSum, math.Float64bits(wantSum), gotSum, math.Float64bits(gotSum))
+	}
+	if done, stop := rootVec(v, pc, f, 0, n, make([]float64, n)), rootStop(vec, v, f, n); done != stop {
+		t.Fatalf("%s: vector kernels finished %d patterns, want %d", name, done, stop)
+	}
+}
+
+// rootStop returns the pattern rootVec must stop at over [0, n) at
+// vector tier vec: the start of the first group holding a likelihood
+// the vector kernels must not take, in whole 8-pattern groups first at
+// the avx512 tier and then 4-pattern groups, or the end of the last
+// whole group.
+func rootStop(vec tier, v rowView, f *[4]float64, n int) int {
+	bails := func(lo, hi int) bool {
+		for p := lo; p < hi; p++ {
+			siteL := f[0]*v.cond[p] + f[1]*v.cond[v.stride+p] + f[2]*v.cond[2*v.stride+p] + f[3]*v.cond[3*v.stride+p]
+			if !rootInRange(siteL) {
+				return true
+			}
+		}
+		return false
+	}
+	i := 0
+	for w := 8; w >= 4; w -= 4 {
+		if w == 8 && vec != tierAVX512 {
+			continue
+		}
+		for ; n-i >= w; i += w {
+			if bails(i, i+w) {
+				return i
+			}
+		}
+	}
+	return i
+}
+
+// TestAVX2LogMatchesMathLog checks the vector kernels' log against
+// math.Log, bit for bit, at each vector tier, over random normal bit
+// patterns, [0.5, 2), the ulps around √2/2 in every binade (1000 either
+// side in every 8th, 16 in the rest), and every power of two with its
+// neighbours. At a mantissa of exactly √2/2 archLog's reduction halves
+// f1's exponent and math/log.go's pure-Go rule does not; the two differ
+// at √2/2·2^32. Each value sits in one lane of a vector group whose
+// other lanes are 1 (log 1 = +0), with frequency 1 on state 0, zero
+// scales and unit counts, so the lane's term is its log exactly. The
+// lane rotates through the group: four lanes at avx2, eight at avx512.
 func TestAVX2LogMatchesMathLog(t *testing.T) {
-	useTier(t, tierAVX2)
-	var cond, scale [4 * nStates]float64
-	pc := []float64{1, 1, 1, 1}
-	f := &[4]float64{1, 0, 0, 0}
-	v := rowView{cond[:], scale[:], 4}
-	checked := 0
-	check := func(x float64) {
-		lane := checked % 4
-		for j := 0; j < 4; j++ {
-			cond[j] = 1
+	forEachVectorTier(t, func(t *testing.T, vec tier) {
+		w := 4
+		if vec == tierAVX512 {
+			w = 8
 		}
-		cond[lane] = x
-		got, done := rootVec(v, pc, f, 0, 0, 4)
-		if done != 4 {
-			t.Fatalf("log(%v = %#x): vector kernel bailed out", x, math.Float64bits(x))
+		var cond [8 * nStates]float64
+		var scale, terms [8]float64
+		pc := []float64{1, 1, 1, 1, 1, 1, 1, 1}
+		f := &[4]float64{1, 0, 0, 0}
+		v := rowView{cond[:], scale[:], 8}
+		checked := 0
+		check := func(x float64) {
+			lane := checked % w
+			for j := 0; j < w; j++ {
+				cond[j] = 1
+			}
+			cond[lane] = x
+			if done := rootVec(v, pc, f, 0, w, terms[:w]); done != w {
+				t.Fatalf("log(%v = %#x): vector kernel bailed out", x, math.Float64bits(x))
+			}
+			if want, got := math.Log(x), terms[lane]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("log(%v = %#x) in lane %d: math.Log %v (%#x), vector %v (%#x)",
+					x, math.Float64bits(x), lane, want, math.Float64bits(want), got, math.Float64bits(got))
+			}
+			checked++
 		}
-		if want := math.Log(x); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("log(%v = %#x) in lane %d: math.Log %v (%#x), vector %v (%#x)",
-				x, math.Float64bits(x), lane, want, math.Float64bits(want), got, math.Float64bits(got))
+		src := rng.NewMT19937(17)
+		bits := func() uint64 { return uint64(src.Uint32())<<32 | uint64(src.Uint32()) }
+		for i := 0; i < 1_500_000; i++ {
+			exp := 1 + bits()%2046
+			check(math.Float64frombits(exp<<52 | bits()&(1<<52-1)))
 		}
-		checked++
-	}
-	src := rng.NewMT19937(17)
-	bits := func() uint64 { return uint64(src.Uint32())<<32 | uint64(src.Uint32()) }
-	for i := 0; i < 1_500_000; i++ {
-		exp := 1 + bits()%2046
-		check(math.Float64frombits(exp<<52 | bits()&(1<<52-1)))
-	}
-	for i := 0; i < 1_000_000; i++ {
-		check(0.5 + 1.5*src.Float64())
-	}
-	for e := -1021; e <= 1024; e++ {
-		mid := math.Ldexp(math.Sqrt2/2, e)
-		w := int64(16)
-		if e%8 == 0 {
-			w = 1000
+		for i := 0; i < 1_000_000; i++ {
+			check(0.5 + 1.5*src.Float64())
 		}
-		for d := -w; d <= w; d++ {
-			check(math.Float64frombits(uint64(int64(math.Float64bits(mid)) + d)))
+		for e := -1021; e <= 1024; e++ {
+			mid := math.Ldexp(math.Sqrt2/2, e)
+			w := int64(16)
+			if e%8 == 0 {
+				w = 1000
+			}
+			for d := -w; d <= w; d++ {
+				check(math.Float64frombits(uint64(int64(math.Float64bits(mid)) + d)))
+			}
 		}
-	}
-	for e := -1022; e <= 1023; e++ {
-		p := math.Ldexp(1, e)
-		check(p)
-		check(math.Nextafter(p, math.Inf(1)))
-		if e > -1022 {
-			check(math.Nextafter(p, 0))
+		for e := -1022; e <= 1023; e++ {
+			p := math.Ldexp(1, e)
+			check(p)
+			check(math.Nextafter(p, math.Inf(1)))
+			if e > -1022 {
+				check(math.Nextafter(p, 0))
+			}
 		}
-	}
-	check(math.MaxFloat64)
-	if checked < 3_000_000 {
-		t.Fatalf("checked %d values, want at least 3e6", checked)
-	}
+		check(math.MaxFloat64)
+		if checked < 3_000_000 {
+			t.Fatalf("checked %d values, want at least 3e6", checked)
+		}
+	})
 }

@@ -68,15 +68,15 @@ func TestCompressPatternsMatchesPerSite(t *testing.T) {
 			if !slices.Equal(e.patBase[i], base[i]) {
 				t.Fatalf("%dx%d: tip %d codes %v, per-site %v", nSeq, L, i, e.patBase[i], base[i])
 			}
-			row := e.tipCond[i*nStates*e.nPatterns : (i+1)*nStates*e.nPatterns]
+			row := e.rowLanes(e.tipCond, nStates, i)
 			for pat, code := range base[i] {
 				for x := 0; x < nStates; x++ {
 					want := 0.0
 					if code == 4 || int(code) == x {
 						want = 1
 					}
-					if row[x*e.nPatterns+pat] != want {
-						t.Fatalf("%dx%d: tip %d pattern %d lane %d = %v, want %v", nSeq, L, i, pat, x, row[x*e.nPatterns+pat], want)
+					if row[x*e.stride+pat] != want {
+						t.Fatalf("%dx%d: tip %d pattern %d lane %d = %v, want %v", nSeq, L, i, pat, x, row[x*e.stride+pat], want)
 					}
 				}
 			}

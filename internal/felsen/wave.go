@@ -107,8 +107,8 @@ type waveProp struct {
 // EvalOne's candidate setup, so concurrent EvalOne calls share nothing
 // writable.
 type waveScratch struct {
-	cond   []float64 // nStates lanes of blockSize patterns each
-	scale  []float64 // blockSize
+	cond   []float64 // nStates lanes of laneStride(blockSize) entries each
+	scale  []float64 // laneStride(blockSize)
 	tcond  []float64 // the target row, laid out like cond
 	tscale []float64
 	prop   waveProp
@@ -137,11 +137,12 @@ type Wave struct {
 	cleanCh   []int
 	chainMats []subst.Matrix
 	cleanMats []subst.Matrix
-	// outer holds the lift lanes, path-node-major: node k's state lane x
-	// is outer[(k*nStates+x)*nPatterns:][:nPatterns]. cleanCond[k] and
-	// cleanScale[k] are cleanCh[k]'s state lanes and rescaling-log lane
-	// (cache or tip-table slices), resolved once per round so neither the
-	// lift blocks nor the grid cells branch on tip-ness.
+	// outer holds the lift lanes, path-node-major: node k's row is
+	// rowLanes(outer, nStates, k), state lane x at offset x*stride.
+	// cleanCond[k] and cleanScale[k] are cleanCh[k]'s state lanes and
+	// rescaling-log lane (cache or tip-table slices), resolved once per
+	// round so neither the lift blocks nor the grid cells branch on
+	// tip-ness.
 	outer      []float64
 	cleanCond  [][]float64
 	cleanScale [][]float64
@@ -170,13 +171,12 @@ func (e *Evaluator) NewWave(c *DeltaCache) *Wave {
 // the same sources the per-candidate kernel reads clean rows from.
 func (w *Wave) rowOf(node int) (cond, scale []float64) {
 	e := w.e
-	nPat := e.nPatterns
 	nTips := len(e.seqs)
 	if node < nTips {
-		return e.tipCond[node*nStates*nPat : (node+1)*nStates*nPat], e.zeroScale
+		return e.rowLanes(e.tipCond, nStates, node), e.zeroScale
 	}
 	r := node - nTips
-	return w.c.cond[r*nStates*nPat : (r+1)*nStates*nPat], w.c.scale[r*nPat : (r+1)*nPat]
+	return e.rowLanes(w.c.cond, nStates, r), e.rowLanes(w.c.scale, 1, r)
 }
 
 // BindRound fixes the round's resimulation target φ and computes the
@@ -243,15 +243,14 @@ func (w *Wave) BindRound(phi int) {
 
 	// Lift lanes: one clean-side dot product per path node, state and
 	// pattern — shared by every candidate of the round.
-	nPat := e.nPatterns
-	if need := depth * nStates * nPat; cap(w.outer) < need {
-		w.outer = make([]float64, need) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
+	if need := depth * nStates * e.stride; cap(w.outer) < need {
+		w.outer = alignedLanes(need) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
 	} else {
-		w.outer = w.outer[:depth*nStates*nPat]
+		w.outer = w.outer[:need]
 	}
 	if depth > 0 {
 		bs := e.blockSize
-		nBlocks := (nPat + bs - 1) / bs
+		nBlocks := (e.nPatterns + bs - 1) / bs
 		// Cells write disjoint lanes and there is no reduction, so the
 		// schedule cannot affect results; the gate is execution-only,
 		// like evalDelta's.
@@ -274,16 +273,11 @@ func (w *Wave) BindRound(phi int) {
 //mpcgs:hotpath
 func (w *Wave) runLiftBlock(b int) {
 	e := w.e
-	nPat := e.nPatterns
 	lo := b * e.blockSize
-	hi := lo + e.blockSize
-	if hi > nPat {
-		hi = nPat
-	}
+	hi := min(lo+e.blockSize, e.nPatterns)
 	for k := range w.path {
-		base := k * nStates * nPat
-		clean := rowView{cond: w.cleanCond[k][lo:], stride: nPat}
-		outer := rowView{cond: w.outer[base+lo:], stride: nPat}
+		clean := rowView{cond: w.cleanCond[k][lo:], stride: e.stride}
+		outer := rowView{cond: e.rowLanes(w.outer, nStates, k)[lo:], stride: e.stride}
 		evalLift(clean, outer, &w.cleanMats[k], hi-lo)
 	}
 }
@@ -435,25 +429,21 @@ func (w *Wave) runCell(cell int) {
 //mpcgs:hotpath
 func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 	e := w.e
-	nPat := e.nPatterns
-	bs := e.blockSize
-	lo := b * bs
-	hi := lo + bs
-	if hi > nPat {
-		hi = nPat
-	}
+	lo := b * e.blockSize
+	hi := min(lo+e.blockSize, e.nPatterns)
 	n := hi - lo
 	// The working row: the current node's lanes for this block,
 	// overwritten in place as the walk climbs.
-	sv := rowView{ws.cond, ws.scale, bs}
+	st := laneStride(e.blockSize)
+	sv := rowView{ws.cond, ws.scale, st}
 
 	// Neighbourhood: the target row (both children clean), then the
 	// parent row from the target and the parent's clean child, into the
 	// working row.
-	tl := rowAt(pr.tlc, pr.tls, nPat, lo)
-	tr := rowAt(pr.trc, pr.trs, nPat, lo)
-	cv := rowAt(pr.cvc, pr.cvs, nPat, lo)
-	evalNeighbourhood(pr, tl, tr, cv, rowView{ws.tcond, ws.tscale, bs}, sv, n)
+	tl := e.rowAt(pr.tlc, pr.tls, lo)
+	tr := e.rowAt(pr.trc, pr.trs, lo)
+	cv := e.rowAt(pr.cvc, pr.cvs, lo)
+	evalNeighbourhood(pr, tl, tr, cv, rowView{ws.tcond, ws.tscale, st}, sv, n)
 
 	// Root path: one dirty-side dot per node against the shared outer
 	// lane, then the same max/rescale/scale sequence as runBlock.
@@ -462,8 +452,7 @@ func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 		if k > 0 {
 			m = &w.chainMats[k]
 		}
-		base := k * nStates * nPat
-		evalWalk(sv, rowAt(w.outer[base:], w.cleanScale[k], nPat, lo), m, n)
+		evalWalk(sv, e.rowAt(e.rowLanes(w.outer, nStates, k), w.cleanScale[k], lo), m, n)
 	}
 
 	// Root contraction with the prior frequencies — the working row now

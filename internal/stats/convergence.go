@@ -54,10 +54,12 @@ func GelmanRubin(chains [][]float64) float64 {
 // Geweke returns the z-score comparing the mean of the first firstFrac of
 // the trace against the last lastFrac, using spectral-density-free
 // standard errors from the effective sample sizes. |z| below ~2 is
-// consistent with stationarity.
+// consistent with stationarity. A constant trace cannot be tested and
+// gets NaN. A constant segment has its value as mean and standard error
+// 0, so two constant segments of different values give ±Inf.
 func Geweke(trace []float64, firstFrac, lastFrac float64) float64 {
 	n := len(trace)
-	if n < 20 || firstFrac <= 0 || lastFrac <= 0 || firstFrac+lastFrac > 1 {
+	if n < 20 || firstFrac <= 0 || lastFrac <= 0 || firstFrac+lastFrac > 1 || Constant(trace) {
 		return math.NaN()
 	}
 	a := trace[:int(firstFrac*float64(n))]
@@ -65,13 +67,23 @@ func Geweke(trace []float64, firstFrac, lastFrac float64) float64 {
 	if len(a) < 5 || len(b) < 5 {
 		return math.NaN()
 	}
-	seA := StdDev(a) / math.Sqrt(EffectiveSampleSize(a))
-	seB := StdDev(b) / math.Sqrt(EffectiveSampleSize(b))
+	ma, seA := meanSE(a)
+	mb, seB := meanSE(b)
 	den := math.Sqrt(seA*seA + seB*seB)
-	if den == 0 {
+	if den == 0 && ma == mb {
 		return 0
 	}
-	return (Mean(a) - Mean(b)) / den
+	return (ma - mb) / den
+}
+
+// meanSE returns a segment's mean and the standard error of that mean
+// from its effective sample size: exactly its value and 0 for a
+// constant segment, whose rounded mean and variance would be residue.
+func meanSE(xs []float64) (mean, se float64) {
+	if Constant(xs) {
+		return xs[0], 0
+	}
+	return Mean(xs), StdDev(xs) / math.Sqrt(EffectiveSampleSize(xs))
 }
 
 // DetectBurnin proposes a burn-in cutoff for the trace: the smallest

@@ -82,11 +82,29 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	return num / den
 }
 
+// Constant reports whether xs is one value repeated: a non-empty trace
+// of zero range. Such a trace carries no information about mixing, and
+// its rounded mean need not equal its values, so deviations from the
+// mean are rounding residue rather than variation; the diagnostics
+// check for it explicitly instead of testing a variance against zero.
+func Constant(xs []float64) bool {
+	for _, x := range xs {
+		if x != xs[0] {
+			return false
+		}
+	}
+	return len(xs) > 0
+}
+
 // EffectiveSampleSize estimates the number of independent draws in an
 // autocorrelated chain trace using the initial-positive-sequence
-// truncation of the integrated autocorrelation time.
+// truncation of the integrated autocorrelation time. A constant trace
+// of two or more draws has ESS 0.
 func EffectiveSampleSize(xs []float64) float64 {
 	n := len(xs)
+	if n >= 2 && Constant(xs) {
+		return 0
+	}
 	if n < 10 {
 		return float64(n)
 	}

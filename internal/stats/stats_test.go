@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,5 +129,38 @@ func TestAsciiPlotSinglePoint(t *testing.T) {
 	out := AsciiPlot("One", "x", "y", map[string][]Point{"s": {{1, 1}}}, 30, 10)
 	if !strings.Contains(out, "*") {
 		t.Errorf("single point not plotted:\n%s", out)
+	}
+}
+
+// TestConstantTrace checks that a trace of one repeated value gets ESS 0
+// and Geweke z NaN. The value is chosen so that the trace's rounded mean
+// differs from it: the residue then looks like variation to any test of
+// a variance against zero.
+func TestConstantTrace(t *testing.T) {
+	const v = -1234.567
+	trace := make([]float64, 9000)
+	for i := range trace {
+		trace[i] = v
+	}
+	if Mean(trace) == v {
+		t.Fatal("fixture: the mean rounds to the value; it must leave a residue")
+	}
+	if !Constant(trace) || Constant(append([]float64{v + 1}, trace...)) || Constant(nil) {
+		t.Fatal("Constant misjudges a trace")
+	}
+	if ess := EffectiveSampleSize(trace); ess != 0 {
+		t.Errorf("EffectiveSampleSize = %v on a constant trace, want 0", ess)
+	}
+	if z := Geweke(trace, 0.2, 0.5); !math.IsNaN(z) {
+		t.Errorf("Geweke z = %v on a constant trace, want NaN", z)
+	}
+	// A step between two constant stretches: each segment's mean is its
+	// value with no error, so z is infinite, not a ratio of residues.
+	step := append(slices.Clone(trace), trace...)
+	for i := len(trace); i < len(step); i++ {
+		step[i] = v + 1
+	}
+	if z := Geweke(step, 0.2, 0.5); !math.IsInf(z, -1) {
+		t.Errorf("Geweke z = %v across a step from %v up to %v, want -Inf", z, v, v+1)
 	}
 }

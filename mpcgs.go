@@ -193,8 +193,12 @@ type Diagnostics struct {
 	// suggests.
 	SuggestedBurnin int
 	// BurninSufficient reports whether the configured burn-in covered
-	// the detected transient.
+	// the detected transient. It is false for a frozen trace.
 	BurninSufficient bool
+	// Frozen reports that the post-burn-in log-likelihood trace holds a
+	// single value: the chain never moved, so it cannot be diagnosed.
+	// ESS is then 0 and GewekeZ NaN.
+	Frozen bool
 }
 
 // GrowthResult is the optional two-parameter estimate.

@@ -343,3 +343,26 @@ func TestRunBayesianValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestDiagnosticsFrozenPass runs a GMH pass driven at θ0 = 0.01 on data
+// where it never accepts a move, so its post-burn-in log-likelihood
+// trace holds one value. Such a pass cannot be diagnosed: it must
+// report ESS 0, Geweke z NaN, Frozen and an insufficient burn-in, not
+// the ESS and z that rounding residue around the trace's mean yields.
+func TestDiagnosticsFrozenPass(t *testing.T) {
+	aln, err := SimulateAlignment(12, 200, 1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{Alignment: aln, InitialTheta: 0.01, Workers: 2, EMIterations: 1, Burnin: 1000, Samples: 10000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate := res.History[0].AcceptanceRate; rate != 0 {
+		t.Fatalf("fixture: the pass accepted at rate %v; it must never move", rate)
+	}
+	d := res.Diagnostics
+	if !d.Frozen || d.ESS != 0 || !math.IsNaN(d.GewekeZ) || d.BurninSufficient {
+		t.Fatalf("frozen pass diagnosed as %+v, want Frozen, ESS 0, z NaN and BurninSufficient false", d)
+	}
+}

@@ -211,7 +211,7 @@ func TestMpcgsReportsFrozenPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := run(t, "mpcgs", "", "-workers", "2", "-em-iterations", "1", "-seed", "3", path, "0.01")
-	for _, want := range []string{"(acceptance 0.000,", "ESS 0, Geweke z NaN,", "(sufficient: false)", "the chain did not move, so it cannot be diagnosed"} {
+	for _, want := range []string{"(acceptance 0.000,", "ESS(S) 0, Geweke z(log L) NaN,", "(sufficient: false)", "the chain did not move, so it cannot be diagnosed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output lacks %q:\n%s", want, out)
 		}
@@ -776,7 +776,7 @@ func TestMpcgsESSTargetWithoutCheckpoint(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := writeData(t, dir, "8", "120", "61", "62")
-	args := []string{"-workers", "2", "-burnin", "100", "-samples", "4000", "-em-iterations", "1", "-seed", "9", "-ess-target", "50"}
+	args := []string{"-workers", "2", "-burnin", "100", "-samples", "4000", "-em-iterations", "1", "-seed", "9", "-ess-target", "15"}
 	plain := run(t, "mpcgs", "", append(args, path, "1.0")...)
 	if !strings.Contains(plain, "auto-stop: final pass ended early") {
 		t.Fatalf("-ess-target without -checkpoint did not auto-stop:\n%s", plain)

@@ -377,7 +377,7 @@ func printEstimate(r sched.Result, quiet bool) {
 		}
 		if r.LastSet != nil {
 			d := core.Diagnose(r.LastSet)
-			fmt.Printf("  diagnostics: ESS %.0f, Geweke z %.2f, suggested burn-in %d (sufficient: %v)\n",
+			fmt.Printf("  diagnostics: ESS(S) %.0f, Geweke z(log L) %.2f, suggested burn-in %d (sufficient: %v)\n",
 				d.ESS, d.GewekeZ, d.SuggestedBurnin, d.BurninSufficient)
 			if d.Frozen {
 				fmt.Println("  diagnostics: the post-burn-in log-likelihood never changed; the chain did not move, so it cannot be diagnosed")

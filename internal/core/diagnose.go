@@ -9,25 +9,28 @@ import (
 // Diagnostics summarizes the health of a chain run, addressing the
 // burn-in assessment problem of paper §2.3 ("methods also exist to
 // evaluate if the burn-in period is over while the chain is in
-// progress"): a stationarity z-score over the post-burn-in trace, the
-// effective number of independent draws, and a data-driven burn-in
-// suggestion to compare against the configured one.
+// progress"): the effective number of independent draws of the
+// statistic θ̂ depends on, a stationarity z-score over the post-burn-in
+// log-likelihood trace, and a data-driven burn-in suggestion to compare
+// against the configured one.
 type Diagnostics struct {
-	// ESS is the effective sample size of the post-burn-in
-	// log-likelihood trace.
+	// ESS is the effective sample size of the post-burn-in trace of the
+	// sufficient statistic S: the stream an ESS stop target reads, so a
+	// run that stopped on its target reports its online ESS here.
 	ESS float64
 	// GewekeZ compares early versus late segments of the post-burn-in
-	// trace; |z| below ~2 is consistent with stationarity.
+	// log-likelihood trace; |z| below ~2 is consistent with
+	// stationarity.
 	GewekeZ float64
 	// SuggestedBurnin is the data-driven cutoff detected on the full
-	// trace (including the configured burn-in region).
+	// log-likelihood trace (including the configured burn-in region).
 	SuggestedBurnin int
 	// BurninSufficient reports whether the configured burn-in covers the
 	// detected transient. It is false for a frozen trace.
 	BurninSufficient bool
-	// Frozen reports that the post-burn-in trace holds a single value:
-	// the chain never moved, so it cannot be diagnosed. ESS is then 0
-	// and GewekeZ NaN.
+	// Frozen reports that the post-burn-in log-likelihood trace holds a
+	// single value: the chain never moved, so it cannot be diagnosed.
+	// ESS is then 0 and GewekeZ NaN.
 	Frozen bool
 }
 
@@ -35,7 +38,7 @@ type Diagnostics struct {
 func Diagnose(s *SampleSet) Diagnostics {
 	post := s.PostBurninLogLik()
 	d := Diagnostics{
-		ESS:             stats.EffectiveSampleSize(post),
+		ESS:             stats.EffectiveSampleSize(s.PostBurninStats()),
 		GewekeZ:         stats.Geweke(post, 0.2, 0.5),
 		SuggestedBurnin: stats.DetectBurnin(s.LogLik),
 		Frozen:          len(post) >= 2 && stats.Constant(post),

@@ -56,6 +56,38 @@ func TestDiagnoseConvergedChain(t *testing.T) {
 	}
 }
 
+// TestDiagnoseESSIsStopESS: a pass that stopped on its ESS target
+// reports, offline, the online ESS it stopped at, bit for bit: both read
+// the post-burn-in S trace through one estimator.
+func TestDiagnoseESSIsStopESS(t *testing.T) {
+	aln, _, err := seqgen.SimulateData(8, 150, 1.0, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := subst.NewF81(aln.BaseFreqs(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := felsen.New(model, aln, device.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, err := InitialTree(aln, 1.0, 35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(NewMH(eval), init, ChainConfig{Theta: 1.0, Burnin: 500, Samples: 6000, Seed: 35, ESSTarget: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.StoppedEarly {
+		t.Fatal("fixture: the pass never reached its ESS target")
+	}
+	if got := Diagnose(res.Samples).ESS; math.Float64bits(got) != math.Float64bits(res.StopESS) {
+		t.Errorf("Diagnose ESS %v, stop ESS %v", got, res.StopESS)
+	}
+}
+
 func TestDiagnoseColdStartFlagsShortBurnin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chain diagnostics")

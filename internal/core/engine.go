@@ -281,7 +281,7 @@ func newRecorder(nTips int, cfg ChainConfig) (*recorder, error) {
 		}
 		r.spill = w
 		r.passOff, r.passDraws = w.Durable()
-		r.diag = stats.NewOnlineDiag(0, 0)
+		r.diag = stats.NewOnlineDiag()
 		return r, nil
 	}
 	r.set.Stats = make([]float64, 0, total)
@@ -289,7 +289,7 @@ func newRecorder(nTips int, cfg ChainConfig) (*recorder, error) {
 	r.set.LogLik = make([]float64, 0, total)
 	r.arena = make([]float64, total*nAges)
 	if r.hasTargets() {
-		r.diag = stats.NewOnlineDiag(0, 0)
+		r.diag = stats.NewOnlineDiag()
 	}
 	return r, nil
 }
@@ -334,6 +334,8 @@ func (r *recorder) recordState(s *chainState) error {
 // diagnostics and stop rule. It is shared by live recording and the
 // restore replay, which is what makes the diagnostic state — and
 // therefore the stop decision — a pure function of the draw stream.
+//
+//mpcgs:hotpath
 func (r *recorder) observe(stat float64) {
 	r.n++
 	if r.diag == nil || r.n <= r.burnin {
@@ -348,10 +350,10 @@ func (r *recorder) observe(stat float64) {
 		return
 	}
 	ess := r.diag.ESS()
-	rhat := r.diag.RHat()
 	if r.essTarget > 0 && ess < r.essTarget {
 		return
 	}
+	rhat := r.diag.RHat() //mpcgsvet:ignore-alloc split R-hat allocates its halves' moments at most once per stopCheckEvery draws, not per draw
 	// NaN (not yet enough batches) never satisfies a set R-hat target.
 	if r.rhatTarget > 0 && !(rhat <= r.rhatTarget) {
 		return

@@ -22,8 +22,9 @@ type ProposalSizePoint struct {
 	// MoveRate is the fraction of index draws that changed state: larger
 	// proposal sets explore more per round.
 	MoveRate float64
-	// ESS is the effective sample size of the log-likelihood trace:
-	// wall-clock cost must be weighed against sampling quality.
+	// ESS is the effective sample size of the post-burn-in trace of the
+	// sufficient statistic S: wall-clock cost must be weighed against
+	// sampling quality.
 	ESS float64
 	// ESSPerSec is the headline efficiency measure.
 	ESSPerSec float64
@@ -66,7 +67,7 @@ func ProposalSetSize(c Common) ([]ProposalSizePoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		ess := stats.EffectiveSampleSize(run.Samples.PostBurninLogLik())
+		ess := stats.EffectiveSampleSize(run.Samples.PostBurninStats())
 		out = append(out, ProposalSizePoint{
 			N:         n,
 			Sec:       sec,

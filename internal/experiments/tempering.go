@@ -27,7 +27,7 @@ type TemperingPoint struct {
 	// the adaptation minimizes (0 = perfectly uniform acceptance).
 	Spread float64
 	// ColdESS is the effective sample size of the cold chain's
-	// post-burn-in log-likelihood trace.
+	// post-burn-in trace of the sufficient statistic S.
 	ColdESS float64
 	// Swaps/SwapAttempts aggregate the ladder exchanges.
 	Swaps, SwapAttempts int
@@ -84,7 +84,7 @@ func TemperingComparison(c Common) ([]TemperingPoint, error) {
 			Mode:         mode.name,
 			Betas:        res.Betas,
 			Rates:        res.EstPairSwapRates(),
-			ColdESS:      stats.EffectiveSampleSize(res.Samples.PostBurninLogLik()),
+			ColdESS:      stats.EffectiveSampleSize(res.Samples.PostBurninStats()),
 			Swaps:        res.Swaps,
 			SwapAttempts: res.SwapAttempts,
 		}

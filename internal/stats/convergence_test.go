@@ -97,6 +97,19 @@ func TestGewekeDriftingTrace(t *testing.T) {
 	}
 }
 
+// TestGewekeLinearTrend: a steady drift, small against the noise at
+// any one draw, is not stationary and must fail the check.
+func TestGewekeLinearTrend(t *testing.T) {
+	r := lcg(14)
+	trace := make([]float64, 4000)
+	for i := range trace {
+		trace[i] = r.gauss() + float64(i)/2000
+	}
+	if z := Geweke(trace, 0.2, 0.5); !(math.Abs(z) >= 2) {
+		t.Errorf("Geweke z on a linear trend = %v, want |z| >= 2", z)
+	}
+}
+
 func TestGewekeDegenerate(t *testing.T) {
 	if !math.IsNaN(Geweke(make([]float64, 5), 0.2, 0.5)) {
 		t.Error("short trace should be NaN")

@@ -8,14 +8,11 @@ import "math"
 const onlineMaxMeans = 256
 
 // OnlineDiag accumulates convergence diagnostics over a draw stream in
-// bounded memory. It keeps two fixed-size summaries:
-//
-//   - a ring of the most recent (optionally subsampled) values, from
-//     which ESS is estimated: the window yields the chain's sampling
-//     efficiency (effective draws per draw), which scales to the full
-//     stream length;
-//   - doubling batch means, from which a split Gelman-Rubin statistic
-//     compares the first and second halves of the run.
+// bounded memory: the running mean and variance, the range, and up to
+// onlineMaxMeans doubling batch means. ESS reads all of them; a split
+// Gelman-Rubin statistic compares the first and second halves of the
+// batch means. It is the package's one ESS estimator:
+// EffectiveSampleSize feeds a whole trace through it.
 //
 // Every update is a pure, order-deterministic function of the stream,
 // so two replays of the same draws — including a kill/resume replay
@@ -23,52 +20,35 @@ const onlineMaxMeans = 256
 // lets the auto-stop rule live inside the sampler without breaking the
 // bit-identical resume contract.
 type OnlineDiag struct {
-	sub  int // subsample stride for the window
-	win  []float64
-	head int // next ring slot
-	full bool
-	n    int // total values observed
+	n        int     // values observed
+	mean, m2 float64 // running mean and sum of squared deviations (Welford)
+	min, max float64
 
 	means []float64
 	bsize int // values per completed batch
 	bsum  float64
 	bn    int // values in the current partial batch
-
-	scratch []float64 // chronological unroll of win, reused by ESS
 }
 
-// NewOnlineDiag returns a diagnostic accumulator whose window holds up
-// to window values sampled every subsample-th observation. window <= 0
-// defaults to 1024; subsample <= 0 defaults to 1 (no thinning).
-// Thinning stretches the window across a longer stretch of the chain,
-// which keeps the ESS estimate honest for slowly mixing runs.
-func NewOnlineDiag(window, subsample int) *OnlineDiag {
-	if window <= 0 {
-		window = 1024
-	}
-	if subsample <= 0 {
-		subsample = 1
-	}
-	return &OnlineDiag{
-		sub:   subsample,
-		win:   make([]float64, 0, window),
-		bsize: 1,
-		means: make([]float64, 0, onlineMaxMeans),
-	}
+// NewOnlineDiag returns an empty accumulator.
+func NewOnlineDiag() *OnlineDiag {
+	return &OnlineDiag{bsize: 1, means: make([]float64, 0, onlineMaxMeans)}
 }
 
 // Add observes one value.
+//
+//mpcgs:hotpath
 func (d *OnlineDiag) Add(x float64) {
-	if d.n%d.sub == 0 {
-		if len(d.win) < cap(d.win) {
-			d.win = append(d.win, x)
-		} else {
-			d.win[d.head] = x
-			d.full = true
-		}
-		d.head = (d.head + 1) % cap(d.win)
-	}
 	d.n++
+	delta := x - d.mean
+	d.mean += delta / float64(d.n)
+	d.m2 += delta * (x - d.mean)
+	if d.n == 1 || x < d.min {
+		d.min = x
+	}
+	if d.n == 1 || x > d.max {
+		d.max = x
+	}
 
 	d.bsum += x
 	d.bn++
@@ -90,20 +70,55 @@ func (d *OnlineDiag) Add(x float64) {
 // N returns the number of values observed.
 func (d *OnlineDiag) N() int { return d.n }
 
-// ESS estimates the effective sample size of the full stream: the
-// window's autocorrelation yields an efficiency (effective draws per
-// retained draw), scaled by how many retained draws the stream holds.
+// ESS estimates the effective number of independent draws in the
+// stream, n/τ. The integrated autocorrelation time τ comes from the
+// batch means: a batch of b draws has variance s_b² ≈ τ·s²/b, and the
+// batch-mean series its own time τ_b, so τ = τ_b·b·s_b²/s², with s² the
+// per-draw variance. While batches hold one draw the batch means are
+// the draws and τ is τ_b itself. A constant stream of two or more
+// draws has ESS 0; fewer than 10 draws count as independent.
 func (d *OnlineDiag) ESS() float64 {
-	if d.n == 0 {
+	n := float64(d.n)
+	if d.n >= 2 && d.min == d.max {
 		return 0
 	}
-	w := d.window()
-	if len(w) == 0 {
-		return 0
+	if d.n < 10 {
+		return n
 	}
-	eff := EffectiveSampleSize(w) / float64(len(w))
-	retained := float64((d.n + d.sub - 1) / d.sub)
-	return eff * retained
+	tau, sb2 := ipsTau(d.means)
+	if d.bsize > 1 {
+		tau *= float64(d.bsize) * sb2 / (d.m2 / (n - 1))
+	}
+	ess := n / tau
+	if ess > n {
+		return n
+	}
+	return ess
+}
+
+// ipsTau returns the integrated autocorrelation time of xs, 1 + 2Σρ_k
+// summed over lags until the first non-positive ρ_k (Geyer's initial
+// positive sequence), together with the sample variance of xs.
+func ipsTau(xs []float64) (tau, variance float64) {
+	n := len(xs)
+	m := Mean(xs)
+	var den float64
+	for _, x := range xs {
+		den += (x - m) * (x - m)
+	}
+	tau = 1
+	for lag := 1; lag < n/2; lag++ {
+		var num float64
+		for i := 0; i+lag < n; i++ {
+			num += (xs[i] - m) * (xs[i+lag] - m)
+		}
+		rho := num / den
+		if math.IsNaN(rho) || rho <= 0 {
+			break
+		}
+		tau += 2 * rho
+	}
+	return tau, den / float64(n-1)
 }
 
 // RHat returns the split Gelman-Rubin statistic over the batch means:
@@ -118,18 +133,4 @@ func (d *OnlineDiag) RHat() float64 {
 	eq := d.means[m%2:]
 	h := len(eq) / 2
 	return GelmanRubin([][]float64{eq[:h], eq[h:]})
-}
-
-// window returns the ring in chronological order, reusing scratch.
-func (d *OnlineDiag) window() []float64 {
-	if !d.full {
-		return d.win
-	}
-	if cap(d.scratch) < len(d.win) {
-		d.scratch = make([]float64, len(d.win))
-	}
-	s := d.scratch[:len(d.win)]
-	n := copy(s, d.win[d.head:])
-	copy(s[n:], d.win[:d.head])
-	return s
 }

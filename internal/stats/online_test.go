@@ -1,12 +1,14 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
 func TestOnlineDiagIIDMatchesBatchESS(t *testing.T) {
-	d := NewOnlineDiag(512, 1)
+	d := NewOnlineDiag()
 	var g lcg = 7
 	xs := make([]float64, 4000)
 	for i := range xs {
@@ -28,8 +30,8 @@ func TestOnlineDiagIIDMatchesBatchESS(t *testing.T) {
 }
 
 func TestOnlineDiagCorrelatedChainShrinksESS(t *testing.T) {
-	diid := NewOnlineDiag(512, 1)
-	dar := NewOnlineDiag(512, 1)
+	diid := NewOnlineDiag()
+	dar := NewOnlineDiag()
 	var g lcg = 13
 	x := 0.0
 	const n = 4000
@@ -45,7 +47,7 @@ func TestOnlineDiagCorrelatedChainShrinksESS(t *testing.T) {
 }
 
 func TestOnlineDiagDriftInflatesRHat(t *testing.T) {
-	d := NewOnlineDiag(256, 1)
+	d := NewOnlineDiag()
 	var g lcg = 21
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -58,8 +60,7 @@ func TestOnlineDiagDriftInflatesRHat(t *testing.T) {
 }
 
 func TestOnlineDiagDeterministicReplay(t *testing.T) {
-	mk := func() *OnlineDiag { return NewOnlineDiag(128, 4) }
-	a, b := mk(), mk()
+	a, b := NewOnlineDiag(), NewOnlineDiag()
 	var g lcg = 3
 	xs := make([]float64, 3000)
 	for i := range xs {
@@ -87,13 +88,10 @@ func TestOnlineDiagDeterministicReplay(t *testing.T) {
 }
 
 func TestOnlineDiagBoundedMemory(t *testing.T) {
-	d := NewOnlineDiag(64, 1)
+	d := NewOnlineDiag()
 	var g lcg = 9
 	for i := 0; i < 200000; i++ {
 		d.Add(g.next())
-	}
-	if len(d.win) > 64 || cap(d.win) > 64 {
-		t.Fatalf("window grew to %d/%d", len(d.win), cap(d.win))
 	}
 	if len(d.means) >= onlineMaxMeans || cap(d.means) > onlineMaxMeans {
 		t.Fatalf("means grew to %d/%d", len(d.means), cap(d.means))
@@ -104,7 +102,7 @@ func TestOnlineDiagBoundedMemory(t *testing.T) {
 }
 
 func TestOnlineDiagEdgeCases(t *testing.T) {
-	d := NewOnlineDiag(0, 0) // defaults
+	d := NewOnlineDiag()
 	if got := d.ESS(); got != 0 {
 		t.Fatalf("empty ESS = %v", got)
 	}
@@ -118,5 +116,98 @@ func TestOnlineDiagEdgeCases(t *testing.T) {
 	}
 	if d.ESS() <= 0 {
 		t.Fatal("ESS should be positive once values exist")
+	}
+}
+
+// ar1 returns n draws of x_i = ρ·x_{i-1} + e_i with standard normal
+// innovations, started from the stationary distribution; its true ESS
+// is n(1−ρ)/(1+ρ).
+func ar1(g lcg, rho float64, n int) []float64 {
+	xs := make([]float64, n)
+	x := g.gauss() / math.Sqrt(1-rho*rho)
+	for i := range xs {
+		x = rho*x + g.gauss()
+		xs[i] = x
+	}
+	return xs
+}
+
+// TestEffectiveSampleSizeTable pins the estimator on traces short
+// enough that every batch holds one draw (n ≤ 255), where it is the
+// initial-positive-sequence sum over the draws themselves. The bits
+// are those the earlier full-trace implementation returned, which
+// recomputed the mean and the lag-0 sum at every lag.
+func TestEffectiveSampleSizeTable(t *testing.T) {
+	alt := make([]float64, 100)
+	for i := range alt {
+		alt[i] = float64(i % 2)
+	}
+	trend := ar1(5, 0, 200)
+	for i := range trend {
+		trend[i] += float64(i) / 20
+	}
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		bits uint64
+	}{
+		{"constant", slices.Repeat([]float64{-1234.567}, 100), 0},
+		{"short", ar1(1, 0.5, 9), 0x4022000000000000},
+		{"iid", ar1(2, 0, 60), 0x40478d4fd8ddfc43},
+		{"ar1 0.5", ar1(3, 0.5, 37), 0x4033b4348a96dd98},
+		{"ar1 0.9", ar1(4, 0.9, 128), 0x402c1b0bc51d93ee},
+		{"ar1 0.99", ar1(6, 0.99, 255), 0x4013dbc138aced39},
+		// Lag-1 autocorrelation −1 ends the sum at once: ESS n.
+		{"alternating", alt, 0x4059000000000000},
+		{"trend", trend, 0x400a65e64441feb8},
+	} {
+		if got := EffectiveSampleSize(c.xs); math.Float64bits(got) != c.bits {
+			t.Errorf("%s (n=%d): ESS %v (%#016x), want %v (%#016x)",
+				c.name, len(c.xs), got, math.Float64bits(got), math.Float64frombits(c.bits), c.bits)
+		}
+	}
+}
+
+// TestOnlineESSMatchesOffline feeds a trace draw by draw, querying the
+// accumulator as the stop rule does, and requires its ESS to equal the
+// offline ESS of each prefix bit for bit, including across batch
+// merges.
+func TestOnlineESSMatchesOffline(t *testing.T) {
+	xs := ar1(17, 0.95, 5000)
+	d := NewOnlineDiag()
+	for i, x := range xs {
+		d.Add(x)
+		if (i+1)%64 == 0 {
+			_, _ = d.ESS(), d.RHat()
+		}
+		switch n := i + 1; n {
+		case 9, 10, 255, 256, 257, 511, 512, 1000, 4097, len(xs):
+			on, off := d.ESS(), EffectiveSampleSize(xs[:n])
+			if math.Float64bits(on) != math.Float64bits(off) {
+				t.Errorf("n=%d: online ESS %v, offline %v", n, on, off)
+			}
+		}
+	}
+}
+
+// TestESSAR1 checks the estimator against AR(1) chains of known
+// integrated autocorrelation time τ = (1+ρ)/(1−ρ): at n = 10^5 the
+// median over 8 seeds is within 10% of n/τ.
+func TestESSAR1(t *testing.T) {
+	const n, seeds = 100000, 8
+	for _, rho := range []float64{0.5, 0.9, 0.99} {
+		t.Run(fmt.Sprint(rho), func(t *testing.T) {
+			want := n * (1 - rho) / (1 + rho)
+			ratios := make([]float64, seeds)
+			for s := range ratios {
+				ratios[s] = EffectiveSampleSize(ar1(lcg(100+s), rho, n)) / want
+			}
+			slices.Sort(ratios)
+			med := (ratios[seeds/2-1] + ratios[seeds/2]) / 2
+			t.Logf("ESS/true: median %.3f, range %.3f–%.3f", med, ratios[0], ratios[seeds-1])
+			if math.Abs(med-1) > 0.1 {
+				t.Errorf("median ESS is %.3f of the true %.0f", med, want)
+			}
+		})
 	}
 }

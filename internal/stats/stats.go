@@ -1,9 +1,13 @@
 // Package stats provides the summary statistics and text plotting used by
 // the benchmark harness to reproduce the paper's evaluation: means and
 // standard deviations for Table 1, the Pearson correlation the paper uses
-// as its accuracy criterion (r = 0.905, §6.1), autocorrelation-based
-// effective sample sizes for chain diagnostics, and ASCII renderings of
-// the figures.
+// as its accuracy criterion (r = 0.905, §6.1), ASCII renderings of the
+// figures, and the chain diagnostics of §2.3. Those rest on one
+// effective-sample-size estimator, OnlineDiag: Geyer's initial positive
+// sequence over doubling batch means, scaled to the whole stream. The
+// sampler's auto-stop rule feeds it draw by draw; EffectiveSampleSize,
+// Geweke and DetectBurnin feed it whole traces, and read the same
+// number for the same draws.
 package stats
 
 import (
@@ -62,26 +66,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Autocorrelation returns the lag-k sample autocorrelation of the series.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag < 0 || lag >= n || n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		den += (xs[i] - m) * (xs[i] - m)
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
-}
-
 // Constant reports whether xs is one value repeated: a non-empty trace
 // of zero range. Such a trace carries no information about mixing, and
 // its rounded mean need not equal its values, so deviations from the
@@ -97,30 +81,15 @@ func Constant(xs []float64) bool {
 }
 
 // EffectiveSampleSize estimates the number of independent draws in an
-// autocorrelated chain trace using the initial-positive-sequence
-// truncation of the integrated autocorrelation time. A constant trace
-// of two or more draws has ESS 0.
+// autocorrelated chain trace: the ESS of an OnlineDiag fed the trace,
+// so an offline report and the online stop rule read one number. A
+// constant trace of two or more draws has ESS 0.
 func EffectiveSampleSize(xs []float64) float64 {
-	n := len(xs)
-	if n >= 2 && Constant(xs) {
-		return 0
+	d := NewOnlineDiag()
+	for _, x := range xs {
+		d.Add(x)
 	}
-	if n < 10 {
-		return float64(n)
-	}
-	tau := 1.0
-	for lag := 1; lag < n/2; lag++ {
-		rho := Autocorrelation(xs, lag)
-		if math.IsNaN(rho) || rho <= 0 {
-			break
-		}
-		tau += 2 * rho
-	}
-	ess := float64(n) / tau
-	if ess > float64(n) {
-		return float64(n)
-	}
-	return ess
+	return d.ESS()
 }
 
 // Point is one (x, y) observation of a plotted series.

@@ -57,20 +57,6 @@ func TestPearsonDegenerate(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Alternating series: lag-1 autocorrelation approaches -1.
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i % 2)
-	}
-	if rho := Autocorrelation(xs, 1); rho > -0.99 {
-		t.Errorf("lag-1 autocorrelation = %v, want ~-1", rho)
-	}
-	if rho := Autocorrelation(xs, 0); math.Abs(rho-1) > 1e-12 {
-		t.Errorf("lag-0 autocorrelation = %v, want 1", rho)
-	}
-}
-
 func TestEffectiveSampleSizeIID(t *testing.T) {
 	// A deterministic low-autocorrelation sequence: ESS near n.
 	xs := make([]float64, 2000)

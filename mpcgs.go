@@ -184,10 +184,12 @@ type EMIteration struct {
 
 // Diagnostics summarizes chain health for the final EM iteration.
 type Diagnostics struct {
-	// ESS is the effective sample size of the log-likelihood trace.
+	// ESS is the effective sample size of the post-burn-in trace of the
+	// sufficient statistic S (the stream an ESS stop target reads).
 	ESS float64
-	// GewekeZ is the stationarity z-score; |z| below ~2 is consistent
-	// with a converged chain.
+	// GewekeZ is the stationarity z-score of the post-burn-in
+	// log-likelihood trace; |z| below ~2 is consistent with a converged
+	// chain.
 	GewekeZ float64
 	// SuggestedBurnin is the data-driven burn-in the trace itself
 	// suggests.

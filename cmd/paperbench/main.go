@@ -400,8 +400,17 @@ func runAutostop(w io.Writer, c experiments.Common) error {
 			p.HardShareFixed, p.HardShareTarget, p.Speedup)
 	}
 	fmt.Fprintln(w, "every job but the last declares an ESS target; \"hard\" columns are the")
-	fmt.Fprintln(w, "no-target job's busy time as a fraction of batch wall time — its rise in")
-	fmt.Fprintln(w, "the target-driven batch is the freed workers being reallocated to it.")
+	fmt.Fprintln(w, "no-target job's busy time as a fraction of batch wall time.")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%d jobs: %d of %d targeted jobs converged; ", p.Jobs, p.Converged, p.Targeted)
+		if p.HardShareTarget > p.HardShareFixed {
+			fmt.Fprintf(w, "the hard job's share rose %.2f -> %.2f: freed workers were reallocated to it\n",
+				p.HardShareFixed, p.HardShareTarget)
+		} else {
+			fmt.Fprintf(w, "the hard job's share did not rise (%.2f -> %.2f): no reallocation shown\n",
+				p.HardShareFixed, p.HardShareTarget)
+		}
+	}
 	fmt.Fprintln(w)
 	return nil
 }

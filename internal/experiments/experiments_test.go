@@ -249,3 +249,19 @@ func TestTemperingComparisonShape(t *testing.T) {
 		}
 	}
 }
+
+// TestAutostopConverges: at quick scale at least half of each batch's
+// targeted jobs must retire on their ESS target, or the experiment
+// compares two fixed-length batches. The stop rule reads draws only, so
+// which jobs converge does not depend on timing.
+func TestAutostopConverges(t *testing.T) {
+	pts, err := AutostopThroughput(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.Targeted != p.Jobs-1 || 2*p.Converged < p.Targeted {
+			t.Errorf("%d jobs: %d of %d targeted jobs converged, want at least half", p.Jobs, p.Converged, p.Targeted)
+		}
+	}
+}

@@ -148,20 +148,24 @@ func newEvaluator(model subst.Model, aln *phylip.Alignment, dev *device.Device, 
 		ds.kernel = ds.runBlock
 		return ds
 	}
-	e.wavePool.New = func() any {
-		// Sized at Get time so a SetBlockSize before the first evaluation
-		// is honored; a working row and a target row (four state lanes
-		// plus the scale lane each) per concurrent wave cell.
-		st := laneStride(e.blockSize)
-		return &waveScratch{
-			cond:   alignedLanes(nStates * st),
-			scale:  alignedLanes(st),
-			tcond:  alignedLanes(nStates * st),
-			tscale: alignedLanes(st),
-		}
-	}
+	e.wavePool.New = func() any { return e.newWaveScratch() }
 	e.compressPatterns()
 	return e, nil
+}
+
+// newWaveScratch sizes one concurrent wave cell's working memory (see
+// waveScratch): a working row and a target row, four state lanes plus
+// the scale lane each, and a block of root terms. The pool calls it at
+// Get time, so a SetBlockSize before the first evaluation is honored.
+func (e *Evaluator) newWaveScratch() *waveScratch {
+	st := laneStride(e.blockSize)
+	return &waveScratch{
+		cond:   alignedLanes(nStates * st),
+		scale:  alignedLanes(st),
+		tcond:  alignedLanes(nStates * st),
+		tscale: alignedLanes(st),
+		terms:  make([]float64, e.blockSize),
+	}
 }
 
 // compressPatterns deduplicates alignment columns into weighted site

@@ -20,7 +20,10 @@ package felsen
 // data likelihood kernel does (§5.2.2): the vector kernels write each
 // pattern's term, taking the log by the instruction sequence math.Log
 // runs on amd64, and one Go loop then adds the terms in pattern order
-// (see evalRoot). Elsewhere the scalar loops run alone.
+// (see evalRoot). At the AVX-512 tier a wave cell fuses its node, walk
+// and root kernels into one call per block, falling back to the kernels
+// here for a group that may need rescaling (see cellSum in wave.go).
+// Elsewhere the scalar loops run alone.
 //
 // # Lane layout
 //
@@ -110,7 +113,9 @@ func evalNode(l, r, o rowView, m0, m1 *subst.Matrix, n int) {
 		nodeScalar(l, r, o, m0, m1, i, i+4)
 		i += 4
 	}
-	nodeScalar(l, r, o, m0, m1, i, n)
+	if i < n {
+		nodeScalar(l, r, o, m0, m1, i, n)
+	}
 }
 
 // nodeScalar is evalNode's loop over patterns [lo, hi). The per-pattern
@@ -200,7 +205,9 @@ func evalWalk(s, c rowView, m *subst.Matrix, n int) {
 		walkScalar(s, c, m, i, i+4)
 		i += 4
 	}
-	walkScalar(s, c, m, i, n)
+	if i < n {
+		walkScalar(s, c, m, i, n)
+	}
 }
 
 // walkScalar is evalWalk's loop over patterns [lo, hi). Each iteration
@@ -269,7 +276,9 @@ func evalLift(v, o rowView, m *subst.Matrix, n int) {
 	if kernelTier != tierScalar {
 		i = liftVec(v, o, m, n)
 	}
-	liftScalar(v, o, m, i, n)
+	if i < n {
+		liftScalar(v, o, m, i, n)
+	}
 }
 
 // liftScalar is evalLift's loop over patterns [lo, hi).
@@ -355,7 +364,9 @@ func rootTerms(v rowView, pc []float64, f *[4]float64, lo, hi int, t []float64) 
 		rootTermScalar(v, pc, f, i, i+w, t[i-lo:])
 		i += w
 	}
-	rootTermScalar(v, pc, f, i, hi, t[i-lo:])
+	if i < hi {
+		rootTermScalar(v, pc, f, i, hi, t[i-lo:])
+	}
 }
 
 // rootTermScalar is rootTerms' loop over patterns [lo, hi), writing

@@ -1,6 +1,10 @@
 package felsen
 
-import "mpcgs/internal/subst"
+import (
+	"unsafe"
+
+	"mpcgs/internal/subst"
+)
 
 // detectTier reports the widest kernel tier this CPU and OS run. AVX2
 // needs the CPU to report AVX and AVX2 and the OS to save the YMM
@@ -73,6 +77,56 @@ func rootTermsAVX2(s *float64, stride int, ss *float64, pc *float64, f *[4]float
 
 //go:noescape
 func rootTermsAVX512(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
+
+// cellKernelAVX512 evaluates `groups` whole 8-pattern groups of one
+// wave cell from pattern lo on, each in ZMM registers from the leaves to
+// the root: the target row from its children (tl, tr; matrices tm0,
+// tm1), the parent row from it and the parent's clean child (cv; pmPhi,
+// pmClean), one walk step per root-path level (lv[0:depth], level 0
+// over am), then the root contraction with frequencies f and pattern
+// counts pc. It writes each pattern's term to t, group by group, and
+// nothing else. Every row pointer is lane 0 at pattern 0 with lane
+// stride `stride`. It stops before the first group in which some lane
+// of some node has no state at or above rescaleThreshold (every group
+// the node kernels would rescale, and one with no positive state) or
+// some lane's root likelihood is not a normal finite float64, leaving
+// that group's terms unwritten, and returns the number of patterns it
+// finished.
+//
+//go:noescape
+func cellKernelAVX512(tl, tls, tr, trs, cv, cvs *float64, stride int, tm0, tm1, pmPhi, pmClean, am *subst.Matrix,
+	lv *cellLevel, depth int, pc *float64, f *[4]float64, t *float64, lo, groups int) (done int)
+
+// The fused kernel reads cellLevel's fields at offsets 0, 8 and 16; a
+// layout change fails to compile here.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(cellLevel{}.scale)-8]
+	_ = [1]struct{}{}[unsafe.Offsetof(cellLevel{}.m)-16]
+)
+
+// cellVec runs cellSum's fused kernel over the whole 8-pattern groups of
+// patterns [i, n) at the AVX512 tier, writing pattern i+k's term to
+// t[k], and returns how many patterns it finished; at other tiers it
+// finishes none. The round's levels cover every pattern by construction
+// (bindLevels); the candidate's rows, the counts and t are checked here.
+func (w *Wave) cellVec(pr *waveProp, i, n int, t []float64) int {
+	if kernelTier != tierAVX512 || n-i < 8 {
+		return 0
+	}
+	e := w.e
+	tl, tr, cv := e.rowAt(pr.tlc, pr.tls, 0), e.rowAt(pr.trc, pr.trs, 0), e.rowAt(pr.cvc, pr.cvs, 0)
+	tl.span(i, n, true)
+	tr.span(i, n, true)
+	cv.span(i, n, true)
+	_ = e.patCount[n-1]
+	_ = t[n-i-1]
+	var lv *cellLevel
+	if len(w.levels) > 0 {
+		lv = &w.levels[0]
+	}
+	return cellKernelAVX512(&tl.cond[0], &tl.scale[0], &tr.cond[0], &tr.scale[0], &cv.cond[0], &cv.scale[0], e.stride,
+		&pr.tm0, &pr.tm1, &pr.pmPhi, &pr.pmClean, &pr.am, lv, len(w.levels), &e.patCount[0], &e.freqs, &t[0], i, (n-i)/8)
+}
 
 // span bounds-checks the lanes the assembly reads or writes for patterns
 // [i, n) of v, n > i: the first pattern of state lane 0, the last of

@@ -11,6 +11,13 @@
 // group at the next tier down (an 8-pattern group as two AVX2 groups, a
 // 4-pattern group through the scalar loop). The root kernels only write
 // terms; Go adds them, and hands a group they leave to the scalar loop.
+// At AVX-512 one more kernel, cellKernelAVX512, fuses a wave cell: each
+// 8-pattern group's target, parent, root-path walk and root term run in
+// registers, with the node, walk and root kernels' operations, and only
+// the terms are stored. It leaves unwritten the first group in which any
+// node may need rescaling (one compare per node, of a maximum taken as a
+// tree) or whose root likelihood the root kernels would bail on, and Go
+// runs that group through the staged kernels above.
 //
 // Rows are passed as (lane 0 pointer, lane stride in float64s, scale
 // lane pointer); state lane x starts x strides after lane 0. The AVX2
@@ -92,6 +99,173 @@ GLOBL rescaleThr<>(SB), RODATA|NOPTR, $32
 	VMOVMSKPD tmp, AX; \
 	TESTL AX, AX; \
 	JNZ bail
+
+// The fused cell kernel's steps, on ZMM registers (cellKernelAVX512,
+// in the AVX-512 section below, and rootTermsAVX512's log). They are
+// defined here, before the first TEXT, because some name the cell
+// kernel's arguments and go vet reads every line after a TEXT as part of
+// that function. They use DOTB from below. NODE8 sets o_x = (ml[x]·u) *
+// (mr[x]·v) for x = 0..3, nodeKernelAVX512's node step before its
+// running maximum, with the two dots in a and b. WALK8 sets o_x =
+// (m[x]·s) * outer_x, walkKernelAVX512's step, with outer's state lanes
+// at (p) and stride R8; it clobbers p. Both clobber Z15.
+//
+// CHECK8 clears, in the mask k, each lane of the row w0..w3 whose
+// maximum state, taken as a tree of VMAXPDs, is not at least 1e-150
+// (broadcast in Z23), clobbering t0 and t1. That is one compare per node
+// where the node kernels take a running maximum and test (0, 1e-150),
+// and it clears every lane they would rescale: such a lane has no state
+// at or above 1e-150, and its tree maximum is then below it or NaN. A
+// lane it keeps has a state at or above 1e-150, so the node kernels
+// leave it unscaled. It also clears a lane with no positive state, which
+// the node kernels would pass; the staged path then runs that group.
+#define NODE8(ml, mr, u0, u1, u2, u3, v0, v1, v2, v3, a, b, o0, o1, o2, o3) \
+	DOTB(ml, 0, u0, u1, u2, u3, a); \
+	DOTB(mr, 0, v0, v1, v2, v3, b); \
+	VMULPD b, a, o0; \
+	DOTB(ml, 32, u0, u1, u2, u3, a); \
+	DOTB(mr, 32, v0, v1, v2, v3, b); \
+	VMULPD b, a, o1; \
+	DOTB(ml, 64, u0, u1, u2, u3, a); \
+	DOTB(mr, 64, v0, v1, v2, v3, b); \
+	VMULPD b, a, o2; \
+	DOTB(ml, 96, u0, u1, u2, u3, a); \
+	DOTB(mr, 96, v0, v1, v2, v3, b); \
+	VMULPD b, a, o3
+
+#define WALK8(m, p, s0, s1, s2, s3, o0, o1, o2, o3) \
+	DOTB(m, 0, s0, s1, s2, s3, o0); \
+	VMULPD (p), o0, o0; \
+	DOTB(m, 32, s0, s1, s2, s3, o1); \
+	VMULPD (p)(R8*1), o1, o1; \
+	DOTB(m, 64, s0, s1, s2, s3, o2); \
+	VMULPD (p)(R8*2), o2, o2; \
+	LEAQ (p)(R8*2), p; \
+	DOTB(m, 96, s0, s1, s2, s3, o3); \
+	VMULPD (p)(R8*1), o3, o3
+
+#define CHECK8(w0, w1, w2, w3, t0, t1, k) \
+	VMAXPD w1, w0, t0; \
+	VMAXPD w3, w2, t1; \
+	VMAXPD t1, t0, t0; \
+	VCMPPD $0x1d, Z23, t0, k, k
+
+// SITEL8 sets x = f0*s0 + f1*s1 + f2*s2 + f3*s3 left to right, the
+// frequencies in Z26..Z29, and jumps to bail unless every lane is set in
+// the mask k and lies in [2^-1022, MaxFloat64] (two ordered compares, as
+// rootTermsAVX2). Clobbers tmp, K1, K2 and AX.
+#define SITEL8(s0, s1, s2, s3, x, tmp, k, bail) \
+	VMULPD s0, Z26, x; \
+	VMULPD s1, Z27, tmp; \
+	VADDPD tmp, x, x; \
+	VMULPD s2, Z28, tmp; \
+	VADDPD tmp, x, x; \
+	VMULPD s3, Z29, tmp; \
+	VADDPD tmp, x, x; \
+	VCMPPD.BCST $0x1d, minNormal<>(SB), x, k, K1; \
+	VCMPPD.BCST $0x12, maxFloat<>(SB), x, K1, K2; \
+	KMOVW K2, AX; \
+	CMPL AX, $0xff; \
+	JNE bail
+
+// LOG8 sets k = log(x) lane-wise by archLog's sequence, rootTermsAVX2's
+// (whose comments name the steps) in AVX512F alone, with √2/2 in Z30
+// and 1 in Z31. Clobbers f, s, s2, s4, p, h and K3.
+#define LOG8(x, k, f, s, s2, s4, p, h) \
+	VPANDQ.BCST fracMask<>(SB), x, f; \
+	VPORQ.BCST half<>(SB), f, f; \
+	VPSRLQ $52, x, k; \
+	VPORQ.BCST twoP52<>(SB), k, k; \
+	VSUBPD.BCST expBias<>(SB), k, k; \
+	VCMPPD $5, f, Z30, K3; \
+	VMOVAPD.Z Z31, K3, s; \
+	VSUBPD s, k, k; \
+	VADDPD Z31, s, s; \
+	VMULPD s, f, f; \
+	VSUBPD Z31, f, f; \
+	VADDPD.BCST two<>(SB), f, s; \
+	VDIVPD s, f, s; \
+	VMULPD s, s, s2; \
+	VMULPD s2, s2, s4; \
+	VMULPD.BCST logL7<>(SB), s4, p; \
+	VADDPD.BCST logL5<>(SB), p, p; \
+	VMULPD s4, p, p; \
+	VADDPD.BCST logL3<>(SB), p, p; \
+	VMULPD s4, p, p; \
+	VADDPD.BCST logL1<>(SB), p, p; \
+	VMULPD p, s2, s2; \
+	VMULPD.BCST logL6<>(SB), s4, p; \
+	VADDPD.BCST logL4<>(SB), p, p; \
+	VMULPD s4, p, p; \
+	VADDPD.BCST logL2<>(SB), p, p; \
+	VMULPD p, s4, s4; \
+	VADDPD s4, s2, s2; \
+	VMULPD.BCST half<>(SB), f, h; \
+	VMULPD f, h, h; \
+	VADDPD h, s2, s2; \
+	VMULPD s2, s, s; \
+	VMULPD.BCST ln2Lo<>(SB), k, s2; \
+	VADDPD s2, s, s; \
+	VSUBPD s, h, h; \
+	VSUBPD f, h, h; \
+	VMULPD.BCST ln2Hi<>(SB), k, k; \
+	VSUBPD h, k, k
+
+// CELLTARGET, CELLPARENT and CELLWALK are one 8-pattern group's node
+// steps, the group's rows d bytes after R9 in every row: the target row
+// into t0..t3 (with the scale into sc), the parent row from it into
+// o0..o3 (adding the clean child's scale to sc), and one walk level,
+// level pointer R10, over the matrix at AX, from s0..s3 into o0..o3
+// (adding the level's clean scale to sc). The target step sets every
+// lane of the group's mask k, and each step clears in it the lanes its
+// node may need to rescale (CHECK8); the group's SITEL8 reads it. The
+// target step clobbers Z0..Z9, the parent step Z4..Z9, and all three
+// Z14 and Z19.
+#define CELLTARGET(d, t0, t1, t2, t3, sc, k) \
+	KXNORW k, k, k; \
+	MOVQ tl+0(FP), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z0, Z1, Z2, Z3); \
+	MOVQ tr+16(FP), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z4, Z5, Z6, Z7); \
+	MOVQ tm0+56(FP), AX; \
+	MOVQ tm1+64(FP), SI; \
+	NODE8(AX, SI, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, t0, t1, t2, t3); \
+	CHECK8(t0, t1, t2, t3, Z14, Z19, k); \
+	MOVQ tls+8(FP), BX; \
+	VMOVUPD d(BX)(R9*1), sc; \
+	MOVQ trs+24(FP), BX; \
+	VADDPD d(BX)(R9*1), sc, sc
+
+#define CELLPARENT(d, t0, t1, t2, t3, o0, o1, o2, o3, sc, k) \
+	MOVQ cv+32(FP), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z4, Z5, Z6, Z7); \
+	MOVQ pmPhi+72(FP), AX; \
+	MOVQ pmClean+80(FP), SI; \
+	NODE8(AX, SI, t0, t1, t2, t3, Z4, Z5, Z6, Z7, Z8, Z9, o0, o1, o2, o3); \
+	CHECK8(o0, o1, o2, o3, Z14, Z19, k); \
+	MOVQ cvs+40(FP), BX; \
+	VADDPD d(BX)(R9*1), sc, sc
+
+#define CELLWALK(d, s0, s1, s2, s3, o0, o1, o2, o3, sc, k) \
+	MOVQ 0(R10), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	WALK8(AX, BX, s0, s1, s2, s3, o0, o1, o2, o3); \
+	CHECK8(o0, o1, o2, o3, Z14, Z19, k); \
+	MOVQ 8(R10), BX; \
+	VADDPD d(BX)(R9*1), sc, sc
+
+// CELLTERM writes the group's term, pc*(log(x) + sc), d bytes after DI,
+// from its root likelihood x (SITEL8). Clobbers x, k, f, s, s2, s4, p,
+// h and BX.
+#define CELLTERM(d, x, sc, k, f, s, s2, s4, p, h) \
+	LOG8(x, k, f, s, s2, s4, p, h); \
+	VADDPD sc, k, k; \
+	MOVQ pc+112(FP), BX; \
+	VMULPD d(BX)(R9*1), k, k; \
+	VMOVUPD k, d(DI)
 
 // func nodeKernelAVX2(l *float64, lstride int, ls *float64, r *float64, rstride int, rs *float64, o *float64, ostride int, os *float64, m0, m1 *subst.Matrix, groups int) (done int)
 TEXT ·nodeKernelAVX2(SB), 0, $1024-104
@@ -560,20 +734,21 @@ rootDone:
 
 // func rootTermsAVX512(s *float64, stride int, ss *float64, pc *float64, f *[4]float64, t *float64, groups int) (done int)
 //
-// rootTermsAVX2 on eight lanes, in AVX512F alone: the constants by
-// embedded broadcast (.BCST), the bit operations as VPANDQ/VPORQ (VANDPD
-// and VORPD on ZMM need AVX512DQ), the range test and archLog's NLT
-// compare into opmask registers, and its 0-or-1 mask as a zero-masked
-// move of 1 (VMOVAPD.Z). The frequencies stay in Z12..Z15, √2/2 in Z16
-// and 1 in Z17.
+// rootTermsAVX2 on eight lanes, in AVX512F alone: siteL and the range
+// test by SITEL8 and the log by LOG8, which take the constants by
+// embedded broadcast (.BCST), do the bit operations as VPANDQ/VPORQ
+// (VANDPD and VORPD on ZMM need AVX512DQ), compare into opmask registers
+// and make archLog's 0-or-1 mask a zero-masked move of 1 (VMOVAPD.Z).
+// The frequencies stay in Z26..Z29, √2/2 in Z30 and 1 in Z31.
 TEXT ·rootTermsAVX512(SB), NOSPLIT, $0-64
 	MOVQ         f+32(FP), AX
-	VBROADCASTSD 0(AX), Z12
-	VBROADCASTSD 8(AX), Z13
-	VBROADCASTSD 16(AX), Z14
-	VBROADCASTSD 24(AX), Z15
-	VBROADCASTSD hSqrt2<>(SB), Z16
-	VBROADCASTSD one<>(SB), Z17
+	VBROADCASTSD 0(AX), Z26
+	VBROADCASTSD 8(AX), Z27
+	VBROADCASTSD 16(AX), Z28
+	VBROADCASTSD 24(AX), Z29
+	VBROADCASTSD hSqrt2<>(SB), Z30
+	VBROADCASTSD one<>(SB), Z31
+	KXNORW       K4, K4, K4
 	MOVQ         s+0(FP), SI
 	MOVQ         stride+8(FP), R8
 	SHLQ         $3, R8
@@ -586,67 +761,9 @@ TEXT ·rootTermsAVX512(SB), NOSPLIT, $0-64
 root8Loop:
 	CMPQ CX, DX
 	JGE  root8Done
-	// siteL, left to right
-	VMULPD (SI), Z12, Z0
-	VMULPD (SI)(R8*1), Z13, Z1
-	VADDPD Z1, Z0, Z0
-	VMULPD (SI)(R8*2), Z14, Z1
-	VADDPD Z1, Z0, Z0
-	LEAQ   (SI)(R8*2), BX
-	VMULPD (BX)(R8*1), Z15, Z1
-	VADDPD Z1, Z0, Z0
-	// bail unless 2^-1022 <= siteL <= MaxFloat64 in every lane
-	VCMPPD.BCST $0x1d, minNormal<>(SB), Z0, K1     // GE_OQ
-	VCMPPD.BCST $0x12, maxFloat<>(SB), Z0, K1, K2  // LE_OQ, within K1
-	KMOVW       K2, AX
-	CMPL        AX, $0xff
-	JNE         root8Done
-
-	// f1, ki := math.Frexp(x); k := float64(ki), as in rootTermsAVX2
-	VPANDQ.BCST fracMask<>(SB), Z0, Z1
-	VPORQ.BCST  half<>(SB), Z1, Z1 // Z1 = f1
-	VPSRLQ      $52, Z0, Z2
-	VPORQ.BCST  twoP52<>(SB), Z2, Z2
-	VSUBPD.BCST expBias<>(SB), Z2, Z2 // Z2 = k
-	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }
-	VCMPPD    $5, Z1, Z16, K3
-	VMOVAPD.Z Z17, K3, Z3 // 0 or 1
-	VSUBPD    Z3, Z2, Z2
-	VADDPD    Z17, Z3, Z3 // 1 or 2
-	VMULPD    Z3, Z1, Z1
-	// f := f1 - 1; s := f / (2 + f); s2 := s * s; s4 := s2 * s2
-	VSUBPD      Z17, Z1, Z1 // Z1 = f
-	VADDPD.BCST two<>(SB), Z1, Z3
-	VDIVPD      Z3, Z1, Z3 // Z3 = s
-	VMULPD      Z3, Z3, Z4 // Z4 = s2
-	VMULPD      Z4, Z4, Z5 // Z5 = s4
-	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
-	VMULPD.BCST logL7<>(SB), Z5, Z6
-	VADDPD.BCST logL5<>(SB), Z6, Z6
-	VMULPD      Z5, Z6, Z6
-	VADDPD.BCST logL3<>(SB), Z6, Z6
-	VMULPD      Z5, Z6, Z6
-	VADDPD.BCST logL1<>(SB), Z6, Z6
-	VMULPD      Z6, Z4, Z4 // Z4 = t1
-	// t2 := s4 * (L2 + s4*(L4+s4*L6))
-	VMULPD.BCST logL6<>(SB), Z5, Z6
-	VADDPD.BCST logL4<>(SB), Z6, Z6
-	VMULPD      Z5, Z6, Z6
-	VADDPD.BCST logL2<>(SB), Z6, Z6
-	VMULPD      Z6, Z5, Z5 // Z5 = t2
-	// R := t1 + t2; hfsq := 0.5 * f * f
-	VADDPD      Z5, Z4, Z4 // Z4 = R
-	VMULPD.BCST half<>(SB), Z1, Z7
-	VMULPD      Z1, Z7, Z7 // Z7 = hfsq
-	// k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
-	VADDPD      Z7, Z4, Z4
-	VMULPD      Z4, Z3, Z3
-	VMULPD.BCST ln2Lo<>(SB), Z2, Z4
-	VADDPD      Z4, Z3, Z3
-	VSUBPD      Z3, Z7, Z7
-	VSUBPD      Z1, Z7, Z7
-	VMULPD.BCST ln2Hi<>(SB), Z2, Z2
-	VSUBPD      Z7, Z2, Z2 // Z2 = log(siteL)
+	LOAD4(SI, R8, Z8, Z9, Z10, Z11)
+	SITEL8(Z8, Z9, Z10, Z11, Z0, Z1, K4, root8Done)
+	LOG8(Z0, Z2, Z1, Z3, Z4, Z5, Z6, Z7) // Z2 = log(siteL)
 	// term = pc * (log + ss)
 	VADDPD  (R9), Z2, Z2
 	VMULPD  (R10), Z2, Z2
@@ -662,6 +779,134 @@ root8Done:
 	VZEROUPPER
 	SHLQ $3, CX
 	MOVQ CX, done+56(FP)
+	RET
+
+// func cellKernelAVX512(tl, tls, tr, trs, cv, cvs *float64, stride int, tm0, tm1, pmPhi, pmClean, am *subst.Matrix, lv *cellLevel, depth int, pc *float64, f *[4]float64, t *float64, lo, groups int) (done int)
+//
+// One wave cell, 8-pattern group by group, with the group's row in
+// registers from the leaves to the root: nodeKernelAVX512's target and
+// parent steps, walkKernelAVX512's step per root-path level and
+// rootTermsAVX512's term, each lane for lane in the same operation
+// order, so every term has the staged kernels' bits. A group is dropped
+// when any of its nodes may need rescaling (CHECK8, whose lanes collect
+// in the group's mask, K4 for A and K5 for B) or a root likelihood lies
+// outside [2^-1022, MaxFloat64], both tested once, at the root; nothing
+// of it is written. The rescale threshold stays in Z23.
+//
+// Groups run in pairs, A then B at each step, so that the two groups'
+// dependency chains overlap; a pair with a dropped group, and an odd
+// last group, run one group at a time, which stops at the dropped group.
+// R9 is the byte offset of group A's first pattern in every row (all
+// rows are passed at pattern 0), DI its slot in t, CX its index. Group
+// A's scale lane is in Z20 and B's in Z21, and from the parent step on
+// their rows are in Z0..Z3 and Z10..Z13 (see the walk); the frequencies
+// stay in Z26..Z29, √2/2 in Z30 and 1 in Z31.
+TEXT ·cellKernelAVX512(SB), NOSPLIT, $0-160
+	MOVQ         f+120(FP), AX
+	VBROADCASTSD 0(AX), Z26
+	VBROADCASTSD 8(AX), Z27
+	VBROADCASTSD 16(AX), Z28
+	VBROADCASTSD 24(AX), Z29
+	VBROADCASTSD hSqrt2<>(SB), Z30
+	VBROADCASTSD one<>(SB), Z31
+	VBROADCASTSD rescaleThr<>(SB), Z23
+	MOVQ         stride+48(FP), R8
+	SHLQ         $3, R8
+	MOVQ         lo+136(FP), R9
+	SHLQ         $3, R9
+	MOVQ         t+128(FP), DI
+	MOVQ         groups+144(FP), DX
+	XORQ         CX, CX
+
+cellPair:
+	LEAQ 2(CX), AX
+	CMPQ AX, DX
+	JGT  cellOne
+	CELLTARGET(0, Z10, Z11, Z12, Z13, Z20, K4)
+	CELLTARGET(64, Z16, Z17, Z18, Z22, Z21, K5)
+	CELLPARENT(0, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z20, K4)
+	CELLPARENT(64, Z16, Z17, Z18, Z22, Z10, Z11, Z12, Z13, Z21, K5)
+
+	// One walk step per root-path level: level 0 over am, level k over
+	// lv[k].m. R10 walks the levels, R11 counts them down. The rows
+	// alternate between registers, two levels per iteration: A between
+	// Z0..Z3 and Z4..Z7, B between Z10..Z13 and Z16, Z17, Z18, Z22.
+	MOVQ  am+88(FP), AX
+	MOVQ  lv+96(FP), R10
+	MOVQ  depth+104(FP), R11
+	TESTQ R11, R11
+	JLE   cellPairRoot
+
+cellPairWalk:
+	CELLWALK(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z20, K4)
+	CELLWALK(64, Z10, Z11, Z12, Z13, Z16, Z17, Z18, Z22, Z21, K5)
+	DECQ R11
+	JLE  cellPairOdd
+	ADDQ $24, R10
+	MOVQ 16(R10), AX
+	CELLWALK(0, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, K4)
+	CELLWALK(64, Z16, Z17, Z18, Z22, Z10, Z11, Z12, Z13, Z21, K5)
+	DECQ R11
+	JLE  cellPairRoot
+	ADDQ $24, R10
+	MOVQ 16(R10), AX
+	JMP  cellPairWalk
+
+cellPairOdd:
+	VMOVAPD Z4, Z0
+	VMOVAPD Z5, Z1
+	VMOVAPD Z6, Z2
+	VMOVAPD Z7, Z3
+	VMOVAPD Z16, Z10
+	VMOVAPD Z17, Z11
+	VMOVAPD Z18, Z12
+	VMOVAPD Z22, Z13
+
+cellPairRoot:
+	SITEL8(Z0, Z1, Z2, Z3, Z8, Z9, K4, cellOne)
+	SITEL8(Z10, Z11, Z12, Z13, Z4, Z9, K5, cellOne)
+	CELLTERM(0, Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z5, Z6)
+	CELLTERM(64, Z4, Z21, Z10, Z11, Z12, Z13, Z7, Z14, Z16)
+	ADDQ $128, R9
+	ADDQ $128, DI
+	ADDQ $2, CX
+	JMP  cellPair
+
+cellOne:
+	CMPQ CX, DX
+	JGE  cellDone
+	CELLTARGET(0, Z10, Z11, Z12, Z13, Z20, K4)
+	CELLPARENT(0, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z20, K4)
+	MOVQ  am+88(FP), AX
+	MOVQ  lv+96(FP), R10
+	MOVQ  depth+104(FP), R11
+	TESTQ R11, R11
+	JLE   cellOneRoot
+
+cellOneWalk:
+	CELLWALK(0, Z0, Z1, Z2, Z3, Z10, Z11, Z12, Z13, Z20, K4)
+	VMOVAPD Z10, Z0
+	VMOVAPD Z11, Z1
+	VMOVAPD Z12, Z2
+	VMOVAPD Z13, Z3
+	DECQ    R11
+	JLE     cellOneRoot
+	ADDQ    $24, R10
+	MOVQ    16(R10), AX
+	JMP     cellOneWalk
+
+cellOneRoot:
+	SITEL8(Z0, Z1, Z2, Z3, Z8, Z9, K4, cellDone)
+	CELLTERM(0, Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z11, Z12)
+	ADDQ $64, R9
+	ADDQ $64, DI
+	INCQ CX
+	JMP  cellOne
+
+cellDone:
+	VZEROUPPER
+	SHLQ $3, CX
+	MOVQ CX, done+152(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

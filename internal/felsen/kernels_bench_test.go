@@ -16,10 +16,13 @@ import (
 // lanes are all ones so repeated in-place steps stay clear of
 // rescaling, and the root contraction runs over F81 stationary
 // frequencies with unit pattern counts. ns/pattern is the time per
-// pattern of one node.
+// pattern of one node. The cell case is one whole wave cell over one
+// block of n patterns (cellSum: the neighbourhood, a depth-3 walk and
+// the root contraction, fused at the avx512 tier), on cellFixture's
+// rows; its ns/pattern covers all five nodes and the root.
 func BenchmarkKernels(b *testing.B) {
 	ms := kernelMatrices(b)
-	for _, kernel := range []string{"node", "walk", "lift", "neighbourhood", "root"} {
+	for _, kernel := range []string{"node", "walk", "lift", "neighbourhood", "root", "cell"} {
 		for _, n := range []int{DefaultBlockSize, 3000} {
 			for _, tr := range allTiers {
 				b.Run(fmt.Sprintf("%s/%s/n=%d", kernel, tr, n), func(b *testing.B) {
@@ -48,6 +51,10 @@ func BenchmarkKernels(b *testing.B) {
 						run = func() { evalNeighbourhood(pr, l.view, r.view, c.view, tgt.view, o.view, n) }
 					case "root":
 						run = func() { evalRoot(l.view, counts, freqs, n) }
+					case "cell":
+						w, pr := cellFixture(g, ms, n, n, 3)
+						ws := w.e.newWaveScratch()
+						run = func() { w.cellSum(pr, 0, ws) }
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -652,3 +652,195 @@ func TestAVX2LogMatchesMathLog(t *testing.T) {
 		}
 	})
 }
+
+// cellFixture builds one wave cell's inputs without a tree: an
+// evaluator over nPat patterns with block size bs at the production
+// lane layout, and a wave bound to a root path of depth levels whose
+// outer lanes, clean scale lanes and chain matrices are generated, like
+// the candidate's three clean rows and five matrices. Counts are 1 to 5
+// and the frequencies F81's of kernelMatrices.
+func cellFixture(g *kernelGen, ms []subst.Matrix, nPat, bs, depth int) (*Wave, *waveProp) {
+	st := laneStride(nPat)
+	e := &Evaluator{nPatterns: nPat, stride: st, blockSize: bs, freqs: [4]float64{0.1, 0.2, 0.3, 0.4}}
+	for range nPat {
+		e.patCount = append(e.patCount, float64(1+g.src.Uint32()%5))
+	}
+	w := &Wave{e: e, path: make([]int, depth), chainMats: make([]subst.Matrix, depth)}
+	w.outer = g.laneRow(depth * nStates * st).cond[:depth*nStates*st]
+	for k := range depth {
+		w.chainMats[k] = ms[(k+1)%len(ms)]
+		w.cleanScale = append(w.cleanScale, g.laneRow(nPat).scale)
+	}
+	w.bindLevels()
+	pr := &waveProp{tm0: ms[1], tm1: ms[2], pmPhi: ms[3], pmClean: ms[0], am: ms[2]}
+	rows := [3]kernelRow{g.laneRow(nPat), g.laneRow(nPat), g.laneRow(nPat)}
+	pr.tlc, pr.tls = rows[0].cond, rows[0].scale
+	pr.trc, pr.trs = rows[1].cond, rows[1].scale
+	pr.cvc, pr.cvs = rows[2].cond, rows[2].scale
+	return w, pr
+}
+
+// cellBails reports whether pattern p of the cell must leave the fused
+// kernel: some node of it has no state at or above rescaleThreshold, by
+// the kernel's tree of maxima, or its root likelihood lies outside
+// [2^-1022, MaxFloat64]. It evaluates the rule on the values the kernel
+// sees, which are never rescaled before that point.
+func cellBails(w *Wave, pr *waveProp, p int) bool {
+	e := w.e
+	row := func(cond []float64) (u [nStates]float64) {
+		for x := range u {
+			u[x] = cond[x*e.stride+p]
+		}
+		return u
+	}
+	dot := func(m *subst.Matrix, x int, u [nStates]float64) float64 {
+		return m[x][0]*u[0] + m[x][1]*u[1] + m[x][2]*u[2] + m[x][3]*u[3]
+	}
+	// maxpd is VMAXPD's lane rule: the second operand unless the first
+	// is greater, so a NaN in either yields the second.
+	maxpd := func(a, b float64) float64 {
+		if a > b {
+			return a
+		}
+		return b
+	}
+	rescales := func(v [nStates]float64) bool {
+		return !(maxpd(maxpd(v[0], v[1]), maxpd(v[2], v[3])) >= rescaleThreshold)
+	}
+	var s [nStates]float64
+	l, r := row(pr.tlc), row(pr.trc)
+	for x := range s {
+		s[x] = dot(&pr.tm0, x, l) * dot(&pr.tm1, x, r)
+	}
+	if rescales(s) {
+		return true
+	}
+	t, c := s, row(pr.cvc)
+	for x := range s {
+		s[x] = dot(&pr.pmPhi, x, t) * dot(&pr.pmClean, x, c)
+	}
+	if rescales(s) {
+		return true
+	}
+	for k := range w.path {
+		m := &pr.am
+		if k > 0 {
+			m = &w.chainMats[k]
+		}
+		u, o := s, row(e.rowLanes(w.outer, nStates, k))
+		for x := range s {
+			s[x] = dot(m, x, u) * o[x]
+		}
+		if rescales(s) {
+			return true
+		}
+	}
+	f := e.freqs
+	return !rootInRange(f[0]*s[0] + f[1]*s[1] + f[2]*s[2] + f[3]*s[3])
+}
+
+// TestAVX2CellKernelBits compares cellSum at each vector tier, where
+// the avx512 tier runs the fused cell kernel, with cellSum at the scalar
+// tier, which runs the staged path alone: every pattern's root term and
+// the block sum, bit for bit, and at avx512 the pattern where the fused
+// kernel stops (cellBails). A block of n = 24..31 patterns (n%8 = 0..7)
+// from an 8-aligned and an unaligned lo sits behind a first block, at
+// root-path depths 0 (the root case), 1, 2 and 5 (the kernel walks two
+// levels per iteration). Each case plants one lane at one stage in the
+// first, middle or last 8-pattern group: all four states of the stage's
+// input row (the target's left child, the parent's clean child or a
+// level's outer row), or state 0 of the last stage's input row (the
+// root stage), set to 0, 5e-324, +Inf or NaN, or scaled by 1e-160 to a
+// rescale-size value. A rescale-size plant is scaled back by 1e160 at
+// the next node, so a stage whose rescale test is missing is not
+// rescued by the next one.
+func TestAVX2CellKernelBits(t *testing.T) {
+	forEachVectorTier(t, func(t *testing.T, vec tier) {
+		ms := kernelMatrices(t)
+		g := &kernelGen{src: rng.NewMT19937(19)}
+		const tiny = -1 // the rescale-size plant
+		plants := []float64{tiny, 0, 5e-324, math.Inf(1), math.NaN()}
+		for _, bs := range []int{128, 27} {
+			for _, depth := range []int{0, 1, 2, 5} {
+				for r := range 8 {
+					n := 24 + r
+					// Stage 0 is the target, 1 the parent, 2+k walk level k
+					// and 2+depth the root; stage -1 plants nothing.
+					for stage := -1; stage <= 2+depth; stage++ {
+						for grp := range 3 {
+							for _, v := range plants {
+								if stage < 0 && (grp > 0 || v != tiny) {
+									continue // the case without a plant runs once
+								}
+								name := fmt.Sprintf("bs=%d/depth=%d/n=%d/stage=%d/group=%d/plant=%v", bs, depth, n, stage, grp, v)
+								w, pr := cellFixture(g, ms, bs+n, bs, depth)
+								p := bs + 8*grp + (3*grp+stage+8)%8
+								// input returns node stage k's input row, k ≤ 1+depth.
+								input := func(k int) []float64 {
+									switch k {
+									case 0:
+										return pr.tlc
+									case 1:
+										return pr.cvc
+									}
+									return w.e.rowLanes(w.outer, nStates, k-2)
+								}
+								plant := func(k, states int, scale, v float64) {
+									for x := range states {
+										if v == tiny {
+											input(k)[x*w.e.stride+p] *= scale
+										} else {
+											input(k)[x*w.e.stride+p] = v
+										}
+									}
+								}
+								switch {
+								case stage == 2+depth:
+									plant(1+depth, 1, 1e-160, v)
+								case stage >= 0:
+									plant(stage, nStates, 1e-160, v)
+									if v == tiny && stage < 1+depth {
+										plant(stage+1, nStates, 1e160, v)
+									}
+								}
+								checkCell(t, vec, name, w, pr)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkCell runs every block of one cell fixture at vector tier vec and
+// at the scalar tier and compares their terms and sums, and at the
+// avx512 tier where the fused kernel stops in each block.
+func checkCell(t *testing.T, vec tier, name string, w *Wave, pr *waveProp) {
+	t.Helper()
+	e := w.e
+	want, got := e.newWaveScratch(), e.newWaveScratch()
+	for b := 0; b*e.blockSize < e.nPatterns; b++ {
+		lo := b * e.blockSize
+		hi := min(lo+e.blockSize, e.nPatterns)
+		kernelTier = tierScalar
+		wantSum := w.cellSum(pr, b, want)
+		kernelTier = vec
+		gotSum := w.cellSum(pr, b, got)
+		sameBits(t, fmt.Sprintf("%s block %d terms", name, b), want.terms[:hi-lo], got.terms[:hi-lo])
+		sameBits(t, fmt.Sprintf("%s block %d sum", name, b), []float64{wantSum}, []float64{gotSum})
+		stop := lo
+		if vec == tierAVX512 {
+			stop = hi - (hi-lo)%8
+			for p := lo; p < hi-(hi-lo)%8; p++ {
+				if cellBails(w, pr, p) {
+					stop = p - (p-lo)%8
+					break
+				}
+			}
+		}
+		if done := w.cellVec(pr, lo, hi, make([]float64, hi-lo)); lo+done != stop {
+			t.Fatalf("%s block %d: fused kernel stopped at pattern %d, want %d", name, b, lo+done, stop)
+		}
+	}
+}

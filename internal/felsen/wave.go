@@ -29,6 +29,14 @@ package felsen
 // per root-path node to one, and from two fresh transition matrices per
 // dirty node to five per proposal plus a shared set.
 //
+// At the avx512 tier a cell is one fused kernel call over its block's
+// whole 8-pattern groups, each group's rows kept in registers from the
+// target to the root term. A group that may need rescaling (a node with
+// no state at or above rescaleThreshold) or whose root likelihood is
+// not a normal finite value, and the n%8 tail, take the
+// staged fallback: one kernel call per node, then the terms (cellStaged,
+// the whole cell at the other tiers). Both write the same terms.
+//
 // Those cells run in one of two dispatches, chosen per round by InKernel
 // with the delta evaluator's own block-split test on one candidate's
 // (2 + path depth) rows. A candidate too small to split is evaluated by
@@ -101,17 +109,31 @@ type waveProp struct {
 }
 
 // waveScratch is the per-cell working memory of the wave kernel: the
-// working row — one node's conditional lanes for one pattern block,
-// overwritten in place as the cell walks parent → root path — and the
-// target row, stored between the target and parent passes. prop holds
-// EvalOne's candidate setup, so concurrent EvalOne calls share nothing
-// writable.
+// staged path's working row — one node's conditional lanes for one
+// pattern block, overwritten in place as the cell walks parent → root
+// path — and target row, stored between the target and parent passes,
+// and the block's root-contraction terms, which both paths write. prop
+// holds EvalOne's candidate setup, so concurrent EvalOne calls share
+// nothing writable.
 type waveScratch struct {
 	cond   []float64 // nStates lanes of laneStride(blockSize) entries each
 	scale  []float64 // laneStride(blockSize)
 	tcond  []float64 // the target row, laid out like cond
 	tscale []float64
+	terms  []float64 // blockSize
 	prop   waveProp
+}
+
+// cellLevel is one root-path level of the bound round as the fused cell
+// kernel reads it (kernels_amd64.s, which depends on this field order):
+// state lane 0 of the level's outer row and its clean child's scale
+// lane, both at pattern 0, and the chain matrix entering the level. The
+// level-0 matrix, ancestor→parent, is the candidate's (waveProp.am), so
+// level 0 leaves m nil. Every lane covers all nPatterns patterns.
+type cellLevel struct {
+	outer *float64
+	scale *float64
+	m     *subst.Matrix
 }
 
 // Wave evaluates GMH proposal sets against one DeltaCache with a
@@ -146,7 +168,11 @@ type Wave struct {
 	outer      []float64
 	cleanCond  [][]float64
 	cleanScale [][]float64
-	bound      bool
+	// levels describes the path to the fused cell kernel, built from
+	// outer, cleanScale and chainMats (bindLevels); read-only between
+	// binds, like every other round field.
+	levels []cellLevel
+	bound  bool
 
 	// Eval state: the live candidates and the (block, proposal) partial
 	// sums, sums[b*len(props)+li], reduced per proposal in block order.
@@ -262,7 +288,22 @@ func (w *Wave) BindRound(phi int) {
 			}
 		}
 	}
+	w.bindLevels()
 	w.bound = true
+}
+
+// bindLevels describes the bound path to the fused cell kernel: one
+// cellLevel per path node, pointing into outer, cleanScale and
+// chainMats.
+func (w *Wave) bindLevels() {
+	w.levels = w.levels[:0]
+	for k := range w.path {
+		lv := cellLevel{outer: &w.e.rowLanes(w.outer, nStates, k)[0], scale: &w.cleanScale[k][0]}
+		if k > 0 {
+			lv.m = &w.chainMats[k]
+		}
+		w.levels = append(w.levels, lv)
+	}
 }
 
 // runLiftBlock fills one pattern block of every path node's outer lanes:
@@ -420,33 +461,59 @@ func (w *Wave) runCell(cell int) {
 	w.e.wavePool.Put(ws)
 }
 
-// cellSum evaluates candidate pr over pattern block b in ws's working
-// rows: the fused target-and-parent pass, the root-path walk against the
-// shared outer lanes, and the block's root-contraction partial, which it
-// returns. The per-node arithmetic and operation order replicate runBlock
-// exactly (see the bit-identity note in the package comment).
+// cellSum evaluates candidate pr over pattern block b and returns the
+// block's root-contraction partial. The fused cell kernel (cellVec)
+// takes whole 8-pattern groups from the leaves to the root in registers
+// and stops before a group in which any node may need rescaling or the
+// root likelihood is not a normal finite value. cellStaged evaluates that
+// group, after which the fused kernel resumes, and the n%8 tail, or the
+// whole block at a tier without the fused kernel. Both write each
+// pattern's term to ws.terms, and one loop adds the terms in pattern
+// order from +0: evalRoot's sum, bit for bit.
 //
 //mpcgs:hotpath
 func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 	e := w.e
 	lo := b * e.blockSize
 	hi := min(lo+e.blockSize, e.nPatterns)
+	t := ws.terms[:hi-lo]
+	for i := lo; i < hi; {
+		i += w.cellVec(pr, i, hi, t[i-lo:])
+		j := hi
+		if kernelTier == tierAVX512 && hi-i >= 8 {
+			j = i + 8 // the group the fused kernel stopped before
+		}
+		if i < j {
+			w.cellStaged(pr, i, j, ws, t[i-lo:j-lo])
+		}
+		i = j
+	}
+	sum := 0.0
+	for _, x := range t {
+		sum += x
+	}
+	return sum
+}
+
+// cellStaged writes candidate pr's root-contraction terms of patterns
+// [lo, hi) to t, one node pass at a time in ws's working rows: the
+// neighbourhood's target and parent rows, the root-path walk against the
+// shared outer lanes, then the terms. The per-node arithmetic and
+// operation order replicate runBlock exactly (see the bit-identity note
+// in the package comment).
+//
+//mpcgs:hotpath
+func (w *Wave) cellStaged(pr *waveProp, lo, hi int, ws *waveScratch, t []float64) {
+	e := w.e
 	n := hi - lo
-	// The working row: the current node's lanes for this block,
+	// The working row: the current node's lanes for this range,
 	// overwritten in place as the walk climbs.
 	st := laneStride(e.blockSize)
 	sv := rowView{ws.cond, ws.scale, st}
-
-	// Neighbourhood: the target row (both children clean), then the
-	// parent row from the target and the parent's clean child, into the
-	// working row.
 	tl := e.rowAt(pr.tlc, pr.tls, lo)
 	tr := e.rowAt(pr.trc, pr.trs, lo)
 	cv := e.rowAt(pr.cvc, pr.cvs, lo)
 	evalNeighbourhood(pr, tl, tr, cv, rowView{ws.tcond, ws.tscale, st}, sv, n)
-
-	// Root path: one dirty-side dot per node against the shared outer
-	// lane, then the same max/rescale/scale sequence as runBlock.
 	for k := range w.path {
 		m := &pr.am
 		if k > 0 {
@@ -454,10 +521,9 @@ func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
 		}
 		evalWalk(sv, e.rowAt(e.rowLanes(w.outer, nStates, k), w.cleanScale[k], lo), m, n)
 	}
-
-	// Root contraction with the prior frequencies — the working row now
-	// holds the root (the parent itself in the root case).
-	return evalRoot(sv, e.patCount[lo:hi], &e.freqs, n)
+	// The working row now holds the root (the parent itself in the root
+	// case).
+	rootTerms(sv, e.patCount[lo:hi], &e.freqs, 0, n, t)
 }
 
 // evalNeighbourhood evaluates the resimulated neighbourhood's two nodes

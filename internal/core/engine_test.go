@@ -230,34 +230,47 @@ func TestHeatedDeltaCachePerRungAfterSwaps(t *testing.T) {
 
 // BenchmarkHeatedStep measures the per-step cost of one MC³ ladder pass,
 // delta-evaluated vs the serial reference path — the per-step advantage
-// the engine port buys every long-chain workload.
+// the engine port buys every long-chain workload — on 12×200 data with 4
+// rungs and 4 workers. The heated-mc3 case is the bench workload of that
+// name's shape: 12×1000 data, 4 adaptive rungs at θ = 0.5 and 2 workers,
+// delta-evaluated, so its per-step cost is the chain's StageDelta/Commit
+// path.
 func BenchmarkHeatedStep(b *testing.B) {
-	aln, _, err := seqgen.SimulateData(12, 200, 1.0, 20160401)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := subst.NewF81(aln.BaseFreqs(), true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name  string
-		build evaluatorBuilder
-	}{{"delta", felsen.New}, {"serial", felsen.NewReference}} {
-		b.Run(mode.name, func(b *testing.B) {
-			dev := device.New(4)
-			defer dev.Close()
-			eval, err := mode.build(model, aln, dev)
+	for _, bc := range []struct {
+		name    string
+		build   evaluatorBuilder
+		seqLen  int
+		workers int
+		adapt   bool
+		theta   float64
+	}{
+		{"delta", felsen.New, 200, 4, false, 1.0},
+		{"serial", felsen.NewReference, 200, 4, false, 1.0},
+		{"heated-mc3", felsen.New, 1000, 2, true, 0.5},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			aln, _, err := seqgen.SimulateData(12, bc.seqLen, 1.0, 20160401)
 			if err != nil {
 				b.Fatal(err)
 			}
-			init, err := InitialTree(aln, 1.0, 7)
+			model, err := subst.NewF81(aln.BaseFreqs(), true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dev := device.New(bc.workers)
+			defer dev.Close()
+			eval, err := bc.build(model, aln, dev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			init, err := InitialTree(aln, bc.theta, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
 			h := NewHeated(eval, dev, 4)
+			h.Adapt = bc.adapt
 			b.ResetTimer()
-			if _, err := Run(h, init, ChainConfig{Theta: 1.0, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
+			if _, err := Run(h, init, ChainConfig{Theta: bc.theta, Burnin: 0, Samples: b.N, Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -78,14 +78,16 @@ const fairQuantum = chunkDivisor
 
 // spinBudget is how long an idle pool worker polls for the next submit,
 // and how long a launcher polls for its grid's last chunk, before either
-// blocks on the runtime. Parking costs a futex wake-up of about one felsen
-// StageDelta (≈ 11 µs on a 2-vCPU x86 host) per launch, so an MC³ sweep
-// of four rung launches ran mostly on its launcher alone. Measured on that
-// host with the bench workloads (seed 1, a 1 ms budget, 200k idle gaps
-// each), the share of worker idle gaps ended by a submit within 64 / 128
-// µs was 99.6 / 99.7% on heated-mc3, 99.4 / 99.8% on gmh-longseq and
-// 97.6 / 99.6% on gmh-manysamples, whose M-step and resimulation gaps sit
-// at 16–64 µs. 100 µs bridges all but about 0.5% of gaps; heated-mc3
+// blocks on the runtime. Parking costs a futex wake-up per launch, and a
+// rung's work per launch is one felsen StageDelta, ≈ 6 µs at
+// BenchmarkHeatedStep/heated-mc3's shape (12×1000 data, 2 workers; the
+// median of 6 runs of 40 000 edits on a 2-vCPU x86 host), so an MC³
+// sweep of four rung launches ran mostly on its launcher alone. Measured
+// on that host with the bench workloads (seed 1, a 1 ms budget, 200k
+// idle gaps each), the share of worker idle gaps ended by a submit
+// within 64 / 128 µs was 99.6 / 99.7% on heated-mc3, 99.4 / 99.8% on
+// gmh-longseq and 97.6 / 99.6% on gmh-manysamples, whose M-step and
+// resimulation gaps sit at 16–64 µs. 100 µs bridges all but about 0.5% of gaps; heated-mc3
 // throughput read the same at 25, 50, 100 and 200 µs within run noise.
 const spinBudget = 100 * time.Microsecond
 

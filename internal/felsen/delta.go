@@ -10,7 +10,12 @@ package felsen
 // plays that role. A delta evaluation recomputes only the nodes whose
 // subtree differs from the cached base — the changed neighbourhood and its
 // ancestors up to the root — and reads every other conditional from the
-// cache.
+// cache. A proposal edit's dirty set is a chain: its lowest node reads two
+// clean children and every node above reads the one below plus a clean
+// child. At the AVX-512 tier a chain runs as one fused kernel per pattern
+// block (see runBlock), each 8-pattern group's rows climbing to the root
+// in registers, stored as they are computed so a staged evaluation still
+// commits them by copying.
 //
 // Two further device-side compressions apply, mirroring the paper's use of
 // constant memory for the immutable sequence data (§4.4):
@@ -44,16 +49,21 @@ package felsen
 // The pattern axis is partitioned into fixed-width blocks (BlockSize
 // patterns each). Patterns are mutually independent, so one evaluation's
 // blocks can run concurrently: each block sweeps all dirty nodes
-// bottom-up for its pattern range and finishes with its own root
-// contraction partial sum, and evalDelta adds the per-block partials in
-// block order. Block boundaries are a pure function of
-// (nPatterns, BlockSize) — never of worker count or schedule — and the
-// reduction order is fixed, so results are bit-for-bit reproducible
-// across runs, across serial and parallel devices, and across
-// kill/resume. Large evaluations spread their blocks over the device
-// pool with affinity (device.LaunchAffine), the two-level
-// proposals × blocks parallelism; small ones run inline, where blocked
-// and unblocked summation coincide whenever nPatterns <= BlockSize.
+// bottom-up for its pattern range — a chain as one fused kernel call
+// over the block's 8-pattern groups, anything else, and a group that
+// may need rescaling, node by node — writes each pattern's root
+// contraction term, and adds its terms in pattern order from +0 into
+// its partial sum; evalDelta adds the per-block partials in block
+// order. Every node's rows and every term have the same bits on either
+// path, so the sums never depend on which path ran. Block boundaries
+// are a pure function of (nPatterns, BlockSize) — never of worker count
+// or schedule — and the reduction order is fixed, so results are
+// bit-for-bit reproducible across runs, across serial and parallel
+// devices, and across kill/resume. Large evaluations spread their
+// blocks over the device pool with affinity (device.LaunchAffine), the
+// two-level proposals × blocks parallelism; small ones run inline, where
+// blocked and unblocked summation coincide whenever nPatterns <=
+// BlockSize.
 //
 // Within every recomputed node the arithmetic is identical to the full
 // serial evaluation; only the summation over sites is reassociated (by
@@ -129,8 +139,10 @@ type deltaScratch struct {
 	scale []float64
 	// sums collects the per-block root-contraction partials, combined in
 	// block order — the fixed-order reduction that keeps blocked results
-	// deterministic.
-	sums []float64
+	// deterministic. terms holds every pattern's root-contraction term,
+	// each block writing its own pattern range before summing it.
+	sums  []float64
+	terms []float64
 	// rows holds the evaluation's resolved lane sources, indexed like
 	// order: each dirty node's child rows (tip table, staged scratch or
 	// cache), output row and child matrices, bound once by bindRows so the
@@ -140,6 +152,11 @@ type deltaScratch struct {
 	rows      []rowRef
 	rootCond  []float64
 	rootScale []float64
+	// chain reports that the dirty rows form a chain: the lowest reads
+	// two clean children and every row above reads the row below, bound
+	// as its left child, plus one clean child. The fused chain kernel
+	// runs only then (see runBlock).
+	chain bool
 
 	// Per-evaluation kernel bindings, set by evalDelta before the blocks
 	// run and cleared after.
@@ -154,7 +171,9 @@ type deltaScratch struct {
 // lane slices (sliced to the block's pattern range inside the kernel)
 // and the two child transition matrices. Resolving these once per
 // evaluation removes the only data-dependent branches — tip table vs
-// scratch vs cache — from the block kernel's node loop.
+// scratch vs cache — from the block kernel's node loop. The fused chain
+// kernel reads ds.rows as they are (kernels_amd64.s, which depends on
+// this field order; kernels_amd64.go guards the offsets).
 type rowRef struct {
 	lc, ls []float64 // left child's state lanes and scale lane
 	rc, rs []float64 // right child's state lanes and scale lane
@@ -428,6 +447,11 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 	} else {
 		ds.sums = ds.sums[:nBlocks]
 	}
+	if cap(ds.terms) < e.nPatterns {
+		ds.terms = make([]float64, e.nPatterns) //mpcgsvet:ignore-alloc cap-guarded pooled-scratch growth, amortized across proposals
+	} else {
+		ds.terms = ds.terms[:e.nPatterns]
+	}
 	ds.e, ds.c, ds.t, ds.writeBack = e, c, t, writeBack
 	ds.bindRows(t)
 	if e.launchWorth(nBlocks, len(ds.order)+1) {
@@ -459,6 +483,15 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 // This is the branchless tip-cell selection: the block kernel indexes
 // rows[k] instead of re-deciding tip table vs scratch vs cache for
 // every node in every block.
+//
+// It also detects a chain (ds.chain): every row above the lowest reads
+// the row just below plus one clean child. A row whose right child is
+// the row below has its children and matrices swapped, so the dirty
+// child is always on the left, where the fused chain kernel keeps it in
+// registers. The swap changes no bit: the node step's two dot products
+// multiply, and its two scale lanes add, commutatively. Every proposal
+// edit's dirty set is a chain (the edited nodes and their ancestors); a
+// Rebase, or an edit of two separate subtrees, is not.
 func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 	nTips := t.NTips()
 	if cap(ds.rows) < len(ds.order) {
@@ -466,9 +499,14 @@ func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 	} else {
 		ds.rows = ds.rows[:len(ds.order)]
 	}
+	ds.chain = true
 	for k, node := range ds.order {
 		nd := &t.Nodes[node]
 		c0, c1 := nd.Child[0], nd.Child[1]
+		if k > 0 && c1 == ds.order[k-1] {
+			c0, c1 = c1, c0
+		}
+		ds.chain = ds.chain && (k == 0 || c0 == ds.order[k-1]) && !ds.dirty[c1]
 		rr := &ds.rows[k]
 		rr.lc, rr.ls = ds.row(nTips, c0)
 		rr.rc, rr.rs = ds.row(nTips, c1)
@@ -515,25 +553,58 @@ func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 // block's pattern range, bottom-up, then the block's root-contraction
 // partial sum into ds.sums[b]. Blocks touch disjoint pattern ranges of
 // the same rows, so any number of one evaluation's blocks may run
-// concurrently on the pool. The node loop is branchless on lane sources:
-// every row — tip table, staged scratch or cache — was resolved into
-// ds.rows by bindRows, so the kernel only slices and streams. Each node
-// is one evalNode pass (kernels.go): both children's dot products, the
-// running maximum, the rare rescale, and the scale lane, with the
-// per-pattern arithmetic and operation order of siteLogLikelihoodIter.
+// concurrently on the pool. When the dirty rows form a chain the fused
+// kernel (chainVec, AVX512 only) takes the block's 8-pattern groups and
+// its n%8 tail, each from the lowest row to the root term in registers,
+// storing every row; it stops before a group in which a row may need
+// rescaling or the root likelihood is not a normal finite value. The
+// per-node path (evalRange) evaluates that group, after which the fused
+// kernel resumes, or the whole block when the rows do not form a chain,
+// the block is shorter than a group, or at another tier. Both write each
+// pattern's term to ds.terms, and one loop adds the block's terms in
+// pattern order from +0, so the sum never depends on which path wrote a
+// term.
 //
 //mpcgs:hotpath
 func (ds *deltaScratch) runBlock(b int) {
 	e := ds.e
 	lo := b * e.blockSize
 	hi := min(lo+e.blockSize, e.nPatterns)
-	n := hi - lo
+	t := ds.terms[lo:hi]
+	for i := lo; i < hi; {
+		i += ds.chainVec(i, hi, t[i-lo:])
+		j := hi
+		if ds.chain && kernelTier == tierAVX512 && hi-i >= 8 {
+			j = i + 8 // the group the fused kernel stopped before
+		}
+		if i < j {
+			ds.evalRange(i, j, t[i-lo:j-lo])
+		}
+		i = j
+	}
+	sum := 0.0
+	for _, x := range t {
+		sum += x
+	}
+	ds.sums[b] = sum
+}
+
+// evalRange is the per-node path over patterns [lo, hi): every dirty
+// row in ds.rows order, one evalNode pass each (kernels.go: both
+// children's dot products, the running maximum, the rare rescale and the
+// scale lane, with siteLogLikelihoodIter's per-pattern arithmetic and
+// operation order), then the root's terms into t. The node loop is
+// branchless on lane sources: every row — tip table, staged scratch or
+// cache — was resolved into ds.rows by bindRows. The root is always
+// dirty here: diffDirty marks every changed node's full ancestor path.
+//
+//mpcgs:hotpath
+func (ds *deltaScratch) evalRange(lo, hi int, t []float64) {
+	e := ds.e
 	for k := range ds.rows {
 		rr := &ds.rows[k]
-		evalNode(e.rowAt(rr.lc, rr.ls, lo), e.rowAt(rr.rc, rr.rs, lo), e.rowAt(rr.oc, rr.os, lo), rr.m0, rr.m1, n)
+		evalNode(e.rowAt(rr.lc, rr.ls, lo), e.rowAt(rr.rc, rr.rs, lo), e.rowAt(rr.oc, rr.os, lo), rr.m0, rr.m1, hi-lo)
 	}
-	// Root contraction with the prior frequencies (Eq. 21). The root is
-	// always dirty here: diffDirty marks every changed node's full
-	// ancestor path.
-	ds.sums[b] = evalRoot(e.rowAt(ds.rootCond, ds.rootScale, lo), e.patCount[lo:hi], &e.freqs, n)
+	// Root contraction with the prior frequencies (Eq. 21).
+	rootTerms(e.rowAt(ds.rootCond, ds.rootScale, 0), e.patCount, &e.freqs, lo, hi, t)
 }

@@ -19,11 +19,12 @@ package felsen
 // rescales. The root contraction runs in two phases, as the paper's
 // data likelihood kernel does (§5.2.2): the vector kernels write each
 // pattern's term, taking the log by the instruction sequence math.Log
-// runs on amd64, and one Go loop then adds the terms in pattern order
-// (see evalRoot). At the AVX-512 tier a wave cell fuses its node, walk
-// and root kernels into one call per block, falling back to the kernels
-// here for a group that may need rescaling (see cellSum in wave.go).
-// Elsewhere the scalar loops run alone.
+// runs on amd64, and one Go loop then adds a block's terms in pattern
+// order from +0. At the AVX-512 tier a wave cell, and a delta
+// evaluation whose dirty rows form a chain, fuse their node, walk and
+// root kernels into one call per block, falling back to the kernels
+// here for a group that may need rescaling (see cellSum in wave.go and
+// runBlock in delta.go). Elsewhere the scalar loops run alone.
 //
 // # Lane layout
 //
@@ -305,35 +306,6 @@ func liftScalar(v, o rowView, m *subst.Matrix, lo, hi int) {
 		o2[i] = b20*x0 + b21*x1 + b22*x2 + b23*x3
 		o3[i] = b30*x0 + b31*x1 + b32*x2 + b33*x3
 	}
-}
-
-// rootChunk is the number of patterns whose root-contraction terms
-// evalRoot holds at a time, in a buffer on its stack.
-const rootChunk = 64
-
-// evalRoot returns the root contraction over patterns [0, n) of the root
-// row v: Σ pc[i]·(log(f·v(i)) + scale(i)), summed in pattern order, with
-// a pattern whose likelihood f·v(i) is not positive adding −Inf (Eq. 21).
-//
-// It runs in two phases per chunk of rootChunk patterns, the paper's
-// per-site logs followed by an additive reduction: rootTerms writes each
-// pattern's term, then one loop adds the terms to the sum in pattern
-// order from +0. That is the order the terms were always added in, so
-// the sum has the same bits as a loop adding each term as it goes.
-//
-//mpcgs:hotpath
-func evalRoot(v rowView, pc []float64, f *[4]float64, n int) float64 {
-	var buf [rootChunk]float64
-	sum := 0.0
-	for lo := 0; lo < n; lo += rootChunk {
-		hi := min(lo+rootChunk, n)
-		terms := buf[:hi-lo]
-		rootTerms(v, pc, f, lo, hi, terms)
-		for _, t := range terms {
-			sum += t
-		}
-	}
-	return sum
 }
 
 // rootTerms writes the root-contraction terms of patterns [lo, hi) to

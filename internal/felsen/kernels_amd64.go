@@ -104,6 +104,63 @@ var (
 	_ = [1]struct{}{}[unsafe.Offsetof(cellLevel{}.m)-16]
 )
 
+// chainKernelAVX512 evaluates `groups` whole 8-pattern groups of one
+// delta evaluation's chain of dirty rows (rows[0:nrows], see
+// deltaScratch.chain) from pattern lo on, each in ZMM registers from the
+// lowest row to the root: the lowest row from its two children, every
+// row above from the row below (its left child) and its clean right
+// child. It stores each row's state and scale lanes to the row's output
+// lanes and each pattern's root-contraction term, with frequencies f and
+// pattern counts pc, to t. Every row pointer is lane 0 at pattern 0 with
+// lane stride `stride`. It stops before the first group in which some
+// lane of some row has no state at or above rescaleThreshold or some
+// lane's root likelihood is not a normal finite float64, the cell
+// kernel's rule, leaving that group's term unwritten and its rows to be
+// rewritten, and returns the number of patterns it finished.
+//
+//go:noescape
+func chainKernelAVX512(rows *rowRef, nrows, stride int, pc *float64, f *[4]float64, t *float64, lo, groups int) (done int)
+
+// The chain kernel reads each rowRef slice's data pointer and both
+// matrix pointers at these offsets, and steps 160 bytes per row; a
+// layout change fails to compile here.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.lc)]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.ls)-24]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.rc)-48]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.rs)-72]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.oc)-96]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.os)-120]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.m0)-144]
+	_ = [1]struct{}{}[unsafe.Offsetof(rowRef{}.m1)-152]
+	_ = [1]struct{}{}[unsafe.Sizeof(rowRef{})-160]
+)
+
+// chainVec runs runBlock's fused kernel over patterns [i, n) at the
+// AVX512 tier when the evaluation's dirty rows form a chain, writing
+// pattern i+k's term to t[k], and returns how many patterns it finished;
+// otherwise it finishes none. It takes the whole 8-pattern groups from
+// i, then an n%8 tail as the group [n-8, n): that group's first patterns
+// are finished already, and the kernel rewrites their rows and terms
+// with the bits it wrote before, since every lane is computed alone from
+// clean rows. Every row bindRows resolves is a full node-major row
+// (rowLanes), so it covers every pattern; the counts and t are checked
+// here.
+func (ds *deltaScratch) chainVec(i, n int, t []float64) int {
+	if kernelTier != tierAVX512 || !ds.chain || n-i < 8 {
+		return 0
+	}
+	e := ds.e
+	_ = e.patCount[n-1]
+	_ = t[n-i-1]
+	done := chainKernelAVX512(&ds.rows[0], len(ds.rows), e.stride, &e.patCount[0], &e.freqs, &t[0], i, (n-i)/8)
+	if i+done == n-(n-i)%8 && i+done < n &&
+		chainKernelAVX512(&ds.rows[0], len(ds.rows), e.stride, &e.patCount[0], &e.freqs, &t[n-8-i], n-8, 1) == 8 {
+		done = n - i
+	}
+	return done
+}
+
 // cellVec runs cellSum's fused kernel over the whole 8-pattern groups of
 // patterns [i, n) at the AVX512 tier, writing pattern i+k's term to
 // t[k], and returns how many patterns it finished; at other tiers it

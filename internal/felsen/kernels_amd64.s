@@ -11,13 +11,17 @@
 // group at the next tier down (an 8-pattern group as two AVX2 groups, a
 // 4-pattern group through the scalar loop). The root kernels only write
 // terms; Go adds them, and hands a group they leave to the scalar loop.
-// At AVX-512 one more kernel, cellKernelAVX512, fuses a wave cell: each
-// 8-pattern group's target, parent, root-path walk and root term run in
-// registers, with the node, walk and root kernels' operations, and only
-// the terms are stored. It leaves unwritten the first group in which any
-// node may need rescaling (one compare per node, of a maximum taken as a
-// tree) or whose root likelihood the root kernels would bail on, and Go
-// runs that group through the staged kernels above.
+// At AVX-512 two more kernels fuse a whole evaluation of a pattern
+// range, each 8-pattern group in registers from the lowest node to the
+// root term, with the node, walk and root kernels' operations.
+// cellKernelAVX512 fuses a wave cell (target, parent, root-path walk)
+// and stores only the terms; chainKernelAVX512 fuses a delta
+// evaluation's chain of dirty rows and also stores every row as it is
+// computed, so a staged evaluation commits them by copying. Both stop
+// before the first group in which any node may need rescaling (one
+// compare per node, of a maximum taken as a tree) or whose root
+// likelihood the root kernels would bail on, leaving its term unwritten,
+// and Go runs that group through the staged kernels above.
 //
 // Rows are passed as (lane 0 pointer, lane stride in float64s, scale
 // lane pointer); state lane x starts x strides after lane 0. The AVX2
@@ -100,11 +104,11 @@ GLOBL rescaleThr<>(SB), RODATA|NOPTR, $32
 	TESTL AX, AX; \
 	JNZ bail
 
-// The fused cell kernel's steps, on ZMM registers (cellKernelAVX512,
-// in the AVX-512 section below, and rootTermsAVX512's log). They are
-// defined here, before the first TEXT, because some name the cell
-// kernel's arguments and go vet reads every line after a TEXT as part of
-// that function. They use DOTB from below. NODE8 sets o_x = (ml[x]·u) *
+// The fused kernels' steps, on ZMM registers (cellKernelAVX512 and
+// chainKernelAVX512, in the AVX-512 section below, and rootTermsAVX512's
+// log). They are defined here, before the first TEXT, because some name
+// the cell kernel's arguments and go vet reads every line after a TEXT
+// as part of that function. They use DOTB from below. NODE8 sets o_x = (ml[x]·u) *
 // (mr[x]·v) for x = 0..3, nodeKernelAVX512's node step before its
 // running maximum, with the two dots in a and b. WALK8 sets o_x =
 // (m[x]·s) * outer_x, walkKernelAVX512's step, with outer's state lanes
@@ -258,12 +262,13 @@ GLOBL rescaleThr<>(SB), RODATA|NOPTR, $32
 	VADDPD d(BX)(R9*1), sc, sc
 
 // CELLTERM writes the group's term, pc*(log(x) + sc), d bytes after DI,
-// from its root likelihood x (SITEL8). Clobbers x, k, f, s, s2, s4, p,
-// h and BX.
-#define CELLTERM(d, x, sc, k, f, s, s2, s4, p, h) \
+// from its root likelihood x (SITEL8), with the pattern counts' pointer
+// pc read from the kernel's argument pcarg. Clobbers x, k, f, s, s2, s4,
+// p, h and BX.
+#define CELLTERM(d, pcarg, x, sc, k, f, s, s2, s4, p, h) \
 	LOG8(x, k, f, s, s2, s4, p, h); \
 	VADDPD sc, k, k; \
-	MOVQ pc+112(FP), BX; \
+	MOVQ pcarg, BX; \
 	VMULPD d(BX)(R9*1), k, k; \
 	VMOVUPD k, d(DI)
 
@@ -865,8 +870,8 @@ cellPairOdd:
 cellPairRoot:
 	SITEL8(Z0, Z1, Z2, Z3, Z8, Z9, K4, cellOne)
 	SITEL8(Z10, Z11, Z12, Z13, Z4, Z9, K5, cellOne)
-	CELLTERM(0, Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z5, Z6)
-	CELLTERM(64, Z4, Z21, Z10, Z11, Z12, Z13, Z7, Z14, Z16)
+	CELLTERM(0, pc+112(FP), Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z5, Z6)
+	CELLTERM(64, pc+112(FP), Z4, Z21, Z10, Z11, Z12, Z13, Z7, Z14, Z16)
 	ADDQ $128, R9
 	ADDQ $128, DI
 	ADDQ $2, CX
@@ -897,7 +902,7 @@ cellOneWalk:
 
 cellOneRoot:
 	SITEL8(Z0, Z1, Z2, Z3, Z8, Z9, K4, cellDone)
-	CELLTERM(0, Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z11, Z12)
+	CELLTERM(0, pc+112(FP), Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z11, Z12)
 	ADDQ $64, R9
 	ADDQ $64, DI
 	INCQ CX
@@ -907,6 +912,188 @@ cellDone:
 	VZEROUPPER
 	SHLQ $3, CX
 	MOVQ CX, done+152(FP)
+	RET
+
+// CHAINLEAF, CHAINSTEP and CHAINSTORE are one 8-pattern group's steps
+// of a chain of dirty rows (chainKernelAVX512), with the group's first
+// pattern d+R9 bytes after pattern 0 of every row, the row's rowRef at
+// R10 (lc at 0, ls 24, rc 48, rs 72, oc 96, os 120, m0 144, m1 152; the
+// kernel reads each slice's data pointer) and its matrices at AX and
+// SI. CHAINLEAF is the chain's lowest row, from both children in
+// memory, into o0..o3 with its scale in sc; it sets every lane of the
+// group's mask k. CHAINSTEP is a row above it, from the row below in
+// u0..u3 (the left child) and the clean right child in memory, into
+// o0..o3, adding the clean child's scale to sc. Each clears in k the
+// lanes its node may need to rescale (CHECK8) and stores the row's four
+// state lanes and then its scale lane to the output row (CHAINSTORE).
+// Both clobber Z4..Z9, Z14, Z15, Z19 and BX, and CHAINLEAF Z0..Z3.
+#define CHAINSTORE(d, o0, o1, o2, o3, sc) \
+	MOVQ 96(R10), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	STORE4(BX, R8, o0, o1, o2, o3); \
+	MOVQ 120(R10), BX; \
+	VMOVUPD sc, d(BX)(R9*1)
+
+#define CHAINLEAF(d, o0, o1, o2, o3, sc, k) \
+	KXNORW k, k, k; \
+	MOVQ 0(R10), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z0, Z1, Z2, Z3); \
+	MOVQ 48(R10), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z4, Z5, Z6, Z7); \
+	NODE8(AX, SI, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, o0, o1, o2, o3); \
+	CHECK8(o0, o1, o2, o3, Z14, Z19, k); \
+	MOVQ 24(R10), BX; \
+	VMOVUPD d(BX)(R9*1), sc; \
+	MOVQ 72(R10), BX; \
+	VADDPD d(BX)(R9*1), sc, sc; \
+	CHAINSTORE(d, o0, o1, o2, o3, sc)
+
+#define CHAINSTEP(d, u0, u1, u2, u3, o0, o1, o2, o3, sc, k) \
+	MOVQ 48(R10), BX; \
+	LEAQ d(BX)(R9*1), BX; \
+	LOAD4(BX, R8, Z4, Z5, Z6, Z7); \
+	NODE8(AX, SI, u0, u1, u2, u3, Z4, Z5, Z6, Z7, Z8, Z9, o0, o1, o2, o3); \
+	CHECK8(o0, o1, o2, o3, Z14, Z19, k); \
+	MOVQ 72(R10), BX; \
+	VADDPD d(BX)(R9*1), sc, sc; \
+	CHAINSTORE(d, o0, o1, o2, o3, sc)
+
+// CHAINMATS loads row R10's matrix pointers into AX and SI.
+#define CHAINMATS \
+	MOVQ 144(R10), AX; \
+	MOVQ 152(R10), SI
+
+// ROOTCONSTS broadcasts the frequencies at R13 into Z26..Z29, √2/2 into
+// Z30 and 1 into Z31, for SITEL8 and LOG8.
+#define ROOTCONSTS \
+	VBROADCASTSD 0(R13), Z26; \
+	VBROADCASTSD 8(R13), Z27; \
+	VBROADCASTSD 16(R13), Z28; \
+	VBROADCASTSD 24(R13), Z29; \
+	VBROADCASTSD hSqrt2<>(SB), Z30; \
+	VBROADCASTSD one<>(SB), Z31
+
+// func chainKernelAVX512(rows *rowRef, nrows, stride int, pc *float64, f *[4]float64, t *float64, lo, groups int) (done int)
+//
+// One delta evaluation's chain of dirty rows (rows[0:nrows], bottom-up,
+// each row's dirty child on its left and the last row the root), 8-
+// pattern group by group from pattern lo: the lowest row from its two
+// children, every row above from the row below in registers and its
+// clean child, each row stored to its output row as it is computed, then
+// the root term into t. Each row is nodeKernelAVX512's step lane for
+// lane and the term rootTermsAVX512's, so rows and terms have the staged
+// kernels' bits. A group in which any row may need rescaling (CHECK8,
+// collected in the group's mask, K4 for A and K5 for B) or whose root
+// likelihood lies outside [2^-1022, MaxFloat64] (SITEL8) stops the
+// kernel before its term: its rows may be written, and the per-node path
+// rewrites them. Every row pointer is lane 0 at pattern 0 with lane
+// stride `stride`.
+//
+// Groups run in pairs, A then B at each row, so that the two groups'
+// dependency chains overlap; a pair with a stopping group, and an odd
+// last group, run one group at a time, which stops at that group. R9 is
+// the byte offset of group A's first pattern in every row, DI its slot
+// in t, CX its index. The row below is in Z10..Z13 and Z0..Z3 by turns
+// for A, in Z16, Z17, Z18, Z22 and Z24..Z27 for B; A's scale lane is in
+// Z20 and B's in Z21, and the rescale threshold stays in Z23. The root's
+// constants (ROOTCONSTS) are broadcast at each root, as the rows use
+// Z24..Z27.
+TEXT ·chainKernelAVX512(SB), NOSPLIT, $0-72
+	VBROADCASTSD rescaleThr<>(SB), Z23
+	MOVQ         stride+16(FP), R8
+	SHLQ         $3, R8
+	MOVQ         lo+48(FP), R9
+	SHLQ         $3, R9
+	MOVQ         f+32(FP), R13
+	MOVQ         t+40(FP), DI
+	MOVQ         groups+56(FP), DX
+	XORQ         CX, CX
+
+chainPair:
+	LEAQ 2(CX), AX
+	CMPQ AX, DX
+	JGT  chainOne
+	MOVQ rows+0(FP), R10
+	CHAINMATS
+	CHAINLEAF(0, Z10, Z11, Z12, Z13, Z20, K4)
+	CHAINLEAF(64, Z16, Z17, Z18, Z22, Z21, K5)
+	MOVQ nrows+8(FP), R11
+	DECQ R11
+	JLE  chainPairRoot
+
+	// Two rows per iteration.
+chainPairStep:
+	ADDQ $160, R10
+	CHAINMATS
+	CHAINSTEP(0, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z20, K4)
+	CHAINSTEP(64, Z16, Z17, Z18, Z22, Z24, Z25, Z26, Z27, Z21, K5)
+	DECQ R11
+	JLE  chainPairOdd
+	ADDQ $160, R10
+	CHAINMATS
+	CHAINSTEP(0, Z0, Z1, Z2, Z3, Z10, Z11, Z12, Z13, Z20, K4)
+	CHAINSTEP(64, Z24, Z25, Z26, Z27, Z16, Z17, Z18, Z22, Z21, K5)
+	DECQ R11
+	JG   chainPairStep
+	JMP  chainPairRoot
+
+chainPairOdd:
+	VMOVAPD Z0, Z10
+	VMOVAPD Z1, Z11
+	VMOVAPD Z2, Z12
+	VMOVAPD Z3, Z13
+	VMOVAPD Z24, Z16
+	VMOVAPD Z25, Z17
+	VMOVAPD Z26, Z18
+	VMOVAPD Z27, Z22
+
+chainPairRoot:
+	ROOTCONSTS
+	SITEL8(Z10, Z11, Z12, Z13, Z8, Z9, K4, chainOne)
+	SITEL8(Z16, Z17, Z18, Z22, Z4, Z9, K5, chainOne)
+	CELLTERM(0, pc+24(FP), Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z5, Z6)
+	CELLTERM(64, pc+24(FP), Z4, Z21, Z10, Z11, Z12, Z13, Z7, Z14, Z16)
+	ADDQ $128, R9
+	ADDQ $128, DI
+	ADDQ $2, CX
+	JMP  chainPair
+
+chainOne:
+	CMPQ CX, DX
+	JGE  chainDone
+	MOVQ rows+0(FP), R10
+	CHAINMATS
+	CHAINLEAF(0, Z10, Z11, Z12, Z13, Z20, K4)
+	MOVQ nrows+8(FP), R11
+	DECQ R11
+	JLE  chainOneRoot
+
+chainOneStep:
+	ADDQ $160, R10
+	CHAINMATS
+	CHAINSTEP(0, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z20, K4)
+	VMOVAPD Z0, Z10
+	VMOVAPD Z1, Z11
+	VMOVAPD Z2, Z12
+	VMOVAPD Z3, Z13
+	DECQ    R11
+	JG      chainOneStep
+
+chainOneRoot:
+	ROOTCONSTS
+	SITEL8(Z10, Z11, Z12, Z13, Z8, Z9, K4, chainDone)
+	CELLTERM(0, pc+24(FP), Z8, Z20, Z0, Z1, Z2, Z3, Z9, Z5, Z6)
+	ADDQ $64, R9
+	ADDQ $64, DI
+	INCQ CX
+	JMP  chainOne
+
+chainDone:
+	VZEROUPPER
+	SHLQ $3, CX
+	MOVQ CX, done+64(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -17,3 +17,5 @@ func liftVec(v, o rowView, m *subst.Matrix, n int) int { return 0 }
 func rootVec(v rowView, pc []float64, f *[4]float64, i, n int, t []float64) int { return 0 }
 
 func (w *Wave) cellVec(pr *waveProp, i, n int, t []float64) int { return 0 }
+
+func (ds *deltaScratch) chainVec(i, n int, t []float64) int { return 0 }

@@ -291,9 +291,9 @@ func TestKernelTier(t *testing.T) {
 // lower or the upper half of the first, middle or last 8-pattern group.
 // Node and walk must stop exactly at the 4-pattern group holding the
 // rescale lane. The root contraction gets a bail-out lane (0, a
-// subnormal, +Inf or NaN) at the same places and on either side of the
-// rootChunk edge; its terms, its sum and where its vector kernels stop
-// must match the scalar rule (checkRoot).
+// subnormal, +Inf or NaN) at the same places and at patterns 63 and 64;
+// its terms, its sum and where its vector kernels stop must match the
+// scalar rule (checkRoot).
 func TestAVX2EightGroupBoundary(t *testing.T) {
 	forEachVectorTier(t, func(t *testing.T, vec tier) {
 		ms := kernelMatrices(t)
@@ -344,7 +344,7 @@ func TestAVX2EightGroupBoundary(t *testing.T) {
 						evalLift(l.view, got.view, m1, n)
 						sameRows(t, name+" lift", want, got)
 					}
-					for _, p := range append(places, rootChunk-1, rootChunk) {
+					for _, p := range append(places, 63, 64) {
 						for _, edge := range []float64{0, 5e-324, math.Inf(1), math.NaN()} {
 							if p >= n || p < 0 && edge != 0 {
 								continue // the case without a bail-out lane runs once
@@ -457,7 +457,7 @@ var rootEdges = []float64{0, math.Copysign(0, -1), -0.75, 5e-324, math.Float64fr
 // lane likelihood is x.
 func rootInRange(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
 
-// TestAVX2RootKernelBits compares evalRoot with the vector kernels on
+// TestAVX2RootKernelBits compares rootSum with the vector kernels on
 // and off, bit for bit, over every length mod 4, view offset and lane
 // stride (wider than n, as a wave cell's block rows and the delta
 // path's node-major rows are), with edge likelihoods in the first,
@@ -539,11 +539,9 @@ func checkRoot(t *testing.T, vec tier, name string, v rowView, pc []float64, f *
 	t.Helper()
 	want, got := make([]float64, n), make([]float64, n)
 	kernelTier = tierScalar
-	wantSum := evalRoot(v, pc, f, n)
-	rootTerms(v, pc, f, 0, n, want)
+	wantSum := rootSum(v, pc, f, n, want)
 	kernelTier = vec
-	gotSum := evalRoot(v, pc, f, n)
-	rootTerms(v, pc, f, 0, n, got)
+	gotSum := rootSum(v, pc, f, n, got)
 	sameBits(t, name+" terms", want, got)
 	if math.Float64bits(wantSum) != math.Float64bits(gotSum) && !(math.IsNaN(wantSum) && math.IsNaN(gotSum)) {
 		t.Fatalf("%s: scalar %v (%#x), vector %v (%#x)", name, wantSum, math.Float64bits(wantSum), gotSum, math.Float64bits(gotSum))
@@ -551,6 +549,18 @@ func checkRoot(t *testing.T, vec tier, name string, v rowView, pc []float64, f *
 	if done, stop := rootVec(v, pc, f, 0, n, make([]float64, n)), rootStop(vec, v, f, n); done != stop {
 		t.Fatalf("%s: vector kernels finished %d patterns, want %d", name, done, stop)
 	}
+}
+
+// rootSum is the root contraction over patterns [0, n) as the delta
+// and wave paths run it: rootTerms writes each pattern's term to t, and
+// the terms are added in pattern order from +0.
+func rootSum(v rowView, pc []float64, f *[4]float64, n int, t []float64) float64 {
+	rootTerms(v, pc, f, 0, n, t)
+	sum := 0.0
+	for _, x := range t[:n] {
+		sum += x
+	}
+	return sum
 }
 
 // rootStop returns the pattern rootVec must stop at over [0, n) at
@@ -680,6 +690,35 @@ func cellFixture(g *kernelGen, ms []subst.Matrix, nPat, bs, depth int) (*Wave, *
 	return w, pr
 }
 
+// lanesAt returns pattern p's four states of the row whose state lane
+// 0 is cond, at lane stride st.
+func lanesAt(cond []float64, st, p int) (u [nStates]float64) {
+	for x := range u {
+		u[x] = cond[x*st+p]
+	}
+	return u
+}
+
+// dotRow is the kernels' dot product of matrix row x with u, left to
+// right.
+func dotRow(m *subst.Matrix, x int, u [nStates]float64) float64 {
+	return m[x][0]*u[0] + m[x][1]*u[1] + m[x][2]*u[2] + m[x][3]*u[3]
+}
+
+// mayRescale is the fused kernels' per-node test (CHECK8): the state
+// maximum, taken as VMAXPD's tree, is not at least rescaleThreshold.
+// VMAXPD's lane rule is the second operand unless the first is greater,
+// so a NaN in either yields the second.
+func mayRescale(v [nStates]float64) bool {
+	maxpd := func(a, b float64) float64 {
+		if a > b {
+			return a
+		}
+		return b
+	}
+	return !(maxpd(maxpd(v[0], v[1]), maxpd(v[2], v[3])) >= rescaleThreshold)
+}
+
 // cellBails reports whether pattern p of the cell must leave the fused
 // kernel: some node of it has no state at or above rescaleThreshold, by
 // the kernel's tree of maxima, or its root likelihood lies outside
@@ -687,39 +726,20 @@ func cellFixture(g *kernelGen, ms []subst.Matrix, nPat, bs, depth int) (*Wave, *
 // sees, which are never rescaled before that point.
 func cellBails(w *Wave, pr *waveProp, p int) bool {
 	e := w.e
-	row := func(cond []float64) (u [nStates]float64) {
-		for x := range u {
-			u[x] = cond[x*e.stride+p]
-		}
-		return u
-	}
-	dot := func(m *subst.Matrix, x int, u [nStates]float64) float64 {
-		return m[x][0]*u[0] + m[x][1]*u[1] + m[x][2]*u[2] + m[x][3]*u[3]
-	}
-	// maxpd is VMAXPD's lane rule: the second operand unless the first
-	// is greater, so a NaN in either yields the second.
-	maxpd := func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	rescales := func(v [nStates]float64) bool {
-		return !(maxpd(maxpd(v[0], v[1]), maxpd(v[2], v[3])) >= rescaleThreshold)
-	}
+	st := e.stride
 	var s [nStates]float64
-	l, r := row(pr.tlc), row(pr.trc)
+	l, r := lanesAt(pr.tlc, st, p), lanesAt(pr.trc, st, p)
 	for x := range s {
-		s[x] = dot(&pr.tm0, x, l) * dot(&pr.tm1, x, r)
+		s[x] = dotRow(&pr.tm0, x, l) * dotRow(&pr.tm1, x, r)
 	}
-	if rescales(s) {
+	if mayRescale(s) {
 		return true
 	}
-	t, c := s, row(pr.cvc)
+	t, c := s, lanesAt(pr.cvc, st, p)
 	for x := range s {
-		s[x] = dot(&pr.pmPhi, x, t) * dot(&pr.pmClean, x, c)
+		s[x] = dotRow(&pr.pmPhi, x, t) * dotRow(&pr.pmClean, x, c)
 	}
-	if rescales(s) {
+	if mayRescale(s) {
 		return true
 	}
 	for k := range w.path {
@@ -727,11 +747,11 @@ func cellBails(w *Wave, pr *waveProp, p int) bool {
 		if k > 0 {
 			m = &w.chainMats[k]
 		}
-		u, o := s, row(e.rowLanes(w.outer, nStates, k))
+		u, o := s, lanesAt(e.rowLanes(w.outer, nStates, k), st, p)
 		for x := range s {
-			s[x] = dot(m, x, u) * o[x]
+			s[x] = dotRow(m, x, u) * o[x]
 		}
-		if rescales(s) {
+		if mayRescale(s) {
 			return true
 		}
 	}

@@ -469,7 +469,7 @@ func (w *Wave) runCell(cell int) {
 // group, after which the fused kernel resumes, and the n%8 tail, or the
 // whole block at a tier without the fused kernel. Both write each
 // pattern's term to ws.terms, and one loop adds the terms in pattern
-// order from +0: evalRoot's sum, bit for bit.
+// order from +0: runBlock's sum, bit for bit.
 //
 //mpcgs:hotpath
 func (w *Wave) cellSum(pr *waveProp, b int, ws *waveScratch) float64 {
